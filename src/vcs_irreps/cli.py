@@ -10,9 +10,19 @@ Subcommands
 ``branch``  print the L-multiplicity table of an su(3) irrep from both the
             rotor enumeration and the canonical-basis L^2 oracle.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  The default
-tolerance is 1e-10, overridable per-call with ``--tol`` or globally with the
-``VCS_IRREPS_TOL`` environment variable.
+Each algebra is described once, by an :class:`Algebra` entry in
+:data:`ALGEBRAS`: how to read its label from the command line or from a
+document, how to build its generators, what its document holds and how its
+checks run.  ``gen``, ``check`` and ``check --replay`` are one path through
+that table, and the live and replayed checks share
+:func:`repcheck.standard_checks`; adding an algebra means adding one entry.
+The su(1,1) matrices are truncations of an infinite-dimensional irrep, so its
+commutator and Casimir checks run on the interior block (every row and column
+but the last).
+
+Exit codes: 0 success, 1 verification failure, 2 usage error (with a one-line
+``error:`` message).  The default tolerance is 1e-10, overridable per-call
+with ``--tol`` or globally with the ``VCS_IRREPS_TOL`` environment variable.
 """
 
 from __future__ import annotations
@@ -23,7 +33,10 @@ import io
 import json
 import os
 import sys
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Any
 
 import numpy as np
 
@@ -68,6 +81,11 @@ def _parse_lm(text: str) -> tuple[int, int]:
         raise UsageError(f"lam and mu must be integers: {text!r}") from exc
 
 
+def _require(args, usage: str, *flags: str) -> None:
+    if any(getattr(args, flag) is None for flag in flags):
+        raise UsageError(f"{args.command} {usage}")
+
+
 def _value_to_json(value, mode: str):
     if mode == "exact":
         if isinstance(value, RadicalSum):
@@ -93,77 +111,77 @@ def _matrix_to_json(mat: OperatorMatrix, mode: str) -> dict:
     return {"dim": mat.dim, "entries": entries}
 
 
-def _matrices_from_doc(doc: dict) -> dict[str, np.ndarray]:
-    out = {}
-    for name, info in doc["generators"].items():
-        m = np.zeros((info["dim"], info["dim"]))
-        for r, c, v in info["entries"]:
-            m[int(r), int(c)] = _value_from_json(v)
-        out[name] = m
-    return out
+def _matrix_from_json(info: dict) -> np.ndarray:
+    m = np.zeros((info["dim"], info["dim"]))
+    for r, c, v in info["entries"]:
+        m[int(r), int(c)] = _value_from_json(v)
+    return m
 
 
-# -- document builders -----------------------------------------------------
+# -- the algebras ------------------------------------------------------------
 
 
-def _build_su11(lam: Fraction, nmax: int, mode: str) -> dict:
-    irrep = su11.Su11Irrep(lam, nmax)
-    gens = su11.generator_matrices(irrep)
-    reduced = [
-        {"bra": str(n + 1), "ket": str(n), "value": _value_to_json(gens["S+"][n + 1, n], mode)}
-        for n in range(irrep.n_max)
-    ]
-    return {
-        "schema": SCHEMA_VERSION,
-        "algebra": "su11",
-        "weight": {"lambda": str(irrep.lam), "nmax": irrep.n_max},
-        "mode": mode,
-        "basis": [str(n) for n in range(irrep.dim)],
-        "generators": {k: _matrix_to_json(v, mode) for k, v in gens.items()},
-        "reduced_matrix_elements": reduced,
-        "metadata": {"kernel_convergence_radius": su11.KERNEL_CONVERGENCE_RADIUS},
-    }
+@dataclass(frozen=True)
+class Algebra:
+    """One algebra as the CLI sees it.
+
+    ``label`` is the algebra's own irrep label (``Su11Irrep``,
+    ``U3HighestWeight``, ``Su3Label``).  Library functions are looked up on
+    their modules when called, never bound here.
+    """
+
+    name: str
+    from_args: Callable[[argparse.Namespace], Any]  # command line -> label
+    from_weight: Callable[[dict], Any]  # a document's "weight" -> label
+    spec: Callable[[], repcheck.AlgebraSpec]
+    build: Callable[[Any], dict]  # label -> generator matrices
+    title: Callable[[Any], str]
+    weight: Callable[[Any], dict]  # label -> the document's "weight"
+    csv_weight: Callable[[Any], str]
+    reduced: Callable[[Any, dict], Iterable[tuple[str, str, Any]]]  # -> (bra, ket, value)
+    # Commutators of exact matrices run in exact arithmetic; otherwise every
+    # check runs on dense floats.
+    exact_checks: bool
+    # The matrices pass through a numeric diagonalization, so documents carry
+    # floats whatever ``--mode`` asks for.
+    float_entries: bool = False
+    # Size of the leading block on which the identities hold, for truncations.
+    interior: Callable[[Any], int | None] = lambda label: None
+    metadata: Callable[[Any], dict | None] = lambda label: None
+    extra_checks: Callable[[Any], list] = lambda label: []
 
 
-def _build_u3(weight, mode: str) -> dict:
-    hw = u3.U3HighestWeight(*weight)
-    gens = u3.assemble_generators(hw)
-    labels = u3.basis_enumeration(hw)
-    reduced = []
+def _su11_from_args(args) -> su11.Su11Irrep:
+    _require(args, "su11 requires --lambda and --nmax", "lam", "nmax")
+    return su11.Su11Irrep(_parse_fraction(args.lam), args.nmax)
+
+
+def _u3_from_args(args) -> u3.U3HighestWeight:
+    _require(args, "u3 requires --weight w1,w2,w3", "weight")
+    return u3.U3HighestWeight(*_parse_triple(args.weight))
+
+
+def _su3_so3_from_args(args) -> su3_so3.Su3Label:
+    _require(args, "su3-so3 requires --lm lam,mu", "lm")
+    return su3_so3.Su3Label(*_parse_lm(args.lm))
+
+
+def _u3_reduced(hw: u3.U3HighestWeight, gens: dict):
     seen = set()
-    for lbl in labels:
+    for lbl in u3.basis_enumeration(hw):
         for tSp in (lbl.tS - 1, lbl.tS + 1):
             key = (lbl.tj, lbl.tS, tSp)
             if key in seen:
                 continue
             seen.add(key)
             val = u3.reduced_me(hw, lbl.tj, lbl.tS, tSp, "f")
-            if val.is_zero():
-                continue
-            reduced.append(
-                {
-                    "bra": f"j={Fraction(lbl.tj + 1, 2)},S={Fraction(tSp, 2)}",
-                    "ket": f"j={Fraction(lbl.tj, 2)},S={Fraction(lbl.tS, 2)}",
-                    "value": _value_to_json(val, mode),
-                }
-            )
-    return {
-        "schema": SCHEMA_VERSION,
-        "algebra": "u3",
-        "weight": {"w": [str(w) for w in (hw.w1, hw.w2, hw.w3)]},
-        "mode": mode,
-        "basis": [str(lbl) for lbl in labels],
-        "generators": {k: _matrix_to_json(v, mode) for k, v in gens.items()},
-        "reduced_matrix_elements": reduced,
-    }
+            if not val.is_zero():
+                bra = f"j={Fraction(lbl.tj + 1, 2)},S={Fraction(tSp, 2)}"
+                yield bra, f"j={Fraction(lbl.tj, 2)},S={Fraction(lbl.tS, 2)}", val
 
 
-def _build_su3_so3(lam: int, mu: int) -> dict:
-    lm = su3_so3.Su3Label(lam, mu)
-    gens = su3_so3.assemble_so3_generators(lm)
-    labels = su3_so3.basis_labels(lm)
+def _su3_so3_reduced(lm: su3_so3.Su3Label, gens: dict):
     mults = su3_so3.rotor_multiplicities(lm)
-    reduced = []
     for L in sorted(mults):
         for Lp in sorted(mults):
             if abs(Lp - L) > 2:
@@ -171,36 +189,100 @@ def _build_su3_so3(lam: int, mu: int) -> dict:
             for alpha in range(mults[L]):
                 for beta in range(mults[Lp]):
                     val = su3_so3.reduced_q(lm, beta, Lp, alpha, L)
-                    if val == 0.0:
-                        continue
-                    reduced.append(
-                        {
-                            "bra": f"L={Lp},alpha={beta}",
-                            "ket": f"L={L},alpha={alpha}",
-                            "value": repr(val),
-                        }
-                    )
-    return {
+                    if val != 0.0:
+                        yield f"L={Lp},alpha={beta}", f"L={L},alpha={alpha}", val
+
+
+def _su3_so3_branching(lm: su3_so3.Su3Label) -> list[tuple[str, float, bool]]:
+    match = su3_so3.rotor_multiplicities(lm) == su3_so3.branching_oracle(lm)
+    return [("branching cross-check", 0.0 if match else 1.0, match)]
+
+
+SU11 = Algebra(
+    name="su11",
+    from_args=_su11_from_args,
+    from_weight=lambda w: su11.Su11Irrep(Fraction(w["lambda"]), int(w["nmax"])),
+    spec=lambda: repcheck.su11_spec(),
+    build=lambda irrep: su11.generator_matrices(irrep),
+    title=lambda irrep: f"su11 lambda={irrep.lam} nmax={irrep.n_max}",
+    weight=lambda irrep: {"lambda": str(irrep.lam), "nmax": irrep.n_max},
+    csv_weight=lambda irrep: f"lambda={irrep.lam}",
+    reduced=lambda irrep, gens: (
+        (str(n + 1), str(n), gens["S+"][n + 1, n]) for n in range(irrep.n_max)
+    ),
+    # At nmax = 1000 the exact commutators take longer than the whole float
+    # check; they wait for a faster exact scalar core.
+    exact_checks=False,
+    # The truncation defect lives in the last row and column.
+    interior=lambda irrep: irrep.n_max,
+    metadata=lambda irrep: {"kernel_convergence_radius": su11.KERNEL_CONVERGENCE_RADIUS},
+)
+
+U3 = Algebra(
+    name="u3",
+    from_args=_u3_from_args,
+    from_weight=lambda w: u3.U3HighestWeight(*(Fraction(x) for x in w["w"])),
+    spec=lambda: repcheck.u3_spec(),
+    build=lambda hw: u3.assemble_generators(hw),
+    title=lambda hw: f"u3 weight {{{hw.w1},{hw.w2},{hw.w3}}}",
+    weight=lambda hw: {"w": [str(w) for w in (hw.w1, hw.w2, hw.w3)]},
+    csv_weight=lambda hw: f"{hw.w1},{hw.w2},{hw.w3}",
+    reduced=_u3_reduced,
+    exact_checks=True,
+)
+
+SU3_SO3 = Algebra(
+    name="su3-so3",
+    from_args=_su3_so3_from_args,
+    from_weight=lambda w: su3_so3.Su3Label(int(w["lam"]), int(w["mu"])),
+    spec=lambda: repcheck.su3_so3_spec(),
+    build=lambda lm: su3_so3.assemble_so3_generators(lm),
+    title=lambda lm: f"su3-so3 ({lm.lam},{lm.mu})",
+    weight=lambda lm: {"lam": lm.lam, "mu": lm.mu},
+    csv_weight=lambda lm: f"{lm.lam},{lm.mu}",
+    reduced=_su3_so3_reduced,
+    exact_checks=False,
+    float_entries=True,
+    extra_checks=_su3_so3_branching,
+)
+
+ALGEBRAS: dict[str, Algebra] = {a.name: a for a in (SU11, U3, SU3_SO3)}
+
+
+def _label(algebra: Algebra, args):
+    """The irrep label given on the command line; an invalid one is a usage error."""
+    try:
+        return algebra.from_args(args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+# -- documents ---------------------------------------------------------------
+
+
+def _document(algebra: Algebra, label, mode: str) -> dict:
+    gens = algebra.build(label)
+    if algebra.float_entries:
+        mode = "float"
+    doc = {
         "schema": SCHEMA_VERSION,
-        "algebra": "su3-so3",
-        "weight": {"lam": lam, "mu": mu},
-        # The SO(3)-basis matrices pass through a numeric diagonalization, so
-        # entries are floats regardless of the requested mode.
-        "mode": "float",
-        "basis": [f"L={b.L},alpha={b.alpha},M={b.M}" for b in labels],
-        "generators": {k: _matrix_to_json(v, "float") for k, v in gens.items()},
-        "reduced_matrix_elements": reduced,
+        "algebra": algebra.name,
+        "weight": algebra.weight(label),
+        "mode": mode,
+        "basis": [str(b) for b in next(iter(gens.values())).basis],
+        "generators": {k: _matrix_to_json(v, mode) for k, v in gens.items()},
+        "reduced_matrix_elements": [
+            {"bra": bra, "ket": ket, "value": _value_to_json(value, mode)}
+            for bra, ket, value in algebra.reduced(label, gens)
+        ],
     }
+    metadata = algebra.metadata(label)
+    if metadata is not None:
+        doc["metadata"] = metadata
+    return doc
 
 
-def _doc_to_csv(doc: dict) -> str:
-    weight = doc["weight"]
-    if doc["algebra"] == "su11":
-        wstr = f"lambda={weight['lambda']}"
-    elif doc["algebra"] == "u3":
-        wstr = ",".join(weight["w"])
-    else:
-        wstr = f"{weight['lam']},{weight['mu']}"
+def _doc_to_csv(doc: dict, weight: str) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["weight", "bra", "ket", "value"])
@@ -208,81 +290,38 @@ def _doc_to_csv(doc: dict) -> str:
         value = row["value"]
         if isinstance(value, dict):
             value = str(Radical.from_json(value))
-        writer.writerow([wstr, row["bra"], row["ket"], value])
+        writer.writerow([weight, row["bra"], row["ket"], value])
     return buf.getvalue()
+
+
+def _load_document(path: str):
+    """Algebra, label and dense generator matrices of a ``gen`` JSON document."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+            schema = doc.get("schema") if isinstance(doc, dict) else None
+            if schema != SCHEMA_VERSION:
+                raise UsageError(f"unsupported schema {schema!r}")
+            algebra = ALGEBRAS.get(doc["algebra"])
+            if algebra is None:
+                raise UsageError(f"unknown algebra {doc['algebra']!r} in document")
+            label = algebra.from_weight(doc["weight"])
+            generators = doc["generators"]
+            matrices = {g: _matrix_from_json(generators[g]) for g in algebra.spec().generators}
+        except (ValueError, KeyError, TypeError, IndexError) as exc:
+            reason = f"missing key {exc}" if isinstance(exc, KeyError) else f"{type(exc).__name__}: {exc}"
+            raise UsageError(f"{path} is not a valid document: {reason}") from exc
+    return algebra, label, matrices
 
 
 # -- verification ------------------------------------------------------------
 
 
-def _su11_report(gens: dict, dim: int, tol: float) -> list[tuple[str, float, bool]]:
-    """Interior-block residuals: the truncation defect lives in the last row/column."""
-    interior = dim - 1
-    names = ("S0", "S+", "S-")
-
-    def _interior(matrix) -> np.ndarray:
-        if isinstance(matrix, OperatorMatrix):
-            matrix = matrix.to_dense()
-        return np.asarray(matrix)[:interior, :interior]
-
-    dense = {k: np.asarray(v.to_dense() if isinstance(v, OperatorMatrix) else v) for k, v in gens.items()}
-    spec = repcheck.su11_spec()
-    worst = 0.0
-    for i, x in enumerate(names):
-        for y in names[i:]:
-            defect = dense[x] @ dense[y] - dense[y] @ dense[x]
-            for c, z in spec.bracket(x, y):
-                defect = defect - float(c) * dense[z]
-            num = float(np.linalg.norm(defect[:interior, :interior]))
-            den = 1.0 + float(np.linalg.norm(dense[x])) * float(np.linalg.norm(dense[y]))
-            worst = max(worst, num / den)
-    herm = repcheck.hermiticity_residual(spec, dense)
-    casimir = dense["S0"] @ dense["S0"] - (dense["S+"] @ dense["S-"] + dense["S-"] @ dense["S+"]) / 2
-    _, dev = repcheck.schur_constancy(_interior(casimir))
-    return [
-        ("commutators (interior)", worst, worst <= tol),
-        ("hermiticity", herm, herm <= tol),
-        ("casimir constancy (interior)", dev, dev <= tol),
-    ]
-
-
-def _u3_report(gens: dict, tol: float) -> list[tuple[str, float, bool]]:
-    spec = repcheck.u3_spec()
-    comm = repcheck.commutator_residual(spec, gens)
-    herm = repcheck.hermiticity_residual(spec, gens)
-    dense = {k: (v.to_dense() if isinstance(v, OperatorMatrix) else np.asarray(v)) for k, v in gens.items()}
-    cas = sum(
-        (dense[f"C{i}{k}"] @ dense[f"C{k}{i}"] for i in (1, 2, 3) for k in (1, 2, 3)),
-        np.zeros_like(dense["C11"]),
-    )
-    _, dev = repcheck.schur_constancy(cas)
-    return [
-        ("commutators", comm, comm <= tol),
-        ("hermiticity", herm, herm <= tol),
-        ("casimir constancy", dev, dev <= tol),
-    ]
-
-
-def _su3_so3_report(gens: dict, tol: float, lm: su3_so3.Su3Label | None) -> list[tuple[str, float, bool]]:
-    spec = repcheck.su3_so3_spec()
-    comm = repcheck.commutator_residual(spec, gens)
-    herm = repcheck.hermiticity_residual(spec, gens)
-    dense = {k: (v.to_dense() if isinstance(v, OperatorMatrix) else np.asarray(v)) for k, v in gens.items()}
-    qq = sum(
-        ((-1.0) ** nu * dense[f"Q{nu}"] @ dense[f"Q{-nu}"] for nu in range(-2, 3)),
-        np.zeros_like(dense["L0"]),
-    )
-    ll = dense["L0"] @ dense["L0"] + (dense["L+"] @ dense["L-"] + dense["L-"] @ dense["L+"]) / 2
-    _, dev = repcheck.schur_constancy(qq + 3 * ll)
-    checks = [
-        ("commutators", comm, comm <= tol),
-        ("hermiticity", herm, herm <= tol),
-        ("casimir constancy", dev, dev <= tol),
-    ]
-    if lm is not None:
-        match = su3_so3.rotor_multiplicities(lm) == su3_so3.branching_oracle(lm)
-        checks.append(("branching cross-check", 0.0 if match else 1.0, match))
-    return checks
+def _checks(algebra: Algebra, label, matrices: dict, tol: float) -> list[tuple[str, float, bool]]:
+    if not algebra.exact_checks:
+        matrices = {k: v.to_dense() if isinstance(v, OperatorMatrix) else v for k, v in matrices.items()}
+    checks = repcheck.standard_checks(algebra.spec(), matrices, tol, algebra.interior(label))
+    return checks + algebra.extra_checks(label)
 
 
 def _print_report(title: str, checks) -> bool:
@@ -299,25 +338,13 @@ def _print_report(title: str, checks) -> bool:
 
 
 def cmd_gen(args) -> int:
-    if args.algebra == "su11":
-        if args.lam is None or args.nmax is None:
-            raise UsageError("gen su11 requires --lambda and --nmax")
-        doc = _build_su11(_parse_fraction(args.lam), args.nmax, args.mode)
-    elif args.algebra == "u3":
-        if args.weight is None:
-            raise UsageError("gen u3 requires --weight w1,w2,w3")
-        try:
-            doc = _build_u3(_parse_triple(args.weight), args.mode)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+    algebra = ALGEBRAS[args.algebra]
+    label = _label(algebra, args)
+    doc = _document(algebra, label, args.mode)
+    if args.format == "csv":
+        text = _doc_to_csv(doc, algebra.csv_weight(label))
     else:
-        if args.lm is None:
-            raise UsageError("gen su3-so3 requires --lm lam,mu")
-        try:
-            doc = _build_su3_so3(*_parse_lm(args.lm))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    text = _doc_to_csv(doc) if args.format == "csv" else json.dumps(doc, indent=1)
+        text = json.dumps(doc, indent=1)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -326,65 +353,24 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _check_replay(path: str, tol: float) -> int:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise UsageError(f"unsupported schema {doc.get('schema')!r}")
-    matrices = _matrices_from_doc(doc)
-    algebra = doc["algebra"]
-    if algebra == "su11":
-        checks = _su11_report(matrices, matrices["S0"].shape[0], tol)
-    elif algebra == "u3":
-        checks = _u3_report(matrices, tol)
-    elif algebra == "su3-so3":
-        lm = su3_so3.Su3Label(int(doc["weight"]["lam"]), int(doc["weight"]["mu"]))
-        checks = _su3_so3_report(matrices, tol, lm)
-    else:
-        raise UsageError(f"unknown algebra {algebra!r} in document")
-    ok = _print_report(f"replay {path} ({algebra})", checks)
-    return 0 if ok else 1
-
-
 def cmd_check(args) -> int:
     tol = args.tol if args.tol is not None else _tol_default()
     if args.replay:
-        return _check_replay(args.replay, tol)
-    if args.algebra is None:
+        algebra, label, matrices = _load_document(args.replay)
+        title = f"replay {args.replay} ({algebra.name})"
+    elif args.algebra is None:
         raise UsageError("check requires an algebra or --replay FILE")
-    if args.algebra == "su11":
-        if args.lam is None or args.nmax is None:
-            raise UsageError("check su11 requires --lambda and --nmax")
-        irrep = su11.Su11Irrep(_parse_fraction(args.lam), args.nmax)
-        checks = _su11_report(su11.generator_matrices(irrep), irrep.dim, tol)
-        title = f"su11 lambda={irrep.lam} nmax={irrep.n_max}"
-    elif args.algebra == "u3":
-        if args.weight is None:
-            raise UsageError("check u3 requires --weight w1,w2,w3")
-        try:
-            hw = u3.U3HighestWeight(*_parse_triple(args.weight))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        checks = _u3_report(u3.assemble_generators(hw), tol)
-        title = f"u3 weight {{{hw.w1},{hw.w2},{hw.w3}}}"
     else:
-        if args.lm is None:
-            raise UsageError("check su3-so3 requires --lm lam,mu")
-        try:
-            lm = su3_so3.Su3Label(*_parse_lm(args.lm))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        checks = _su3_so3_report(su3_so3.assemble_so3_generators(lm), tol, lm)
-        title = f"su3-so3 ({lm.lam},{lm.mu})"
-    ok = _print_report(title, checks)
+        algebra = ALGEBRAS[args.algebra]
+        label = _label(algebra, args)
+        matrices = algebra.build(label)
+        title = algebra.title(label)
+    ok = _print_report(title, _checks(algebra, label, matrices, tol))
     return 0 if ok else 1
 
 
 def cmd_branch(args) -> int:
-    try:
-        lm = su3_so3.Su3Label(*_parse_lm(args.lm))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    lm = _label(SU3_SO3, args)
     rotor = su3_so3.rotor_multiplicities(lm)
     oracle = su3_so3.branching_oracle(lm)
     print(f"L multiplicities for ({lm.lam},{lm.mu}):")
@@ -407,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate an irrep document")
-    gen.add_argument("algebra", choices=("su11", "u3", "su3-so3"))
+    gen.add_argument("algebra", choices=tuple(ALGEBRAS))
     gen.add_argument("--lambda", dest="lam", help="su(1,1) lowest weight (positive rational)")
     gen.add_argument("--nmax", type=int, help="su(1,1) truncation order")
     gen.add_argument("--weight", help="u(3) weight as w1,w2,w3")
@@ -418,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen)
 
     chk = sub.add_parser("check", help="verify algebra relations")
-    chk.add_argument("algebra", nargs="?", choices=("su11", "u3", "su3-so3"))
+    chk.add_argument("algebra", nargs="?", choices=tuple(ALGEBRAS))
     chk.add_argument("--lambda", dest="lam")
     chk.add_argument("--nmax", type=int)
     chk.add_argument("--weight")
@@ -438,10 +424,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

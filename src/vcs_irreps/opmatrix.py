@@ -147,10 +147,3 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     out = (a @ b) - (b @ a)
     out.name = f"[{a.name},{b.name}]"
     return out
-
-
-def identity_like(m: OperatorMatrix, value=1) -> OperatorMatrix:
-    out = OperatorMatrix("I", m.basis)
-    for i in range(m.dim):
-        out[i, i] = value
-    return out

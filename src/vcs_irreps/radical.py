@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -84,6 +84,7 @@ def _float_sqrt(q: Fraction) -> float:
     return math.sqrt((num << max(0, -shift)) / (den << max(0, shift))) * 2.0 ** (shift / 2)
 
 
+@total_ordering
 class Radical:
     """An exact value ``sign * sqrt(radicand)`` with rational ``radicand >= 0``."""
 
@@ -267,19 +268,6 @@ class Radical:
             return self.radicand < other.radicand
         return self.radicand > other.radicand
 
-    def __le__(self, other):
-        return self == other or self < other
-
-    def __gt__(self, other):
-        eq = self.__eq__(other)
-        lt = self.__lt__(other)
-        if eq is NotImplemented or lt is NotImplemented:
-            return NotImplemented
-        return not eq and not lt
-
-    def __ge__(self, other):
-        return not self.__lt__(other)
-
     def __hash__(self):
         if self.is_rational():
             return hash(self.as_fraction())
@@ -419,15 +407,6 @@ class RadicalSum:
             return "RadicalSum(0)"
         parts = [f"({c})*sqrt({d})" for d, c in sorted(self.terms.items())]
         return "RadicalSum(" + " + ".join(parts) + ")"
-
-
-def exact_value(value):
-    """Coerce ints/Fractions/Radicals/RadicalSums to an exact type, pass floats through."""
-    if isinstance(value, (Radical, RadicalSum)):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Radical.from_rational(value)
-    return value
 
 
 def as_float(value) -> float:

@@ -2,10 +2,12 @@
 
 An :class:`AlgebraSpec` is a structure-constant table ``[X, Y] = sum c Z``
 over named generators, validated once (antisymmetry and the Jacobi identity,
-exactly) at construction.  Residual functions measure how well a concrete set
-of matrices realizes the table, how well declared Hermiticity pairs hold, and
-whether a Casimir is a multiple of the identity (Schur test).  All residuals
-are relative, so tolerances need no retuning with irrep size.
+exactly) at construction, together with the quadratic Casimir as
+``sum c X Y`` terms.  Residual functions measure how well a concrete set of
+matrices realizes the table, how well declared Hermiticity pairs hold, and
+whether the Casimir is a multiple of the identity (Schur test);
+:func:`standard_checks` runs all three.  All residuals are relative, so
+tolerances need no retuning with irrep size.
 
 Shipped tables: su(1,1), u(3) (all 81 relations), and su(3) in its
 SO(3)-tensor form (angular momentum plus the five quadrupole components).
@@ -22,26 +24,31 @@ from .opmatrix import OperatorMatrix
 from .radical import Radical, RadicalSum, as_float
 
 Bracket = tuple[tuple[object, str], ...]
+Casimir = tuple[tuple[object, str, str], ...]
 
 
 @dataclass(frozen=True)
 class AlgebraSpec:
-    """Named generators plus the full antisymmetric bracket table."""
+    """Named generators, the full antisymmetric bracket table and the Casimir."""
 
     name: str
     generators: tuple[str, ...]
     brackets: dict[tuple[str, str], Bracket]
     hermiticity_pairs: tuple[tuple[str, str, int], ...]
+    casimir: Casimir = ()  # quadratic Casimir ``sum c X Y`` as (c, X, Y) terms
 
     def __post_init__(self):
         self._validate_antisymmetry()
         self._validate_jacobi()
+        unknown = {g for _, x, y in self.casimir for g in (x, y)} - set(self.generators)
+        if unknown:
+            raise ValueError(f"Casimir uses unknown generators {sorted(unknown)}")
 
     def bracket(self, x: str, y: str) -> Bracket:
         if (x, y) in self.brackets:
             return self.brackets[(x, y)]
         if (y, x) in self.brackets:
-            return tuple((_neg(c), z) for c, z in self.brackets[(y, x)])
+            return tuple((-c, z) for c, z in self.brackets[(y, x)])
         if x == y:
             return ()
         raise KeyError(f"no bracket for ({x}, {y})")
@@ -91,6 +98,7 @@ class AlgebraSpec:
                 for (x, y), terms in self.brackets.items()
             ],
             "hermiticity_pairs": [list(p) for p in self.hermiticity_pairs],
+            "casimir": [[_coeff_to_json(c), x, y] for c, x, y in self.casimir],
         }
 
     @classmethod
@@ -104,15 +112,8 @@ class AlgebraSpec:
             generators=tuple(doc["generators"]),
             brackets=brackets,
             hermiticity_pairs=tuple((a, b, int(p)) for a, b, p in doc["hermiticity_pairs"]),
+            casimir=tuple((_coeff_from_json(c), x, y) for c, x, y in doc.get("casimir", ())),
         )
-
-
-def _neg(coeff):
-    if isinstance(coeff, Radical):
-        return -coeff
-    if isinstance(coeff, RadicalSum):
-        return -coeff
-    return -coeff
 
 
 def _coeff_map(terms: Bracket) -> dict[str, RadicalSum]:
@@ -140,7 +141,10 @@ def _coeff_from_json(obj):
 
 
 def su11_spec() -> AlgebraSpec:
-    """su(1,1): ``[S0, S+-] = +-S+-``, ``[S-, S+] = 2 S0``."""
+    """su(1,1): ``[S0, S+-] = +-S+-``, ``[S-, S+] = 2 S0``.
+
+    Casimir ``S0**2 - (S+ S- + S- S+)/2``, equal to ``lam**2/4 - lam/2``.
+    """
     return AlgebraSpec(
         name="su11",
         generators=("S0", "S+", "S-"),
@@ -150,11 +154,15 @@ def su11_spec() -> AlgebraSpec:
             ("S-", "S+"): ((2, "S0"),),
         },
         hermiticity_pairs=(("S0", "S0", 1), ("S+", "S-", 1)),
+        casimir=((1, "S0", "S0"), (Fraction(-1, 2), "S+", "S-"), (Fraction(-1, 2), "S-", "S+")),
     )
 
 
 def u3_spec() -> AlgebraSpec:
-    """u(3): ``[C(ij), C(kl)] = d(kj) C(il) - d(il) C(kj)`` for all 81 pairs."""
+    """u(3): ``[C(ij), C(kl)] = d(kj) C(il) - d(il) C(kj)`` for all 81 pairs.
+
+    Casimir ``sum_ik C(ik) C(ki)``, equal to ``sum w_i**2 + sum_{i<j} (w_i - w_j)``.
+    """
     names = [(i, k) for i in (1, 2, 3) for k in (1, 2, 3)]
     brackets = {}
     for i, k in names:
@@ -176,6 +184,7 @@ def u3_spec() -> AlgebraSpec:
         generators=tuple(f"C{i}{k}" for i, k in names),
         brackets=brackets,
         hermiticity_pairs=herm,
+        casimir=tuple((1, f"C{i}{k}", f"C{k}{i}") for i, k in names),
     )
 
 
@@ -184,7 +193,8 @@ def su3_so3_spec() -> AlgebraSpec:
 
     The quadrupole components transform as a spherical rank-2 tensor under L,
     close on L among themselves (in particular ``[Q2, Q-2] = 6 L0``), and obey
-    ``Q(n)^dag = (-1)**n Q(-n)``.
+    ``Q(n)^dag = (-1)**n Q(-n)``.  Casimir ``Q.Q + 3 L.L``, equal to
+    ``4 (lam**2 + mu**2 + lam mu + 3 lam + 3 mu)`` on the irrep ``(lam, mu)``.
     """
     rt6 = Radical.sqrt_of(6)
     c32 = rt6 * Fraction(3, 2)
@@ -221,6 +231,8 @@ def su3_so3_spec() -> AlgebraSpec:
         generators=("L0", "L+", "L-", "Q-2", "Q-1", "Q0", "Q1", "Q2"),
         brackets=brackets,
         hermiticity_pairs=tuple(herm),
+        casimir=tuple(((-1) ** abs(n), f"Q{n}", f"Q{-n}") for n in range(-2, 3))
+        + ((3, "L0", "L0"), (Fraction(3, 2), "L+", "L-"), (Fraction(3, 2), "L-", "L+")),
     )
 
 
@@ -233,11 +245,13 @@ def _as_matrix(m) -> np.ndarray:
     return np.asarray(m)
 
 
-def commutator_residual(spec: AlgebraSpec, matrices: dict) -> float:
+def commutator_residual(spec: AlgebraSpec, matrices: dict, interior: int | None = None) -> float:
     """Max over generator pairs of ``|[A,B] - sum c C| / (1 + |A| |B|)`` (Frobenius).
 
     When every matrix is an exact OperatorMatrix the defect is computed in
     exact radical arithmetic, so a holding identity reports exactly 0.0.
+    ``interior`` restricts the defect (not the norms of A and B) to the leading
+    ``interior x interior`` block.
     """
     missing = [g for g in spec.generators if g not in matrices]
     if missing:
@@ -259,6 +273,11 @@ def commutator_residual(spec: AlgebraSpec, matrices: dict) -> float:
                 defect = (matrices[x] @ matrices[y]) - (matrices[y] @ matrices[x])
                 for c, z in terms:
                     defect = defect - matrices[z].scale(c)
+                if interior is not None:
+                    defect = OperatorMatrix(
+                        defect.name, defect.basis,
+                        {k: v for k, v in defect.entries.items() if max(k) < interior},
+                    )
                 if defect.is_zero():
                     continue
                 num = defect.frobenius()
@@ -267,7 +286,7 @@ def commutator_residual(spec: AlgebraSpec, matrices: dict) -> float:
                 defect = a @ b - b @ a
                 for c, z in terms:
                     defect = defect - as_float(c) * _as_matrix(matrices[z])
-                num = float(np.linalg.norm(defect))
+                num = float(np.linalg.norm(defect[:interior, :interior]))
             den = 1.0 + _frob(matrices[x]) * _frob(matrices[y])
             worst = max(worst, num / den)
     return worst
@@ -297,6 +316,32 @@ def schur_constancy(matrix) -> tuple[float, float]:
     mean = float(np.trace(m).real) / n
     dev = float(np.abs(m - mean * np.eye(n)).max()) / (1.0 + abs(mean))
     return mean, dev
+
+
+def casimir_matrix(spec: AlgebraSpec, matrices: dict) -> np.ndarray:
+    """The spec's quadratic Casimir ``sum c X Y`` (at least one term) in dense floats."""
+    return sum(as_float(c) * (_as_matrix(matrices[x]) @ _as_matrix(matrices[y])) for c, x, y in spec.casimir)
+
+
+def standard_checks(
+    spec: AlgebraSpec, matrices: dict, tol: float, interior: int | None = None
+) -> list[tuple[str, float, bool]]:
+    """Commutator, Hermiticity and Casimir-constancy residuals as ``(name, residual, passed)``.
+
+    The commutators run exactly when every matrix is an exact OperatorMatrix
+    (see :func:`commutator_residual`); the other two run in dense floats.
+    ``interior`` confines the commutator defect and the Schur test to the
+    leading block, for truncations of infinite-dimensional irreps whose
+    identities fail only on the boundary rows and columns.
+    """
+    suffix = "" if interior is None else " (interior)"
+    comm = commutator_residual(spec, matrices, interior)  # validates names and shapes
+    dense = {g: _as_matrix(matrices[g]) for g in spec.generators}
+    residuals = [("commutators" + suffix, comm), ("hermiticity", hermiticity_residual(spec, dense))]
+    if spec.casimir:
+        _, dev = schur_constancy(casimir_matrix(spec, dense)[:interior, :interior])
+        residuals.append(("casimir constancy" + suffix, dev))
+    return [(name, r, r <= tol) for name, r in residuals]
 
 
 def spectrum_multiset(matrix, hermitian_tol: float = 1e-9) -> list[float]:

@@ -54,10 +54,6 @@ class Su3Label:
         if self.lam < 0 or self.mu < 0:
             raise ValueError("lam and mu must be non-negative integers")
 
-    @property
-    def twice_s(self) -> int:
-        return self.mu
-
     def dimension(self) -> int:
         return (self.lam + 1) * (self.mu + 1) * (self.lam + self.mu + 2) // 2
 
@@ -66,15 +62,15 @@ class Su3Label:
 class RotorLabel:
     """State label: angular momentum L, multiplicity index alpha, projection M.
 
-    ``K`` is the raw intrinsic projection of the pre-diagonalization candidate
-    basis; it is None on eigenbasis labels, where ``alpha`` indexes the
-    ascending eigenvalues of the scalar invariant.
+    ``alpha`` indexes the ascending eigenvalues of the scalar invariant.
     """
 
     L: int
     alpha: int
     M: int
-    K: int | None = None
+
+    def __str__(self):
+        return f"L={self.L},alpha={self.alpha},M={self.M}"
 
 
 def k_ladder(mu: int) -> list[int]:

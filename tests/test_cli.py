@@ -5,11 +5,19 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 
 import pytest
 
-from vcs_irreps.cli import main
+from vcs_irreps.cli import ALGEBRAS, main
 from vcs_irreps.radical import Radical
+
+# A small irrep of every registered algebra, as command-line flags.
+SMALL_IRREPS = {
+    "su11": ["--lambda", "3/2", "--nmax", "6"],
+    "u3": ["--weight", "2,1,0"],
+    "su3-so3": ["--lm", "2,1"],
+}
 
 
 def run(capsys, *argv):
@@ -167,3 +175,50 @@ def test_float_mode_document(capsys):
     entry = doc["generators"]["S+"]["entries"][0]
     assert isinstance(entry[2], str)
     assert float(entry[2]) > 0
+
+
+def _drop_key(tmp_path, capsys, algebra, key):
+    path = tmp_path / "doc.json"
+    run(capsys, "gen", algebra, *SMALL_IRREPS[algebra], "--out", str(path))
+    doc = json.loads(path.read_text())
+    del doc[key]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "argv, document",
+    [
+        (["check", "su11", "--lambda", "-1", "--nmax", "5"], None),
+        (["gen", "su11", "--lambda", "0", "--nmax", "3"], None),
+        (["check", "su11", "--lambda", "1", "--nmax", "0"], None),
+        (["check", "--replay"], lambda tmp_path, capsys: "this is not JSON"),
+        (["check", "--replay"], lambda tmp_path, capsys: _drop_key(tmp_path, capsys, "su11", "generators")),
+        (["check", "--replay"], lambda tmp_path, capsys: _drop_key(tmp_path, capsys, "su3-so3", "weight")),
+    ],
+    ids=["negative-lambda", "zero-lambda", "zero-nmax", "non-json", "no-generators", "no-weight"],
+)
+def test_bad_input_is_one_line_usage_error(tmp_path, capsys, argv, document):
+    if document is not None:
+        path = tmp_path / "input.json"
+        path.write_text(document(tmp_path, capsys))
+        argv = argv + [str(path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _check_names(report: str) -> list[str]:
+    return re.findall(r"^  (\S.*?)\s+residual ", report, flags=re.MULTILINE)
+
+
+@pytest.mark.parametrize("algebra", list(ALGEBRAS))
+def test_replay_runs_the_same_checks_as_check(tmp_path, capsys, algebra):
+    path = tmp_path / "doc.json"
+    code, _, _ = run(capsys, "gen", algebra, *SMALL_IRREPS[algebra], "--out", str(path))
+    assert code == 0
+    code, replayed, _ = run(capsys, "check", "--replay", str(path))
+    assert code == 0
+    code, direct, _ = run(capsys, "check", algebra, *SMALL_IRREPS[algebra])
+    assert code == 0
+    assert len(_check_names(direct)) >= 3
+    assert _check_names(replayed) == _check_names(direct)

@@ -80,6 +80,12 @@ def test_ordering_exact():
     assert vals == [-Radical.one(), Radical.zero(), Radical.sqrt_of(3)]
 
 
+@pytest.mark.parametrize("compare", [lambda a, b: a >= b, lambda a, b: a <= b], ids=[">=", "<="])
+def test_ordering_against_unsupported_operand_raises(compare):
+    with pytest.raises(TypeError):
+        compare(Radical(1, 2), "x")
+
+
 def test_sqrt_of_rational_value():
     assert Radical.from_rational(Fraction(9, 4)).sqrt() == Radical.from_rational(Fraction(3, 2))
     with pytest.raises(ValueError):

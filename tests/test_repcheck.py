@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vcs_irreps import repcheck, su11, u3
+from vcs_irreps import repcheck, su3_so3, su11, u3
 from vcs_irreps.opmatrix import OperatorMatrix
 from vcs_irreps.radical import Radical
 
@@ -135,6 +135,11 @@ def test_spec_json_round_trip():
         for (c1, z1), (c2, z2) in zip(terms, got):
             assert z1 == z2
             assert Radical.from_rational(Fraction(c1)) == c2 if isinstance(c1, int) else c1 == c2
+    assert len(spec.casimir) == 8
+    assert loaded.casimir == spec.casimir
+    # documents written before the Casimir field load with no Casimir
+    del doc["casimir"]
+    assert repcheck.AlgebraSpec.from_json(doc).casimir == ()
 
 
 def test_exact_residual_on_operator_matrices_with_radical_coeffs():
@@ -143,3 +148,45 @@ def test_exact_residual_on_operator_matrices_with_radical_coeffs():
     zero = OperatorMatrix("z", basis)
     mats = {name: zero.copy(name) for name in repcheck.su3_so3_spec().generators}
     assert repcheck.commutator_residual(repcheck.su3_so3_spec(), mats) == 0.0
+
+
+def _su11_case():
+    irrep = su11.Su11Irrep(Fraction(7, 2), 12)
+    lam = irrep.lam
+    return repcheck.su11_spec(), su11.generator_matrices(irrep), lam**2 / 4 - lam / 2, irrep.n_max
+
+
+def _u3_case():
+    w = (Fraction(7, 2), Fraction(3, 2), Fraction(1, 2))
+    expected = sum(wi * wi for wi in w) + sum(w[i] - w[j] for i in range(3) for j in range(i + 1, 3))
+    return repcheck.u3_spec(), u3.assemble_generators(u3.U3HighestWeight(*w)), expected, None
+
+
+def _su3_so3_case():
+    lam, mu = 3, 2
+    expected = 4 * (lam**2 + mu**2 + lam * mu + 3 * lam + 3 * mu)
+    return repcheck.su3_so3_spec(), su3_so3.assemble_so3_generators(su3_so3.Su3Label(lam, mu)), expected, None
+
+
+@pytest.mark.parametrize("case", [_su11_case, _u3_case, _su3_so3_case], ids=["su11", "u3", "su3-so3"])
+def test_spec_casimir_gives_closed_form_eigenvalue(case):
+    spec, gens, expected, interior = case()
+    cas = repcheck.casimir_matrix(spec, gens)[:interior, :interior]
+    assert np.abs(cas - float(expected) * np.eye(cas.shape[0])).max() <= 1e-10 * (1 + abs(expected))
+
+
+def test_standard_checks_on_su11_interior():
+    irrep = su11.Su11Irrep(Fraction(7, 2), 10)
+    gens = su11.generator_matrices(irrep)
+    spec = repcheck.su11_spec()
+    # the truncation boundary breaks [S-, S+] = 2 S0 in the last row/column only
+    assert repcheck.commutator_residual(spec, gens) > 1e-3
+    assert repcheck.commutator_residual(spec, gens, interior=irrep.n_max) == 0.0
+    dense = {k: v.to_dense() for k, v in gens.items()}
+    checks = repcheck.standard_checks(spec, dense, 1e-10, interior=irrep.n_max)
+    assert [name for name, _, _ in checks] == [
+        "commutators (interior)", "hermiticity", "casimir constancy (interior)",
+    ]
+    assert all(passed for _, _, passed in checks)
+    names = [name for name, _, _ in repcheck.standard_checks(spec, dense, 1e-10)]
+    assert names == ["commutators", "hermiticity", "casimir constancy"]
