@@ -38,8 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-import numpy as np
-
 from . import repcheck, su3_so3, su11, u3
 from .opmatrix import OperatorMatrix
 from .radical import Radical, RadicalSum, as_float
@@ -111,11 +109,14 @@ def _matrix_to_json(mat: OperatorMatrix, mode: str) -> dict:
     return {"dim": mat.dim, "entries": entries}
 
 
-def _matrix_from_json(info: dict) -> np.ndarray:
-    m = np.zeros((info["dim"], info["dim"]))
-    for r, c, v in info["entries"]:
-        m[int(r), int(c)] = _value_from_json(v)
-    return m
+def _matrix_from_json(info: dict) -> repcheck.SparseMatrix:
+    entries = info["entries"]
+    return repcheck.SparseMatrix(
+        int(info["dim"]),
+        [int(r) for r, _, _ in entries],
+        [int(c) for _, c, _ in entries],
+        [_value_from_json(v) for _, _, v in entries],
+    )
 
 
 # -- the algebras ------------------------------------------------------------
@@ -140,7 +141,7 @@ class Algebra:
     csv_weight: Callable[[Any], str]
     reduced: Callable[[Any, dict], Iterable[tuple[str, str, Any]]]  # -> (bra, ket, value)
     # Commutators of exact matrices run in exact arithmetic; otherwise every
-    # check runs on dense floats.
+    # check runs on sparse floats.
     exact_checks: bool
     # The matrices pass through a numeric diagonalization, so documents carry
     # floats whatever ``--mode`` asks for.
@@ -295,7 +296,7 @@ def _doc_to_csv(doc: dict, weight: str) -> str:
 
 
 def _load_document(path: str):
-    """Algebra, label and dense generator matrices of a ``gen`` JSON document."""
+    """Algebra, label and sparse float generator matrices of a ``gen`` JSON document."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -319,7 +320,7 @@ def _load_document(path: str):
 
 def _checks(algebra: Algebra, label, matrices: dict, tol: float) -> list[tuple[str, float, bool]]:
     if not algebra.exact_checks:
-        matrices = {k: v.to_dense() if isinstance(v, OperatorMatrix) else v for k, v in matrices.items()}
+        matrices = {k: repcheck.SparseMatrix.of(v) for k, v in matrices.items()}
     checks = repcheck.standard_checks(algebra.spec(), matrices, tol, algebra.interior(label))
     return checks + algebra.extra_checks(label)
 

@@ -254,7 +254,9 @@ class Radical:
         if isinstance(other, Radical):
             return self.sign == other.sign and self.radicand == other.radicand
         if isinstance(other, float):
-            return float(self) == other
+            # Exact, so that equal values hash alike: an irrational value
+            # equals no float, and nan and inf equal nothing here.
+            return self.is_rational() and self.as_fraction() == other
         return NotImplemented
 
     def __lt__(self, other):

@@ -9,6 +9,12 @@ whether the Casimir is a multiple of the identity (Schur test);
 :func:`standard_checks` runs all three.  All residuals are relative, so
 tolerances need no retuning with irrep size.
 
+Commutators of exact matrices run in exact arithmetic.  Every float check is
+sparse: each generator becomes a :class:`SparseMatrix` once, and products are
+gathered entry by entry and summed with ``np.bincount``, so a check costs the
+number of scalar products it forms plus ``d**2``, never ``d**3``.  Only the
+Casimir is then held densely, for the Schur test.
+
 Shipped tables: su(1,1), u(3) (all 81 relations), and su(3) in its
 SO(3)-tensor form (angular momentum plus the five quadrupole components).
 """
@@ -239,6 +245,87 @@ def su3_so3_spec() -> AlgebraSpec:
 # -- residual functions --------------------------------------------------------
 
 
+class SparseMatrix:
+    """A float matrix in row-sorted coordinate form, as the float checks use it.
+
+    ``rows``, ``cols`` and ``vals`` hold the entries sorted by row, then by
+    column; ``starts[r]:starts[r + 1]`` is row ``r``'s slice and ``norm`` is the
+    Frobenius norm.  A product gathers ``B``'s row slice for every entry of
+    ``A``, so it costs the number of scalar products it forms, not ``d**3``.
+    """
+
+    __slots__ = ("dim", "rows", "cols", "vals", "starts", "norm")
+
+    def __init__(self, dim: int, rows, cols, vals):
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        vals = np.asarray(vals)
+        if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= dim):
+            raise IndexError(f"entry outside {dim}x{dim} matrix")
+        keys = rows * dim + cols
+        order = np.argsort(keys, kind="stable")
+        if np.any(np.diff(keys[order]) == 0):
+            raise ValueError("duplicate matrix entry")
+        self.dim = dim
+        self.rows, self.cols, self.vals = rows[order], cols[order], vals[order]
+        self.starts = np.searchsorted(self.rows, np.arange(dim + 1))
+        self.norm = float(np.linalg.norm(self.vals))
+
+    @classmethod
+    def of(cls, m) -> "SparseMatrix":
+        """The sparse form of an OperatorMatrix (exact or float) or an ndarray."""
+        if isinstance(m, cls):
+            return m
+        if isinstance(m, OperatorMatrix):
+            keys = np.array(list(m.entries), dtype=np.int64).reshape(-1, 2)
+            vals = np.fromiter(m.entries.values(), float, len(m.entries))  # float() of each
+            return cls(m.dim, keys[:, 0], keys[:, 1], vals)
+        m = np.asarray(m)
+        rows, cols = np.nonzero(m)
+        return cls(m.shape[0], rows, cols, m[rows, cols])
+
+    def terms(self, scale=1.0):
+        """``scale`` times the entries, as ``(flat index, value)`` pairs."""
+        return self.rows * self.dim + self.cols, scale * self.vals
+
+
+def _product(a: SparseMatrix, b: SparseMatrix, scale=1.0):
+    """``scale * A B`` as unsummed ``(flat index, value)`` pairs."""
+    lo = b.starts[a.cols]
+    counts = b.starts[a.cols + 1] - lo
+    src = np.repeat(np.arange(a.vals.size), counts)
+    at = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(src.size)
+    return a.rows[src] * a.dim + b.cols[at], scale * a.vals[src] * b.vals[at]
+
+
+def _summed(dim: int, terms) -> np.ndarray:
+    """The dense ``dim x dim`` sum of ``(flat index, value)`` pairs."""
+    keys = np.concatenate([k for k, _ in terms])
+    vals = np.concatenate([v for _, v in terms])
+    out = np.bincount(keys, vals.real, dim * dim)
+    if np.iscomplexobj(vals):
+        out = out + 1j * np.bincount(keys, vals.imag, dim * dim)
+    return out.reshape(dim, dim)
+
+
+def _sparse_forms(spec: AlgebraSpec, matrices: dict) -> dict[str, SparseMatrix]:
+    """Every generator's sparse form; checks that all are given, at one dimension."""
+    missing = [g for g in spec.generators if g not in matrices]
+    if missing:
+        raise ValueError(f"matrices missing for generators {missing}")
+    forms = {g: SparseMatrix.of(matrices[g]) for g in spec.generators}
+    if len({f.dim for f in forms.values()}) != 1:
+        raise ValueError("matrices have mismatched dimensions")
+    return forms
+
+
+def _is_exact(spec: AlgebraSpec, matrices: dict) -> bool:
+    return all(
+        isinstance(matrices.get(g), OperatorMatrix) and matrices[g].is_exact()
+        for g in spec.generators
+    )
+
+
 def _as_matrix(m) -> np.ndarray:
     if isinstance(m, OperatorMatrix):
         return m.to_dense()
@@ -249,64 +336,57 @@ def commutator_residual(spec: AlgebraSpec, matrices: dict, interior: int | None 
     """Max over generator pairs of ``|[A,B] - sum c C| / (1 + |A| |B|)`` (Frobenius).
 
     When every matrix is an exact OperatorMatrix the defect is computed in
-    exact radical arithmetic, so a holding identity reports exactly 0.0.
-    ``interior`` restricts the defect (not the norms of A and B) to the leading
+    exact radical arithmetic, so a holding identity reports exactly 0.0;
+    otherwise it is summed from sparse float products.  ``interior``
+    restricts the defect (not the norms of A and B) to the leading
     ``interior x interior`` block.
     """
-    missing = [g for g in spec.generators if g not in matrices]
-    if missing:
-        raise ValueError(f"matrices missing for generators {missing}")
-    dims = {np.shape(_as_matrix(matrices[g]))[0] for g in spec.generators}
-    if len(dims) != 1:
-        raise ValueError("matrices have mismatched dimensions")
+    if _is_exact(spec, matrices):
+        return _exact_commutator_residual(spec, matrices, interior)
+    forms = _sparse_forms(spec, matrices)
+    worst = 0.0
+    gens = spec.generators
+    for i, x in enumerate(gens):
+        a = forms[x]
+        for y in gens[i:]:
+            b = forms[y]
+            terms = [_product(a, b), _product(b, a, -1.0)]
+            terms += [forms[z].terms(-as_float(c)) for c, z in spec.bracket(x, y)]
+            num = float(np.linalg.norm(_summed(a.dim, terms)[:interior, :interior]))
+            worst = max(worst, num / (1.0 + a.norm * b.norm))
+    return worst
 
-    exact = all(
-        isinstance(matrices[g], OperatorMatrix) and matrices[g].is_exact()
-        for g in spec.generators
-    )
+
+def _exact_commutator_residual(spec: AlgebraSpec, matrices: dict, interior: int | None) -> float:
     worst = 0.0
     gens = spec.generators
     for i, x in enumerate(gens):
         for y in gens[i:]:
-            terms = spec.bracket(x, y)
-            if exact:
-                defect = (matrices[x] @ matrices[y]) - (matrices[y] @ matrices[x])
-                for c, z in terms:
-                    defect = defect - matrices[z].scale(c)
-                if interior is not None:
-                    defect = OperatorMatrix(
-                        defect.name, defect.basis,
-                        {k: v for k, v in defect.entries.items() if max(k) < interior},
-                    )
-                if defect.is_zero():
-                    continue
-                num = defect.frobenius()
-            else:
-                a, b = _as_matrix(matrices[x]), _as_matrix(matrices[y])
-                defect = a @ b - b @ a
-                for c, z in terms:
-                    defect = defect - as_float(c) * _as_matrix(matrices[z])
-                num = float(np.linalg.norm(defect[:interior, :interior]))
-            den = 1.0 + _frob(matrices[x]) * _frob(matrices[y])
-            worst = max(worst, num / den)
+            defect = (matrices[x] @ matrices[y]) - (matrices[y] @ matrices[x])
+            for c, z in spec.bracket(x, y):
+                defect = defect - matrices[z].scale(c)
+            if interior is not None:
+                defect = OperatorMatrix(
+                    defect.name, defect.basis,
+                    {k: v for k, v in defect.entries.items() if max(k) < interior},
+                )
+            if defect.is_zero():
+                continue
+            den = 1.0 + matrices[x].frobenius() * matrices[y].frobenius()
+            worst = max(worst, defect.frobenius() / den)
     return worst
 
 
 def hermiticity_residual(spec: AlgebraSpec, matrices: dict) -> float:
     """Max over declared pairs of ``|A^dag - phase B| / (1 + |A|)``."""
+    forms = _sparse_forms(spec, matrices)
     worst = 0.0
     for a_name, b_name, phase in spec.hermiticity_pairs:
-        a = _as_matrix(matrices[a_name])
-        b = _as_matrix(matrices[b_name])
-        num = float(np.linalg.norm(a.conj().T - phase * b))
-        worst = max(worst, num / (1.0 + float(np.linalg.norm(a))))
+        a, b = forms[a_name], forms[b_name]
+        adjoint = (a.cols * a.dim + a.rows, a.vals.conj())
+        num = float(np.linalg.norm(_summed(a.dim, [adjoint, b.terms(-phase)])))
+        worst = max(worst, num / (1.0 + a.norm))
     return worst
-
-
-def _frob(m) -> float:
-    if isinstance(m, OperatorMatrix):
-        return m.frobenius()
-    return float(np.linalg.norm(np.asarray(m)))
 
 
 def schur_constancy(matrix) -> tuple[float, float]:
@@ -319,8 +399,10 @@ def schur_constancy(matrix) -> tuple[float, float]:
 
 
 def casimir_matrix(spec: AlgebraSpec, matrices: dict) -> np.ndarray:
-    """The spec's quadratic Casimir ``sum c X Y`` (at least one term) in dense floats."""
-    return sum(as_float(c) * (_as_matrix(matrices[x]) @ _as_matrix(matrices[y])) for c, x, y in spec.casimir)
+    """The spec's quadratic Casimir ``sum c X Y`` (at least one term) as a dense array."""
+    forms = _sparse_forms(spec, matrices)
+    dim = forms[spec.generators[0]].dim
+    return _summed(dim, [_product(forms[x], forms[y], as_float(c)) for c, x, y in spec.casimir])
 
 
 def standard_checks(
@@ -329,17 +411,18 @@ def standard_checks(
     """Commutator, Hermiticity and Casimir-constancy residuals as ``(name, residual, passed)``.
 
     The commutators run exactly when every matrix is an exact OperatorMatrix
-    (see :func:`commutator_residual`); the other two run in dense floats.
+    (see :func:`commutator_residual`); the other two, and otherwise the
+    commutators too, run on sparse float forms converted once here.
     ``interior`` confines the commutator defect and the Schur test to the
     leading block, for truncations of infinite-dimensional irreps whose
     identities fail only on the boundary rows and columns.
     """
     suffix = "" if interior is None else " (interior)"
-    comm = commutator_residual(spec, matrices, interior)  # validates names and shapes
-    dense = {g: _as_matrix(matrices[g]) for g in spec.generators}
-    residuals = [("commutators" + suffix, comm), ("hermiticity", hermiticity_residual(spec, dense))]
+    forms = _sparse_forms(spec, matrices)
+    comm = commutator_residual(spec, matrices if _is_exact(spec, matrices) else forms, interior)
+    residuals = [("commutators" + suffix, comm), ("hermiticity", hermiticity_residual(spec, forms))]
     if spec.casimir:
-        _, dev = schur_constancy(casimir_matrix(spec, dense)[:interior, :interior])
+        _, dev = schur_constancy(casimir_matrix(spec, forms)[:interior, :interior])
         residuals.append(("casimir constancy" + suffix, dev))
     return [(name, r, r <= tol) for name, r in residuals]
 

@@ -86,6 +86,18 @@ def test_ordering_against_unsupported_operand_raises(compare):
         compare(Radical(1, 2), "x")
 
 
+def test_float_equality_is_exact_and_agrees_with_hash():
+    assert Radical(1, 2) != 2**0.5  # irrational: equal to no float
+    assert Radical(1, 4) == 2.0
+    assert hash(Radical(1, 4)) == hash(2.0)
+    assert Radical(-1, Fraction(1, 4)) == -0.5
+    assert Radical.zero() == 0.0
+    assert Radical(1, Fraction(1, 9)) != 1 / 3  # 1/3 has no exact float
+    for value in (float("nan"), float("inf"), float("-inf")):
+        assert Radical(1, 4) != value
+        assert not Radical(1, 4) == value
+
+
 def test_sqrt_of_rational_value():
     assert Radical.from_rational(Fraction(9, 4)).sqrt() == Radical.from_rational(Fraction(3, 2))
     with pytest.raises(ValueError):

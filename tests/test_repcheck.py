@@ -190,3 +190,82 @@ def test_standard_checks_on_su11_interior():
     assert all(passed for _, _, passed in checks)
     names = [name for name, _, _ in repcheck.standard_checks(spec, dense, 1e-10)]
     assert names == ["commutators", "hermiticity", "casimir constancy"]
+
+
+# -- the sparse float kernel against a naive dense reference ---------------------
+
+
+def _dense_commutator_residual(spec, dense, interior=None):
+    worst = 0.0
+    for i, x in enumerate(spec.generators):
+        for y in spec.generators[i:]:
+            a, b = dense[x], dense[y]
+            defect = a @ b - b @ a
+            for c, z in spec.bracket(x, y):
+                defect = defect - float(c) * dense[z]
+            num = np.linalg.norm(defect[:interior, :interior])
+            worst = max(worst, num / (1.0 + np.linalg.norm(a) * np.linalg.norm(b)))
+    return worst
+
+
+def _dense_hermiticity_residual(spec, dense):
+    return max(
+        np.linalg.norm(dense[a].conj().T - phase * dense[b]) / (1.0 + np.linalg.norm(dense[a]))
+        for a, b, phase in spec.hermiticity_pairs
+    )
+
+
+def _dense_casimir(spec, dense):
+    return sum(float(c) * (dense[x] @ dense[y]) for c, x, y in spec.casimir)
+
+
+def _random_sparse(rng, spec, dim, complex_entries, zero_generator=False):
+    out = {}
+    for g in spec.generators:
+        m = rng.normal(size=(dim, dim))
+        if complex_entries:
+            m = m + 1j * rng.normal(size=(dim, dim))
+        out[g] = np.where(rng.random((dim, dim)) < 0.3, m, 0)
+    if zero_generator:
+        out[spec.generators[1]] = np.zeros((dim, dim))
+    return out
+
+
+def _assert_close(got, want):
+    assert abs(got - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("spec", [repcheck.su11_spec(), repcheck.su3_so3_spec()], ids=["su11", "su3-so3"])
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("zero_generator", [False, True], ids=["random", "zero-generator"])
+@pytest.mark.parametrize("dim,interior", [(1, None), (1, 0), (6, None), (6, 4), (23, None), (23, 17)])
+def test_sparse_kernel_matches_dense_reference(spec, complex_entries, zero_generator, dim, interior):
+    rng = np.random.default_rng([dim, complex_entries, len(spec.generators)])
+    dense = _random_sparse(rng, spec, dim, complex_entries, zero_generator)
+    _assert_close(
+        repcheck.commutator_residual(spec, dense, interior), _dense_commutator_residual(spec, dense, interior)
+    )
+    _assert_close(repcheck.hermiticity_residual(spec, dense), _dense_hermiticity_residual(spec, dense))
+    cas, want = repcheck.casimir_matrix(spec, dense), _dense_casimir(spec, dense)
+    assert cas.shape == (dim, dim)
+    assert np.linalg.norm(cas - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_float_operator_matrix_matches_its_dense_form():
+    spec = repcheck.su3_so3_spec()
+    rng = np.random.default_rng(5)
+    dense = _random_sparse(rng, spec, 9, complex_entries=False, zero_generator=True)
+    mats = {
+        g: OperatorMatrix(g, range(9), {(r, c): float(m[r, c]) for r, c in zip(*np.nonzero(m))})
+        for g, m in dense.items()
+    }
+    assert not all(m.is_exact() for m in mats.values())  # so the float path runs
+    as_dense = {g: m.to_dense() for g, m in mats.items()}
+    for interior in (None, 5):
+        _assert_close(
+            repcheck.commutator_residual(spec, mats, interior),
+            repcheck.commutator_residual(spec, as_dense, interior),
+        )
+    _assert_close(repcheck.hermiticity_residual(spec, mats), repcheck.hermiticity_residual(spec, as_dense))
+    want = repcheck.casimir_matrix(spec, as_dense)
+    assert np.linalg.norm(repcheck.casimir_matrix(spec, mats) - want) <= 1e-14 * np.linalg.norm(want)
