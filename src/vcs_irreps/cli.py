@@ -18,7 +18,9 @@ that table, and the live and replayed checks share
 :func:`repcheck.standard_checks`; adding an algebra means adding one entry.
 The su(1,1) matrices are truncations of an infinite-dimensional irrep, so its
 commutator and Casimir checks run on the interior block (every row and column
-but the last).
+but the last).  Whether the checks run exactly or in floats follows from the
+matrices: the exact su(1,1) and u(3) generators are checked in exact
+arithmetic, the float su(3) generators and every replayed document in floats.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (with a one-line
 ``error:`` message).  The default tolerance is 1e-10, overridable per-call
@@ -43,7 +45,6 @@ from .opmatrix import OperatorMatrix
 from .radical import Radical, RadicalSum, as_float
 
 SCHEMA_VERSION = 1
-DEFAULT_TOL = 1e-10
 
 
 class UsageError(Exception):
@@ -52,7 +53,7 @@ class UsageError(Exception):
 
 def _tol_default() -> float:
     env = os.environ.get("VCS_IRREPS_TOL")
-    return float(env) if env else DEFAULT_TOL
+    return float(env) if env else repcheck.DEFAULT_TOL
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -140,9 +141,6 @@ class Algebra:
     weight: Callable[[Any], dict]  # label -> the document's "weight"
     csv_weight: Callable[[Any], str]
     reduced: Callable[[Any, dict], Iterable[tuple[str, str, Any]]]  # -> (bra, ket, value)
-    # Commutators of exact matrices run in exact arithmetic; otherwise every
-    # check runs on sparse floats.
-    exact_checks: bool
     # The matrices pass through a numeric diagonalization, so documents carry
     # floats whatever ``--mode`` asks for.
     float_entries: bool = False
@@ -211,9 +209,6 @@ SU11 = Algebra(
     reduced=lambda irrep, gens: (
         (str(n + 1), str(n), gens["S+"][n + 1, n]) for n in range(irrep.n_max)
     ),
-    # At nmax = 1000 the exact commutators take longer than the whole float
-    # check; they wait for a faster exact scalar core.
-    exact_checks=False,
     # The truncation defect lives in the last row and column.
     interior=lambda irrep: irrep.n_max,
     metadata=lambda irrep: {"kernel_convergence_radius": su11.KERNEL_CONVERGENCE_RADIUS},
@@ -229,7 +224,6 @@ U3 = Algebra(
     weight=lambda hw: {"w": [str(w) for w in (hw.w1, hw.w2, hw.w3)]},
     csv_weight=lambda hw: f"{hw.w1},{hw.w2},{hw.w3}",
     reduced=_u3_reduced,
-    exact_checks=True,
 )
 
 SU3_SO3 = Algebra(
@@ -242,7 +236,6 @@ SU3_SO3 = Algebra(
     weight=lambda lm: {"lam": lm.lam, "mu": lm.mu},
     csv_weight=lambda lm: f"{lm.lam},{lm.mu}",
     reduced=_su3_so3_reduced,
-    exact_checks=False,
     float_entries=True,
     extra_checks=_su3_so3_branching,
 )
@@ -319,8 +312,6 @@ def _load_document(path: str):
 
 
 def _checks(algebra: Algebra, label, matrices: dict, tol: float) -> list[tuple[str, float, bool]]:
-    if not algebra.exact_checks:
-        matrices = {k: repcheck.SparseMatrix.of(v) for k, v in matrices.items()}
     checks = repcheck.standard_checks(algebra.spec(), matrices, tol, algebra.interior(label))
     return checks + algebra.extra_checks(label)
 

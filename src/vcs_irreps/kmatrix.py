@@ -27,8 +27,7 @@ import numpy as np
 
 from .opmatrix import OperatorMatrix
 from .radical import Radical, RadicalSum, as_float
-
-DEFAULT_TOL = 1e-10
+from .repcheck import DEFAULT_TOL
 
 _EXACT_SCALARS = (int, Fraction, Radical, RadicalSum)
 

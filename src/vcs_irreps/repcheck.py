@@ -9,11 +9,17 @@ whether the Casimir is a multiple of the identity (Schur test);
 :func:`standard_checks` runs all three.  All residuals are relative, so
 tolerances need no retuning with irrep size.
 
-Commutators of exact matrices run in exact arithmetic.  Every float check is
-sparse: each generator becomes a :class:`SparseMatrix` once, and products are
-gathered entry by entry and summed with ``np.bincount``, so a check costs the
-number of scalar products it forms plus ``d**2``, never ``d**3``.  Only the
-Casimir is then held densely, for the Schur test.
+Whether a check runs exactly or in floats follows from the matrices alone.
+When every generator is exact (``int``, ``Fraction``, ``Radical`` or
+``RadicalSum`` entries), each becomes an :class:`ExactMatrix` once: integer
+numerators over one denominator per matrix, times square roots of square-free
+cores.  Commutators, Hermiticity and the Casimir are then summed in plain
+integers, so a holding identity reports exactly 0.0; only a non-zero defect
+(or a Casimir that is not exactly constant) is turned into floats, to report
+its size.  Otherwise each generator becomes a :class:`SparseMatrix` once, and
+products are gathered entry by entry and summed with ``np.bincount``.  Either
+way a check costs the number of scalar products it forms plus ``d**2``, never
+``d**3``; only the float Casimir is held densely, for the Schur test.
 
 Shipped tables: su(1,1), u(3) (all 81 relations), and su(3) in its
 SO(3)-tensor form (angular momentum plus the five quadrupole components).
@@ -21,13 +27,18 @@ SO(3)-tensor form (angular momentum plus the five quadrupole components).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .opmatrix import OperatorMatrix
-from .radical import Radical, RadicalSum, as_float
+from .radical import Radical, RadicalSum, as_float, squarefree_decompose
+
+# The package's one default tolerance: for residual checks, for the K-matrix
+# engine's float solves and for su3_so3's zero test on reduced elements.
+DEFAULT_TOL = 1e-10
 
 Bracket = tuple[tuple[object, str], ...]
 Casimir = tuple[tuple[object, str, str], ...]
@@ -230,7 +241,7 @@ def su3_so3_spec() -> AlgebraSpec:
             ((Radical.sqrt_of(down), f"Q{n - 1}"),) if down else ()
         )
     herm = [("L0", "L0", 1), ("L+", "L-", 1)] + [
-        (f"Q{n}", f"Q{-n}", (-1) ** n) for n in range(-2, 3)
+        (f"Q{n}", f"Q{-n}", (-1) ** abs(n)) for n in range(-2, 3)
     ]
     return AlgebraSpec(
         name="su3-so3",
@@ -308,21 +319,120 @@ def _summed(dim: int, terms) -> np.ndarray:
     return out.reshape(dim, dim)
 
 
-def _sparse_forms(spec: AlgebraSpec, matrices: dict) -> dict[str, SparseMatrix]:
-    """Every generator's sparse form; checks that all are given, at one dimension."""
+def _radical_terms(value) -> list[tuple[int, int, int]]:
+    """An exact scalar as ``(core, num, den)`` terms of ``sum num/den * sqrt(core)``, ``core`` square-free."""
+    if isinstance(value, Radical):
+        if value.is_zero():
+            return []
+        p, d = value.radicand.numerator, value.radicand.denominator
+        root, core = squarefree_decompose(p * d)  # sqrt(p/d) = root * sqrt(core) / d
+        return [(core, value.sign * root, d)]
+    if isinstance(value, RadicalSum):
+        return [(core, c.numerator, c.denominator) for core, c in value.terms.items()]
+    return [(1, value.numerator, value.denominator)] if value else []
+
+
+class ExactMatrix:
+    """An exact matrix as integer numerators over one denominator, as the exact checks use it.
+
+    ``rows[r]`` lists ``(col, core, num)`` triples with ``core`` square-free;
+    entry ``(r, col)`` is the sum of ``num * sqrt(core) / den`` over its
+    triples.  The form of a value is unique, so sums cancel exactly when their
+    integers do.  ``norm`` is the Frobenius norm.
+    """
+
+    __slots__ = ("dim", "den", "rows", "norm")
+
+    def __init__(self, m: OperatorMatrix):
+        terms = [(r, c, t) for (r, c), v in m.entries.items() for t in _radical_terms(v)]
+        self.dim = m.dim
+        self.den = math.lcm(*(den for _, _, (_, _, den) in terms))
+        self.rows: list[list[tuple[int, int, int]]] = [[] for _ in range(m.dim)]
+        for r, c, (core, num, den) in terms:
+            self.rows[r].append((c, core, num * (self.den // den)))
+        self.norm = m.frobenius()
+
+    @classmethod
+    def of(cls, m) -> "ExactMatrix":
+        """The exact form of an exact OperatorMatrix."""
+        return m if isinstance(m, cls) else cls(m)
+
+
+# An exact sum of matrices is accumulated as integer numerators over a
+# denominator the caller keeps, keyed ``(flat index, square-free core)``.
+
+
+def _add_product(acc: dict, a: ExactMatrix, b: ExactMatrix, scale: int, core: int = 1) -> None:
+    """Add ``scale * sqrt(core) * A B`` to ``acc``, over ``a.den * b.den``."""
+    dim, gcd, b_rows = a.dim, math.gcd, b.rows
+    for r, row in enumerate(a.rows):
+        base = r * dim
+        for k, ca, na in row:
+            g = gcd(ca, core)
+            ca, na = (ca // g) * (core // g), na * g * scale
+            for c, cb, nb in b_rows[k]:
+                g = gcd(ca, cb)  # sqrt(ca) sqrt(cb) = g sqrt(ca/g cb/g)
+                key = (base + c, (ca // g) * (cb // g))
+                acc[key] = acc.get(key, 0) + na * nb * g
+
+
+def _add_scaled(acc: dict, m: ExactMatrix, scale: int, core: int = 1, transpose: bool = False) -> None:
+    """Add ``scale * sqrt(core)`` times ``M`` (or its transpose) to ``acc``, over ``m.den``."""
+    dim, gcd = m.dim, math.gcd
+    for r, row in enumerate(m.rows):
+        for c, cm, num in row:
+            g = gcd(cm, core)
+            key = (c * dim + r if transpose else r * dim + c, (cm // g) * (core // g))
+            acc[key] = acc.get(key, 0) + scale * num * g
+
+
+def _exact_norm(acc: dict, den: int, dim: int, interior: int | None = None) -> float:
+    """Frobenius norm of ``acc / den`` on the interior block; exactly 0.0 when all its integers are 0."""
+    values: dict[int, float] = {}
+    for (flat, core), num in acc.items():
+        if num and (interior is None or max(divmod(flat, dim)) < interior):
+            values[flat] = values.get(flat, 0.0) + num / den * math.sqrt(core)
+    return math.sqrt(sum(v * v for v in values.values()))
+
+
+def _commutator_defect(spec: AlgebraSpec, forms: dict, x: str, y: str) -> tuple[dict, int]:
+    """``[X, Y] - sum c Z`` as accumulated numerators and their common denominator."""
+    a, b = forms[x], forms[y]
+    terms = [
+        (forms[z], core, num, den) for c, z in spec.bracket(x, y) for core, num, den in _radical_terms(c)
+    ]
+    common = math.lcm(a.den * b.den, *(den * z.den for z, _, _, den in terms))
+    acc: dict = {}
+    scale = common // (a.den * b.den)
+    _add_product(acc, a, b, scale)
+    _add_product(acc, b, a, -scale)
+    for z, core, num, den in terms:
+        _add_scaled(acc, z, -num * (common // (den * z.den)), core)
+    return acc, common
+
+
+def _forms(spec: AlgebraSpec, matrices: dict, form=None) -> dict:
+    """Every generator converted once, checking that all are given, at one dimension.
+
+    ``form`` defaults to :class:`ExactMatrix` when every matrix is exact and
+    to :class:`SparseMatrix` otherwise.
+    """
     missing = [g for g in spec.generators if g not in matrices]
     if missing:
         raise ValueError(f"matrices missing for generators {missing}")
-    forms = {g: SparseMatrix.of(matrices[g]) for g in spec.generators}
+    if form is None:
+        form = ExactMatrix if _is_exact(spec, matrices) else SparseMatrix
+    forms = {g: form.of(matrices[g]) for g in spec.generators}
     if len({f.dim for f in forms.values()}) != 1:
         raise ValueError("matrices have mismatched dimensions")
     return forms
 
 
 def _is_exact(spec: AlgebraSpec, matrices: dict) -> bool:
+    """Whether every generator is exact, so its checks run in exact arithmetic."""
     return all(
-        isinstance(matrices.get(g), OperatorMatrix) and matrices[g].is_exact()
-        for g in spec.generators
+        isinstance(m, ExactMatrix) or (isinstance(m, OperatorMatrix) and m.is_exact())
+        for m in (matrices.get(g) for g in spec.generators)
     )
 
 
@@ -335,56 +445,44 @@ def _as_matrix(m) -> np.ndarray:
 def commutator_residual(spec: AlgebraSpec, matrices: dict, interior: int | None = None) -> float:
     """Max over generator pairs of ``|[A,B] - sum c C| / (1 + |A| |B|)`` (Frobenius).
 
-    When every matrix is an exact OperatorMatrix the defect is computed in
-    exact radical arithmetic, so a holding identity reports exactly 0.0;
-    otherwise it is summed from sparse float products.  ``interior``
-    restricts the defect (not the norms of A and B) to the leading
-    ``interior x interior`` block.
+    When every matrix is exact the defect is summed in exact integers, so a
+    holding identity reports exactly 0.0; otherwise it is summed from sparse
+    float products.  ``interior`` restricts the defect (not the norms of A
+    and B) to the leading ``interior x interior`` block.
     """
-    if _is_exact(spec, matrices):
-        return _exact_commutator_residual(spec, matrices, interior)
-    forms = _sparse_forms(spec, matrices)
-    worst = 0.0
+    forms = _forms(spec, matrices)
+    exact = _is_exact(spec, forms)
     gens = spec.generators
+    worst = 0.0
     for i, x in enumerate(gens):
         a = forms[x]
         for y in gens[i:]:
             b = forms[y]
-            terms = [_product(a, b), _product(b, a, -1.0)]
-            terms += [forms[z].terms(-as_float(c)) for c, z in spec.bracket(x, y)]
-            num = float(np.linalg.norm(_summed(a.dim, terms)[:interior, :interior]))
+            if exact:
+                num = _exact_norm(*_commutator_defect(spec, forms, x, y), a.dim, interior)
+            else:
+                terms = [_product(a, b), _product(b, a, -1.0)]
+                terms += [forms[z].terms(-as_float(c)) for c, z in spec.bracket(x, y)]
+                num = float(np.linalg.norm(_summed(a.dim, terms)[:interior, :interior]))
             worst = max(worst, num / (1.0 + a.norm * b.norm))
     return worst
 
 
-def _exact_commutator_residual(spec: AlgebraSpec, matrices: dict, interior: int | None) -> float:
-    worst = 0.0
-    gens = spec.generators
-    for i, x in enumerate(gens):
-        for y in gens[i:]:
-            defect = (matrices[x] @ matrices[y]) - (matrices[y] @ matrices[x])
-            for c, z in spec.bracket(x, y):
-                defect = defect - matrices[z].scale(c)
-            if interior is not None:
-                defect = OperatorMatrix(
-                    defect.name, defect.basis,
-                    {k: v for k, v in defect.entries.items() if max(k) < interior},
-                )
-            if defect.is_zero():
-                continue
-            den = 1.0 + matrices[x].frobenius() * matrices[y].frobenius()
-            worst = max(worst, defect.frobenius() / den)
-    return worst
-
-
 def hermiticity_residual(spec: AlgebraSpec, matrices: dict) -> float:
-    """Max over declared pairs of ``|A^dag - phase B| / (1 + |A|)``."""
-    forms = _sparse_forms(spec, matrices)
+    """Max over declared pairs of ``|A^dag - phase B| / (1 + |A|)``; exact when every matrix is."""
+    forms = _forms(spec, matrices)
+    exact = _is_exact(spec, forms)
     worst = 0.0
     for a_name, b_name, phase in spec.hermiticity_pairs:
         a, b = forms[a_name], forms[b_name]
-        adjoint = (a.cols * a.dim + a.rows, a.vals.conj())
-        num = float(np.linalg.norm(_summed(a.dim, [adjoint, b.terms(-phase)])))
+        if exact:  # exact entries are real, so the adjoint is the transpose
+            acc: dict = {}
+            _add_scaled(acc, a, b.den, transpose=True)
+            _add_scaled(acc, b, -phase * a.den)
+            num = _exact_norm(acc, a.den * b.den, a.dim)
+        else:
+            adjoint = (a.cols * a.dim + a.rows, a.vals.conj())
+            num = float(np.linalg.norm(_summed(a.dim, [adjoint, b.terms(-phase)])))
         worst = max(worst, num / (1.0 + a.norm))
     return worst
 
@@ -400,9 +498,45 @@ def schur_constancy(matrix) -> tuple[float, float]:
 
 def casimir_matrix(spec: AlgebraSpec, matrices: dict) -> np.ndarray:
     """The spec's quadratic Casimir ``sum c X Y`` (at least one term) as a dense array."""
-    forms = _sparse_forms(spec, matrices)
+    forms = _forms(spec, matrices, SparseMatrix)
     dim = forms[spec.generators[0]].dim
     return _summed(dim, [_product(forms[x], forms[y], as_float(c)) for c, x, y in spec.casimir])
+
+
+def _casimir_constancy(spec: AlgebraSpec, forms: dict, interior: int | None) -> float:
+    """The Schur deviation of the Casimir on the interior block; exactly 0.0 for exact constancy.
+
+    Exact forms sum the Casimir exactly; only a Casimir that is not exactly
+    constant goes to the float :func:`schur_constancy`.
+    """
+    if not _is_exact(spec, forms):
+        return schur_constancy(casimir_matrix(spec, forms)[:interior, :interior])[1]
+    dim = forms[spec.generators[0]].dim
+    terms = [
+        (forms[x], forms[y], core, num, den)
+        for c, x, y in spec.casimir
+        for core, num, den in _radical_terms(c)
+    ]
+    common = math.lcm(*(den * a.den * b.den for a, b, _, _, den in terms))
+    acc: dict = {}
+    for a, b, core, num, den in terms:
+        _add_product(acc, a, b, num * (common // (den * a.den * b.den)), core)
+    # Exactly constant: no off-diagonal entry, and each core's diagonal
+    # numerator the same on every interior row.
+    n = dim if interior is None else min(interior, dim)
+    diagonal: dict[int, list[int]] = {}
+    constant = True
+    for (flat, core), num in acc.items():
+        r, c = divmod(flat, dim)
+        if num and r < n and c < n:
+            constant = constant and r == c
+            diagonal.setdefault(core, []).append(num)
+    if constant and all(len(nums) == n and len(set(nums)) == 1 for nums in diagonal.values()):
+        return 0.0
+    dense = np.zeros(dim * dim)
+    for (flat, core), num in acc.items():
+        dense[flat] += num / common * math.sqrt(core)
+    return schur_constancy(dense.reshape(dim, dim)[:interior, :interior])[1]
 
 
 def standard_checks(
@@ -410,20 +544,21 @@ def standard_checks(
 ) -> list[tuple[str, float, bool]]:
     """Commutator, Hermiticity and Casimir-constancy residuals as ``(name, residual, passed)``.
 
-    The commutators run exactly when every matrix is an exact OperatorMatrix
-    (see :func:`commutator_residual`); the other two, and otherwise the
-    commutators too, run on sparse float forms converted once here.
-    ``interior`` confines the commutator defect and the Schur test to the
-    leading block, for truncations of infinite-dimensional irreps whose
-    identities fail only on the boundary rows and columns.
+    The generators are converted once, to :class:`ExactMatrix` when every
+    matrix is exact (all three checks then run in exact integers) and to
+    :class:`SparseMatrix` otherwise.  ``interior`` confines the commutator
+    defect and the Schur test to the leading block, for truncations of
+    infinite-dimensional irreps whose identities fail only on the boundary
+    rows and columns.
     """
     suffix = "" if interior is None else " (interior)"
-    forms = _sparse_forms(spec, matrices)
-    comm = commutator_residual(spec, matrices if _is_exact(spec, matrices) else forms, interior)
-    residuals = [("commutators" + suffix, comm), ("hermiticity", hermiticity_residual(spec, forms))]
+    forms = _forms(spec, matrices)
+    residuals = [
+        ("commutators" + suffix, commutator_residual(spec, forms, interior)),
+        ("hermiticity", hermiticity_residual(spec, forms)),
+    ]
     if spec.casimir:
-        _, dev = schur_constancy(casimir_matrix(spec, forms)[:interior, :interior])
-        residuals.append(("casimir constancy" + suffix, dev))
+        residuals.append(("casimir constancy" + suffix, _casimir_constancy(spec, forms, interior)))
     return [(name, r, r <= tol) for name, r in residuals]
 
 

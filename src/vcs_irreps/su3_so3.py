@@ -33,8 +33,8 @@ import numpy as np
 from .angmom import clebsch_gordan
 from .opmatrix import OperatorMatrix
 from .radical import Radical, RadicalSum, as_float
+from .repcheck import DEFAULT_TOL
 
-DEFAULT_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
 _EDGE_TOL = 1e-8
 

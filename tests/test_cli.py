@@ -93,13 +93,10 @@ def test_check_su3_so3_passes(capsys):
     assert "branching cross-check" in out
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a correct su(1,1) irrep fails its Casimir check: residual 8.540e-10 against "
-    "a tolerance of 1e-10, because the Schur deviation is not normalised by the "
-    "generator scale, whose entries grow like n**2",
-)
 def test_check_su11_large_truncation_passes(capsys):
+    # The exact su(1,1) matrices are checked exactly: the interior Casimir is
+    # exactly -5/36 times the identity, where a float Schur test once read
+    # 8.540e-10 against the 1e-10 tolerance (entries grow like n**2).
     code, out, _ = run(capsys, "check", "su11", "--lambda", "1/3", "--nmax", "2000")
     assert code == 0, out
 

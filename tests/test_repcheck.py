@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from vcs_irreps import repcheck, su3_so3, su11, u3
 from vcs_irreps.opmatrix import OperatorMatrix
-from vcs_irreps.radical import Radical
+from vcs_irreps.radical import Radical, RadicalSum
 
 
 def defining_u3_matrices():
@@ -269,3 +272,156 @@ def test_float_operator_matrix_matches_its_dense_form():
     _assert_close(repcheck.hermiticity_residual(spec, mats), repcheck.hermiticity_residual(spec, as_dense))
     want = repcheck.casimir_matrix(spec, as_dense)
     assert np.linalg.norm(repcheck.casimir_matrix(spec, mats) - want) <= 1e-14 * np.linalg.norm(want)
+
+
+# -- the exact kernel against sympy and against OperatorMatrix arithmetic --------
+
+# Radicands with square factors (8, 12, 18, 50), so the kernel has to reduce them.
+_RADICANDS = (1, 2, 3, 5, 8, 12, 18, 50)
+
+
+def _random_entry(rng):
+    """A random exact value (``int``, ``Fraction``, ``Radical`` or ``RadicalSum``) and its ``(q, k)`` terms."""
+
+    def q():
+        return Fraction(rng.choice((-7, -2, -1, 1, 3, 4)), rng.choice((1, 2, 3, 4, 9, 10)))
+
+    kind = rng.choice(("int", "fraction", "radical", "sum"))
+    if kind == "int":
+        n = rng.choice((-3, -1, 1, 2, 5))
+        return n, [(Fraction(n), 1)]
+    if kind == "fraction":
+        f = q()
+        return f, [(f, 1)]
+    terms = [(q(), rng.choice(_RADICANDS)) for _ in range(1 if kind == "radical" else 2)]
+    values = [Radical.sqrt_of(k) * c for c, k in terms]
+    return values[0] if kind == "radical" else RadicalSum.from_value(values[0]) + values[1], terms
+
+
+def _random_exact(rng, spec, dim, zero_generator=True):
+    """Random exact matrices, generator 1 all zero if asked, and each entry's ``(q, k)`` terms."""
+    mats, terms = {}, {}
+    for n, g in enumerate(spec.generators):
+        drawn = {}
+        if not (zero_generator and n == 1):
+            drawn = {(r, c): _random_entry(rng) for r in range(dim) for c in range(dim) if rng.random() < 0.5}
+        mats[g] = OperatorMatrix(g, range(dim), {key: value for key, (value, _) in drawn.items()})
+        terms[g] = {key: t for key, (_, t) in drawn.items()}
+    return mats, terms
+
+
+def _sympy_value(value):
+    if isinstance(value, Radical):
+        return value.sign * sympy.sqrt(sympy.Rational(value.radicand.numerator, value.radicand.denominator))
+    return sympy.Rational(Fraction(value).numerator, Fraction(value).denominator)
+
+
+def _sympy_matrix(parts, dim):
+    m = sympy.zeros(dim, dim)
+    for (r, c), pairs in parts.items():
+        m[r, c] = sum(sympy.Rational(q.numerator, q.denominator) * sympy.sqrt(sympy.Rational(k)) for q, k in pairs)
+    return m
+
+
+def _sympy_classes(expr) -> dict[int, Fraction]:
+    """An expanded ``sum q sqrt(k)`` as ``{square-free k: q}``."""
+    out = {}
+    for root, q in sympy.expand(expr).as_coefficients_dict().items():
+        if q:
+            out[int(root**2)] = Fraction(int(sympy.numer(q)), int(sympy.denom(q)))
+    return out
+
+
+def _kernel_classes(acc, den, dim) -> dict[tuple[int, int], dict[int, Fraction]]:
+    out: dict = {}
+    for (flat, core), num in acc.items():
+        if num:
+            out.setdefault(divmod(flat, dim), {})[core] = Fraction(num, den)
+    return out
+
+
+@pytest.mark.parametrize("spec,dim", [(repcheck.su11_spec(), 6), (repcheck.su3_so3_spec(), 5)], ids=["su11", "su3-so3"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_exact_kernel_defect_matches_sympy(spec, dim, seed):
+    mats, parts = _random_exact(random.Random(seed), spec, dim)
+    forms = {g: repcheck.ExactMatrix.of(m) for g, m in mats.items()}
+    sym = {g: _sympy_matrix(parts[g], dim) for g in spec.generators}
+    for i, x in enumerate(spec.generators):
+        for y in spec.generators[i:]:
+            want = sym[x] * sym[y] - sym[y] * sym[x]
+            for c, z in spec.bracket(x, y):
+                want -= _sympy_value(c) * sym[z]
+            got = _kernel_classes(*repcheck._commutator_defect(spec, forms, x, y), dim)
+            for r in range(dim):
+                for col in range(dim):
+                    assert got.get((r, col), {}) == _sympy_classes(want[r, col]), (x, y, r, col)
+
+
+def _reference_checks(spec, mats, interior):
+    """Commutator and Casimir residuals, and per-pair Hermiticity residuals, from OperatorMatrix arithmetic."""
+
+    def norm(m, block=None):
+        kept = {k: v for k, v in m.entries.items() if block is None or max(k) < block}
+        return OperatorMatrix("d", m.basis, kept).frobenius()
+
+    comm = 0.0
+    for i, x in enumerate(spec.generators):
+        for y in spec.generators[i:]:
+            defect = (mats[x] @ mats[y]) - (mats[y] @ mats[x])
+            for c, z in spec.bracket(x, y):
+                defect = defect - mats[z].scale(c)
+            comm = max(comm, norm(defect, interior) / (1.0 + norm(mats[x]) * norm(mats[y])))
+    herm = [
+        norm(mats[a].dagger() - mats[b].scale(phase)) / (1.0 + norm(mats[a]))
+        for a, b, phase in spec.hermiticity_pairs
+    ]
+    casimir = OperatorMatrix("cas", next(iter(mats.values())).basis)
+    for c, x, y in spec.casimir:
+        casimir = casimir + (mats[x] @ mats[y]).scale(c)
+    _, dev = repcheck.schur_constancy(casimir.to_dense()[:interior, :interior])
+    return comm, herm, dev
+
+
+def _assert_rel(got, want, rel=1e-14):
+    assert want > 0
+    assert abs(got - want) <= rel * want
+
+
+@pytest.mark.parametrize("spec", [repcheck.u3_spec(), repcheck.su3_so3_spec()], ids=["u3", "su3-so3"])
+@pytest.mark.parametrize("dim,interior", [(4, None), (6, None), (6, 4)])
+def test_exact_kernel_matches_operator_matrix_reference(spec, dim, interior):
+    mats, _ = _random_exact(random.Random(dim), spec, dim, zero_generator=False)
+    assert repcheck._is_exact(spec, mats)
+    comm, herm, dev = _reference_checks(spec, mats, interior)
+    checks = repcheck.standard_checks(spec, mats, 1e-10, interior)
+    for (_, got, _), want in zip(checks, (comm, max(herm), dev)):
+        _assert_rel(got, want)
+    _assert_rel(repcheck.commutator_residual(spec, mats, interior), comm)
+    for pair, want in zip(spec.hermiticity_pairs, herm):
+        _assert_rel(repcheck.hermiticity_residual(dataclasses.replace(spec, hermiticity_pairs=(pair,)), mats), want)
+
+
+def test_exact_checks_see_a_perturbation_floats_cannot():
+    spec = repcheck.u3_spec()
+    gens = u3.assemble_generators(u3.U3HighestWeight(4, 2, 0))
+    assert [r for _, r, _ in repcheck.standard_checks(spec, gens, 1e-10)] == [0.0, 0.0, 0.0]
+    key = min(gens["C21"].entries)
+    bent = dict(gens, C21=gens["C21"].copy())
+    bent["C21"][key] = gens["C21"][key] * (1 + Fraction(1, 10**30))
+    assert bent["C21"].to_dense().tolist() == gens["C21"].to_dense().tolist()
+    residual = repcheck.commutator_residual(spec, bent)
+    assert 0.0 < residual < 1e-25
+
+
+@pytest.mark.parametrize("lam,nmax", [(Fraction(1, 3), 40), (Fraction(2, 7), 10)])
+def test_exact_su11_checks_are_exactly_zero_on_the_interior(lam, nmax):
+    # At (2/7, 10) a float Schur test of even the exactly summed Casimir reads
+    # about 1e-17 (its mean is a float trace over n), so only an exact
+    # constancy test on the interior gives 0.
+    irrep = su11.Su11Irrep(lam, nmax)
+    checks = repcheck.standard_checks(repcheck.su11_spec(), su11.generator_matrices(irrep), 0.0, irrep.n_max)
+    assert checks == [
+        ("commutators (interior)", 0.0, True),
+        ("hermiticity", 0.0, True),
+        ("casimir constancy (interior)", 0.0, True),
+    ]
