@@ -9,7 +9,7 @@ constants, and the ``vcs-irreps`` CLI exposes generation, verification and
 cross-basis comparisons.
 """
 
-from .angmom import Spin, SpinError, clebsch_gordan, racah_u, wigner_6j
+from .angmom import Spin, SpinError, clebsch_gordan, clebsch_gordan_twice, racah_u, wigner_6j
 from .opmatrix import OperatorMatrix
 from .radical import Radical, RadicalSum
 from .su11 import Su11Irrep
@@ -28,6 +28,7 @@ __all__ = [
     "Su3Label",
     "U3HighestWeight",
     "clebsch_gordan",
+    "clebsch_gordan_twice",
     "racah_u",
     "wigner_6j",
 ]

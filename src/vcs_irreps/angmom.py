@@ -11,8 +11,10 @@ delta(e,e')``, i.e. ``U = sqrt((2e+1)(2f+1)) W(abcd;ef)``.
 
 Angular momenta may be passed as ints, ``Fraction``, :class:`Spin`, or floats
 that are exact multiples of 1/2; they are converted to twice-integer form
-internally.  Everything here is a pure function of its arguments; the memo
-caches are ``functools.lru_cache`` instances, safe for concurrent callers.
+internally; ``clebsch_gordan_twice`` takes the doubled integers directly, for
+callers that already hold them.  Everything here is a pure function of its
+arguments; the memo caches are ``functools.lru_cache`` instances, safe for
+concurrent callers.
 """
 
 from __future__ import annotations
@@ -121,7 +123,9 @@ def _delta_sq(ta: int, tb: int, tc: int) -> Fraction:
 
 
 def _validate_pair(tj: int, tm: int, what: str):
-    """Parity mismatches are errors; out-of-range projections just give zero."""
+    """Negative spins and parity mismatches are errors; out-of-range projections just give zero."""
+    if tj < 0:
+        raise SpinError(f"spin must be non-negative, got {Fraction(tj, 2)}")
     if (tj + tm) % 2:
         raise SpinError(f"{what} projection has wrong parity for its spin")
 
@@ -169,9 +173,14 @@ def clebsch_gordan(
     Returns zero when ``M != m1 + m2`` or the triangle condition fails; raises
     :class:`SpinError` for malformed spin/projection pairings.
     """
-    tj1, tm1 = Spin(j1).twice, _twice(m1)
-    tj2, tm2 = Spin(j2).twice, _twice(m2)
-    tJ, tM = Spin(J).twice, _twice(M)
+    return clebsch_gordan_twice(*(_twice(x) for x in (j1, m1, j2, m2, J, M)))
+
+
+def clebsch_gordan_twice(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> Radical:
+    """``(j1 m1, j2 m2 | J M)`` from the doubled (integer) arguments ``2 j1, 2 m1, ...``.
+
+    Same rules as :func:`clebsch_gordan`, without converting its arguments.
+    """
     _validate_pair(tj1, tm1, "j1")
     _validate_pair(tj2, tm2, "j2")
     _validate_pair(tJ, tM, "J")

@@ -29,7 +29,8 @@ from .opmatrix import OperatorMatrix
 from .radical import Radical, RadicalSum, as_float
 from .repcheck import DEFAULT_TOL
 
-_EXACT_SCALARS = (int, Fraction, Radical, RadicalSum)
+_RATIONALS = (int, Fraction)
+_EXACT_SCALARS = (*_RATIONALS, Radical, RadicalSum)
 
 
 class KMatrixError(Exception):
@@ -122,10 +123,15 @@ def solve_s_recursion(
     """Solve ``S(a) Gamma(X)[b,a]^dag = Gamma(Xdag)[a,b] S(b)`` in grade order."""
     solved = dict(seed) if seed is not None else identity_seed(rep)
     order = sorted(rep.sectors, key=lambda s: (rep.grades[s], s))
+    incoming: dict[tuple, list] = {}  # col -> [(gen, row, block)], off-diagonal blocks only
+    for gen, blocks in rep.blocks.items():
+        for (row, col), block in blocks.items():
+            if row != col:
+                incoming.setdefault(col, []).append((gen, row, block))
     for sec in order:
         if sec in solved:
             continue
-        constraints = _incoming_constraints(rep, sec, solved)
+        constraints = _incoming_constraints(rep, sec, solved, incoming.get(sec, ()))
         if not constraints:
             raise KMatrixError(f"sector {sec} is not reachable from the seed")
         if rep.exact:
@@ -136,34 +142,36 @@ def solve_s_recursion(
     return solved
 
 
-def _incoming_constraints(rep, sec, solved):
-    """Pairs (A, B) with the unknown satisfying ``S(sec) @ A = B``."""
+def _incoming_constraints(rep, sec, solved, incoming):
+    """Pairs (A, B) with the unknown satisfying ``S(sec) @ A = B``, from the blocks entering ``sec``."""
     out = []
-    for gen, blocks in rep.blocks.items():
-        adj = rep.adjoints[gen]
-        for (row, col), block in blocks.items():
-            if col != sec or row == sec:
-                continue
-            if rep.grades[row] >= rep.grades[sec] or row not in solved:
-                continue
-            a = _dagger_block(block)  # Gamma(X)[low, sec]^dag
-            partner = rep.block(adj, sec, row)
-            s_low = solved[row].matrix
-            if partner is None:
-                d = rep.sectors[sec]
-                if rep.exact:
-                    b = [[Fraction(0)] * rep.sectors[row] for _ in range(d)]
-                else:
-                    b = np.zeros((d, rep.sectors[row]))
-            elif rep.exact:
-                b = _matmul_exact(partner, s_low)
+    for gen, row, block in incoming:
+        if rep.grades[row] >= rep.grades[sec] or row not in solved:
+            continue
+        a = _dagger_block(block)  # Gamma(X)[low, sec]^dag
+        partner = rep.block(rep.adjoints[gen], sec, row)
+        s_low = solved[row].matrix
+        if partner is None:
+            d = rep.sectors[sec]
+            if rep.exact:
+                b = [[Fraction(0)] * rep.sectors[row] for _ in range(d)]
             else:
-                b = np.asarray(partner) @ np.asarray(s_low)
-            out.append((a, b))
+                b = np.zeros((d, rep.sectors[row]))
+        elif rep.exact:
+            b = _matmul_exact(partner, s_low)
+        else:
+            b = np.asarray(partner) @ np.asarray(s_low)
+        out.append((a, b))
     return out
 
 
 def _solve_exact(rep, sec, constraints) -> SBlock:
+    """The rational S value of a one-dimensional sector, from ``S a = b`` entry by entry.
+
+    Each quotient ``b / a`` is formed as a :class:`RadicalSum` over the single
+    radical ``a``, so the (possibly very long) rational S values are never
+    squared or factored.
+    """
     if rep.sectors[sec] != 1:
         raise KMatrixError("exact mode requires one-dimensional sectors")
     value = None
@@ -175,18 +183,19 @@ def _solve_exact(rep, sec, constraints) -> SBlock:
                 if not bv.is_zero():
                     raise KMatrixError(f"inconsistent constraints at sector {sec}")
                 continue
-            x = (bv.to_radical() / av.to_radical()) if not bv.is_zero() else Radical.zero()
+            x = bv / av.to_radical()
             if value is None:
                 value = x
             elif value != x:
                 raise KMatrixError(f"inconsistent constraints at sector {sec}")
     if value is None:
         raise KMatrixError(f"sector {sec} is undetermined by the recursion")
-    if value.sign < 0:
-        raise KMatrixError(f"negative norm at sector {sec} (not positive semi-definite)")
-    if not value.is_rational():
+    if set(value.terms) - {1}:
         raise KMatrixError(f"irrational S value at sector {sec}")
-    return SBlock(sec, [[value.as_fraction()]])
+    s = value.terms.get(1, Fraction(0))
+    if s < 0:
+        raise KMatrixError(f"negative norm at sector {sec} (not positive semi-definite)")
+    return SBlock(sec, [[s]])
 
 
 def _solve_float(rep, sec, constraints, tol) -> SBlock:
@@ -226,13 +235,22 @@ def _solve_float(rep, sec, constraints, tol) -> SBlock:
 
 
 def _check_consistency(rep, solved, tol):
-    """Verify S(col).Gamma(X)[row,col]^dag = Gamma(Xdag)[col,row].S(row) for all blocks."""
+    """Verify S(col).Gamma(X)[row,col]^dag = Gamma(Xdag)[col,row].S(row) for all blocks.
+
+    Rational 1x1 S-blocks (exact mode) are compared exactly; any other to
+    ``tol``, relative, in floats.
+    """
     worst = 0.0
     for gen, blocks in rep.blocks.items():
         adj = rep.adjoints[gen]
         for (row, col), block in blocks.items():
-            lhs = solved[col].to_dense() @ np.asarray(_dagger_to_dense(block))
             partner = rep.block(adj, col, row)
+            s_col, s_row = solved[col].matrix, solved[row].matrix
+            if rep.exact and _is_rational_scalar(s_col) and _is_rational_scalar(s_row):
+                if not _exact_relation_holds(s_col[0][0], block[0][0], partner, s_row[0][0]):
+                    raise KMatrixError(f"S-matrix equations violated exactly at {gen} {(row, col)}")
+                continue
+            lhs = solved[col].to_dense() @ np.asarray(_dagger_to_dense(block))
             pb = _block_to_dense(partner, (rep.sectors[col], rep.sectors[row]))
             rhs = pb @ solved[row].to_dense()
             num = float(np.abs(lhs - rhs).max())
@@ -240,6 +258,40 @@ def _check_consistency(rep, solved, tol):
             worst = max(worst, num / den)
     if worst > tol:
         raise KMatrixError(f"S-matrix equations violated, residual {worst:.2e}")
+
+
+def _is_rational_scalar(matrix) -> bool:
+    """Whether an S-block is a 1x1 rational, as every sector exact mode solves is."""
+    return not isinstance(matrix, np.ndarray) and len(matrix) == 1 and isinstance(matrix[0][0], _RATIONALS)
+
+
+def _exact_relation_holds(s_col, g, partner, s_row) -> bool:
+    """Whether ``s_col * g == p * s_row`` exactly, for a 1x1 ``partner`` block ``[[p]]`` or None (zero).
+
+    The comparison is by sign and by cross-multiplied squares in plain
+    integers, so the long rational S values are multiplied but never reduced
+    or factored.
+    """
+    g = _as_radical(g)
+    p = Radical.zero() if partner is None else _as_radical(partner[0][0])
+    if ((s_col > 0) - (s_col < 0)) * g.sign != ((s_row > 0) - (s_row < 0)) * p.sign:
+        return False
+    # (a/b)^2 g == (c/d)^2 p  <=>  (a d)^2 g_num p_den == (c b)^2 p_num g_den
+    x, y = s_col.numerator * s_row.denominator, s_row.numerator * s_col.denominator
+    gr, pr = g.radicand, p.radicand
+    return x * x * gr.numerator * pr.denominator == y * y * pr.numerator * gr.denominator
+
+
+def _as_exact_real(value):
+    """An exact scalar as a ``Fraction`` or a single :class:`Radical`, never squaring a rational."""
+    if isinstance(value, RadicalSum):
+        return value.to_radical()
+    return value if isinstance(value, Radical) else Fraction(value)
+
+
+def _as_radical(value) -> Radical:
+    value = _as_exact_real(value)
+    return value if isinstance(value, Radical) else Radical.from_rational(value)
 
 
 def _dagger_to_dense(block):
@@ -297,14 +349,15 @@ def _ortho_exact(sec, sb) -> OrthoSector:
                 raise KMatrixError(
                     f"exact orthonormalization needs a diagonal S-block at {sec}"
                 )
-    diag = [RadicalSum.from_value(sb.matrix[i][i]).to_radical() for i in range(d)]
+    # A rational S value stays a Fraction: its square root is Radical.sqrt_of(v).
+    diag = [_as_exact_real(sb.matrix[i][i]) for i in range(d)]
     order = sorted(range(d), key=lambda i: diag[i], reverse=True)
     ks = []
     for i in order:
         v = diag[i]
-        if v.sign < 0:
+        if v < 0:
             raise KMatrixError(f"negative S eigenvalue at {sec}")
-        ks.append(v.sqrt())
+        ks.append(v.sqrt() if isinstance(v, Radical) else Radical.sqrt_of(v))
     unitary = [[Fraction(int(i == order[a])) for a in range(d)] for i in range(d)]
     n_pos = sum(1 for k in ks if not k.is_zero())
     return OrthoSector(sec, unitary, ks, n_pos)
@@ -363,15 +416,17 @@ def unitarize(
             if o_r.n_positive == 0 or o_c.n_positive == 0:
                 continue
             if rep.exact and not isinstance(block, np.ndarray):
-                core = _matmul_exact(
-                    _matmul_exact(_dagger_block(o_r.unitary), block), o_c.unitary
-                )
+                if len(block) == 1 and len(block[0]) == 1:
+                    core = block  # one-dimensional sectors: both unitaries are [[1]]
+                else:
+                    core = _matmul_exact(
+                        _matmul_exact(_dagger_block(o_r.unitary), block), o_c.unitary
+                    )
                 for b in range(o_r.n_positive):
                     for a in range(o_c.n_positive):
-                        v = core[b][a]
-                        if RadicalSum.from_value(v).is_zero():
+                        val = _as_radical(core[b][a])
+                        if val.is_zero():
                             continue
-                        val = RadicalSum.from_value(v).to_radical()
                         entry = val * o_c.k_values[a] / o_r.k_values[b]
                         mat[index[(row, b)], index[(col, a)]] = entry
             else:

@@ -411,6 +411,23 @@ class RadicalSum:
         return "RadicalSum(" + " + ".join(parts) + ")"
 
 
+def radical_terms(value) -> list[tuple[int, int, int]]:
+    """An exact scalar as ``(core, num, den)`` terms of ``sum num/den * sqrt(core)``, ``core`` square-free.
+
+    Integer-only: the square class comes from the cached
+    :func:`squarefree_decompose`, and no ``Fraction`` is built.
+    """
+    if isinstance(value, Radical):
+        if value.is_zero():
+            return []
+        p, d = value.radicand.numerator, value.radicand.denominator
+        root, core = squarefree_decompose(p * d)  # sqrt(p/d) = root * sqrt(core) / d
+        return [(core, value.sign * root, d)]
+    if isinstance(value, RadicalSum):
+        return [(core, c.numerator, c.denominator) for core, c in value.terms.items()]
+    return [(1, value.numerator, value.denominator)] if value else []
+
+
 def as_float(value) -> float:
     if isinstance(value, (Radical, RadicalSum)):
         return float(value)

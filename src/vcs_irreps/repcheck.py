@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .opmatrix import OperatorMatrix
-from .radical import Radical, RadicalSum, as_float, squarefree_decompose
+from .radical import Radical, RadicalSum, as_float, radical_terms
 
 # The package's one default tolerance: for residual checks, for the K-matrix
 # engine's float solves and for su3_so3's zero test on reduced elements.
@@ -319,19 +319,6 @@ def _summed(dim: int, terms) -> np.ndarray:
     return out.reshape(dim, dim)
 
 
-def _radical_terms(value) -> list[tuple[int, int, int]]:
-    """An exact scalar as ``(core, num, den)`` terms of ``sum num/den * sqrt(core)``, ``core`` square-free."""
-    if isinstance(value, Radical):
-        if value.is_zero():
-            return []
-        p, d = value.radicand.numerator, value.radicand.denominator
-        root, core = squarefree_decompose(p * d)  # sqrt(p/d) = root * sqrt(core) / d
-        return [(core, value.sign * root, d)]
-    if isinstance(value, RadicalSum):
-        return [(core, c.numerator, c.denominator) for core, c in value.terms.items()]
-    return [(1, value.numerator, value.denominator)] if value else []
-
-
 class ExactMatrix:
     """An exact matrix as integer numerators over one denominator, as the exact checks use it.
 
@@ -344,7 +331,7 @@ class ExactMatrix:
     __slots__ = ("dim", "den", "rows", "norm")
 
     def __init__(self, m: OperatorMatrix):
-        terms = [(r, c, t) for (r, c), v in m.entries.items() for t in _radical_terms(v)]
+        terms = [(r, c, t) for (r, c), v in m.entries.items() for t in radical_terms(v)]
         self.dim = m.dim
         self.den = math.lcm(*(den for _, _, (_, _, den) in terms))
         self.rows: list[list[tuple[int, int, int]]] = [[] for _ in range(m.dim)]
@@ -399,7 +386,7 @@ def _commutator_defect(spec: AlgebraSpec, forms: dict, x: str, y: str) -> tuple[
     """``[X, Y] - sum c Z`` as accumulated numerators and their common denominator."""
     a, b = forms[x], forms[y]
     terms = [
-        (forms[z], core, num, den) for c, z in spec.bracket(x, y) for core, num, den in _radical_terms(c)
+        (forms[z], core, num, den) for c, z in spec.bracket(x, y) for core, num, den in radical_terms(c)
     ]
     common = math.lcm(a.den * b.den, *(den * z.den for z, _, _, den in terms))
     acc: dict = {}
@@ -489,11 +476,15 @@ def hermiticity_residual(spec: AlgebraSpec, matrices: dict) -> float:
 
 def schur_constancy(matrix) -> tuple[float, float]:
     """Mean diagonal value and max normalized deviation from that multiple of I."""
-    m = _as_matrix(matrix)
+    mean, dev = _schur_deviation(_as_matrix(matrix))
+    return mean, dev / (1.0 + abs(mean))
+
+
+def _schur_deviation(m: np.ndarray) -> tuple[float, float]:
+    """Mean diagonal value and max absolute deviation from that multiple of I."""
     n = m.shape[0]
     mean = float(np.trace(m).real) / n
-    dev = float(np.abs(m - mean * np.eye(n)).max()) / (1.0 + abs(mean))
-    return mean, dev
+    return mean, float(np.abs(m - mean * np.eye(n)).max())
 
 
 def casimir_matrix(spec: AlgebraSpec, matrices: dict) -> np.ndarray:
@@ -506,16 +497,21 @@ def casimir_matrix(spec: AlgebraSpec, matrices: dict) -> np.ndarray:
 def _casimir_constancy(spec: AlgebraSpec, forms: dict, interior: int | None) -> float:
     """The Schur deviation of the Casimir on the interior block; exactly 0.0 for exact constancy.
 
-    Exact forms sum the Casimir exactly; only a Casimir that is not exactly
-    constant goes to the float :func:`schur_constancy`.
+    Float forms divide the largest deviation by ``1 + sum |c| |X| |Y|``
+    (Frobenius norms), the size of the terms that cancel in it, as
+    :func:`commutator_residual` does.  Exact forms sum the Casimir exactly;
+    only a Casimir that is not exactly constant goes to the float
+    :func:`schur_constancy`.
     """
     if not _is_exact(spec, forms):
-        return schur_constancy(casimir_matrix(spec, forms)[:interior, :interior])[1]
+        _, dev = _schur_deviation(casimir_matrix(spec, forms)[:interior, :interior])
+        scale = 1.0 + sum(abs(as_float(c)) * forms[x].norm * forms[y].norm for c, x, y in spec.casimir)
+        return dev / scale
     dim = forms[spec.generators[0]].dim
     terms = [
         (forms[x], forms[y], core, num, den)
         for c, x, y in spec.casimir
-        for core, num, den in _radical_terms(c)
+        for core, num, den in radical_terms(c)
     ]
     common = math.lcm(*(den * a.den * b.den for a, b, _, _, den in terms))
     acc: dict = {}

@@ -18,15 +18,16 @@ radicals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .angmom import clebsch_gordan, racah_u
+from .angmom import clebsch_gordan, clebsch_gordan_twice, racah_u
 from .kmatrix import GammaRep
 from .opmatrix import OperatorMatrix
-from .radical import Radical, RadicalSum
+from .radical import Radical, radical_terms, squarefree_decompose
 
 GENERATOR_NAMES = tuple(f"C{i}{k}" for i in (1, 2, 3) for k in (1, 2, 3))
 
@@ -263,124 +264,121 @@ def holomorphic_gamma_rep(hw: U3HighestWeight, extra_grades: int = 1) -> GammaRe
     uncoupled monomial basis, where every action is elementary, and then
     conjugated by the exact Clebsch-Gordan transform.  The raw grading extends
     ``extra_grades`` steps past the irrep boundary so zero-norm states appear.
+
+    Every Clebsch-Gordan coefficient and every uncoupled amplitude is split
+    once into an integer numerator over a denominator shared by its grade (or
+    by all amplitudes), times the square root of a square-free core; each
+    block entry is then summed per core in plain integers.
     """
     ts = hw.twice_s
     tj_cap = int(hw.w1 - hw.w3) + extra_grades
-    half = Fraction(1, 2)
 
-    def uncoupled(tj):
-        return [(tm, tn) for tm in range(-tj, tj + 1, 2) for tn in range(-ts, ts + 1, 2)]
-
-    def coupled(tj):
-        out = []
-        for tS in range(abs(tj - ts), tj + ts + 1, 2):
-            for tM in range(-tS, tS + 1, 2):
-                out.append((tS, tM))
-        return out
+    # Amplitudes are ``num / den * sqrt(core)`` over one denominator ``den``:
+    # twice the weights' common denominator, so every coefficient below is an
+    # integer multiple of ``1 / den``.
+    den = 2 * math.lcm(hw.w1.denominator, hw.w2.denominator, hw.w3.denominator)
+    half = den // 2
+    w1 = int(hw.w1 * den)
+    half_sum = int((hw.w2 + hw.w3) * half)  # (w2 + w3) / 2, over den
 
     # Uncoupled single-particle actions.  States are |j m> (x) |s nu> with
-    # phi(j, m) = z2**(j+m) z3**(j-m) / sqrt((j+m)! (j-m)!).
+    # phi(j, m) = z2**(j+m) z3**(j-m) / sqrt((j+m)! (j-m)!); every radicand
+    # below is an integer, written with doubled labels (j + m = (tj + tm)/2).
     def act_uncoupled(gen, tj, tm, tn):
-        """Return list of ((tj', tm', tn'), Radical amplitude)."""
-        j, m, nu = Fraction(tj, 2), Fraction(tm, 2), Fraction(tn, 2)
-        s = Fraction(ts, 2)
-        lam_sum = Fraction(hw.w2 + hw.w3)
+        """Return a list of ``((tm', tn'), num, core)``, the amplitude over ``den``."""
         out = []
+
+        def add(target, coeff, radicand=1):
+            if coeff and radicand:
+                root, core = squarefree_decompose(radicand)
+                out.append((target, coeff * root, core))
+
+        s_up = (ts - tn) // 2 * ((ts + tn + 2) // 2)  # (s - nu)(s + nu + 1)
+        s_down = (ts + tn) // 2 * ((ts - tn + 2) // 2)  # (s + nu)(s - nu + 1)
         if gen == "C11":
-            out.append(((tj, tm, tn), Radical.from_rational(hw.w1 - tj)))
+            add((tm, tn), w1 - tj * den)
         elif gen == "C22":
-            out.append(((tj, tm, tn), Radical.from_rational(lam_sum / 2 + nu + j + m)))
+            add((tm, tn), half_sum + (tn + tj + tm) * half)
         elif gen == "C33":
-            out.append(((tj, tm, tn), Radical.from_rational(lam_sum / 2 - nu + j - m)))
+            add((tm, tn), half_sum + (-tn + tj - tm) * half)
         elif gen == "C23":  # s+ + z2 d3
-            if tn + 2 <= ts:
-                out.append(((tj, tm, tn + 2), Radical.sqrt_of((s - nu) * (s + nu + 1))))
-            if tm + 2 <= tj:
-                out.append(((tj, tm + 2, tn), Radical.sqrt_of((j - m) * (j + m + 1))))
+            add((tm, tn + 2), den, s_up)
+            add((tm + 2, tn), den, (tj - tm) // 2 * ((tj + tm + 2) // 2))
         elif gen == "C32":  # s- + z3 d2
-            if tn - 2 >= -ts:
-                out.append(((tj, tm, tn - 2), Radical.sqrt_of((s + nu) * (s - nu + 1))))
-            if tm - 2 >= -tj:
-                out.append(((tj, tm - 2, tn), Radical.sqrt_of((j + m) * (j - m + 1))))
+            add((tm, tn - 2), den, s_down)
+            add((tm - 2, tn), den, (tj + tm) // 2 * ((tj - tm + 2) // 2))
         elif gen == "C12":  # d2
-            if tm - 1 >= -(tj - 1):
-                out.append(((tj - 1, tm - 1, tn), Radical.sqrt_of(j + m)))
+            add((tm - 1, tn), den, (tj + tm) // 2)
         elif gen == "C13":  # d3
-            if tm + 1 <= tj - 1:
-                out.append(((tj - 1, tm + 1, tn), Radical.sqrt_of(j - m)))
+            add((tm + 1, tn), den, (tj - tm) // 2)
         elif gen == "C21":
-            coeff = hw.w1 - lam_sum / 2 - nu - tj
-            out.append(((tj + 1, tm + 1, tn), Radical.from_rational(coeff) * Radical.sqrt_of(j + m + 1)))
-            amp = Radical.sqrt_of((s - nu) * (s + nu + 1) * (j - m + 1))
-            if tn + 2 <= ts:
-                out.append(((tj + 1, tm - 1, tn + 2), -amp))
+            add((tm + 1, tn), w1 - half_sum - tn * half - tj * den, (tj + tm) // 2 + 1)
+            add((tm - 1, tn + 2), -den, s_up * ((tj - tm) // 2 + 1))
         elif gen == "C31":
-            coeff = hw.w1 - lam_sum / 2 + nu - tj
-            out.append(((tj + 1, tm - 1, tn), Radical.from_rational(coeff) * Radical.sqrt_of(j - m + 1)))
-            amp = Radical.sqrt_of((s + nu) * (s - nu + 1) * (j + m + 1))
-            if tn - 2 >= -ts:
-                out.append(((tj + 1, tm + 1, tn - 2), -amp))
+            add((tm - 1, tn), w1 - half_sum + tn * half - tj * den, (tj - tm) // 2 + 1)
+            add((tm + 1, tn - 2), -den, s_down * ((tj + tm) // 2 + 1))
         else:
             raise ValueError(gen)
-        return [(key, val) for key, val in out if not val.is_zero()]
+        return out
 
     sectors, grades = {}, {}
+    # Exact coupling transform per grade, indexed by uncoupled row (tm, tn):
+    # a list of (tS, tM, core, num), the coefficient over cg_den[tj].
+    transforms, cg_den = {}, {}
     for tj in range(tj_cap + 1):
-        for tS, tM in coupled(tj):
-            sec = (tj, tS, tM)
-            sectors[sec] = 1
-            grades[sec] = tj
-
-    # Exact coupling transform per grade: row (tm, tn), column (tS, tM).
-    transforms = {}
-    for tj in range(tj_cap + 1):
-        unc, cpl = uncoupled(tj), coupled(tj)
-        t = {}
-        for r, (tm, tn) in enumerate(unc):
-            for c, (tS, tM) in enumerate(cpl):
-                if tm + tn != tM:
-                    continue
-                cgc = clebsch_gordan(
-                    Fraction(ts, 2), Fraction(tn, 2), Fraction(tj, 2), Fraction(tm, 2),
-                    Fraction(tS, 2), Fraction(tM, 2),
-                )
-                if not cgc.is_zero():
-                    t[(tm, tn), (tS, tM)] = cgc
-        transforms[tj] = t
+        for tS in range(abs(tj - ts), tj + ts + 1, 2):
+            for tM in range(-tS, tS + 1, 2):
+                sectors[(tj, tS, tM)] = 1
+                grades[(tj, tS, tM)] = tj
+        rows = {}
+        for tm in range(-tj, tj + 1, 2):
+            for tn in range(-ts, ts + 1, 2):
+                tM = tm + tn
+                rows[(tm, tn)] = [
+                    (tS, tM, core, num, d)
+                    for tS in range(max(abs(tj - ts), abs(tM)), tj + ts + 1, 2)
+                    for core, num, d in radical_terms(clebsch_gordan_twice(ts, tn, tj, tm, tS, tM))
+                ]
+        common = math.lcm(*(d for row in rows.values() for *_, d in row))
+        transforms[tj] = {
+            key: [(tS, tM, core, num * (common // d)) for tS, tM, core, num, d in row]
+            for key, row in rows.items()
+        }
+        cg_den[tj] = common
 
     grade_shift = {"C11": 0, "C22": 0, "C33": 0, "C23": 0, "C32": 0,
                    "C12": -1, "C13": -1, "C21": 1, "C31": 1}
+    gcd = math.gcd
     blocks: dict[str, dict] = {name: {} for name in GENERATOR_NAMES}
     for gen in GENERATOR_NAMES:
         for tj in range(tj_cap + 1):
             tjp = tj + grade_shift[gen]
             if not 0 <= tjp <= tj_cap:
                 continue
-            t_in, t_out = transforms[tj], transforms[tjp]
-            # gamma_coupled[(S'M'), (SM)] = sum T_out* . Gamma_unc . T_in
-            acc: dict[tuple, RadicalSum] = {}
-            for (tm, tn) in uncoupled(tj):
-                images = act_uncoupled(gen, tj, tm, tn)
-                if not images:
+            t_out = transforms[tjp]
+            # gamma_coupled[(S'M'), (SM)] = sum T_out . Gamma_unc . T_in, per core
+            acc: dict[tuple, int] = {}
+            for (tm, tn), cg_in in transforms[tj].items():
+                for target, a_num, a_core in act_uncoupled(gen, tj, tm, tn):
+                    cg_out = t_out.get(target)
+                    if not cg_out:
+                        continue
+                    for tS, tM, c_in, n_in in cg_in:
+                        g = gcd(c_in, a_core)
+                        c1, n1 = (c_in // g) * (a_core // g), n_in * a_num * g
+                        for tSp, tMp, c_out, n_out in cg_out:
+                            g = gcd(c1, c_out)
+                            key = (tSp, tMp, tS, tM, (c1 // g) * (c_out // g))
+                            acc[key] = acc.get(key, 0) + n1 * n_out * g
+            scale = (cg_den[tjp] * den * cg_den[tj]) ** 2
+            gen_blocks = blocks[gen]
+            for (tSp, tMp, tS, tM, core), num in acc.items():
+                if not num:
                     continue
-                for ((tS, tM)), cg_in in (
-                    ((k[1], v) for k, v in t_in.items() if k[0] == (tm, tn))
-                ):
-                    for (tjp2, tmp, tnp), amp in images:
-                        assert tjp2 == tjp
-                        for (tSp, tMp) in coupled(tjp):
-                            cg_out = t_out.get(((tmp, tnp), (tSp, tMp)))
-                            if cg_out is None:
-                                continue
-                            key = ((tSp, tMp), (tS, tM))
-                            term = RadicalSum.from_value(cg_out) * RadicalSum.from_value(amp) * RadicalSum.from_value(cg_in)
-                            acc[key] = acc[key] + term if key in acc else term
-            for ((tSp, tMp), (tS, tM)), val in acc.items():
-                if val.is_zero():
-                    continue
-                row = (tjp, tSp, tMp)
-                col = (tj, tS, tM)
-                blocks[gen][(row, col)] = [[val.to_radical()]]
+                key = ((tjp, tSp, tMp), (tj, tS, tM))
+                if key in gen_blocks:
+                    raise ValueError(f"{gen} block {key} spans more than one square class")
+                gen_blocks[key] = [[Radical(1 if num > 0 else -1, Fraction(num * num * core, scale))]]
 
     adjoints = {"C11": "C11", "C22": "C22", "C33": "C33",
                 "C12": "C21", "C21": "C12", "C13": "C31", "C31": "C13",

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from vcs_irreps.angmom import Spin, SpinError, clebsch_gordan, racah_u, wigner_6j
+from vcs_irreps.angmom import Spin, SpinError, clebsch_gordan, clebsch_gordan_twice, racah_u, wigner_6j
 from vcs_irreps.radical import Radical, RadicalSum
 
 HALF = Fraction(1, 2)
@@ -247,3 +248,49 @@ def test_wigner_6j_spot_values():
     # {1/2 1/2 0; 1/2 1/2 1} = 1/2 and {1 1 1; 1 1 1} = 1/6
     assert wigner_6j(HALF, HALF, 0, HALF, HALF, 1) == Radical.from_rational(HALF)
     assert wigner_6j(1, 1, 1, 1, 1, 1) == Radical.from_rational(Fraction(1, 6))
+
+
+# -- the twice-integer entry point ---------------------------------------------
+
+
+def test_cg_twice_matches_cg_over_the_spin_4_sweep():
+    for tj1, tj2 in itertools.product(range(9), repeat=2):
+        for tm1, tm2 in itertools.product(range(-tj1, tj1 + 1, 2), range(-tj2, tj2 + 1, 2)):
+            for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+                for tM in (tm1 + tm2, tm1 + tm2 + 2):
+                    args = (tj1, tm1, tj2, tm2, tJ, tM)
+                    want = clebsch_gordan(*(Fraction(t, 2) for t in args))
+                    assert clebsch_gordan_twice(*args) == want
+
+
+def test_cg_twice_input_rules():
+    # out-of-range projections give zero, as for the spin-valued entry point
+    assert clebsch_gordan_twice(2, 4, 2, 0, 4, 4) == Radical.zero()
+    assert clebsch_gordan_twice(1, 1, 1, -1, 0, 0) == Radical.sqrt_of(HALF)
+    for bad in [(1, 0, 1, 1, 2, 1), (2, 1, 1, 0, 3, 1), (2, 0, 2, 0, 3, 0), (-2, 0, 2, 0, 2, 0)]:
+        with pytest.raises(SpinError):
+            clebsch_gordan_twice(*bad)
+    with pytest.raises(SpinError):
+        clebsch_gordan(-1, 0, 1, 0, 1, 0)
+
+
+def test_cg_twice_matches_sympy_up_to_spin_10():
+    sympy_wigner = pytest.importorskip("sympy.physics.wigner")
+    import sympy
+
+    rng = random.Random(20121)
+    checked = 0
+    while checked < 100:
+        tj1, tj2 = rng.randint(0, 20), rng.randint(0, 20)
+        tJ = rng.randrange(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
+        tm1 = rng.randrange(-tj1, tj1 + 1, 2)
+        tm2 = rng.randrange(-tj2, tj2 + 1, 2)
+        tM = tm1 + tm2
+        if abs(tM) > tJ:
+            continue
+        got = clebsch_gordan_twice(tj1, tm1, tj2, tm2, tJ, tM)
+        want = sympy_wigner.clebsch_gordan(*(sympy.Rational(t, 2) for t in (tj1, tj2, tJ, tm1, tm2, tM)))
+        square = sympy.expand(want**2)
+        assert square.is_Rational and got.squared == Fraction(int(square.p), int(square.q))
+        assert got.sign == int(sympy.sign(want))
+        checked += 1

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -144,6 +145,41 @@ def test_replay_corrupted_document_fails(tmp_path, capsys):
     code, out, _ = run(capsys, "check", "--replay", str(out_file))
     assert code == 1
     assert "FAIL" in out
+
+
+def _gen_large_su11(tmp_path, capsys):
+    path = tmp_path / "su11.json"
+    code, _, _ = run(capsys, "gen", "su11", "--lambda", "1/3", "--nmax", "2000", "--out", str(path))
+    assert code == 0
+    return path
+
+
+def _casimir_line(out):
+    return next(line for line in out.splitlines() if "casimir constancy" in line)
+
+
+def test_replay_of_large_su11_truncation_passes(tmp_path, capsys):
+    # A replay checks in floats.  The Casimir's terms S+ S- and S- S+ have
+    # entries near n**2 = 4e6 while their sum stays -5/36 on the interior,
+    # so its rounding (about 1e-9) is small only next to the size of the
+    # terms that cancel, which is what the deviation is divided by.
+    path = _gen_large_su11(tmp_path, capsys)
+    code, out, _ = run(capsys, "check", "--replay", str(path))
+    assert code == 0, out
+    assert _casimir_line(out).endswith("PASS")
+
+
+def test_replay_of_perturbed_large_su11_casimir_fails(tmp_path, capsys):
+    path = _gen_large_su11(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    # S0 at n = 1000 moved by 1e-5 of its value, about 0.01
+    entry = next(e for e in doc["generators"]["S0"]["entries"] if e[0] == e[1] == 1000)
+    value = Radical.from_json(entry[2]).as_fraction()
+    entry[2] = Radical.from_rational(value * (1 + Fraction(1, 10**5))).to_json()
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "check", "--replay", str(path))
+    assert code == 1
+    assert _casimir_line(out).endswith("FAIL")
 
 
 def test_replay_missing_file(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -144,6 +145,48 @@ def test_u3_engine_handles_common_rational_shift():
         for (r, c), v in gammas[name].entries.items():
             dense[perm[r], perm[c]] = float(v)
         assert np.abs(dense - gens[name].to_dense()).max() <= 1e-12
+
+
+def _shuffled(rep, seed):
+    """The same GammaRep with its generators and blocks in a random dict order."""
+    rng = random.Random(seed)
+    blocks = {}
+    for gen in rng.sample(list(rep.blocks), len(rep.blocks)):
+        items = list(rep.blocks[gen].items())
+        rng.shuffle(items)
+        blocks[gen] = dict(items)
+    sectors = list(rep.sectors.items())
+    rng.shuffle(sectors)
+    return kmatrix.GammaRep(dict(sectors), rep.grades, blocks, rep.adjoints, exact=rep.exact)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_s_recursion_does_not_depend_on_block_order(seed):
+    reps = [
+        u3.holomorphic_gamma_rep(u3.U3HighestWeight(4, 2, 0), extra_grades=1),
+        u3.holomorphic_gamma_rep(u3.U3HighestWeight(Fraction(7, 3), Fraction(4, 3), Fraction(1, 3)), extra_grades=2),
+        su11.holomorphic_gamma_rep(su11.Su11Irrep(Fraction(7, 2), 40)),
+    ]
+    for rep in reps:
+        want = kmatrix.solve_s_recursion(rep)
+        got = kmatrix.solve_s_recursion(_shuffled(rep, seed))
+        assert got.keys() == want.keys()
+        for sec, sb in want.items():
+            assert got[sec].matrix == sb.matrix
+            assert all(type(v) is Fraction for v in got[sec].matrix[0])
+
+
+def test_exact_consistency_check_sees_what_floats_cannot():
+    # C23 joins sectors of one grade, so only the final consistency check
+    # reads it: scaling one block by 1 + 1e-30 leaves every float unchanged
+    rep = u3.holomorphic_gamma_rep(u3.U3HighestWeight(2, 1, 0), extra_grades=0)
+    key, block = next(iter(rep.blocks["C23"].items()))
+    assert rep.grades[key[0]] == rep.grades[key[1]] and key[0] != key[1]
+    bumped = block[0][0] * Radical.from_rational(1 + Fraction(1, 10**30))
+    assert float(bumped) == float(block[0][0])
+    rep.blocks["C23"][key] = [[bumped]]
+    with pytest.raises(KMatrixError, match="exactly"):
+        kmatrix.solve_s_recursion(rep)
 
 
 def test_orthonormalize_rank_deficient_block():

@@ -10,7 +10,7 @@ import pytest
 
 from vcs_irreps import repcheck, u3
 from vcs_irreps.angmom import clebsch_gordan
-from vcs_irreps.radical import Radical
+from vcs_irreps.radical import Radical, RadicalSum
 
 HALF = Fraction(1, 2)
 
@@ -245,3 +245,95 @@ def test_holomorphic_rep_blocks_are_scalar_radicals():
         for (row, col), m in blocks.items():
             assert isinstance(m[0][0], Radical)
             assert abs(rep.grades[row] - rep.grades[col]) <= 1
+
+
+def _reference_holomorphic_blocks(hw, extra_grades):
+    """The holomorphic realization's blocks, summed term by term in RadicalSum.
+
+    An independent, deliberately plain construction: every coupled pair of
+    the right projection is visited, and every amplitude is a Radical built
+    from ``Fraction`` labels.
+    """
+    ts = hw.twice_s
+    tj_cap = int(hw.w1 - hw.w3) + extra_grades
+    s = Fraction(ts, 2)
+    lam_sum = hw.w2 + hw.w3
+
+    def uncoupled(tj):
+        return [(tm, tn) for tm in range(-tj, tj + 1, 2) for tn in range(-ts, ts + 1, 2)]
+
+    def coupled(tj):
+        return [(tS, tM) for tS in range(abs(tj - ts), tj + ts + 1, 2) for tM in range(-tS, tS + 1, 2)]
+
+    def act(gen, tj, tm, tn):
+        j, m, nu = Fraction(tj, 2), Fraction(tm, 2), Fraction(tn, 2)
+        rat, root = Radical.from_rational, Radical.sqrt_of
+        out = {
+            "C11": [((tj, tm, tn), rat(hw.w1 - tj))],
+            "C22": [((tj, tm, tn), rat(lam_sum / 2 + nu + j + m))],
+            "C33": [((tj, tm, tn), rat(lam_sum / 2 - nu + j - m))],
+            "C23": [((tj, tm, tn + 2), root((s - nu) * (s + nu + 1))), ((tj, tm + 2, tn), root((j - m) * (j + m + 1)))],
+            "C32": [((tj, tm, tn - 2), root((s + nu) * (s - nu + 1))), ((tj, tm - 2, tn), root((j + m) * (j - m + 1)))],
+            "C12": [((tj - 1, tm - 1, tn), root(j + m))],
+            "C13": [((tj - 1, tm + 1, tn), root(j - m))],
+            "C21": [
+                ((tj + 1, tm + 1, tn), rat(hw.w1 - lam_sum / 2 - nu - tj) * root(j + m + 1)),
+                ((tj + 1, tm - 1, tn + 2), -root((s - nu) * (s + nu + 1) * (j - m + 1))),
+            ],
+            "C31": [
+                ((tj + 1, tm - 1, tn), rat(hw.w1 - lam_sum / 2 + nu - tj) * root(j - m + 1)),
+                ((tj + 1, tm + 1, tn - 2), -root((s + nu) * (s - nu + 1) * (j + m + 1))),
+            ],
+        }[gen]
+        return [(k, v) for k, v in out if not v.is_zero() and abs(k[1]) <= k[0] and abs(k[2]) <= ts]
+
+    def cg(tj, tm, tn, tS, tM):
+        return clebsch_gordan(s, Fraction(tn, 2), Fraction(tj, 2), Fraction(tm, 2), Fraction(tS, 2), Fraction(tM, 2))
+
+    blocks = {name: {} for name in u3.GENERATOR_NAMES}
+    for gen in u3.GENERATOR_NAMES:
+        for tj in range(tj_cap + 1):
+            acc = {}
+            for tm, tn in uncoupled(tj):
+                for (tjp, tmp, tnp), amp in act(gen, tj, tm, tn):
+                    if not 0 <= tjp <= tj_cap:
+                        continue
+                    # Clebsch-Gordan coefficients vanish unless M = m + nu.
+                    for tS, tM in (c for c in coupled(tj) if c[1] == tm + tn):
+                        for tSp, tMp in (c for c in coupled(tjp) if c[1] == tmp + tnp):
+                            term = RadicalSum.from_value(cg(tjp, tmp, tnp, tSp, tMp))
+                            term = term * RadicalSum.from_value(amp) * RadicalSum.from_value(cg(tj, tm, tn, tS, tM))
+                            key = ((tjp, tSp, tMp), (tj, tS, tM))
+                            acc[key] = acc.get(key, RadicalSum()) + term
+            for key, val in acc.items():
+                if not val.is_zero():
+                    blocks[gen][key] = val.to_radical()
+    return blocks
+
+
+@pytest.mark.parametrize("extra_grades", [0, 1, 2])
+@pytest.mark.parametrize(
+    "weight",
+    [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0), (3, 1, 0), (2, 2, 0),
+     (Fraction(7, 3), Fraction(4, 3), Fraction(1, 3)), (Fraction(5, 2), Fraction(1, 2), Fraction(-1, 2))],
+)
+def test_holomorphic_rep_matches_radical_sum_reference(weight, extra_grades):
+    hw = u3.U3HighestWeight(*weight)
+    rep = u3.holomorphic_gamma_rep(hw, extra_grades)
+    want = _reference_holomorphic_blocks(hw, extra_grades)
+    tj_cap = int(hw.w1 - hw.w3) + extra_grades
+    sectors = {
+        (tj, tS, tM)
+        for tj in range(tj_cap + 1)
+        for tS in range(abs(tj - hw.twice_s), tj + hw.twice_s + 1, 2)
+        for tM in range(-tS, tS + 1, 2)
+    }
+    assert set(rep.sectors) == sectors and set(rep.sectors.values()) == {1}
+    assert rep.grades == {sec: sec[0] for sec in sectors}
+    for gen in u3.GENERATOR_NAMES:
+        got = rep.blocks[gen]
+        assert set(got) == set(want[gen]), gen
+        for key, block in got.items():
+            value = block[0][0]
+            assert isinstance(value, Radical) and len(block) == len(block[0]) == 1
+            assert (value.sign, value.radicand) == (want[gen][key].sign, want[gen][key].radicand)
