@@ -8,14 +8,18 @@ of the generators.  The Hermitian blocks ``S = K K'`` then satisfy
     S(a) . Gamma(X)[b,a]^dagger = Gamma(Xdag)[a,b] . S(b)
 
 for every generator ``X`` and sector pair ``(a, b)``.  Solving these
-sector-by-sector in grade order from a seed (identity on the lowest-grade,
-intrinsic sectors), diagonalising each block, and rescaling by the square
+sector-by-sector in grade order from the identity on the lowest-grade,
+intrinsic sectors, diagonalising each block, and rescaling by the square
 roots of its eigenvalues produces the matrices ``gamma(X)`` of the unitary
 irrep on the positive-norm states; zero eigenvalues mark raw states outside
 the irreducible space.
 
-Two arithmetic modes: exact (Radical/Fraction entries, one-dimensional
-sectors) and float (numpy, least-squares solves, tolerance-based checks).
+Two arithmetic modes.  Exact mode takes one-dimensional sectors only, which
+the :class:`GammaRep` checks when it is built: every block is ``[[g]]`` with
+one exact scalar ``g = q sqrt(core)`` (a ``Radical``, ``Fraction`` or
+``int``), every S-block is ``[[s]]`` with one rational ``s``, kept a
+``Fraction`` throughout, and every check is exact.  Float mode (numpy) takes
+sectors of any dimension, solves by least squares and checks to a tolerance.
 """
 
 from __future__ import annotations
@@ -26,11 +30,8 @@ from fractions import Fraction
 import numpy as np
 
 from .opmatrix import OperatorMatrix
-from .radical import Radical, RadicalSum, as_float
+from .radical import Radical, radical_terms
 from .repcheck import DEFAULT_TOL
-
-_RATIONALS = (int, Fraction)
-_EXACT_SCALARS = (*_RATIONALS, Radical, RadicalSum)
 
 
 class KMatrixError(Exception):
@@ -42,16 +43,10 @@ class SBlock:
     """Hermitian positive semi-definite S-block attached to one sector."""
 
     sector: tuple
-    matrix: object  # list-of-lists of exact scalars, or np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return len(self.matrix)
+    matrix: object  # [[Fraction]] in exact mode, np.ndarray in float mode
 
     def to_dense(self) -> np.ndarray:
-        if isinstance(self.matrix, np.ndarray):
-            return self.matrix
-        return np.array([[as_float(v) for v in row] for row in self.matrix])
+        return np.asarray(self.matrix, dtype=float)
 
 
 @dataclass
@@ -71,6 +66,10 @@ class GammaRep:
         for gen in self.blocks:
             if gen not in self.adjoints:
                 raise ValueError(f"generator {gen} has no adjoint partner")
+        if self.exact:
+            for sec, dim in self.sectors.items():
+                if dim != 1:
+                    raise ValueError(f"exact mode needs one-dimensional sectors; {sec} has dimension {dim}")
 
     def block(self, gen: str, row: tuple, col: tuple):
         return self.blocks.get(gen, {}).get((row, col))
@@ -79,166 +78,111 @@ class GammaRep:
         return sum(self.sectors.values())
 
 
-def _dagger_block(block):
-    if isinstance(block, np.ndarray):
-        return block.T.copy()
-    rows, cols = len(block), len(block[0])
-    return [[block[r][c] for r in range(rows)] for c in range(cols)]
+def solve_s_recursion(rep: GammaRep, tol: float = DEFAULT_TOL) -> dict[tuple, SBlock]:
+    """Solve ``S(a) Gamma(X)[b,a]^dag = Gamma(Xdag)[a,b] S(b)`` in grade order.
 
-
-def _matmul_exact(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[RadicalSum() for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            av = a[i][t]
-            if isinstance(av, (int, Fraction)) and av == 0:
-                continue
-            av = RadicalSum.from_value(av)
-            for j in range(m):
-                bv = b[t][j]
-                if isinstance(bv, (int, Fraction)) and bv == 0:
-                    continue
-                out[i][j] = out[i][j] + av * RadicalSum.from_value(bv)
-    return out
-
-
-def identity_seed(rep: GammaRep) -> dict[tuple, SBlock]:
-    """Identity S-blocks on every lowest-grade sector (the intrinsic space)."""
+    The lowest-grade (intrinsic) sectors are seeded with the identity.
+    """
     g0 = min(rep.grades.values())
-    seed = {}
-    for sec, dim in rep.sectors.items():
-        if rep.grades[sec] == g0:
-            if rep.exact:
-                mat = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-            else:
-                mat = np.eye(dim)
-            seed[sec] = SBlock(sec, mat)
-    return seed
-
-
-def solve_s_recursion(
-    rep: GammaRep, seed: dict[tuple, SBlock] | None = None, tol: float = DEFAULT_TOL
-) -> dict[tuple, SBlock]:
-    """Solve ``S(a) Gamma(X)[b,a]^dag = Gamma(Xdag)[a,b] S(b)`` in grade order."""
-    solved = dict(seed) if seed is not None else identity_seed(rep)
-    order = sorted(rep.sectors, key=lambda s: (rep.grades[s], s))
-    incoming: dict[tuple, list] = {}  # col -> [(gen, row, block)], off-diagonal blocks only
+    solved = {
+        sec: SBlock(sec, [[Fraction(1)]] if rep.exact else np.eye(dim))
+        for sec, dim in rep.sectors.items()
+        if rep.grades[sec] == g0
+    }
+    incoming: dict[tuple, list] = {}  # col -> [(gen, row, block)], rows of lower grade only
     for gen, blocks in rep.blocks.items():
         for (row, col), block in blocks.items():
-            if row != col:
+            if rep.grades[row] < rep.grades[col]:
                 incoming.setdefault(col, []).append((gen, row, block))
-    for sec in order:
+    for sec in sorted(rep.sectors, key=lambda s: (rep.grades[s], s)):
         if sec in solved:
             continue
-        constraints = _incoming_constraints(rep, sec, solved, incoming.get(sec, ()))
+        # S(sec) A = B for each block Gamma(X)[row, sec]: A is its adjoint,
+        # B = Gamma(Xdag)[sec, row] S(row); lower grades are solved already.
+        constraints = [
+            (block, rep.block(rep.adjoints[gen], sec, row), solved[row].matrix)
+            for gen, row, block in incoming.get(sec, ())
+        ]
         if not constraints:
-            raise KMatrixError(f"sector {sec} is not reachable from the seed")
+            raise KMatrixError(f"sector {sec} is not reachable from the lowest grade")
         if rep.exact:
-            solved[sec] = _solve_exact(rep, sec, constraints)
+            solved[sec] = SBlock(sec, [[_solve_exact(sec, constraints)]])
         else:
-            solved[sec] = _solve_float(rep, sec, constraints, tol)
+            solved[sec] = SBlock(sec, _solve_float(sec, constraints, tol))
     _check_consistency(rep, solved, tol)
     return solved
 
 
-def _incoming_constraints(rep, sec, solved, incoming):
-    """Pairs (A, B) with the unknown satisfying ``S(sec) @ A = B``, from the blocks entering ``sec``."""
-    out = []
-    for gen, row, block in incoming:
-        if rep.grades[row] >= rep.grades[sec] or row not in solved:
-            continue
-        a = _dagger_block(block)  # Gamma(X)[low, sec]^dag
-        partner = rep.block(rep.adjoints[gen], sec, row)
-        s_low = solved[row].matrix
-        if partner is None:
-            d = rep.sectors[sec]
-            if rep.exact:
-                b = [[Fraction(0)] * rep.sectors[row] for _ in range(d)]
-            else:
-                b = np.zeros((d, rep.sectors[row]))
-        elif rep.exact:
-            b = _matmul_exact(partner, s_low)
-        else:
-            b = np.asarray(partner) @ np.asarray(s_low)
-        out.append((a, b))
-    return out
+def _square_class(value) -> tuple[int, Fraction]:
+    """An exact scalar ``q * sqrt(core)``, ``core`` square-free, as ``(core, q)``; zero is ``(1, 0)``."""
+    terms = radical_terms(value)
+    if len(terms) > 1:
+        raise KMatrixError(f"{value!r} spans more than one square class")
+    core, num, den = terms[0] if terms else (1, 0, 1)
+    return core, Fraction(num, den)
 
 
-def _solve_exact(rep, sec, constraints) -> SBlock:
-    """The rational S value of a one-dimensional sector, from ``S a = b`` entry by entry.
+def _entry(block):
+    """The scalar of a 1x1 exact block; an absent block is zero."""
+    return 0 if block is None else block[0][0]
 
-    Each quotient ``b / a`` is formed as a :class:`RadicalSum` over the single
-    radical ``a``, so the (possibly very long) rational S values are never
-    squared or factored.
+
+def _solve_exact(sec, constraints) -> Fraction:
+    """The rational S value of a one-dimensional sector.
+
+    A block ``g = q_g sqrt(c_g)`` and its partner ``p = q_p sqrt(c_p)`` give
+    ``S g = p S(low)``, so ``S = S(low) q_p / q_g``, rational only when
+    ``c_p == c_g``.  The (possibly very long) S values are only multiplied and
+    divided by the short coefficients ``q``, never squared or factored.
     """
-    if rep.sectors[sec] != 1:
-        raise KMatrixError("exact mode requires one-dimensional sectors")
     value = None
-    for a, b in constraints:
-        for av, bv in zip(a[0], b[0]):
-            av = RadicalSum.from_value(av)
-            bv = RadicalSum.from_value(bv)
-            if av.is_zero():
-                if not bv.is_zero():
-                    raise KMatrixError(f"inconsistent constraints at sector {sec}")
-                continue
-            x = bv / av.to_radical()
-            if value is None:
-                value = x
-            elif value != x:
+    for block, partner, s_low in constraints:
+        core_g, q_g = _square_class(block[0][0])
+        core_p, q_p = _square_class(_entry(partner))
+        rhs = q_p * s_low[0][0]
+        if not q_g:
+            if rhs:
                 raise KMatrixError(f"inconsistent constraints at sector {sec}")
+            continue
+        if rhs and core_p != core_g:
+            raise KMatrixError(f"irrational S value at sector {sec}")
+        s = rhs / q_g
+        if value is None:
+            value = s
+        elif value != s:
+            raise KMatrixError(f"inconsistent constraints at sector {sec}")
     if value is None:
         raise KMatrixError(f"sector {sec} is undetermined by the recursion")
-    if set(value.terms) - {1}:
-        raise KMatrixError(f"irrational S value at sector {sec}")
-    s = value.terms.get(1, Fraction(0))
-    if s < 0:
+    if value < 0:
         raise KMatrixError(f"negative norm at sector {sec} (not positive semi-definite)")
-    return SBlock(sec, [[s]])
+    return value
 
 
-def _solve_float(rep, sec, constraints, tol) -> SBlock:
-    d = rep.sectors[sec]
-    rows, rhs = [], []
-    for a, b in constraints:
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        dl = a.shape[1]
-        for i in range(d):
-            for j in range(dl):
-                row = np.zeros(d * d)
-                row[i * d : (i + 1) * d] = a[:, j]
-                rows.append(row)
-                rhs.append(b[i, j])
-    # Hermiticity (real-symmetric) constraints close the system.
-    for i in range(d):
-        for j in range(i + 1, d):
-            row = np.zeros(d * d)
-            row[i * d + j] = 1.0
-            row[j * d + i] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-    m = np.array(rows)
-    r = np.array(rhs)
-    sol, *_ = np.linalg.lstsq(m, r, rcond=None)
-    s = sol.reshape(d, d)
-    s = (s + s.T) / 2
-    scale = 1.0 + float(np.abs(m).max()) * float(np.abs(s).max())
-    residual = float(np.abs(m @ s.reshape(-1) - r).max()) / scale
+def _solve_float(sec, constraints, tol) -> np.ndarray:
+    """S from all ``S A = B`` side by side: one least-squares solve with d right-hand sides, symmetrized."""
+    a_parts, b_parts = [], []
+    for block, partner, s_low in constraints:
+        a = np.asarray(block, dtype=float).T
+        a_parts.append(a)
+        b_parts.append(np.zeros_like(a) if partner is None else np.asarray(partner, dtype=float) @ s_low)
+    a, b = np.hstack(a_parts), np.hstack(b_parts)
+    s_t, *_ = np.linalg.lstsq(a.T, b.T, rcond=None)
+    s = (s_t + s_t.T) / 2
+    scale = 1.0 + float(np.abs(a).max()) * float(np.abs(s).max())
+    residual = float(np.abs(s @ a - b).max()) / scale
     if residual > tol:
         raise KMatrixError(f"S-recursion residual {residual:.2e} at sector {sec}")
     ev = np.linalg.eigvalsh(s)
     if ev.min() < -tol * max(1.0, ev.max()):
         raise KMatrixError(f"S-block at {sec} is not positive semi-definite")
-    return SBlock(sec, s)
+    return s
 
 
 def _check_consistency(rep, solved, tol):
     """Verify S(col).Gamma(X)[row,col]^dag = Gamma(Xdag)[col,row].S(row) for all blocks.
 
-    Rational 1x1 S-blocks (exact mode) are compared exactly; any other to
-    ``tol``, relative, in floats.
+    Exact mode compares ``S(col) q_g == q_p S(row)`` and the square classes
+    of ``g`` and ``p`` exactly; float mode to ``tol``, relative.
     """
     worst = 0.0
     for gen, blocks in rep.blocks.items():
@@ -246,66 +190,20 @@ def _check_consistency(rep, solved, tol):
         for (row, col), block in blocks.items():
             partner = rep.block(adj, col, row)
             s_col, s_row = solved[col].matrix, solved[row].matrix
-            if rep.exact and _is_rational_scalar(s_col) and _is_rational_scalar(s_row):
-                if not _exact_relation_holds(s_col[0][0], block[0][0], partner, s_row[0][0]):
+            if rep.exact:
+                core_g, q_g = _square_class(block[0][0])
+                core_p, q_p = _square_class(_entry(partner))
+                lhs, rhs = s_col[0][0] * q_g, q_p * s_row[0][0]
+                if lhs != rhs or (lhs and core_g != core_p):
                     raise KMatrixError(f"S-matrix equations violated exactly at {gen} {(row, col)}")
                 continue
-            lhs = solved[col].to_dense() @ np.asarray(_dagger_to_dense(block))
-            pb = _block_to_dense(partner, (rep.sectors[col], rep.sectors[row]))
-            rhs = pb @ solved[row].to_dense()
+            lhs = s_col @ np.asarray(block, dtype=float).T
+            rhs = np.zeros_like(lhs) if partner is None else np.asarray(partner, dtype=float) @ s_row
             num = float(np.abs(lhs - rhs).max())
             den = 1.0 + float(np.abs(lhs).max()) + float(np.abs(rhs).max())
             worst = max(worst, num / den)
     if worst > tol:
         raise KMatrixError(f"S-matrix equations violated, residual {worst:.2e}")
-
-
-def _is_rational_scalar(matrix) -> bool:
-    """Whether an S-block is a 1x1 rational, as every sector exact mode solves is."""
-    return not isinstance(matrix, np.ndarray) and len(matrix) == 1 and isinstance(matrix[0][0], _RATIONALS)
-
-
-def _exact_relation_holds(s_col, g, partner, s_row) -> bool:
-    """Whether ``s_col * g == p * s_row`` exactly, for a 1x1 ``partner`` block ``[[p]]`` or None (zero).
-
-    The comparison is by sign and by cross-multiplied squares in plain
-    integers, so the long rational S values are multiplied but never reduced
-    or factored.
-    """
-    g = _as_radical(g)
-    p = Radical.zero() if partner is None else _as_radical(partner[0][0])
-    if ((s_col > 0) - (s_col < 0)) * g.sign != ((s_row > 0) - (s_row < 0)) * p.sign:
-        return False
-    # (a/b)^2 g == (c/d)^2 p  <=>  (a d)^2 g_num p_den == (c b)^2 p_num g_den
-    x, y = s_col.numerator * s_row.denominator, s_row.numerator * s_col.denominator
-    gr, pr = g.radicand, p.radicand
-    return x * x * gr.numerator * pr.denominator == y * y * pr.numerator * gr.denominator
-
-
-def _as_exact_real(value):
-    """An exact scalar as a ``Fraction`` or a single :class:`Radical`, never squaring a rational."""
-    if isinstance(value, RadicalSum):
-        return value.to_radical()
-    return value if isinstance(value, Radical) else Fraction(value)
-
-
-def _as_radical(value) -> Radical:
-    value = _as_exact_real(value)
-    return value if isinstance(value, Radical) else Radical.from_rational(value)
-
-
-def _dagger_to_dense(block):
-    if isinstance(block, np.ndarray):
-        return block.T
-    return np.array([[as_float(v) for v in row] for row in block]).T
-
-
-def _block_to_dense(block, shape):
-    if block is None:
-        return np.zeros(shape)
-    if isinstance(block, np.ndarray):
-        return block
-    return np.array([[as_float(v) for v in row] for row in block])
 
 
 @dataclass
@@ -325,46 +223,27 @@ class OrthoSector:
 def orthonormalize(
     sblocks: dict[tuple, SBlock], tol: float = DEFAULT_TOL, exact: bool = False
 ) -> dict[tuple, OrthoSector]:
-    """Diagonalize each S-block; ``k = sqrt(eigenvalue)``, small ones are zero-norm."""
+    """Diagonalize each S-block; ``k = sqrt(eigenvalue)``, small ones are zero-norm.
+
+    ``exact=True`` is for the S-blocks of an exact :class:`GammaRep`: each is a
+    rational ``[[s]]``, and ``k = sqrt(s)`` is a :class:`Radical`.
+    """
     out = {}
     for sec, sb in sorted(sblocks.items()):
-        if exact or _is_exact_block(sb.matrix):
-            out[sec] = _ortho_exact(sec, sb)
-        else:
-            out[sec] = _ortho_float(sec, sb, tol)
+        out[sec] = _ortho_exact(sec, sb) if exact else _ortho_float(sec, sb, tol)
     return out
 
 
-def _is_exact_block(matrix) -> bool:
-    if isinstance(matrix, np.ndarray):
-        return False
-    return all(isinstance(v, _EXACT_SCALARS) for row in matrix for v in row)
-
-
 def _ortho_exact(sec, sb) -> OrthoSector:
-    d = sb.dim
-    for i in range(d):
-        for j in range(d):
-            if i != j and not RadicalSum.from_value(sb.matrix[i][j]).is_zero():
-                raise KMatrixError(
-                    f"exact orthonormalization needs a diagonal S-block at {sec}"
-                )
-    # A rational S value stays a Fraction: its square root is Radical.sqrt_of(v).
-    diag = [_as_exact_real(sb.matrix[i][i]) for i in range(d)]
-    order = sorted(range(d), key=lambda i: diag[i], reverse=True)
-    ks = []
-    for i in order:
-        v = diag[i]
-        if v < 0:
-            raise KMatrixError(f"negative S eigenvalue at {sec}")
-        ks.append(v.sqrt() if isinstance(v, Radical) else Radical.sqrt_of(v))
-    unitary = [[Fraction(int(i == order[a])) for a in range(d)] for i in range(d)]
-    n_pos = sum(1 for k in ks if not k.is_zero())
-    return OrthoSector(sec, unitary, ks, n_pos)
+    ((s,),) = sb.matrix
+    if s < 0:
+        raise KMatrixError(f"negative S eigenvalue at {sec}")
+    k = Radical.sqrt_of(s)
+    return OrthoSector(sec, [[Fraction(1)]], [k], 0 if k.is_zero() else 1)
 
 
 def _ortho_float(sec, sb, tol) -> OrthoSector:
-    s = np.asarray(sb.to_dense(), dtype=float)
+    s = sb.to_dense()
     s = (s + s.T) / 2
     if s.shape[0] == 1 or np.count_nonzero(s - np.diag(np.diag(s))) == 0:
         diag = np.diag(s).copy()
@@ -415,29 +294,20 @@ def unitarize(
             o_r, o_c = ortho[row], ortho[col]
             if o_r.n_positive == 0 or o_c.n_positive == 0:
                 continue
-            if rep.exact and not isinstance(block, np.ndarray):
-                if len(block) == 1 and len(block[0]) == 1:
-                    core = block  # one-dimensional sectors: both unitaries are [[1]]
-                else:
-                    core = _matmul_exact(
-                        _matmul_exact(_dagger_block(o_r.unitary), block), o_c.unitary
-                    )
-                for b in range(o_r.n_positive):
-                    for a in range(o_c.n_positive):
-                        val = _as_radical(core[b][a])
-                        if val.is_zero():
-                            continue
-                        entry = val * o_c.k_values[a] / o_r.k_values[b]
-                        mat[index[(row, b)], index[(col, a)]] = entry
-            else:
-                u_r = _block_to_dense(o_r.unitary, None)
-                u_c = _block_to_dense(o_c.unitary, None)
-                core = u_r.T @ _block_to_dense(block, None) @ u_c
-                for b in range(o_r.n_positive):
-                    for a in range(o_c.n_positive):
-                        v = core[b, a] * o_c.k_values[a] / o_r.k_values[b]
-                        if v != 0.0:
-                            mat[index[(row, b)], index[(col, a)]] = float(v)
+            if rep.exact:  # one-dimensional sectors: both unitaries are [[1]]
+                core, q = _square_class(block[0][0])
+                if q:
+                    g = Radical(1 if q > 0 else -1, q * q * core)
+                    mat[index[(row, 0)], index[(col, 0)]] = g * o_c.k_values[0] / o_r.k_values[0]
+                continue
+            u_r = np.asarray(o_r.unitary, dtype=float)
+            u_c = np.asarray(o_c.unitary, dtype=float)
+            core = u_r.T @ np.asarray(block, dtype=float) @ u_c
+            for b in range(o_r.n_positive):
+                for a in range(o_c.n_positive):
+                    v = core[b, a] * o_c.k_values[a] / o_r.k_values[b]
+                    if v != 0.0:
+                        mat[index[(row, b)], index[(col, a)]] = float(v)
         gammas[gen] = mat
 
     for gen, adj in rep.adjoints.items():
@@ -473,9 +343,27 @@ def gamma_rep_from_json(doc: dict) -> GammaRep:
         gen_blocks = {}
         for blk in info.get("blocks", []):
             row, col = tuple(blk["row"]), tuple(blk["col"])
-            m = np.zeros((sectors[row], sectors[col]))
-            for i, j, v in blk["entries"]:
-                m[int(i), int(j)] = float(v)
-            gen_blocks[(row, col)] = m
+            name = f"{gen} block {row} -> {col}"
+            if (row, col) in gen_blocks:
+                raise ValueError(f"{name}: given twice")
+            gen_blocks[(row, col)] = _block_from_json(name, row, col, blk["entries"], sectors)
         blocks[gen] = gen_blocks
     return GammaRep(sectors=sectors, grades=grades, blocks=blocks, adjoints=adjoints, exact=False)
+
+
+def _block_from_json(name, row, col, entries, sectors) -> np.ndarray:
+    """A block's ``[i, j, value]`` entries as a dense array; a bad sector or entry raises ``ValueError``."""
+    for key in (row, col):
+        if key not in sectors:
+            raise ValueError(f"{name}: unknown sector {key}")
+    m = np.zeros((sectors[row], sectors[col]))
+    seen = set()
+    for i, j, v in entries:
+        i, j = int(i), int(j)
+        if not (0 <= i < m.shape[0] and 0 <= j < m.shape[1]):
+            raise ValueError(f"{name}: entry ({i}, {j}) outside {m.shape[0]}x{m.shape[1]}")
+        if (i, j) in seen:
+            raise ValueError(f"{name}: duplicate entry ({i}, {j})")
+        seen.add((i, j))
+        m[i, j] = float(v)
+    return m

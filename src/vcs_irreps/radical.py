@@ -7,23 +7,18 @@ evaluate coupling coefficients and ladder-operator matrix elements exactly.
 
 Sums are not closed: ``sqrt(2) + sqrt(3)`` has no such representation.  Adding
 two radicals therefore returns a :class:`Radical` when both terms share a
-square class (or one is zero) and otherwise falls back to a high-precision
-``decimal.Decimal`` (50 significant digits).  Code that needs exact linear
-combinations across several square classes (matrix products, commutators)
-should use :class:`RadicalSum` instead.
+square class (or one is zero) and otherwise the exact :class:`RadicalSum`, a
+linear combination over several square classes.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Decimal, getcontext
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from typing import Union
 
 Rational = Union[int, Fraction]
-
-DECIMAL_DIGITS = 50
 
 # Trial-division bound for square-free extraction.  Every radicand produced by
 # the coupling-coefficient formulas is a product of integers bounded by a few
@@ -152,12 +147,6 @@ class Radical:
             raise ValueError(f"{self} is not rational")
         return Fraction(self.sign * rp, rd)
 
-    def square_class(self) -> int:
-        """Square-free integer ``d`` such that the value lies in ``Q * sqrt(d)``."""
-        if self.sign == 0:
-            return 1
-        return _sqrt_fraction_parts(self.radicand)[1]
-
     # -- arithmetic --------------------------------------------------------
 
     def __mul__(self, other):
@@ -209,9 +198,7 @@ class Radical:
             if coeff == 0:
                 return _ZERO
             return Radical(1 if coeff > 0 else -1, coeff * coeff * d1)
-        # Different square classes: flagged by falling back to a
-        # high-precision decimal value.
-        return self.decimal() + other.decimal()
+        return RadicalSum({d1: self.sign * c1, d2: other.sign * c2})
 
     __radd__ = __add__
 
@@ -237,14 +224,6 @@ class Radical:
 
     def __float__(self) -> float:
         return self.sign * _float_sqrt(self.radicand)
-
-    def decimal(self, digits: int = DECIMAL_DIGITS) -> Decimal:
-        """Value as a ``Decimal`` with at least ``digits`` significant digits."""
-        ctx = getcontext().copy()
-        ctx.prec = digits + 5
-        num = Decimal(self.radicand.numerator)
-        den = Decimal(self.radicand.denominator)
-        return ctx.multiply(Decimal(self.sign), ctx.sqrt(ctx.divide(num, den)))
 
     # -- ordering / identity -----------------------------------------------
 
@@ -429,10 +408,6 @@ def radical_terms(value) -> list[tuple[int, int, int]]:
 
 
 def as_float(value) -> float:
-    if isinstance(value, (Radical, RadicalSum)):
-        return float(value)
-    if isinstance(value, (int, Fraction)):
-        return float(value)
-    if isinstance(value, Decimal):
+    if isinstance(value, (int, Fraction, Radical, RadicalSum)):
         return float(value)
     return value

@@ -10,7 +10,7 @@ import pytest
 
 from vcs_irreps import kmatrix, su11, u3
 from vcs_irreps.kmatrix import KMatrixError
-from vcs_irreps.radical import Radical
+from vcs_irreps.radical import Radical, radical_terms
 
 
 def su11_pipeline(lam, nmax):
@@ -189,6 +189,36 @@ def test_exact_consistency_check_sees_what_floats_cannot():
         kmatrix.solve_s_recursion(rep)
 
 
+def _other_class(value):
+    """A radical with the coefficient of ``value`` but another square class."""
+    ((core, num, den),) = radical_terms(value)
+    return Radical(1 if num > 0 else -1, Fraction(num, den) ** 2 * (3 if core == 2 else 2))
+
+
+def test_exact_rep_needs_one_dimensional_sectors():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        kmatrix.GammaRep({("a",): 1, ("b",): 2}, {("a",): 0, ("b",): 1}, {"X": {}}, {"X": "X"}, exact=True)
+
+
+def test_partner_in_another_square_class_is_irrational():
+    # S(3) = S(2) q_p / q_g needs the partner S-(2,3) in the class of S+(3,2)
+    rep = su11.holomorphic_gamma_rep(su11.Su11Irrep(2, 6))
+    rep.blocks["S-"][(2,), (3,)] = [[_other_class(rep.blocks["S-"][(2,), (3,)][0][0])]]
+    with pytest.raises(KMatrixError, match="irrational S value at sector"):
+        kmatrix.solve_s_recursion(rep)
+
+
+def test_exact_consistency_check_compares_square_classes():
+    # a same-grade C23 block moved to another square class with its
+    # coefficient kept: S(col) q_g == q_p S(row) still holds, the cores differ
+    rep = u3.holomorphic_gamma_rep(u3.U3HighestWeight(2, 1, 0), extra_grades=0)
+    key, block = next(iter(rep.blocks["C23"].items()))
+    assert rep.grades[key[0]] == rep.grades[key[1]] and key[0] != key[1]
+    rep.blocks["C23"][key] = [[_other_class(block[0][0])]]
+    with pytest.raises(KMatrixError, match="exactly"):
+        kmatrix.solve_s_recursion(rep)
+
+
 def test_orthonormalize_rank_deficient_block():
     sb = {("x",): kmatrix.SBlock(("x",), np.array([[1.0, 1.0], [1.0, 1.0]]))}
     ortho = kmatrix.orthonormalize(sb)
@@ -212,33 +242,52 @@ def test_orthonormalize_rejects_negative_eigenvalue():
         kmatrix.orthonormalize(sb)
 
 
-def test_float_path_with_multidimensional_sectors():
-    # group the {2,0,0} raw basis by grade only, so sectors are genuinely
-    # multi-dimensional, and solve in float mode
-    hw = u3.U3HighestWeight(2, 0, 0)
-    fine = u3.holomorphic_gamma_rep(hw, extra_grades=0)
-    grades = sorted({tj for (tj, _, _) in fine.sectors})
-    members = {g: sorted(s for s in fine.sectors if s[0] == g) for g in grades}
-    sectors = {(g,): len(members[g]) for g in grades}
-    grade_map = {(g,): g for g in grades}
+def _by_grade(fine):
+    """The exact one-dimensional-sector rep as a float rep with one sector per grade."""
+    members = {}
+    for sec in sorted(fine.sectors):
+        members.setdefault(fine.grades[sec], []).append(sec)
+    sectors = {(g,): len(secs) for g, secs in members.items()}
     blocks = {}
     for gen, bl in fine.blocks.items():
         coarse = {}
         for (row, col), m in bl.items():
-            key = ((row[0],), (col[0],))
+            key = ((fine.grades[row],), (fine.grades[col],))
             block = coarse.setdefault(key, np.zeros((sectors[key[0]], sectors[key[1]])))
-            block[members[row[0]].index(row), members[col[0]].index(col)] = float(m[0][0])
+            block[members[key[0][0]].index(row), members[key[1][0]].index(col)] = float(m[0][0])
         blocks[gen] = coarse
-    rep = kmatrix.GammaRep(sectors, grade_map, blocks, dict(fine.adjoints), exact=False)
+    rep = kmatrix.GammaRep(sectors, {(g,): g for g in members}, blocks, dict(fine.adjoints), exact=False)
+    return rep, members
+
+
+def test_float_path_with_multidimensional_sectors():
+    # group the {2,0,0} raw basis by grade only, so sectors are genuinely
+    # multi-dimensional, and solve in float mode
+    hw = u3.U3HighestWeight(2, 0, 0)
+    rep, members = _by_grade(u3.holomorphic_gamma_rep(hw, extra_grades=0))
     sblocks = kmatrix.solve_s_recursion(rep)
     # the true S is diagonal with the norm-ratio products on the diagonal
     expected = {0: 1.0}
     for tj in range(2):
         expected[tj + 1] = expected[tj] * float(u3.k_ratio_sq(hw, tj, tj, tj + 1))
-    for g in grades:
+    for g, secs in members.items():
         s = np.asarray(sblocks[(g,)].matrix)
-        diag_target = [expected[g] if sec[1] == g else 0.0 for sec in members[g]]
+        diag_target = [expected[g] if sec[1] == g else 0.0 for sec in secs]
         assert np.abs(s - np.diag(diag_target)).max() < 1e-10
+
+
+def test_float_solve_matches_exact_s_values():
+    # the float solve on the grade-coarsened {4,2,0} (sectors up to dimension
+    # 8, three of them at the lowest grade) reproduces the exact S values
+    fine = u3.holomorphic_gamma_rep(u3.U3HighestWeight(4, 2, 0), extra_grades=0)
+    exact = kmatrix.solve_s_recursion(fine)
+    rep, members = _by_grade(fine)
+    assert max(rep.sectors.values()) > 1
+    sblocks = kmatrix.solve_s_recursion(rep)
+    top = max(float(sb.matrix[0][0]) for sb in exact.values())
+    for g, secs in members.items():
+        want = np.diag([float(exact[sec].matrix[0][0]) for sec in secs])
+        assert np.abs(sblocks[(g,)].matrix - want).max() <= 1e-10 * top
 
 
 def test_inconsistent_gamma_raises():
@@ -287,6 +336,38 @@ def test_json_ingestion_round_trip():
     _, gammas = kmatrix.unitarize(rep, ortho)
     assert gammas["up"][1, 0] == pytest.approx(np.sqrt(2.0))
     assert gammas["down"][0, 1] == pytest.approx(np.sqrt(2.0))
+
+
+def _two_sector_doc(entries, row=(1,)):
+    return {
+        "sectors": [{"key": [0], "dim": 1, "grade": 0}, {"key": [1], "dim": 1, "grade": 1}],
+        "generators": {
+            "up": {"adjoint": "down", "blocks": [{"row": list(row), "col": [0], "entries": entries}]},
+            "down": {"adjoint": "up", "blocks": [{"row": [0], "col": [1], "entries": [[0, 0, 1.0]]}]},
+        },
+    }
+
+
+def _doubled_block(doc):
+    blocks = doc["generators"]["up"]["blocks"]
+    blocks.append(dict(blocks[0]))
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_two_sector_doc([[-1, 0, 2.0]]), r"entry \(-1, 0\) outside 1x1"),
+        (_two_sector_doc([[1, 0, 2.0]]), r"entry \(1, 0\) outside 1x1"),
+        (_two_sector_doc([[0, 0, 2.0], [0, 0, 3.0]]), r"duplicate entry \(0, 0\)"),
+        (_two_sector_doc([[0, 0, 2.0]], row=(7,)), r"unknown sector \(7,\)"),
+        (_doubled_block(_two_sector_doc([[0, 0, 2.0]])), "given twice"),
+    ],
+    ids=["negative-index", "out-of-range", "duplicate-entry", "unknown-sector", "duplicate-block"],
+)
+def test_json_ingestion_rejects_bad_blocks(doc, message):
+    with pytest.raises(ValueError, match=r"up block \(\d,\) -> \(0,\): " + message):
+        kmatrix.gamma_rep_from_json(doc)
 
 
 def test_adjoint_pairing_validation():

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -60,16 +59,13 @@ def test_addition_same_class_stays_exact():
     assert Radical.from_rational(Fraction(1, 3)) + Fraction(2, 3) == Radical.one()
 
 
-def test_addition_mixed_class_flags_decimal():
+def test_addition_mixed_class_is_radical_sum():
     out = Radical.sqrt_of(2) + Radical.sqrt_of(3)
-    assert isinstance(out, Decimal)
-    expected = Decimal(2).sqrt() + Decimal(3).sqrt()
-    assert abs(out - expected) < Decimal("1e-45")
-
-
-def test_decimal_precision():
-    d = Radical.sqrt_of(2).decimal()
-    assert str(d)[:20] == "1.414213562373095048"
+    assert isinstance(out, RadicalSum)
+    assert out == RadicalSum({2: Fraction(1), 3: Fraction(1)})
+    assert math.isclose(float(out), math.sqrt(2) + math.sqrt(3))
+    assert Radical.sqrt_of(8) - Radical.sqrt_of(3) == RadicalSum({2: Fraction(2), 3: Fraction(-1)})
+    assert 1 + Radical.sqrt_of(2) == RadicalSum({1: Fraction(1), 2: Fraction(1)})
 
 
 def test_ordering_exact():
