@@ -78,7 +78,7 @@ class GammaRep:
         return sum(self.sectors.values())
 
 
-def solve_s_recursion(rep: GammaRep, tol: float = DEFAULT_TOL) -> dict[tuple, SBlock]:
+def solve_s_recursion(rep: GammaRep) -> dict[tuple, SBlock]:
     """Solve ``S(a) Gamma(X)[b,a]^dag = Gamma(Xdag)[a,b] S(b)`` in grade order.
 
     The lowest-grade (intrinsic) sectors are seeded with the identity.
@@ -108,8 +108,8 @@ def solve_s_recursion(rep: GammaRep, tol: float = DEFAULT_TOL) -> dict[tuple, SB
         if rep.exact:
             solved[sec] = SBlock(sec, [[_solve_exact(sec, constraints)]])
         else:
-            solved[sec] = SBlock(sec, _solve_float(sec, constraints, tol))
-    _check_consistency(rep, solved, tol)
+            solved[sec] = SBlock(sec, _solve_float(sec, constraints))
+    _check_consistency(rep, solved)
     return solved
 
 
@@ -158,7 +158,7 @@ def _solve_exact(sec, constraints) -> Fraction:
     return value
 
 
-def _solve_float(sec, constraints, tol) -> np.ndarray:
+def _solve_float(sec, constraints) -> np.ndarray:
     """S from all ``S A = B`` side by side: one least-squares solve with d right-hand sides, symmetrized."""
     a_parts, b_parts = [], []
     for block, partner, s_low in constraints:
@@ -170,19 +170,19 @@ def _solve_float(sec, constraints, tol) -> np.ndarray:
     s = (s_t + s_t.T) / 2
     scale = 1.0 + float(np.abs(a).max()) * float(np.abs(s).max())
     residual = float(np.abs(s @ a - b).max()) / scale
-    if residual > tol:
+    if residual > DEFAULT_TOL:
         raise KMatrixError(f"S-recursion residual {residual:.2e} at sector {sec}")
     ev = np.linalg.eigvalsh(s)
-    if ev.min() < -tol * max(1.0, ev.max()):
+    if ev.min() < -DEFAULT_TOL * max(1.0, ev.max()):
         raise KMatrixError(f"S-block at {sec} is not positive semi-definite")
     return s
 
 
-def _check_consistency(rep, solved, tol):
+def _check_consistency(rep, solved):
     """Verify S(col).Gamma(X)[row,col]^dag = Gamma(Xdag)[col,row].S(row) for all blocks.
 
     Exact mode compares ``S(col) q_g == q_p S(row)`` and the square classes
-    of ``g`` and ``p`` exactly; float mode to ``tol``, relative.
+    of ``g`` and ``p`` exactly; float mode to ``DEFAULT_TOL``, relative.
     """
     worst = 0.0
     for gen, blocks in rep.blocks.items():
@@ -202,7 +202,7 @@ def _check_consistency(rep, solved, tol):
             num = float(np.abs(lhs - rhs).max())
             den = 1.0 + float(np.abs(lhs).max()) + float(np.abs(rhs).max())
             worst = max(worst, num / den)
-    if worst > tol:
+    if worst > DEFAULT_TOL:
         raise KMatrixError(f"S-matrix equations violated, residual {worst:.2e}")
 
 
@@ -220,9 +220,7 @@ class OrthoSector:
         return len(self.k_values) - self.n_positive
 
 
-def orthonormalize(
-    sblocks: dict[tuple, SBlock], tol: float = DEFAULT_TOL, exact: bool = False
-) -> dict[tuple, OrthoSector]:
+def orthonormalize(sblocks: dict[tuple, SBlock], exact: bool = False) -> dict[tuple, OrthoSector]:
     """Diagonalize each S-block; ``k = sqrt(eigenvalue)``, small ones are zero-norm.
 
     ``exact=True`` is for the S-blocks of an exact :class:`GammaRep`: each is a
@@ -230,7 +228,7 @@ def orthonormalize(
     """
     out = {}
     for sec, sb in sorted(sblocks.items()):
-        out[sec] = _ortho_exact(sec, sb) if exact else _ortho_float(sec, sb, tol)
+        out[sec] = _ortho_exact(sec, sb) if exact else _ortho_float(sec, sb)
     return out
 
 
@@ -242,7 +240,7 @@ def _ortho_exact(sec, sb) -> OrthoSector:
     return OrthoSector(sec, [[Fraction(1)]], [k], 0 if k.is_zero() else 1)
 
 
-def _ortho_float(sec, sb, tol) -> OrthoSector:
+def _ortho_float(sec, sb) -> OrthoSector:
     s = sb.to_dense()
     s = (s + s.T) / 2
     if s.shape[0] == 1 or np.count_nonzero(s - np.diag(np.diag(s))) == 0:
@@ -258,8 +256,8 @@ def _ortho_float(sec, sb, tol) -> OrthoSector:
             if u[lead, col] < 0:
                 u[:, col] = -u[:, col]
     top = max(ev.max(initial=0.0), 0.0)
-    cut = tol * top if top > 0 else tol
-    if ev.min(initial=0.0) < -max(cut, tol):
+    cut = DEFAULT_TOL * top if top > 0 else DEFAULT_TOL
+    if ev.min(initial=0.0) < -max(cut, DEFAULT_TOL):
         raise KMatrixError(f"negative S eigenvalue {ev.min():.2e} at {sec}")
     ks = [float(np.sqrt(e)) if e > cut else 0.0 for e in ev]
     n_pos = sum(1 for k in ks if k > 0)
@@ -271,9 +269,7 @@ def zero_norm_count(ortho: dict[tuple, OrthoSector]) -> int:
 
 
 def unitarize(
-    rep: GammaRep,
-    ortho: dict[tuple, OrthoSector],
-    tol: float = DEFAULT_TOL,
+    rep: GammaRep, ortho: dict[tuple, OrthoSector]
 ) -> tuple[list[tuple], dict[str, OperatorMatrix]]:
     """Matrices ``gamma(X)`` of the unitary irrep on the positive-norm basis.
 
@@ -314,7 +310,7 @@ def unitarize(
         if gen in gammas and adj in gammas:
             diff = gammas[gen].dagger().max_abs_diff(gammas[adj])
             scale = 1.0 + gammas[gen].frobenius()
-            if diff / scale > tol:
+            if diff / scale > DEFAULT_TOL:
                 raise KMatrixError(
                     f"unitarized gamma({gen}) is not the adjoint of gamma({adj})"
                 )

@@ -101,57 +101,12 @@ class AlgebraSpec:
                                 f"Jacobi identity fails for ({x},{y},{z}) at {v}"
                             )
 
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "generators": list(self.generators),
-            "brackets": [
-                {
-                    "pair": [x, y],
-                    "terms": [[_coeff_to_json(c), z] for c, z in terms],
-                }
-                for (x, y), terms in self.brackets.items()
-            ],
-            "hermiticity_pairs": [list(p) for p in self.hermiticity_pairs],
-            "casimir": [[_coeff_to_json(c), x, y] for c, x, y in self.casimir],
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "AlgebraSpec":
-        brackets = {}
-        for item in doc["brackets"]:
-            x, y = item["pair"]
-            brackets[(x, y)] = tuple((_coeff_from_json(c), z) for c, z in item["terms"])
-        return cls(
-            name=doc["name"],
-            generators=tuple(doc["generators"]),
-            brackets=brackets,
-            hermiticity_pairs=tuple((a, b, int(p)) for a, b, p in doc["hermiticity_pairs"]),
-            casimir=tuple((_coeff_from_json(c), x, y) for c, x, y in doc.get("casimir", ())),
-        )
-
 
 def _coeff_map(terms: Bracket) -> dict[str, RadicalSum]:
     out: dict[str, RadicalSum] = {}
     for c, z in terms:
         out[z] = out.get(z, RadicalSum()) + RadicalSum.from_value(c)
     return out
-
-
-def _coeff_to_json(coeff):
-    if isinstance(coeff, RadicalSum):
-        coeff = coeff.to_radical()
-    if not isinstance(coeff, Radical):
-        coeff = Radical.from_rational(Fraction(coeff))
-    return coeff.to_json()
-
-
-def _coeff_from_json(obj):
-    if isinstance(obj, dict):
-        return Radical.from_json(obj)
-    return Fraction(obj)
 
 
 # -- shipped algebra tables ----------------------------------------------------

@@ -9,9 +9,12 @@ projection ``K`` and angular momentum ``L``:
 The quadrupole action on these functions is encoded by blocks ``M[L', L]``
 over ``(K', K)`` built from SU(2) Clebsch-Gordan coefficients (exact radical
 arithmetic).  Diagonalizing the symmetric ``sqrt(2L+1) M[L, L]`` defines the
-multiplicity label ``alpha`` (the eigenbasis of the scalar L.Q.L invariant);
-norm-factor ratios between eigenstates then unitarize the representation, and
-the reduced quadrupole matrix elements come out as
+multiplicity label ``alpha`` (the eigenbasis of the scalar L.Q.L invariant).
+One best-first walk over the quadrupole couplings between eigenstates, from
+the lowest-L state and along the strongest edge first, finds the in-irrep
+states and fixes each one's norm factor from the ratio across the edge that
+reached it; these factors unitarize the representation, and the reduced
+quadrupole matrix elements come out as
 
     <beta L'||Q||alpha L> / sqrt((2L+1)(2L'+1))
         = curlyM[L',L][beta,alpha] * sqrt((-1)**(L-L') curlyM[L,L'][alpha,beta]
@@ -24,6 +27,7 @@ angular-momentum multiplets by diagonalizing L^2 there.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -244,77 +248,62 @@ def _construction(lm: Su3Label) -> _Construction:
                 unitaries[Lp].T @ block.to_dense() @ unitaries[L] / np.sqrt(2 * Lp + 1)
             )
 
-    positive = _identify_positive(lm, levels, candidates, raw_candidates, curly)
-    k_norm = _propagate_norms(lm, levels, positive, curly)
+    positive, k_norm = _best_first_walk(levels, candidates, raw_candidates, curly)
     return _Construction(
         lm, levels, candidates, raw_candidates, unitaries, eigenvalues, curly, positive, k_norm
     )
 
 
-def _identify_positive(lm, levels, candidates, raw_candidates, curly) -> dict[int, list[int]]:
-    """Raw eigen-indices of the in-irrep states at each level.
+def _best_first_walk(levels, candidates, raw_candidates, curly):
+    """In-irrep eigen-indices per level and their norm factors, from one walk.
 
     Quadrupole moves never leak from the irrep into the zero-norm candidates,
     so an eigenstate is inside the irrep exactly when it is connected to the
     (unique, never zero-norm) lowest-L state by entries nonzero in both
-    directions.  The closed-form per-L counts then serve as a cross-check.
+    directions.  A heap keyed on the smaller of the two entries, relative to
+    the block pair's scale, always takes the strongest pending edge, so each
+    norm comes from a ratio of large entries instead of inheriting the
+    rounding of a weak one.  Ties break on the state labels.  The closed-form
+    per-L counts then serve as a cross-check.
     """
-    if not levels:
-        return {}
-    reached = {(levels[0], 0)}
-    frontier = [(levels[0], 0)]
-    while frontier:
-        L, a = frontier.pop()
-        for Lp in levels:
-            if abs(Lp - L) > 2 or (Lp, L) not in curly:
+    root = (levels[0], 0)
+    k_norm = {root: 1.0}
+    heap = []
+
+    def push(L, a):
+        for Lp in range(L - 2, L + 3):
+            if (Lp, L) not in curly:
                 continue
-            fwd = curly[(Lp, L)]
-            bwd = curly[(L, Lp)]
+            fwd, bwd = curly[(Lp, L)], curly[(L, Lp)]
             scale = max(1.0, float(np.abs(fwd).max()), float(np.abs(bwd).max()))
             for b in range(fwd.shape[0]):
-                if (Lp, b) in reached:
-                    continue
-                if abs(fwd[b, a]) > _EDGE_TOL * scale and abs(bwd[a, b]) > _EDGE_TOL * scale:
-                    reached.add((Lp, b))
-                    frontier.append((Lp, b))
-    positive = {L: sorted(b for (l, b) in reached if l == L) for L in levels}
+                weight = min(abs(fwd[b, a]), abs(bwd[a, b])) / scale
+                if weight > _EDGE_TOL and (Lp, b) not in k_norm:
+                    heapq.heappush(heap, (-weight, Lp, b, L, a))
+
+    push(*root)
+    while heap:
+        _, Lp, beta, L, alpha = heapq.heappop(heap)
+        if (Lp, beta) in k_norm:
+            continue
+        fwd, bwd = curly[(Lp, L)][beta, alpha], curly[(L, Lp)][alpha, beta]
+        ratio_sq = (-1.0) ** (L - Lp) * (2 * L + 1) / (2 * Lp + 1) * bwd / fwd
+        if ratio_sq <= 0:
+            raise So3ConsistencyError(
+                f"non-positive norm ratio {ratio_sq:.3e} between "
+                f"(L={L},a={alpha}) and (L={Lp},a={beta})"
+            )
+        k_norm[(Lp, beta)] = k_norm[(L, alpha)] / np.sqrt(ratio_sq)
+        push(Lp, beta)
+
+    positive = {L: sorted(b for (l, b) in k_norm if l == L) for L in levels}
     for L in levels:
         if len(positive[L]) != len(candidates[L]):
             raise So3ConsistencyError(
                 f"found {len(positive[L])} positive-norm states at L={L}, "
                 f"expected {len(candidates[L])} (raw candidates {raw_candidates[L]})"
             )
-    return positive
-
-
-def _propagate_norms(lm, levels, positive, curly) -> dict[tuple[int, int], float]:
-    """Norm factors over a spanning tree of quadrupole-connected eigenstates."""
-    root = (levels[0], 0)
-    k_norm = {root: 1.0}
-    frontier = [root]
-    while frontier:
-        L, alpha = frontier.pop()
-        for Lp in levels:
-            if abs(Lp - L) > 2 or (Lp, L) not in curly:
-                continue
-            fwd = curly[(Lp, L)]
-            bwd = curly[(L, Lp)]
-            scale = max(1.0, float(np.abs(fwd).max()))
-            for beta in positive[Lp]:
-                if (Lp, beta) in k_norm or abs(fwd[beta, alpha]) < _EDGE_TOL * scale:
-                    continue
-                ratio_sq = (-1.0) ** (L - Lp) * (2 * L + 1) / (2 * Lp + 1) * bwd[alpha, beta] / fwd[beta, alpha]
-                if ratio_sq <= 0:
-                    raise So3ConsistencyError(
-                        f"non-positive norm ratio {ratio_sq:.3e} between "
-                        f"(L={L},a={alpha}) and (L={Lp},a={beta})"
-                    )
-                k_norm[(Lp, beta)] = k_norm[(L, alpha)] / np.sqrt(ratio_sq)
-                frontier.append((Lp, beta))
-    missing = [(L, b) for L in levels for b in positive[L] if (L, b) not in k_norm]
-    if missing:
-        raise So3ConsistencyError(f"states not reached by quadrupole moves: {missing}")
-    return k_norm
+    return positive, k_norm
 
 
 def x_eigenbasis(lm: Su3Label, L: int) -> tuple[np.ndarray, list[float]]:
@@ -329,7 +318,7 @@ def x_eigenbasis(lm: Su3Label, L: int) -> tuple[np.ndarray, list[float]]:
     return con.unitaries[L].copy(), [float(v) for v in con.eigenvalues[L]]
 
 
-def reduced_q(lm: Su3Label, beta: int, Lp: int, alpha: int, L: int, tol: float = DEFAULT_TOL) -> float:
+def reduced_q(lm: Su3Label, beta: int, Lp: int, alpha: int, L: int) -> float:
     """Reduced quadrupole matrix element ``<(lam,mu) beta Lp || Q || (lam,mu) alpha L>``.
 
     ``alpha`` and ``beta`` index the in-irrep states at their L in ascending
@@ -346,12 +335,12 @@ def reduced_q(lm: Su3Label, beta: int, Lp: int, alpha: int, L: int, tol: float =
     a_raw = con.positive[L][alpha]
     fwd = con.curly[(Lp, L)][b_raw, a_raw]
     scale = max(1.0, float(np.abs(con.curly[(Lp, L)]).max()))
-    if abs(fwd) <= tol * scale:
+    if abs(fwd) <= DEFAULT_TOL * scale:
         return 0.0
     bwd = con.curly[(L, Lp)][a_raw, b_raw]
     radicand = (-1.0) ** (L - Lp) * bwd / fwd
     if radicand < 0:
-        if radicand > -(tol * scale) ** 0.5:
+        if radicand > -(DEFAULT_TOL * scale) ** 0.5:
             return 0.0
         raise So3ConsistencyError(
             f"negative norm-ratio radicand {radicand:.3e} for in-irrep labels"

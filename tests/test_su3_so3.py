@@ -205,6 +205,49 @@ def test_full_algebra_and_hermiticity_family_sweep():
             assert repcheck.hermiticity_residual(spec, gens) < 1e-10, (lam, mu)
 
 
+def test_hermiticity_keeps_float_precision_at_8_6():
+    # a norm fixed across a weak edge (1e-7 of its block's scale) carries
+    # eps/1e-7 relative error; taking the strongest edge first keeps ~eps
+    gens = su3_so3.assemble_so3_generators(su3_so3.Su3Label(8, 6))
+    assert repcheck.hermiticity_residual(repcheck.su3_so3_spec(), gens) <= 1e-15
+
+
+def _walk_22(corrupt):
+    """Run the walk for (2,2) on a copy of its curlyM blocks edited by ``corrupt``."""
+    con = su3_so3._construction(su3_so3.Su3Label(2, 2))
+    curly = {key: block.copy() for key, block in con.curly.items()}
+    corrupt(con, curly)
+    return su3_so3._best_first_walk(con.levels, con.candidates, con.raw_candidates, curly)
+
+
+def test_walk_on_intact_blocks_reproduces_the_construction():
+    con = su3_so3._construction(su3_so3.Su3Label(2, 2))
+    assert _walk_22(lambda con, curly: None) == (con.positive, con.k_norm)
+
+
+def test_walk_counts_a_state_cut_off_from_the_irrep():
+    def cut_l4(con, curly):
+        # an edge a -> b needs both curlyM[Lb,La][b,a] and curlyM[La,Lb][a,b]
+        (b,) = con.positive[4]
+        for (_, L), block in curly.items():
+            if L == 4:
+                block[:, b] = 0.0
+
+    with pytest.raises(su3_so3.So3ConsistencyError, match="found 0 positive-norm states at L=4, expected 1"):
+        _walk_22(cut_l4)
+
+
+def test_walk_rejects_a_non_positive_norm_ratio():
+    def flip_first_edge(con, curly):
+        # the root (L=0) couples only to L=2; its strongest edge is taken first
+        fwd, bwd = curly[(2, 0)], curly[(0, 2)]
+        b = int(np.argmax(np.minimum(np.abs(fwd[:, 0]), np.abs(bwd[0, :]))))
+        bwd[0, b] = -bwd[0, b]
+
+    with pytest.raises(su3_so3.So3ConsistencyError, match="non-positive norm ratio"):
+        _walk_22(flip_first_edge)
+
+
 @pytest.mark.parametrize("lam,mu", WEIGHTS)
 def test_dimension_matches_weyl_formula(lam, mu):
     lm = su3_so3.Su3Label(lam, mu)
