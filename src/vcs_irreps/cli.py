@@ -14,17 +14,19 @@ Each algebra is described once, by an :class:`Algebra` entry in
 :data:`ALGEBRAS`: how to read its label from the command line or from a
 document, how to build its generators, what its document holds and how its
 checks run.  ``gen``, ``check`` and ``check --replay`` are one path through
-that table, and the live and replayed checks share
-:func:`repcheck.standard_checks`; adding an algebra means adding one entry.
-The su(1,1) matrices are truncations of an infinite-dimensional irrep, so its
-commutator and Casimir checks run on the interior block (every row and column
-but the last).  Whether the checks run exactly or in floats follows from the
-matrices: the exact su(1,1) and u(3) generators are checked in exact
-arithmetic, the float su(3) generators and every replayed document in floats.
+that table; adding an algebra means adding one entry.  A replay reads each
+entry as the document stores it (an exact ``{"sign", "radicand"}`` as a
+``Radical``, a ``repr`` string as a float) into the same ``OperatorMatrix``
+form the builders return, so the live and replayed checks are one
+:func:`repcheck.standard_checks` call, and both pick the exact or the float
+kernel from the entries alone.  The su(1,1) matrices are truncations of an
+infinite-dimensional irrep, so its commutator and Casimir checks run on the
+interior block (every row and column but the last).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (with a one-line
 ``error:`` message).  The default tolerance is 1e-10, overridable per-call
-with ``--tol`` or globally with the ``VCS_IRREPS_TOL`` environment variable.
+with ``--tol`` or globally with the ``VCS_IRREPS_TOL`` environment variable;
+either must be a finite number >= 0.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from collections.abc import Callable, Iterable
@@ -51,9 +54,18 @@ class UsageError(Exception):
     pass
 
 
-def _tol_default() -> float:
-    env = os.environ.get("VCS_IRREPS_TOL")
-    return float(env) if env else repcheck.DEFAULT_TOL
+def _tolerance(flag: str | None) -> float:
+    """``--tol``, else ``VCS_IRREPS_TOL``, else the default: a finite number >= 0."""
+    text = os.environ.get("VCS_IRREPS_TOL") if flag is None else flag
+    if flag is None and not text:
+        return repcheck.DEFAULT_TOL
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 <= tol < math.inf:
+        raise UsageError(f"tolerance must be a finite number >= 0, got {text!r}")
+    return tol
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -97,12 +109,6 @@ def _value_to_json(value, mode: str):
     return repr(as_float(value))
 
 
-def _value_from_json(obj) -> float:
-    if isinstance(obj, dict):
-        return float(Radical.from_json(obj))
-    return float(obj)
-
-
 def _matrix_to_json(mat: OperatorMatrix, mode: str) -> dict:
     entries = [
         [r, c, _value_to_json(v, mode)] for (r, c), v in sorted(mat.entries.items())
@@ -110,14 +116,17 @@ def _matrix_to_json(mat: OperatorMatrix, mode: str) -> dict:
     return {"dim": mat.dim, "entries": entries}
 
 
-def _matrix_from_json(info: dict) -> repcheck.SparseMatrix:
-    entries = info["entries"]
-    return repcheck.SparseMatrix(
-        int(info["dim"]),
-        [int(r) for r, _, _ in entries],
-        [int(c) for _, c, _ in entries],
-        [_value_from_json(v) for _, _, v in entries],
-    )
+def _matrix_from_json(name: str, info: dict, dim: int) -> OperatorMatrix:
+    """A generator as its builder returned it: exact entries as ``Radical``s, ``repr`` strings as floats."""
+    if info["dim"] != dim:
+        raise ValueError(f"{name} has dim {info['dim']!r}, but the weight gives {dim}")
+    entries: dict[tuple[int, int], object] = {}
+    for r, c, v in info["entries"]:
+        key = (int(r), int(c))
+        if key in entries:
+            raise ValueError(f"{name} repeats entry {key}")
+        entries[key] = Radical.from_json(v) if isinstance(v, dict) else float(v)
+    return OperatorMatrix(name, range(dim), entries)  # IndexError for an entry outside
 
 
 # -- the algebras ------------------------------------------------------------
@@ -141,6 +150,7 @@ class Algebra:
     weight: Callable[[Any], dict]  # label -> the document's "weight"
     csv_weight: Callable[[Any], str]
     reduced: Callable[[Any, dict], Iterable[tuple[str, str, Any]]]  # -> (bra, ket, value)
+    dimension: Callable[[Any], int]  # label -> number of basis states
     # The matrices pass through a numeric diagonalization, so documents carry
     # floats whatever ``--mode`` asks for.
     float_entries: bool = False
@@ -209,6 +219,7 @@ SU11 = Algebra(
     reduced=lambda irrep, gens: (
         (str(n + 1), str(n), gens["S+"][n + 1, n]) for n in range(irrep.n_max)
     ),
+    dimension=lambda irrep: irrep.dim,
     # The truncation defect lives in the last row and column.
     interior=lambda irrep: irrep.n_max,
     metadata=lambda irrep: {"kernel_convergence_radius": su11.KERNEL_CONVERGENCE_RADIUS},
@@ -224,6 +235,7 @@ U3 = Algebra(
     weight=lambda hw: {"w": [str(w) for w in (hw.w1, hw.w2, hw.w3)]},
     csv_weight=lambda hw: f"{hw.w1},{hw.w2},{hw.w3}",
     reduced=_u3_reduced,
+    dimension=lambda hw: hw.dimension(),
 )
 
 SU3_SO3 = Algebra(
@@ -236,6 +248,7 @@ SU3_SO3 = Algebra(
     weight=lambda lm: {"lam": lm.lam, "mu": lm.mu},
     csv_weight=lambda lm: f"{lm.lam},{lm.mu}",
     reduced=_su3_so3_reduced,
+    dimension=lambda lm: lm.dimension(),
     float_entries=True,
     extra_checks=_su3_so3_branching,
 )
@@ -289,7 +302,7 @@ def _doc_to_csv(doc: dict, weight: str) -> str:
 
 
 def _load_document(path: str):
-    """Algebra, label and sparse float generator matrices of a ``gen`` JSON document."""
+    """Algebra, label and generator matrices of a ``gen`` JSON document, at its weight's dimension."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -300,8 +313,8 @@ def _load_document(path: str):
             if algebra is None:
                 raise UsageError(f"unknown algebra {doc['algebra']!r} in document")
             label = algebra.from_weight(doc["weight"])
-            generators = doc["generators"]
-            matrices = {g: _matrix_from_json(generators[g]) for g in algebra.spec().generators}
+            generators, dim = doc["generators"], algebra.dimension(label)
+            matrices = {g: _matrix_from_json(g, generators[g], dim) for g in algebra.spec().generators}
         except (ValueError, KeyError, TypeError, IndexError) as exc:
             reason = f"missing key {exc}" if isinstance(exc, KeyError) else f"{type(exc).__name__}: {exc}"
             raise UsageError(f"{path} is not a valid document: {reason}") from exc
@@ -309,11 +322,6 @@ def _load_document(path: str):
 
 
 # -- verification ------------------------------------------------------------
-
-
-def _checks(algebra: Algebra, label, matrices: dict, tol: float) -> list[tuple[str, float, bool]]:
-    checks = repcheck.standard_checks(algebra.spec(), matrices, tol, algebra.interior(label))
-    return checks + algebra.extra_checks(label)
 
 
 def _print_report(title: str, checks) -> bool:
@@ -346,7 +354,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_check(args) -> int:
-    tol = args.tol if args.tol is not None else _tol_default()
+    tol = _tolerance(args.tol)
     if args.replay:
         algebra, label, matrices = _load_document(args.replay)
         title = f"replay {args.replay} ({algebra.name})"
@@ -357,7 +365,8 @@ def cmd_check(args) -> int:
         label = _label(algebra, args)
         matrices = algebra.build(label)
         title = algebra.title(label)
-    ok = _print_report(title, _checks(algebra, label, matrices, tol))
+    checks = repcheck.standard_checks(algebra.spec(), matrices, tol, algebra.interior(label))
+    ok = _print_report(title, checks + algebra.extra_checks(label))
     return 0 if ok else 1
 
 
@@ -402,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--weight")
     chk.add_argument("--lm")
     chk.add_argument("--replay", help="re-verify a generated JSON document")
-    chk.add_argument("--tol", type=float, help="residual tolerance (default 1e-10 or VCS_IRREPS_TOL)")
+    chk.add_argument("--tol", help="residual tolerance (default 1e-10 or VCS_IRREPS_TOL)")
     chk.set_defaults(func=cmd_check)
 
     br = sub.add_parser("branch", help="L-multiplicity table from both constructions")

@@ -9,17 +9,17 @@ whether the Casimir is a multiple of the identity (Schur test);
 :func:`standard_checks` runs all three.  All residuals are relative, so
 tolerances need no retuning with irrep size.
 
-Whether a check runs exactly or in floats follows from the matrices alone.
-When every generator is exact (``int``, ``Fraction``, ``Radical`` or
-``RadicalSum`` entries), each becomes an :class:`ExactMatrix` once: integer
-numerators over one denominator per matrix, times square roots of square-free
-cores.  Commutators, Hermiticity and the Casimir are then summed in plain
-integers, so a holding identity reports exactly 0.0; only a non-zero defect
-(or a Casimir that is not exactly constant) is turned into floats, to report
-its size.  Otherwise each generator becomes a :class:`SparseMatrix` once, and
-products are gathered entry by entry and summed with ``np.bincount``.  Either
-way a check costs the number of scalar products it forms plus ``d**2``, never
-``d**3``; only the float Casimir is held densely, for the Schur test.
+Each check is written once, as a list of ``(c, A, B)`` terms summed by the
+kernel that the matrices choose.  When every generator is exact (``int``,
+``Fraction``, ``Radical`` or ``RadicalSum`` entries), each becomes an
+:class:`ExactMatrix` once: integer numerators over one denominator, times
+square roots of square-free cores.  The sums are then formed in plain
+integers, so a holding identity (or an exactly constant Casimir) reports
+exactly 0.0, and a non-zero defect is evaluated to float precision however
+much its square classes cancel.  Otherwise each generator becomes a
+:class:`SparseMatrix` once, and products are gathered entry by entry and
+summed with ``np.bincount``.  Either way a check costs the number of scalar
+products it forms plus ``d**2``, never ``d**3``.
 
 Shipped tables: su(1,1), u(3) (all 81 relations), and su(3) in its
 SO(3)-tensor form (angular momentum plus the five quadrupole components).
@@ -28,6 +28,7 @@ SO(3)-tensor form (angular momentum plus the five quadrupole components).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -139,14 +140,11 @@ def u3_spec() -> AlgebraSpec:
     brackets = {}
     for i, k in names:
         for l, m in names:
-            terms = []
+            combined: Counter = Counter()
             if k == l:
-                terms.append((1, f"C{i}{m}"))
+                combined[f"C{i}{m}"] += 1
             if i == m:
-                terms.append((-1, f"C{l}{k}"))
-            combined: dict[str, int] = {}
-            for c, z in terms:
-                combined[z] = combined.get(z, 0) + c
+                combined[f"C{l}{k}"] -= 1
             brackets[(f"C{i}{k}", f"C{l}{m}")] = tuple(
                 (c, z) for z, c in combined.items() if c
             )
@@ -209,6 +207,8 @@ def su3_so3_spec() -> AlgebraSpec:
 
 
 # -- residual functions --------------------------------------------------------
+# A check sums ``(c, A, B)`` terms, ``c A B`` (``c A`` when ``B`` is None), with
+# the ``sum`` of either matrix form; its result has ``norm`` and ``deviation``.
 
 
 class SparseMatrix:
@@ -225,15 +225,9 @@ class SparseMatrix:
     def __init__(self, dim: int, rows, cols, vals):
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals)
-        if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= dim):
-            raise IndexError(f"entry outside {dim}x{dim} matrix")
-        keys = rows * dim + cols
-        order = np.argsort(keys, kind="stable")
-        if np.any(np.diff(keys[order]) == 0):
-            raise ValueError("duplicate matrix entry")
+        order = np.argsort(rows * dim + cols, kind="stable")
         self.dim = dim
-        self.rows, self.cols, self.vals = rows[order], cols[order], vals[order]
+        self.rows, self.cols, self.vals = rows[order], cols[order], np.asarray(vals)[order]
         self.starts = np.searchsorted(self.rows, np.arange(dim + 1))
         self.norm = float(np.linalg.norm(self.vals))
 
@@ -250,28 +244,44 @@ class SparseMatrix:
         rows, cols = np.nonzero(m)
         return cls(m.shape[0], rows, cols, m[rows, cols])
 
-    def terms(self, scale=1.0):
-        """``scale`` times the entries, as ``(flat index, value)`` pairs."""
-        return self.rows * self.dim + self.cols, scale * self.vals
+    def adjoint(self) -> "SparseMatrix":
+        return SparseMatrix(self.dim, self.cols, self.rows, self.vals.conj())
+
+    def _terms(self, c: float, b: "SparseMatrix | None"):
+        """``c A`` or ``c A B`` as unsummed ``(flat index, value)`` pairs."""
+        if b is None:
+            return self.rows * self.dim + self.cols, c * self.vals
+        lo = b.starts[self.cols]
+        counts = b.starts[self.cols + 1] - lo
+        src = np.repeat(np.arange(self.vals.size), counts)
+        at = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(src.size)
+        return self.rows[src] * self.dim + b.cols[at], c * self.vals[src] * b.vals[at]
+
+    @staticmethod
+    def sum(dim: int, terms) -> "FloatSum":
+        """The dense sum of the terms, gathered with ``np.bincount``."""
+        pairs = [a._terms(as_float(c), b) for c, a, b in terms]
+        keys = np.concatenate([k for k, _ in pairs])
+        vals = np.concatenate([v for _, v in pairs])
+        out = np.bincount(keys, vals.real, dim * dim)
+        if np.iscomplexobj(vals):
+            out = out + 1j * np.bincount(keys, vals.imag, dim * dim)
+        return FloatSum(out.reshape(dim, dim))
 
 
-def _product(a: SparseMatrix, b: SparseMatrix, scale=1.0):
-    """``scale * A B`` as unsummed ``(flat index, value)`` pairs."""
-    lo = b.starts[a.cols]
-    counts = b.starts[a.cols + 1] - lo
-    src = np.repeat(np.arange(a.vals.size), counts)
-    at = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(src.size)
-    return a.rows[src] * a.dim + b.cols[at], scale * a.vals[src] * b.vals[at]
+class FloatSum:
+    """A float sum of matrices, held densely; both measures see the leading ``interior`` block."""
 
+    def __init__(self, dense: np.ndarray):
+        self.dense = dense
 
-def _summed(dim: int, terms) -> np.ndarray:
-    """The dense ``dim x dim`` sum of ``(flat index, value)`` pairs."""
-    keys = np.concatenate([k for k, _ in terms])
-    vals = np.concatenate([v for _, v in terms])
-    out = np.bincount(keys, vals.real, dim * dim)
-    if np.iscomplexobj(vals):
-        out = out + 1j * np.bincount(keys, vals.imag, dim * dim)
-    return out.reshape(dim, dim)
+    def norm(self, interior: int | None = None) -> float:
+        return float(np.linalg.norm(self.dense[:interior, :interior]))
+
+    def deviation(self, interior: int | None = None) -> float:
+        """Largest deviation from the mean diagonal value times I."""
+        m = self.dense[:interior, :interior]
+        return float(np.abs(m - float(np.trace(m).real) / len(m) * np.eye(len(m))).max())
 
 
 class ExactMatrix:
@@ -285,209 +295,191 @@ class ExactMatrix:
 
     __slots__ = ("dim", "den", "rows", "norm")
 
-    def __init__(self, m: OperatorMatrix):
-        terms = [(r, c, t) for (r, c), v in m.entries.items() for t in radical_terms(v)]
-        self.dim = m.dim
-        self.den = math.lcm(*(den for _, _, (_, _, den) in terms))
-        self.rows: list[list[tuple[int, int, int]]] = [[] for _ in range(m.dim)]
-        for r, c, (core, num, den) in terms:
-            self.rows[r].append((c, core, num * (self.den // den)))
-        self.norm = m.frobenius()
+    def __init__(self, dim: int, den: int, rows: list[list[tuple[int, int, int]]], norm: float):
+        self.dim, self.den, self.rows, self.norm = dim, den, rows, norm
 
     @classmethod
     def of(cls, m) -> "ExactMatrix":
         """The exact form of an exact OperatorMatrix."""
-        return m if isinstance(m, cls) else cls(m)
+        if isinstance(m, cls):
+            return m
+        terms = [(r, c, t) for (r, c), v in m.entries.items() for t in radical_terms(v)]
+        den = math.lcm(*(d for _, _, (_, _, d) in terms))
+        rows: list[list[tuple[int, int, int]]] = [[] for _ in range(m.dim)]
+        for r, c, (core, num, d) in terms:
+            rows[r].append((c, core, num * (den // d)))
+        return cls(m.dim, den, rows, m.frobenius())
+
+    def adjoint(self) -> "ExactMatrix":
+        """The transpose: exact entries are real."""
+        rows: list[list[tuple[int, int, int]]] = [[] for _ in range(self.dim)]
+        for r, row in enumerate(self.rows):
+            for c, core, num in row:
+                rows[c].append((r, core, num))
+        return ExactMatrix(self.dim, self.den, rows, self.norm)
+
+    @staticmethod
+    def sum(dim: int, terms) -> "ExactSum":
+        """The sum of the terms in plain integers, over one common denominator."""
+        parts = [
+            (a, b, core, num, den * a.den * (1 if b is None else b.den))
+            for c, a, b in terms
+            for core, num, den in radical_terms(c)
+        ]
+        common = math.lcm(*(den for *_, den in parts))
+        acc: dict[tuple[int, int], int] = {}
+        gcd = math.gcd
+        for a, b, core, num, den in parts:
+            scale = num * (common // den)
+            for r, row in enumerate(a.rows):
+                base = r * dim
+                for k, ca, na in row:
+                    g = gcd(ca, core)  # sqrt(ca) sqrt(core) = g sqrt(ca/g core/g)
+                    ca, na = (ca // g) * (core // g), na * g * scale
+                    if b is None:
+                        acc[base + k, ca] = acc.get((base + k, ca), 0) + na
+                        continue
+                    for c, cb, nb in b.rows[k]:
+                        g = gcd(ca, cb)
+                        key = (base + c, (ca // g) * (cb // g))
+                        acc[key] = acc.get(key, 0) + na * nb * g
+        return ExactSum(dim, common, acc)
 
 
-# An exact sum of matrices is accumulated as integer numerators over a
-# denominator the caller keeps, keyed ``(flat index, square-free core)``.
+class ExactSum:
+    """An exact sum of matrices: integer numerators over ``den``, keyed ``(flat index, core)``.
+
+    Both measures see the leading ``interior`` block, are exactly 0.0 when its
+    integers say so, and otherwise evaluate each entry with :func:`_value`.
+    """
+
+    def __init__(self, dim: int, den: int, acc: dict[tuple[int, int], int]):
+        self.dim, self.den, self.acc = dim, den, acc
+
+    def _block(self, interior: int | None) -> tuple[int, dict[tuple[int, int], dict[int, int]]]:
+        """The block's size and its non-zero entries as ``{(r, c): {core: num}}``."""
+        n = self.dim if interior is None else min(interior, self.dim)
+        entries: dict[tuple[int, int], dict[int, int]] = {}
+        for (flat, core), num in self.acc.items():
+            if num:
+                r, c = divmod(flat, self.dim)
+                if r < n and c < n:
+                    entries.setdefault((r, c), {})[core] = num
+        return n, entries
+
+    def norm(self, interior: int | None = None) -> float:
+        return math.hypot(*(_value(e, self.den) for e in self._block(interior)[1].values()))
+
+    def deviation(self, interior: int | None = None) -> float:
+        """Largest deviation from the mean diagonal value times I, from ``n C - trace I`` in integers."""
+        n, entries = self._block(interior)
+        # Each distinct diagonal value is measured once, with its count in the trace.
+        diagonal = Counter(frozenset(entries.pop((r, r), {}).items()) for r in range(n))
+        trace: Counter = Counter()
+        for value, count in diagonal.items():
+            trace.update({core: count * num for core, num in value})
+        worst = 0.0
+        for entry, mean in [(dict(value), trace) for value in diagonal] + [(e, {}) for e in entries.values()]:
+            shifted = {core: n * entry.get(core, 0) - mean.get(core, 0) for core in {*entry, *mean}}
+            worst = max(worst, abs(_value(shifted, n * self.den)))
+        return worst
 
 
-def _add_product(acc: dict, a: ExactMatrix, b: ExactMatrix, scale: int, core: int = 1) -> None:
-    """Add ``scale * sqrt(core) * A B`` to ``acc``, over ``a.den * b.den``."""
-    dim, gcd, b_rows = a.dim, math.gcd, b.rows
-    for r, row in enumerate(a.rows):
-        base = r * dim
-        for k, ca, na in row:
-            g = gcd(ca, core)
-            ca, na = (ca // g) * (core // g), na * g * scale
-            for c, cb, nb in b_rows[k]:
-                g = gcd(ca, cb)  # sqrt(ca) sqrt(cb) = g sqrt(ca/g cb/g)
-                key = (base + c, (ca // g) * (cb // g))
-                acc[key] = acc.get(key, 0) + na * nb * g
+def _value(entry: dict[int, int], den: int) -> float:
+    """``sum num sqrt(core) / den`` over ``{core: num}`` to float precision; 0.0 only when every num is 0.
+
+    Flooring each ``|num| sqrt(core) 2**k`` errs by less than one, so ``k`` grows
+    until the sum dwarfs the number of terms; it is non-zero for a non-zero num,
+    as square roots of distinct square-free cores are linearly independent.  A
+    core with a squared prime factor above ``radical._FACTOR_BOUND`` can make it
+    zero, so ``k`` stops where the error is far below the smallest float.
+    """
+    terms = [(num, core) for core, num in entry.items() if num]
+    k = 64
+    while True:
+        total = sum(math.isqrt(num * num * core << 2 * k) * (1 if num > 0 else -1) for num, core in terms)
+        if abs(total) >> 60 >= len(terms) or k >= 2048:
+            return total / (den << k)
+        k *= 2
 
 
-def _add_scaled(acc: dict, m: ExactMatrix, scale: int, core: int = 1, transpose: bool = False) -> None:
-    """Add ``scale * sqrt(core)`` times ``M`` (or its transpose) to ``acc``, over ``m.den``."""
-    dim, gcd = m.dim, math.gcd
-    for r, row in enumerate(m.rows):
-        for c, cm, num in row:
-            g = gcd(cm, core)
-            key = (c * dim + r if transpose else r * dim + c, (cm // g) * (core // g))
-            acc[key] = acc.get(key, 0) + scale * num * g
-
-
-def _exact_norm(acc: dict, den: int, dim: int, interior: int | None = None) -> float:
-    """Frobenius norm of ``acc / den`` on the interior block; exactly 0.0 when all its integers are 0."""
-    values: dict[int, float] = {}
-    for (flat, core), num in acc.items():
-        if num and (interior is None or max(divmod(flat, dim)) < interior):
-            values[flat] = values.get(flat, 0.0) + num / den * math.sqrt(core)
-    return math.sqrt(sum(v * v for v in values.values()))
-
-
-def _commutator_defect(spec: AlgebraSpec, forms: dict, x: str, y: str) -> tuple[dict, int]:
-    """``[X, Y] - sum c Z`` as accumulated numerators and their common denominator."""
+def _commutator_terms(spec: AlgebraSpec, forms: dict, x: str, y: str) -> list:
+    """``[X, Y] - sum c Z`` as ``(c, A, B or None)`` terms."""
     a, b = forms[x], forms[y]
-    terms = [
-        (forms[z], core, num, den) for c, z in spec.bracket(x, y) for core, num, den in radical_terms(c)
-    ]
-    common = math.lcm(a.den * b.den, *(den * z.den for z, _, _, den in terms))
-    acc: dict = {}
-    scale = common // (a.den * b.den)
-    _add_product(acc, a, b, scale)
-    _add_product(acc, b, a, -scale)
-    for z, core, num, den in terms:
-        _add_scaled(acc, z, -num * (common // (den * z.den)), core)
-    return acc, common
+    return [(1, a, b), (-1, b, a)] + [(-c, forms[z], None) for c, z in spec.bracket(x, y)]
 
 
 def _forms(spec: AlgebraSpec, matrices: dict, form=None) -> dict:
-    """Every generator converted once, checking that all are given, at one dimension.
-
-    ``form`` defaults to :class:`ExactMatrix` when every matrix is exact and
-    to :class:`SparseMatrix` otherwise.
-    """
+    """Every generator converted once, all given, at one dimension; by default exact when all are."""
     missing = [g for g in spec.generators if g not in matrices]
     if missing:
         raise ValueError(f"matrices missing for generators {missing}")
+    given = [matrices[g] for g in spec.generators]
     if form is None:
-        form = ExactMatrix if _is_exact(spec, matrices) else SparseMatrix
-    forms = {g: form.of(matrices[g]) for g in spec.generators}
+        exact = all(isinstance(m, ExactMatrix) or (isinstance(m, OperatorMatrix) and m.is_exact()) for m in given)
+        form = ExactMatrix if exact else SparseMatrix
+    forms = {g: form.of(m) for g, m in zip(spec.generators, given)}
     if len({f.dim for f in forms.values()}) != 1:
         raise ValueError("matrices have mismatched dimensions")
     return forms
 
 
-def _is_exact(spec: AlgebraSpec, matrices: dict) -> bool:
-    """Whether every generator is exact, so its checks run in exact arithmetic."""
-    return all(
-        isinstance(m, ExactMatrix) or (isinstance(m, OperatorMatrix) and m.is_exact())
-        for m in (matrices.get(g) for g in spec.generators)
-    )
-
-
 def _as_matrix(m) -> np.ndarray:
-    if isinstance(m, OperatorMatrix):
-        return m.to_dense()
-    return np.asarray(m)
+    return m.to_dense() if isinstance(m, OperatorMatrix) else np.asarray(m)
 
 
 def commutator_residual(spec: AlgebraSpec, matrices: dict, interior: int | None = None) -> float:
     """Max over generator pairs of ``|[A,B] - sum c C| / (1 + |A| |B|)`` (Frobenius).
 
-    When every matrix is exact the defect is summed in exact integers, so a
-    holding identity reports exactly 0.0; otherwise it is summed from sparse
-    float products.  ``interior`` restricts the defect (not the norms of A
-    and B) to the leading ``interior x interior`` block.
+    ``interior`` restricts the defect, not the norms of A and B, to the leading block.
     """
     forms = _forms(spec, matrices)
-    exact = _is_exact(spec, forms)
     gens = spec.generators
     worst = 0.0
     for i, x in enumerate(gens):
         a = forms[x]
         for y in gens[i:]:
-            b = forms[y]
-            if exact:
-                num = _exact_norm(*_commutator_defect(spec, forms, x, y), a.dim, interior)
-            else:
-                terms = [_product(a, b), _product(b, a, -1.0)]
-                terms += [forms[z].terms(-as_float(c)) for c, z in spec.bracket(x, y)]
-                num = float(np.linalg.norm(_summed(a.dim, terms)[:interior, :interior]))
-            worst = max(worst, num / (1.0 + a.norm * b.norm))
+            defect = type(a).sum(a.dim, _commutator_terms(spec, forms, x, y))
+            worst = max(worst, defect.norm(interior) / (1.0 + a.norm * forms[y].norm))
     return worst
 
 
 def hermiticity_residual(spec: AlgebraSpec, matrices: dict) -> float:
-    """Max over declared pairs of ``|A^dag - phase B| / (1 + |A|)``; exact when every matrix is."""
+    """Max over declared pairs of ``|A^dag - phase B| / (1 + |A|)``."""
     forms = _forms(spec, matrices)
-    exact = _is_exact(spec, forms)
     worst = 0.0
     for a_name, b_name, phase in spec.hermiticity_pairs:
-        a, b = forms[a_name], forms[b_name]
-        if exact:  # exact entries are real, so the adjoint is the transpose
-            acc: dict = {}
-            _add_scaled(acc, a, b.den, transpose=True)
-            _add_scaled(acc, b, -phase * a.den)
-            num = _exact_norm(acc, a.den * b.den, a.dim)
-        else:
-            adjoint = (a.cols * a.dim + a.rows, a.vals.conj())
-            num = float(np.linalg.norm(_summed(a.dim, [adjoint, b.terms(-phase)])))
-        worst = max(worst, num / (1.0 + a.norm))
+        a = forms[a_name]
+        defect = type(a).sum(a.dim, [(1, a.adjoint(), None), (-phase, forms[b_name], None)])
+        worst = max(worst, defect.norm() / (1.0 + a.norm))
     return worst
+
+
+def casimir_residual(spec: AlgebraSpec, matrices: dict, interior: int | None = None) -> float:
+    """The Casimir's largest deviation from a multiple of I, over ``1 + sum |c| |X| |Y|``.
+
+    That scale is the size of the terms ``c X Y`` that cancel in the deviation
+    (Frobenius norms).  ``interior`` confines the test to the leading block.
+    """
+    forms = _forms(spec, matrices)
+    terms = [(c, forms[x], forms[y]) for c, x, y in spec.casimir]
+    scale = 1.0 + sum(abs(as_float(c)) * a.norm * b.norm for c, a, b in terms)
+    a = terms[0][1]
+    return type(a).sum(a.dim, terms).deviation(interior) / scale
 
 
 def schur_constancy(matrix) -> tuple[float, float]:
     """Mean diagonal value and max normalized deviation from that multiple of I."""
-    mean, dev = _schur_deviation(_as_matrix(matrix))
-    return mean, dev / (1.0 + abs(mean))
-
-
-def _schur_deviation(m: np.ndarray) -> tuple[float, float]:
-    """Mean diagonal value and max absolute deviation from that multiple of I."""
-    n = m.shape[0]
-    mean = float(np.trace(m).real) / n
-    return mean, float(np.abs(m - mean * np.eye(n)).max())
+    m = _as_matrix(matrix)
+    mean = float(np.trace(m).real) / len(m)
+    return mean, FloatSum(m).deviation() / (1.0 + abs(mean))
 
 
 def casimir_matrix(spec: AlgebraSpec, matrices: dict) -> np.ndarray:
     """The spec's quadratic Casimir ``sum c X Y`` (at least one term) as a dense array."""
     forms = _forms(spec, matrices, SparseMatrix)
     dim = forms[spec.generators[0]].dim
-    return _summed(dim, [_product(forms[x], forms[y], as_float(c)) for c, x, y in spec.casimir])
-
-
-def _casimir_constancy(spec: AlgebraSpec, forms: dict, interior: int | None) -> float:
-    """The Schur deviation of the Casimir on the interior block; exactly 0.0 for exact constancy.
-
-    Float forms divide the largest deviation by ``1 + sum |c| |X| |Y|``
-    (Frobenius norms), the size of the terms that cancel in it, as
-    :func:`commutator_residual` does.  Exact forms sum the Casimir exactly;
-    only a Casimir that is not exactly constant goes to the float
-    :func:`schur_constancy`.
-    """
-    if not _is_exact(spec, forms):
-        _, dev = _schur_deviation(casimir_matrix(spec, forms)[:interior, :interior])
-        scale = 1.0 + sum(abs(as_float(c)) * forms[x].norm * forms[y].norm for c, x, y in spec.casimir)
-        return dev / scale
-    dim = forms[spec.generators[0]].dim
-    terms = [
-        (forms[x], forms[y], core, num, den)
-        for c, x, y in spec.casimir
-        for core, num, den in radical_terms(c)
-    ]
-    common = math.lcm(*(den * a.den * b.den for a, b, _, _, den in terms))
-    acc: dict = {}
-    for a, b, core, num, den in terms:
-        _add_product(acc, a, b, num * (common // (den * a.den * b.den)), core)
-    # Exactly constant: no off-diagonal entry, and each core's diagonal
-    # numerator the same on every interior row.
-    n = dim if interior is None else min(interior, dim)
-    diagonal: dict[int, list[int]] = {}
-    constant = True
-    for (flat, core), num in acc.items():
-        r, c = divmod(flat, dim)
-        if num and r < n and c < n:
-            constant = constant and r == c
-            diagonal.setdefault(core, []).append(num)
-    if constant and all(len(nums) == n and len(set(nums)) == 1 for nums in diagonal.values()):
-        return 0.0
-    dense = np.zeros(dim * dim)
-    for (flat, core), num in acc.items():
-        dense[flat] += num / common * math.sqrt(core)
-    return schur_constancy(dense.reshape(dim, dim)[:interior, :interior])[1]
+    return SparseMatrix.sum(dim, [(c, forms[x], forms[y]) for c, x, y in spec.casimir]).dense
 
 
 def standard_checks(
@@ -496,11 +488,9 @@ def standard_checks(
     """Commutator, Hermiticity and Casimir-constancy residuals as ``(name, residual, passed)``.
 
     The generators are converted once, to :class:`ExactMatrix` when every
-    matrix is exact (all three checks then run in exact integers) and to
-    :class:`SparseMatrix` otherwise.  ``interior`` confines the commutator
-    defect and the Schur test to the leading block, for truncations of
-    infinite-dimensional irreps whose identities fail only on the boundary
-    rows and columns.
+    matrix is exact and to :class:`SparseMatrix` otherwise.  ``interior``
+    confines the commutator defect and the Schur test to the leading block,
+    for truncations whose identities fail only on the last rows and columns.
     """
     suffix = "" if interior is None else " (interior)"
     forms = _forms(spec, matrices)
@@ -509,7 +499,7 @@ def standard_checks(
         ("hermiticity", hermiticity_residual(spec, forms)),
     ]
     if spec.casimir:
-        residuals.append(("casimir constancy" + suffix, _casimir_constancy(spec, forms, interior)))
+        residuals.append(("casimir constancy" + suffix, casimir_residual(spec, forms, interior)))
     return [(name, r, r <= tol) for name, r in residuals]
 
 

@@ -159,11 +159,20 @@ def _casimir_line(out):
 
 
 def test_replay_of_large_su11_truncation_passes(tmp_path, capsys):
-    # A replay checks in floats.  The Casimir's terms S+ S- and S- S+ have
-    # entries near n**2 = 4e6 while their sum stays -5/36 on the interior,
-    # so its rounding (about 1e-9) is small only next to the size of the
-    # terms that cancel, which is what the deviation is divided by.
+    # The exact document replays exactly: the interior Casimir is exactly
+    # -5/36 times the identity, though its terms S+ S- and S- S+ have entries
+    # near n**2 = 4e6.
     path = _gen_large_su11(tmp_path, capsys)
+    code, out, _ = run(capsys, "check", "--replay", str(path))
+    assert code == 0, out
+    assert _casimir_line(out).endswith("residual 0.000e+00  PASS")
+
+
+def test_float_replay_of_large_su11_truncation_passes(tmp_path, capsys):
+    # In floats the Casimir's rounding (about 1e-9) is small only next to the
+    # size of the terms that cancel, which is what the deviation is divided by.
+    path = tmp_path / "su11.json"
+    run(capsys, "gen", "su11", "--lambda", "1/3", "--nmax", "2000", "--mode", "float", "--out", str(path))
     code, out, _ = run(capsys, "check", "--replay", str(path))
     assert code == 0, out
     assert _casimir_line(out).endswith("PASS")
@@ -180,6 +189,33 @@ def test_replay_of_perturbed_large_su11_casimir_fails(tmp_path, capsys):
     code, out, _ = run(capsys, "check", "--replay", str(path))
     assert code == 1
     assert _casimir_line(out).endswith("FAIL")
+
+
+def test_exact_replay_prints_the_live_lines(tmp_path, capsys):
+    # An exact document replays in exact arithmetic, so its holding identities
+    # read 0.000e+00 as in the live check, not float rounding.
+    path = tmp_path / "u3.json"
+    run(capsys, "gen", "u3", "--weight", "7/3,4/3,1/3", "--out", str(path))
+    code, replayed, _ = run(capsys, "check", "--replay", str(path), "--tol", "0")
+    assert code == 0, replayed
+    code, live, _ = run(capsys, "check", "u3", "--weight", "7/3,4/3,1/3", "--tol", "0")
+    assert replayed.splitlines()[1:] == live.splitlines()[1:]
+    assert all(" residual 0.000e+00  PASS" in line for line in live.splitlines()[1:])
+
+
+def test_replay_of_radicand_perturbed_at_1e_30_fails_at_zero_tolerance(tmp_path, capsys):
+    path = tmp_path / "u3.json"
+    run(capsys, "gen", "u3", "--weight", "4,2,0", "--out", str(path))
+    code, out, _ = run(capsys, "check", "--replay", str(path), "--tol", "0")
+    assert code == 0, out
+    doc = json.loads(path.read_text())
+    entry = next(e for e in doc["generators"]["C21"]["entries"] if not Radical.from_json(e[2]).is_rational())
+    value = Radical.from_json(entry[2])
+    entry[2] = Radical(value.sign, value.radicand * (1 + Fraction(1, 10**30))).to_json()
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "check", "--replay", str(path), "--tol", "0")
+    assert code == 1
+    assert "FAIL" in out
 
 
 def test_replay_missing_file(capsys):
@@ -245,24 +281,86 @@ def _duplicate_first(entries):
     entries.append(entries[0])
 
 
+def _edit_document(tmp_path, capsys, gen_argv, edit):
+    path = tmp_path / "doc.json"
+    run(capsys, "gen", *gen_argv, "--out", str(path))
+    doc = json.loads(path.read_text())
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _one_dim_changed(doc):
+    doc["generators"]["S+"]["dim"] += 1
+
+
+def _all_dims_zero(doc):
+    for info in doc["generators"].values():
+        info["dim"] = 0
+
+
+def _truncation_relabelled(doc):
+    # nmax 50 -> 10, so that a check on the 10 x 10 interior would not see
+    # the S+ and S- entries changed at row and column 40.
+    doc["weight"]["nmax"] = 10
+    for name in ("S+", "S-"):
+        for entry in doc["generators"][name]["entries"]:
+            if 40 in entry[:2]:
+                entry[2] = Radical.from_rational(7).to_json()
+
+
+def _su3_relabelled(doc):
+    doc["weight"] = {"lam": 2, "mu": 1}
+
+
 @pytest.mark.parametrize(
-    "argv, document",
+    "argv, document, env",
     [
-        (["check", "su11", "--lambda", "-1", "--nmax", "5"], None),
-        (["gen", "su11", "--lambda", "0", "--nmax", "3"], None),
-        (["check", "su11", "--lambda", "1", "--nmax", "0"], None),
-        (["check", "--replay"], lambda tmp_path, capsys: "this is not JSON"),
-        (["check", "--replay"], lambda tmp_path, capsys: _drop_key(tmp_path, capsys, "su11", "generators")),
-        (["check", "--replay"], lambda tmp_path, capsys: _drop_key(tmp_path, capsys, "su3-so3", "weight")),
-        (["check", "--replay"], lambda tmp_path, capsys: _edit_entries(tmp_path, capsys, _negative_row)),
-        (["check", "--replay"], lambda tmp_path, capsys: _edit_entries(tmp_path, capsys, _duplicate_first)),
+        (["check", "su11", "--lambda", "-1", "--nmax", "5"], None, {}),
+        (["gen", "su11", "--lambda", "0", "--nmax", "3"], None, {}),
+        (["check", "su11", "--lambda", "1", "--nmax", "0"], None, {}),
+        (["check", "--replay"], lambda tmp_path, capsys: "this is not JSON", {}),
+        (["check", "--replay"], lambda tmp_path, capsys: _drop_key(tmp_path, capsys, "su11", "generators"), {}),
+        (["check", "--replay"], lambda tmp_path, capsys: _drop_key(tmp_path, capsys, "su3-so3", "weight"), {}),
+        (["check", "--replay"], lambda tmp_path, capsys: _edit_entries(tmp_path, capsys, _negative_row), {}),
+        (["check", "--replay"], lambda tmp_path, capsys: _edit_entries(tmp_path, capsys, _duplicate_first), {}),
+        (
+            ["check", "--replay"],
+            lambda tmp_path, capsys: _edit_document(tmp_path, capsys, ["su11", *SMALL_IRREPS["su11"]], _one_dim_changed),
+            {},
+        ),
+        (
+            ["check", "--replay"],
+            lambda tmp_path, capsys: _edit_document(tmp_path, capsys, ["u3", "--weight", "0,0,0"], _all_dims_zero),
+            {},
+        ),
+        (
+            ["check", "--replay"],
+            lambda tmp_path, capsys: _edit_document(
+                tmp_path, capsys, ["su11", "--lambda", "7/2", "--nmax", "50"], _truncation_relabelled
+            ),
+            {},
+        ),
+        (
+            ["check", "--replay"],
+            lambda tmp_path, capsys: _edit_document(tmp_path, capsys, ["su3-so3", "--lm", "8,6"], _su3_relabelled),
+            {},
+        ),
+        (["check", "u3", "--weight", "2,1,0"], None, {"VCS_IRREPS_TOL": "abc"}),
+        (["check", "u3", "--weight", "2,1,0"], None, {"VCS_IRREPS_TOL": "inf"}),
+        (["check", "u3", "--weight", "2,1,0", "--tol", "nan"], None, {}),
+        (["check", "u3", "--weight", "2,1,0", "--tol=-1e-10"], None, {}),
+        (["check", "u3", "--weight", "2,1,0", "--tol", "abc"], None, {}),
     ],
     ids=[
         "negative-lambda", "zero-lambda", "zero-nmax", "non-json", "no-generators", "no-weight",
-        "negative-entry-index", "duplicate-entry",
+        "negative-entry-index", "duplicate-entry", "mismatched-dims", "zero-dims",
+        "su11-nmax-relabelled", "su3-relabelled", "env-tol-not-a-number", "env-tol-infinite",
+        "tol-nan", "tol-negative", "tol-not-a-number",
     ],
 )
-def test_bad_input_is_one_line_usage_error(tmp_path, capsys, argv, document):
+def test_bad_input_is_one_line_usage_error(tmp_path, capsys, monkeypatch, argv, document, env):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
     if document is not None:
         path = tmp_path / "input.json"
         path.write_text(document(tmp_path, capsys))

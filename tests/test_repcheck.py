@@ -332,7 +332,8 @@ def test_exact_kernel_defect_matches_sympy(spec, dim, seed):
             want = sym[x] * sym[y] - sym[y] * sym[x]
             for c, z in spec.bracket(x, y):
                 want -= _sympy_value(c) * sym[z]
-            got = _kernel_classes(*repcheck._commutator_defect(spec, forms, x, y), dim)
+            defect = repcheck.ExactMatrix.sum(dim, repcheck._commutator_terms(spec, forms, x, y))
+            got = _kernel_classes(defect.acc, defect.den, dim)
             for r in range(dim):
                 for col in range(dim):
                     assert got.get((r, col), {}) == _sympy_classes(want[r, col]), (x, y, r, col)
@@ -359,8 +360,9 @@ def _reference_checks(spec, mats, interior):
     casimir = OperatorMatrix("cas", next(iter(mats.values())).basis)
     for c, x, y in spec.casimir:
         casimir = casimir + (mats[x] @ mats[y]).scale(c)
-    _, dev = repcheck.schur_constancy(casimir.to_dense()[:interior, :interior])
-    return comm, herm, dev
+    dev = repcheck.FloatSum(casimir.to_dense()[:interior, :interior]).deviation()
+    scale = 1.0 + sum(abs(float(c)) * norm(mats[x]) * norm(mats[y]) for c, x, y in spec.casimir)
+    return comm, herm, dev / scale
 
 
 def _assert_rel(got, want, rel=1e-14):
@@ -372,7 +374,7 @@ def _assert_rel(got, want, rel=1e-14):
 @pytest.mark.parametrize("dim,interior", [(4, None), (6, None), (6, 4)])
 def test_exact_kernel_matches_operator_matrix_reference(spec, dim, interior):
     mats, _ = _random_exact(random.Random(dim), spec, dim, zero_generator=False)
-    assert repcheck._is_exact(spec, mats)
+    assert all(m.is_exact() for m in mats.values())  # so the exact kernel runs
     comm, herm, dev = _reference_checks(spec, mats, interior)
     checks = repcheck.standard_checks(spec, mats, 1e-10, interior)
     for (_, got, _), want in zip(checks, (comm, max(herm), dev)):
@@ -392,6 +394,31 @@ def test_exact_checks_see_a_perturbation_floats_cannot():
     assert bent["C21"].to_dense().tolist() == gens["C21"].to_dense().tolist()
     residual = repcheck.commutator_residual(spec, bent)
     assert 0.0 < residual < 1e-25
+
+
+def test_exact_checks_report_a_defect_that_cancels_across_square_classes():
+    # sqrt(10/3 (1 + 1e-30)) and sqrt(10/3) lie in different square classes,
+    # so each defect entry is a sum over classes that cancels to about 1e-30;
+    # summed in floats it reads 0.0 or rounding noise.
+    spec = repcheck.u3_spec()
+    gens = u3.assemble_generators(u3.U3HighestWeight(4, 2, 0))
+    assert gens["C21"][3, 0] == -Radical.sqrt_of(Fraction(10, 3))
+    bent = dict(gens, C21=gens["C21"].copy())
+    bent["C21"][3, 0] = Radical(-1, Fraction(10, 3) * (1 + Fraction(1, 10**30)))
+    checks = repcheck.standard_checks(spec, bent, 0.0)
+    assert [name for name, _, _ in checks] == ["commutators", "hermiticity", "casimir constancy"]
+    assert all(residual > 0.0 and not passed for _, residual, passed in checks)
+    # The worst Hermiticity pair differs in that one entry only.
+    defect = sympy.sqrt(sympy.Rational(10, 3)) * (sympy.sqrt(1 + sympy.Rational(1, 10**30)) - 1)
+    want = float(defect.evalf(40)) / (1.0 + gens["C12"].frobenius())
+    assert checks[1][1] == pytest.approx(want, rel=1e-12)
+
+
+def test_exact_entry_with_a_core_not_square_free_evaluates_to_zero():
+    # 10007 is a prime above the trial-division bound, so the square-free
+    # decomposition keeps 10007**2 * 10009 as a core, and this entry is
+    # 10007 sqrt(10009) - 10007 sqrt(10009) = 0 in two "classes".
+    assert repcheck._value({10009: -10007, 10007**2 * 10009: 1}, 3) == 0.0
 
 
 @pytest.mark.parametrize("lam,nmax", [(Fraction(1, 3), 40), (Fraction(2, 7), 10)])
