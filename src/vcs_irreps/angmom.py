@@ -189,35 +189,11 @@ def clebsch_gordan_twice(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: in
     return _cg_twice(tj1, tm1, tj2, tm2, tJ, tM)
 
 
-def _sixj_canonical_key(ta, tb, tc, td, te, tf):
-    """Canonical form of a 6j symbol under column permutations and row flips."""
-    cols = [(ta, td), (tb, te), (tc, tf)]
-    best = None
-    for p in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-        perm = [cols[i] for i in p]
-        for flips in range(4):
-            cand = list(perm)
-            if flips & 1:
-                cand[0] = cand[0][::-1]
-                cand[1] = cand[1][::-1]
-            if flips & 2:
-                cand[1] = cand[1][::-1]
-                cand[2] = cand[2][::-1]
-            key = (cand[0][0], cand[1][0], cand[2][0], cand[0][1], cand[1][1], cand[2][1])
-            if best is None or key < best:
-                best = key
-    return best
-
-
 @lru_cache(maxsize=None)
 def _sixj_twice(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> Radical:
     for tri in ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc)):
         if not _triangle_ok(*tri):
             return Radical.zero()
-    key = (ta, tb, tc, td, te, tf)
-    canon = _sixj_canonical_key(*key)
-    if canon != key:
-        return _sixj_twice(*canon)
     t1 = ta + tb + tc
     t2 = ta + te + tf
     t3 = td + tb + tf

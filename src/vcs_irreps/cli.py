@@ -151,9 +151,6 @@ class Algebra:
     csv_weight: Callable[[Any], str]
     reduced: Callable[[Any, dict], Iterable[tuple[str, str, Any]]]  # -> (bra, ket, value)
     dimension: Callable[[Any], int]  # label -> number of basis states
-    # The matrices pass through a numeric diagonalization, so documents carry
-    # floats whatever ``--mode`` asks for.
-    float_entries: bool = False
     # Size of the leading block on which the identities hold, for truncations.
     interior: Callable[[Any], int | None] = lambda label: None
     metadata: Callable[[Any], dict | None] = lambda label: None
@@ -176,17 +173,8 @@ def _su3_so3_from_args(args) -> su3_so3.Su3Label:
 
 
 def _u3_reduced(hw: u3.U3HighestWeight, gens: dict):
-    seen = set()
-    for lbl in u3.basis_enumeration(hw):
-        for tSp in (lbl.tS - 1, lbl.tS + 1):
-            key = (lbl.tj, lbl.tS, tSp)
-            if key in seen:
-                continue
-            seen.add(key)
-            val = u3.reduced_me(hw, lbl.tj, lbl.tS, tSp, "f")
-            if not val.is_zero():
-                bra = f"j={Fraction(lbl.tj + 1, 2)},S={Fraction(tSp, 2)}"
-                yield bra, f"j={Fraction(lbl.tj, 2)},S={Fraction(lbl.tS, 2)}", val
+    for tj, tS, tSp, val in u3.reduced_elements(hw):
+        yield f"j={Fraction(tj + 1, 2)},S={Fraction(tSp, 2)}", f"j={Fraction(tj, 2)},S={Fraction(tS, 2)}", val
 
 
 def _su3_so3_reduced(lm: su3_so3.Su3Label, gens: dict):
@@ -249,7 +237,6 @@ SU3_SO3 = Algebra(
     csv_weight=lambda lm: f"{lm.lam},{lm.mu}",
     reduced=_su3_so3_reduced,
     dimension=lambda lm: lm.dimension(),
-    float_entries=True,
     extra_checks=_su3_so3_branching,
 )
 
@@ -269,7 +256,7 @@ def _label(algebra: Algebra, args):
 
 def _document(algebra: Algebra, label, mode: str) -> dict:
     gens = algebra.build(label)
-    if algebra.float_entries:
+    if not all(m.is_exact() for m in gens.values()):
         mode = "float"
     doc = {
         "schema": SCHEMA_VERSION,
@@ -314,6 +301,8 @@ def _load_document(path: str):
                 raise UsageError(f"unknown algebra {doc['algebra']!r} in document")
             label = algebra.from_weight(doc["weight"])
             generators, dim = doc["generators"], algebra.dimension(label)
+            if len(doc["basis"]) != dim:
+                raise ValueError(f"basis has {len(doc['basis'])} labels, but the weight gives {dim}")
             matrices = {g: _matrix_from_json(g, generators[g], dim) for g in algebra.spec().generators}
         except (ValueError, KeyError, TypeError, IndexError) as exc:
             reason = f"missing key {exc}" if isinstance(exc, KeyError) else f"{type(exc).__name__}: {exc}"

@@ -281,6 +281,8 @@ class FloatSum:
     def deviation(self, interior: int | None = None) -> float:
         """Largest deviation from the mean diagonal value times I."""
         m = self.dense[:interior, :interior]
+        if not len(m):
+            return 0.0
         return float(np.abs(m - float(np.trace(m).real) / len(m) * np.eye(len(m))).max())
 
 

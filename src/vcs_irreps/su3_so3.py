@@ -12,13 +12,16 @@ arithmetic).  Diagonalizing the symmetric ``sqrt(2L+1) M[L, L]`` defines the
 multiplicity label ``alpha`` (the eigenbasis of the scalar L.Q.L invariant).
 One best-first walk over the quadrupole couplings between eigenstates, from
 the lowest-L state and along the strongest edge first, finds the in-irrep
-states and fixes each one's norm factor from the ratio across the edge that
-reached it; these factors unitarize the representation, and the reduced
-quadrupole matrix elements come out as
+states and fixes each one's norm factor ``k`` from the ratio across the edge
+that reached it.  The squared norm ratio ``(-1)**(L-L') curlyM[L,L'][alpha,beta]
+/ curlyM[L',L][beta,alpha]`` must be positive on every in-irrep edge, and the
+walk checks its sign on all of them, not only on the edges it took.  The norm
+factors unitarize the representation, and each reduced quadrupole matrix
+element comes from them once,
 
-    <beta L'||Q||alpha L> / sqrt((2L+1)(2L'+1))
-        = curlyM[L',L][beta,alpha] * sqrt((-1)**(L-L') curlyM[L,L'][alpha,beta]
-                                          / curlyM[L',L][beta,alpha]).
+    <beta L'||Q||alpha L> = (2L'+1) curlyM[L',L][beta,alpha] k_alpha / k_beta,
+
+a value that the generator matrices and a ``gen`` document's table share.
 
 A cross-check against the canonical-basis construction of the same irrep
 (``{lam+mu, mu, 0}``) is provided by :func:`branching_oracle`, which counts
@@ -34,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angmom import clebsch_gordan
+from .angmom import clebsch_gordan, clebsch_gordan_twice
 from .opmatrix import OperatorMatrix
 from .radical import Radical, RadicalSum, as_float
 from .repcheck import DEFAULT_TOL
@@ -195,6 +198,8 @@ class _Construction:
     curly: dict[tuple[int, int], np.ndarray]  # raw-index curlyM blocks
     positive: dict[int, list[int]]  # L -> raw eigen-indices of in-irrep states
     k_norm: dict[tuple[int, int], float]  # (L, raw index) -> norm factor
+    # (Lp, L) -> sqrt(2Lp+1) curlyM[Lp,L][beta,alpha] k_alpha / k_beta over in-irrep indices
+    factors: dict[tuple[int, int], np.ndarray]
 
 
 @lru_cache(maxsize=None)
@@ -249,9 +254,25 @@ def _construction(lm: Su3Label) -> _Construction:
             )
 
     positive, k_norm = _best_first_walk(levels, candidates, raw_candidates, curly)
+    norms = {L: np.array([k_norm[(L, a)] for a in positive[L]]) for L in levels}
+    factors = {
+        (Lp, L): np.sqrt(2 * Lp + 1) * block[np.ix_(positive[Lp], positive[L])] * norms[L] / norms[Lp][:, None]
+        for (Lp, L), block in curly.items()
+    }
     return _Construction(
-        lm, levels, candidates, raw_candidates, unitaries, eigenvalues, curly, positive, k_norm
+        lm, levels, candidates, raw_candidates, unitaries, eigenvalues, curly, positive, k_norm, factors
     )
+
+
+def _listed(block: np.ndarray) -> np.ndarray:
+    """Entries of a curlyM block above ``DEFAULT_TOL`` of its scale: the elements a table lists."""
+    return np.abs(block) > DEFAULT_TOL * max(1.0, float(np.abs(block).max()))
+
+
+def _edge_weights(fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:
+    """``min(|fwd[b, a]|, |bwd[a, b]|)`` over the block pair's scale, indexed ``[b, a]``."""
+    scale = max(1.0, float(np.abs(fwd).max()), float(np.abs(bwd).max()))
+    return np.minimum(np.abs(fwd), np.abs(bwd.T)) / scale
 
 
 def _best_first_walk(levels, candidates, raw_candidates, curly):
@@ -264,7 +285,10 @@ def _best_first_walk(levels, candidates, raw_candidates, curly):
     the block pair's scale, always takes the strongest pending edge, so each
     norm comes from a ratio of large entries instead of inheriting the
     rounding of a weak one.  Ties break on the state labels.  The closed-form
-    per-L counts then serve as a cross-check.
+    per-L counts then serve as a cross-check, and the norm ratio
+    ``(-1)**(L-L') curlyM[L,L'][a,b] / curlyM[L',L][b,a]`` must be strictly
+    positive on every in-irrep pair the walk weighs above ``_EDGE_TOL`` or a
+    reduced table lists, not only on the edges the walk took.
     """
     root = (levels[0], 0)
     k_norm = {root: 1.0}
@@ -274,10 +298,7 @@ def _best_first_walk(levels, candidates, raw_candidates, curly):
         for Lp in range(L - 2, L + 3):
             if (Lp, L) not in curly:
                 continue
-            fwd, bwd = curly[(Lp, L)], curly[(L, Lp)]
-            scale = max(1.0, float(np.abs(fwd).max()), float(np.abs(bwd).max()))
-            for b in range(fwd.shape[0]):
-                weight = min(abs(fwd[b, a]), abs(bwd[a, b])) / scale
+            for b, weight in enumerate(_edge_weights(curly[(Lp, L)], curly[(L, Lp)])[:, a]):
                 if weight > _EDGE_TOL and (Lp, b) not in k_norm:
                     heapq.heappush(heap, (-weight, Lp, b, L, a))
 
@@ -287,12 +308,7 @@ def _best_first_walk(levels, candidates, raw_candidates, curly):
         if (Lp, beta) in k_norm:
             continue
         fwd, bwd = curly[(Lp, L)][beta, alpha], curly[(L, Lp)][alpha, beta]
-        ratio_sq = (-1.0) ** (L - Lp) * (2 * L + 1) / (2 * Lp + 1) * bwd / fwd
-        if ratio_sq <= 0:
-            raise So3ConsistencyError(
-                f"non-positive norm ratio {ratio_sq:.3e} between "
-                f"(L={L},a={alpha}) and (L={Lp},a={beta})"
-            )
+        ratio_sq = abs((2 * L + 1) / (2 * Lp + 1) * bwd / fwd)  # its sign is checked below
         k_norm[(Lp, beta)] = k_norm[(L, alpha)] / np.sqrt(ratio_sq)
         push(Lp, beta)
 
@@ -303,6 +319,16 @@ def _best_first_walk(levels, candidates, raw_candidates, curly):
                 f"found {len(positive[L])} positive-norm states at L={L}, "
                 f"expected {len(candidates[L])} (raw candidates {raw_candidates[L]})"
             )
+    for (Lp, L), fwd in curly.items():
+        bwd = curly[(L, Lp)]
+        checked = (_edge_weights(fwd, bwd) > _EDGE_TOL) | _listed(fwd)
+        for b in positive[Lp]:
+            for a in positive[L]:
+                ratio = (-1.0) ** (L - Lp) * bwd[a, b] / fwd[b, a] if checked[b, a] else 1.0
+                if ratio <= 0:
+                    raise So3ConsistencyError(
+                        f"non-positive norm ratio {ratio:.3e} between (L={L},a={a}) and (L={Lp},a={b})"
+                    )
     return positive, k_norm
 
 
@@ -322,30 +348,17 @@ def reduced_q(lm: Su3Label, beta: int, Lp: int, alpha: int, L: int) -> float:
     """Reduced quadrupole matrix element ``<(lam,mu) beta Lp || Q || (lam,mu) alpha L>``.
 
     ``alpha`` and ``beta`` index the in-irrep states at their L in ascending
-    invariant-eigenvalue order; queries outside the irrep return 0.
+    invariant-eigenvalue order.  The value is ``sqrt(2Lp+1)`` times the factor
+    that :func:`assemble_so3_generators` expands, so a table and the matrices
+    agree.  Queries outside the irrep, and elements whose curlyM entry lies
+    within ``DEFAULT_TOL`` of its block's scale, return 0.
     """
     con = _construction(lm)
-    if (Lp, L) not in con.curly:
+    if (Lp, L) not in con.factors or beta >= len(con.positive[Lp]) or alpha >= len(con.positive[L]):
         return 0.0
-    if Lp not in con.positive or L not in con.positive:
+    if not _listed(con.curly[(Lp, L)])[con.positive[Lp][beta], con.positive[L][alpha]]:
         return 0.0
-    if beta >= len(con.positive[Lp]) or alpha >= len(con.positive[L]):
-        return 0.0
-    b_raw = con.positive[Lp][beta]
-    a_raw = con.positive[L][alpha]
-    fwd = con.curly[(Lp, L)][b_raw, a_raw]
-    scale = max(1.0, float(np.abs(con.curly[(Lp, L)]).max()))
-    if abs(fwd) <= DEFAULT_TOL * scale:
-        return 0.0
-    bwd = con.curly[(L, Lp)][a_raw, b_raw]
-    radicand = (-1.0) ** (L - Lp) * bwd / fwd
-    if radicand < 0:
-        if radicand > -(DEFAULT_TOL * scale) ** 0.5:
-            return 0.0
-        raise So3ConsistencyError(
-            f"negative norm-ratio radicand {radicand:.3e} for in-irrep labels"
-        )
-    return float(np.sqrt((2 * L + 1) * (2 * Lp + 1)) * fwd * np.sqrt(radicand))
+    return float(np.sqrt(2 * Lp + 1) * con.factors[(Lp, L)][beta, alpha])
 
 
 def basis_labels(lm: Su3Label) -> list[RotorLabel]:
@@ -376,28 +389,18 @@ def assemble_so3_generators(lm: Su3Label) -> dict[str, OperatorMatrix]:
             mats["L+"][index[(b.L, b.alpha, b.M + 1)], i] = amp
             mats["L-"][i, index[(b.L, b.alpha, b.M + 1)]] = amp
 
-    for (Lp, L), fwd in con.curly.items():
-        for alpha, a_raw in enumerate(con.positive[L]):
-            for beta, b_raw in enumerate(con.positive[Lp]):
-                if fwd[b_raw, a_raw] == 0.0:
-                    continue
-                factor = float(
-                    np.sqrt(2 * Lp + 1)
-                    * fwd[b_raw, a_raw]
-                    * con.k_norm[(L, a_raw)]
-                    / con.k_norm[(Lp, b_raw)]
-                )
-                for M in range(-L, L + 1):
-                    for nu in range(-2, 3):
-                        Mp = M + nu
-                        if abs(Mp) > Lp:
-                            continue
-                        cgc = float(clebsch_gordan(L, M, 2, nu, Lp, Mp))
-                        if cgc == 0.0:
-                            continue
-                        row = index[(Lp, beta, Mp)]
-                        col = index[(L, alpha, M)]
-                        mats[f"Q{nu}"][row, col] = cgc * factor
+    for (Lp, L), factors in con.factors.items():
+        # (L M, 2 nu | Lp M+nu), once per block pair.
+        cgs = []
+        for M in range(-L, L + 1):
+            for nu in range(max(-2, -Lp - M), min(2, Lp - M) + 1):
+                cgc = float(clebsch_gordan_twice(2 * L, 2 * M, 4, 2 * nu, 2 * Lp, 2 * (M + nu)))
+                if cgc != 0.0:
+                    cgs.append((M, nu, cgc))
+        for beta, alpha in np.argwhere(factors).tolist():
+            factor = float(factors[beta, alpha])
+            for M, nu, cgc in cgs:
+                mats[f"Q{nu}"][index[(Lp, beta, M + nu)], index[(L, alpha, M)]] = cgc * factor
     return mats
 
 

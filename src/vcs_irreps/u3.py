@@ -12,8 +12,10 @@ Matrix elements of the nine generators ``C(i,k)`` follow from closed forms:
 the Cartan and U(2) actions are the standard diagonal/ladder expressions, and
 the grade-changing spin-1/2 tensors have reduced matrix elements built from a
 unitary Racah U coefficient and the square root of a norm-ratio that telescopes
-the eigenvalues of the U(2)-scalar lowering operator.  All values are exact
-radicals.
+the eigenvalues of the U(2)-scalar lowering operator.  Each reduced element
+is evaluated once (:func:`reduced_elements`), and both the generator matrices
+and a ``gen`` document's table read it.  All values are
+exact radicals.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .angmom import clebsch_gordan, clebsch_gordan_twice, racah_u
+# ``clebsch_gordan`` stays a module attribute: bench/spans.py wraps it by name.
+from .angmom import clebsch_gordan, clebsch_gordan_twice, racah_u  # noqa: F401
 from .kmatrix import GammaRep
 from .opmatrix import OperatorMatrix
 from .radical import Radical, radical_terms, squarefree_decompose
@@ -133,24 +136,16 @@ def omega(hw: U3HighestWeight, tj: int, tS: int) -> Fraction:
 
 
 def k_ratio_sq(hw: U3HighestWeight, tj: int, tS: int, tSp: int) -> Fraction:
-    """``|K(j+1/2, S') / K(j, S)|**2``, equal to the difference of omega values.
+    """``|K(j+1/2, S') / K(j, S)|**2``: the rise of ``omega`` from ``(j, S)`` to ``(j+1/2, S')``.
 
-    Non-positive for steps leaving the irrep; a non-positive value on an
+    The K factors telescope the eigenvalues of the U(2)-scalar lowering
+    operator, so each ratio is one difference of :func:`omega` values.  It is
+    non-positive for steps leaving the irrep; a non-positive value on an
     admissible pair would mean the basis enumeration is wrong and raises.
     """
     if abs(tS - tSp) != 1:
         raise ValueError("S' must differ from S by 1/2")
-    j = Fraction(tj, 2)
-    S = Fraction(tS, 2)
-    Sp = Fraction(tSp, 2)
-    value = (
-        Fraction(2 * hw.w1 - hw.w2 - hw.w3, 2)
-        + S * (S + 1)
-        - Sp * (Sp + 1)
-        - j
-        + Fraction(3, 4)
-    )
-    assert value == omega(hw, tj + 1, tSp) - omega(hw, tj, tS)
+    value = omega(hw, tj + 1, tSp) - omega(hw, tj, tS)
     if value <= 0 and is_admissible(hw, tj, tS) and is_admissible(hw, tj + 1, tSp):
         raise AdmissibilityError(
             f"norm ratio {value} <= 0 for admissible pair (2j={tj}, 2S={tS}) -> "
@@ -184,12 +179,20 @@ def reduced_me(hw: U3HighestWeight, tj: int, tS: int, tSp: int, which: str) -> R
     return value
 
 
+def reduced_elements(hw: U3HighestWeight):
+    """Each non-zero f-tensor element ``(2j, 2S, 2S', <(j+1/2) S' || f || j S>)`` once, in basis order."""
+    for tj, tS in sorted({(lbl.tj, lbl.tS) for lbl in basis_enumeration(hw)}):
+        for tSp in (tS - 1, tS + 1):
+            value = reduced_me(hw, tj, tS, tSp, "f")
+            if not value.is_zero():
+                yield tj, tS, tSp, value
+
+
 def assemble_generators(hw: U3HighestWeight) -> dict[str, OperatorMatrix]:
     """All nine generator matrices ``C11 .. C33`` on the canonical basis, exact."""
     basis = basis_enumeration(hw)
     index = {lbl: i for i, lbl in enumerate(basis)}
     mats = {name: OperatorMatrix(name, basis) for name in GENERATOR_NAMES}
-    half = Fraction(1, 2)
 
     for lbl, i in index.items():
         u2_sum = Fraction(hw.w2 + hw.w3 + lbl.tj)  # eigenvalue of C22 + C33
@@ -203,23 +206,16 @@ def assemble_generators(hw: U3HighestWeight) -> dict[str, OperatorMatrix]:
             mats["C23"][index[up], i] = amp
             mats["C32"][i, index[up]] = amp
 
-    # Grade-changing tensors: C21 and C31 from the f-tensor reduced matrix
-    # elements via Wigner-Eckart; C12 and C13 are their adjoints.
-    for lbl, i in index.items():
-        for tSp in (lbl.tS - 1, lbl.tS + 1):
-            f_red = reduced_me(hw, lbl.tj, lbl.tS, tSp, "f")
-            if f_red.is_zero():
-                continue
-            norm = Radical.sqrt_of(Fraction(tSp + 1))
-            for tensor_m, name in ((half, "C21"), (-half, "C31")):
-                tMp = lbl.tM + int(2 * tensor_m)
-                if abs(tMp) > tSp:
-                    continue
-                target = CanonicalLabel(lbl.tj + 1, tSp, tMp)
-                cgc = clebsch_gordan(lbl.S, lbl.M, half, tensor_m, Fraction(tSp, 2), Fraction(tMp, 2))
-                if cgc.is_zero():
-                    continue
-                mats[name][index[target], i] = cgc * f_red / norm
+    # Grade-changing tensors: C21 = f(1/2) and C31 = f(-1/2) from the f-tensor
+    # reduced matrix elements via Wigner-Eckart; C12 and C13 are their adjoints.
+    for tj, tS, tSp, f_red in reduced_elements(hw):
+        norm = Radical.sqrt_of(Fraction(tSp + 1))
+        for tM in range(-tS, tS + 1, 2):
+            for t_nu, name in ((1, "C21"), (-1, "C31")):
+                cgc = clebsch_gordan_twice(tS, tM, 1, t_nu, tSp, tM + t_nu)
+                if not cgc.is_zero():
+                    target = index[CanonicalLabel(tj + 1, tSp, tM + t_nu)]
+                    mats[name][target, index[CanonicalLabel(tj, tS, tM)]] = cgc * f_red / norm
 
     mats["C12"] = mats["C21"].dagger("C12")
     mats["C13"] = mats["C31"].dagger("C13")

@@ -312,6 +312,10 @@ def _su3_relabelled(doc):
     doc["weight"] = {"lam": 2, "mu": 1}
 
 
+def _one_basis_label(doc):
+    doc["basis"] = ["x"]
+
+
 @pytest.mark.parametrize(
     "argv, document, env",
     [
@@ -345,6 +349,11 @@ def _su3_relabelled(doc):
             lambda tmp_path, capsys: _edit_document(tmp_path, capsys, ["su3-so3", "--lm", "8,6"], _su3_relabelled),
             {},
         ),
+        (
+            ["check", "--replay"],
+            lambda tmp_path, capsys: _edit_document(tmp_path, capsys, ["u3", "--weight", "2,1,0"], _one_basis_label),
+            {},
+        ),
         (["check", "u3", "--weight", "2,1,0"], None, {"VCS_IRREPS_TOL": "abc"}),
         (["check", "u3", "--weight", "2,1,0"], None, {"VCS_IRREPS_TOL": "inf"}),
         (["check", "u3", "--weight", "2,1,0", "--tol", "nan"], None, {}),
@@ -354,7 +363,7 @@ def _su3_relabelled(doc):
     ids=[
         "negative-lambda", "zero-lambda", "zero-nmax", "non-json", "no-generators", "no-weight",
         "negative-entry-index", "duplicate-entry", "mismatched-dims", "zero-dims",
-        "su11-nmax-relabelled", "su3-relabelled", "env-tol-not-a-number", "env-tol-infinite",
+        "su11-nmax-relabelled", "su3-relabelled", "basis-length", "env-tol-not-a-number", "env-tol-infinite",
         "tol-nan", "tol-negative", "tol-not-a-number",
     ],
 )

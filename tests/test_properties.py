@@ -1,5 +1,5 @@
 """Property tests: the exact and float kernels agree, exact values are accurate,
-and a replay prints the live check.
+``Radical`` arithmetic obeys the field laws, and a replay prints the live check.
 
 Hypothesis runs derandomized with no example database, so the examples are
 the same on every run.
@@ -49,7 +49,7 @@ def exact_generators(draw):
         g: OperatorMatrix(g, range(dim), draw(st.dictionaries(st.tuples(index, index), exact_values)))
         for g in spec.generators
     }
-    return spec, mats, draw(st.none() | st.integers(1, dim))
+    return spec, mats, draw(st.none() | st.integers(0, dim))
 
 
 @fixed(60)
@@ -84,6 +84,28 @@ def test_exact_entries_evaluate_accurately_when_their_classes_cancel(entry, den,
     want = float(((irrational + entry.get(1, 0)) / den).evalf(80))
     assert got != 0.0
     assert abs(got - want) <= 1e-15 * abs(want)
+
+
+def _sympy(value):
+    """A ``Radical`` or ``RadicalSum`` as the sympy number it stands for."""
+    if isinstance(value, Radical):
+        return value.sign * sympy.sqrt(sympy.Rational(value.radicand.numerator, value.radicand.denominator))
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * sympy.sqrt(d) for d, c in value.terms.items()), sympy.Integer(0)
+    )
+
+
+@fixed(100)
+@given(radicals, radicals)
+def test_radical_field_laws_match_sympy(a, b):
+    x, y = _sympy(a), _sympy(b)
+    assert sympy.expand(_sympy(a + b) - (x + y)) == 0
+    assert sympy.expand(_sympy(a - b) - (x - y)) == 0
+    assert sympy.expand(_sympy(a * b) - x * y) == 0
+    if not b.is_zero():
+        assert sympy.expand(_sympy(a / b) - x / y) == 0
+    assert (a < b) == bool(x < y)
+    assert (a == b) == (sympy.expand(x - y) == 0)
 
 
 def _cli(*argv: str) -> tuple[int, str]:

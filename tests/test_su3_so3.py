@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vcs_irreps import repcheck, su3_so3, u3
+from vcs_irreps import cli, repcheck, su3_so3, u3
 from vcs_irreps.angmom import clebsch_gordan
 from vcs_irreps.radical import Radical, RadicalSum
 
@@ -212,9 +214,9 @@ def test_hermiticity_keeps_float_precision_at_8_6():
     assert repcheck.hermiticity_residual(repcheck.su3_so3_spec(), gens) <= 1e-15
 
 
-def _walk_22(corrupt):
-    """Run the walk for (2,2) on a copy of its curlyM blocks edited by ``corrupt``."""
-    con = su3_so3._construction(su3_so3.Su3Label(2, 2))
+def _walk(corrupt, lm=su3_so3.Su3Label(2, 2)):
+    """Run the walk on a copy of the curlyM blocks of ``lm`` edited by ``corrupt``."""
+    con = su3_so3._construction(lm)
     curly = {key: block.copy() for key, block in con.curly.items()}
     corrupt(con, curly)
     return su3_so3._best_first_walk(con.levels, con.candidates, con.raw_candidates, curly)
@@ -222,7 +224,7 @@ def _walk_22(corrupt):
 
 def test_walk_on_intact_blocks_reproduces_the_construction():
     con = su3_so3._construction(su3_so3.Su3Label(2, 2))
-    assert _walk_22(lambda con, curly: None) == (con.positive, con.k_norm)
+    assert _walk(lambda con, curly: None) == (con.positive, con.k_norm)
 
 
 def test_walk_counts_a_state_cut_off_from_the_irrep():
@@ -234,7 +236,7 @@ def test_walk_counts_a_state_cut_off_from_the_irrep():
                 block[:, b] = 0.0
 
     with pytest.raises(su3_so3.So3ConsistencyError, match="found 0 positive-norm states at L=4, expected 1"):
-        _walk_22(cut_l4)
+        _walk(cut_l4)
 
 
 def test_walk_rejects_a_non_positive_norm_ratio():
@@ -245,7 +247,83 @@ def test_walk_rejects_a_non_positive_norm_ratio():
         bwd[0, b] = -bwd[0, b]
 
     with pytest.raises(su3_so3.So3ConsistencyError, match="non-positive norm ratio"):
-        _walk_22(flip_first_edge)
+        _walk(flip_first_edge)
+
+
+def _in_irrep_edges(con):
+    """Ordered pairs of distinct in-irrep states that the walk weighs above its edge tolerance."""
+    for (Lp, L), fwd in con.curly.items():
+        bwd = con.curly[(L, Lp)]
+        scale = max(1.0, np.abs(fwd).max(), np.abs(bwd).max())
+        for a in con.positive[L]:
+            for b in con.positive[Lp]:
+                if (L, a) != (Lp, b) and min(abs(fwd[b, a]), abs(bwd[a, b])) / scale > su3_so3._EDGE_TOL:
+                    yield L, a, Lp, b
+
+
+def test_walk_rejects_each_flipped_in_irrep_edge():
+    lm = su3_so3.Su3Label(4, 2)
+    edges = list(_in_irrep_edges(su3_so3._construction(lm)))
+    assert len(edges) == 32
+    for L, a, Lp, b in edges:
+        def flip(con, curly):
+            curly[(L, Lp)][a, b] = -curly[(L, Lp)][a, b]
+
+        with pytest.raises(su3_so3.So3ConsistencyError, match="non-positive norm ratio"):
+            _walk(flip, lm)
+
+
+def test_walk_rejects_a_flipped_pair_that_only_the_table_lists():
+    # at (12,10), L=12 a=0 <- L=10 b=5 weighs 4.9e-10 of its blocks' scale,
+    # below the edge tolerance, but its curlyM entry is listed in the table
+    lm = su3_so3.Su3Label(12, 10)
+    con = su3_so3._construction(lm)
+    a, b = con.positive[12][0], con.positive[10][5]
+    assert (12, a, 10, b) not in set(_in_irrep_edges(con))
+    assert su3_so3.reduced_q(lm, 0, 12, 5, 10) != 0.0
+
+    def flip(con, curly):
+        curly[(12, 10)][a, b] = -curly[(12, 10)][a, b]
+
+    with pytest.raises(su3_so3.So3ConsistencyError, match="non-positive norm ratio"):
+        _walk(flip, lm)
+
+
+def _table_gap(lm):
+    """Largest relative gap between the reduced table of a ``gen`` document and its matrices.
+
+    Each row ``<beta Lp||Q||alpha L>`` fixes every matrix element
+    ``<Lp beta Mp|Q(nu)|L alpha M> = (L M, 2 nu | Lp Mp) value / sqrt(2Lp+1)``.
+    """
+    gens = cli.SU3_SO3.build(lm)
+    index = {(b.L, b.alpha, b.M): i for i, b in enumerate(su3_so3.basis_labels(lm))}
+    worst = 0.0
+    for bra, ket, value in cli.SU3_SO3.reduced(lm, gens):
+        (Lp, beta), (L, alpha) = (tuple(int(kv.split("=")[1]) for kv in label.split(",")) for label in (bra, ket))
+        for M in range(-L, L + 1):
+            for nu in range(-2, 3):
+                cgc = float(clebsch_gordan(L, M, 2, nu, Lp, M + nu))
+                if cgc:
+                    entry = gens[f"Q{nu}"][index[(Lp, beta, M + nu)], index[(L, alpha, M)]]
+                    want = cgc * value / np.sqrt(2 * Lp + 1)
+                    worst = max(worst, abs(entry - want) / abs(want))
+    return worst
+
+
+@pytest.mark.parametrize("lam,mu", [(8, 6), (12, 10)])
+def test_reduced_table_carries_the_matrix_values(lam, mu):
+    assert _table_gap(su3_so3.Su3Label(lam, mu)) <= 1e-15
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda lam: st.tuples(st.just(lam), st.integers(0, 8 - lam))))
+def test_random_irreps_close_branch_and_match_their_table(lm):
+    lm = su3_so3.Su3Label(*lm)
+    gens = su3_so3.assemble_so3_generators(lm)
+    checks = repcheck.standard_checks(repcheck.su3_so3_spec(), gens, repcheck.DEFAULT_TOL)
+    assert all(passed for _, _, passed in checks), checks
+    assert su3_so3.rotor_multiplicities(lm) == su3_so3.branching_oracle(lm)
+    assert _table_gap(lm) <= 1e-15
 
 
 @pytest.mark.parametrize("lam,mu", WEIGHTS)

@@ -75,11 +75,15 @@ def test_omega_values():
 def test_k_ratio_sq_examples():
     hw = u3.U3HighestWeight(2, 0, 0)
     assert u3.k_ratio_sq(hw, 0, 0, 1) == 2
-    # equality with the omega difference is asserted inside k_ratio_sq; check
-    # a couple of values independently here
-    hw2 = u3.U3HighestWeight(4, 2, 0)
-    for tj, tS, tSp in [(0, 2, 3), (1, 1, 2), (2, 2, 1)]:
-        assert u3.k_ratio_sq(hw2, tj, tS, tSp) == u3.omega(hw2, tj + 1, tSp) - u3.omega(hw2, tj, tS)
+    # the omega difference summed by hand, on every step out of every multiplet
+    for hw2 in (u3.U3HighestWeight(4, 2, 0), u3.U3HighestWeight(Fraction(7, 3), Fraction(4, 3), Fraction(1, 3))):
+        for lbl in u3.basis_enumeration(hw2):
+            for tSp in (lbl.tS - 1, lbl.tS + 1):
+                Sp = Fraction(tSp, 2)
+                closed = (
+                    (2 * hw2.w1 - hw2.w2 - hw2.w3) / 2 + lbl.S * (lbl.S + 1) - Sp * (Sp + 1) - lbl.j + Fraction(3, 4)
+                )
+                assert u3.k_ratio_sq(hw2, lbl.tj, lbl.tS, tSp) == closed
     with pytest.raises(ValueError):
         u3.k_ratio_sq(hw, 0, 0, 2)
 
@@ -142,6 +146,17 @@ def test_reduced_me_against_assembled_matrix():
             expected = cgc * red / Radical.sqrt_of(bra.tS + 1)
             got = entry if isinstance(entry, Radical) else Radical.from_rational(Fraction(entry))
             assert got == expected
+
+
+def test_reduced_elements_are_each_evaluated_once(monkeypatch):
+    calls = []
+    reduced_me = u3.reduced_me
+    monkeypatch.setattr(u3, "reduced_me", lambda *args: calls.append(args) or reduced_me(*args))
+    hw = u3.U3HighestWeight(18, 8, 0)
+    u3.assemble_generators(hw)
+    assert len({(lbl.tj, lbl.tS) for lbl in u3.basis_enumeration(hw)}) == 99
+    assert len(calls) <= 198
+    assert len(set(calls)) == len(calls)
 
 
 def test_c11_diagonal_example():
