@@ -74,6 +74,8 @@ class Spin:
 
 def _twice(value: SpinLike) -> int:
     """Twice the value of a spin-like number, validating half-integerness."""
+    if isinstance(value, Fraction) and value.denominator <= 2:
+        return value.numerator * (2 // value.denominator)
     if isinstance(value, Spin):
         return value.twice
     if isinstance(value, bool):

@@ -8,7 +8,8 @@ Subcommands
             constancy, branching cross-check where applicable); also replays
             a previously generated JSON document with ``--replay``.
 ``branch``  print the L-multiplicity table of an su(3) irrep from both the
-            rotor enumeration and the canonical-basis L^2 oracle.
+            rotor enumeration and the L0 weight count of the canonical
+            (Gelfand-Tsetlin) basis.
 
 Each algebra is described once, by an :class:`Algebra` entry in
 :data:`ALGEBRAS`: how to read its label from the command line or from a
@@ -191,7 +192,7 @@ def _su3_so3_reduced(lm: su3_so3.Su3Label, gens: dict):
 
 
 def _su3_so3_branching(lm: su3_so3.Su3Label) -> list[tuple[str, float, bool]]:
-    match = su3_so3.rotor_multiplicities(lm) == su3_so3.branching_oracle(lm)
+    match = su3_so3.rotor_multiplicities(lm) == su3_so3.weight_multiplicities(lm)
     return [("branching cross-check", 0.0 if match else 1.0, match)]
 
 
@@ -362,7 +363,7 @@ def cmd_check(args) -> int:
 def cmd_branch(args) -> int:
     lm = _label(SU3_SO3, args)
     rotor = su3_so3.rotor_multiplicities(lm)
-    oracle = su3_so3.branching_oracle(lm)
+    oracle = su3_so3.weight_multiplicities(lm)
     print(f"L multiplicities for ({lm.lam},{lm.mu}):")
     print(f"  {'L':>3s} {'rotor':>6s} {'oracle':>6s}")
     ok = True

@@ -23,14 +23,22 @@ element comes from them once,
 
 a value that the generator matrices and a ``gen`` document's table share.
 
-A cross-check against the canonical-basis construction of the same irrep
-(``{lam+mu, mu, 0}``) is provided by :func:`branching_oracle`, which counts
-angular-momentum multiplets by diagonalizing L^2 there.
+The L content is cross-checked against the canonical-basis irrep
+``{lam+mu, mu, 0}`` by :func:`weight_multiplicities`, which builds no matrix.
+In the fundamental irrep ``L0 = -i(C23 - C32)`` is twice the y-component of
+the 2-3 u(2) spin, so it is conjugate to ``C22 - C33`` and both have spectrum
+{1, 0, -1}.  The conjugacy carries over to every irrep, so the ``L0``
+spectrum is the multiset of doubled projections ``tM`` over the
+Gelfand-Tsetlin basis, and ``mult(L) = #(tM = L) - #(tM = L+1)``.  The count
+uses neither the rotor (K, L) rule nor any built matrix.
+:func:`branching_oracle`, which diagonalizes L^2 on the built canonical
+irrep, is kept as the dense reference that the tests compare it with.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -407,6 +415,28 @@ def assemble_so3_generators(lm: Su3Label) -> dict[str, OperatorMatrix]:
 def rotor_multiplicities(lm: Su3Label) -> dict[int, int]:
     """L -> number of rotor states, from the closed-form (K, L) enumeration."""
     return {L: len(k_candidates(lm, L)) for L in l_values(lm)}
+
+
+def weight_multiplicities(lm: Su3Label) -> dict[int, int]:
+    """L -> multiplicity counted from the ``L0`` spectrum of ``{lam+mu, mu, 0}``.
+
+    ``L0`` is conjugate to the doubled 2-3 spin projection, so its eigenvalues
+    are the ``tM`` of the Gelfand-Tsetlin basis and the number of multiplets
+    at ``L`` is ``#(tM = L) - #(tM = L+1)``.  The spectrum must be symmetric,
+    every count non-negative and the multiplets must fill the Weyl dimension.
+    """
+    from . import u3
+
+    hw = u3.U3HighestWeight(lm.lam + lm.mu, lm.mu, 0)
+    counts = Counter(lbl.tM for lbl in u3.basis_enumeration(hw))
+    mults = {L: counts[L] - counts[L + 1] for L in range(max(counts) + 1)}
+    if (
+        any(counts[t] != counts[-t] for t in counts)
+        or min(mults.values()) < 0
+        or sum((2 * L + 1) * m for L, m in mults.items()) != lm.dimension()
+    ):
+        raise So3ConsistencyError(f"L0 spectrum of ({lm.lam},{lm.mu}) is not a sum of so(3) multiplets")
+    return {L: m for L, m in mults.items() if m}
 
 
 def branching_oracle(lm: Su3Label) -> dict[int, int]:

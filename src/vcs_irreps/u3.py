@@ -13,9 +13,9 @@ the Cartan and U(2) actions are the standard diagonal/ladder expressions, and
 the grade-changing spin-1/2 tensors have reduced matrix elements built from a
 unitary Racah U coefficient and the square root of a norm-ratio that telescopes
 the eigenvalues of the U(2)-scalar lowering operator.  Each reduced element
-is evaluated once (:func:`reduced_elements`), and both the generator matrices
-and a ``gen`` document's table read it.  All values are
-exact radicals.
+is evaluated once per weight (:func:`reduced_elements` caches them), and both
+the generator matrices and a ``gen`` document's table read that evaluation.
+All values are exact radicals.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -179,13 +180,19 @@ def reduced_me(hw: U3HighestWeight, tj: int, tS: int, tSp: int, which: str) -> R
     return value
 
 
-def reduced_elements(hw: U3HighestWeight):
-    """Each non-zero f-tensor element ``(2j, 2S, 2S', <(j+1/2) S' || f || j S>)`` once, in basis order."""
+@lru_cache(maxsize=None)
+def reduced_elements(hw: U3HighestWeight) -> tuple[tuple[int, int, int, Radical], ...]:
+    """Each non-zero f-tensor element ``(2j, 2S, 2S', <(j+1/2) S' || f || j S>)`` in basis order.
+
+    Cached per weight, so the generator matrices and a ``gen`` table read one evaluation.
+    """
+    elements = []
     for tj, tS in sorted({(lbl.tj, lbl.tS) for lbl in basis_enumeration(hw)}):
         for tSp in (tS - 1, tS + 1):
             value = reduced_me(hw, tj, tS, tSp, "f")
             if not value.is_zero():
-                yield tj, tS, tSp, value
+                elements.append((tj, tS, tSp, value))
+    return tuple(elements)
 
 
 def assemble_generators(hw: U3HighestWeight) -> dict[str, OperatorMatrix]:

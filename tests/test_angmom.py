@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vcs_irreps.angmom import Spin, SpinError, clebsch_gordan, clebsch_gordan_twice, racah_u, wigner_6j
+from vcs_irreps.angmom import Spin, SpinError, _twice, clebsch_gordan, clebsch_gordan_twice, racah_u, wigner_6j
 from vcs_irreps.radical import Radical, RadicalSum
 
 HALF = Fraction(1, 2)
@@ -130,6 +130,16 @@ def test_spin_type():
         Spin(Fraction(1, 3))
     with pytest.raises(SpinError):
         Spin(-1)
+
+
+def test_twice_fraction_fast_path():
+    assert _twice(Fraction(-3, 2)) == -3
+    assert _twice(Fraction(4, 2)) == 4
+    assert _twice(Fraction(0)) == 0
+    with pytest.raises(SpinError):
+        _twice(Fraction(1, 3))
+    with pytest.raises(SpinError):
+        _twice(True)
 
 
 def test_cg_column_orthonormality_exact():

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from vcs_irreps import su3_so3
 from vcs_irreps.cli import ALGEBRAS, main
 from vcs_irreps.radical import Radical
 
@@ -240,6 +241,38 @@ def test_branch_trivial(capsys):
 def test_branch_22(capsys):
     code, out, _ = run(capsys, "branch", "--lm", "2,2")
     assert code == 0
+
+
+def _oracle_must_not_run(lm):
+    raise AssertionError("the L^2 oracle is the tests' reference, not the CLI's")
+
+
+@pytest.mark.parametrize("argv", [["check", "su3-so3", "--lm", "4,2"], ["branch", "--lm", "4,2"]])
+def test_branching_counts_weights_without_the_l_squared_oracle(capsys, monkeypatch, argv):
+    monkeypatch.setattr(su3_so3, "branching_oracle", _oracle_must_not_run)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+
+
+def _drop_top_multiplet(rotor_multiplicities):
+    def dropped(lm):
+        mults = dict(rotor_multiplicities(lm))
+        top = max(mults)
+        mults[top] -= 1
+        return {L: m for L, m in mults.items() if m}
+
+    return dropped
+
+
+def test_branching_mismatch_fails_check_and_branch(capsys, monkeypatch):
+    monkeypatch.setattr(su3_so3, "rotor_multiplicities", _drop_top_multiplet(su3_so3.rotor_multiplicities))
+    code, out, _ = run(capsys, "check", "su3-so3", "--lm", "4,2")
+    assert code == 1
+    assert re.search(r"branching cross-check .* FAIL", out)
+    code, out, _ = run(capsys, "branch", "--lm", "4,2")
+    assert code == 1
+    assert "MISMATCH" in out
+    assert "agreement: NO" in out
 
 
 def test_usage_error_exit_code():

@@ -361,6 +361,28 @@ def test_branching_matches_rotor_enumeration(lam, mu):
     assert su3_so3.branching_oracle(lm) == su3_so3.rotor_multiplicities(lm)
 
 
+@pytest.mark.parametrize("lam", range(13))
+def test_weight_count_matches_rotor_enumeration(lam):
+    for mu in range(13):
+        lm = su3_so3.Su3Label(lam, mu)
+        assert su3_so3.weight_multiplicities(lm) == su3_so3.rotor_multiplicities(lm), (lam, mu)
+
+
+@pytest.mark.parametrize("lam,mu", WEIGHTS + [(8, 6)])
+def test_weight_count_matches_the_l_squared_oracle(lam, mu):
+    lm = su3_so3.Su3Label(lam, mu)
+    assert su3_so3.weight_multiplicities(lm) == su3_so3.branching_oracle(lm)
+
+
+def test_weight_count_rejects_each_dropped_state(monkeypatch):
+    lm = su3_so3.Su3Label(2, 1)
+    full = u3.basis_enumeration(u3.U3HighestWeight(3, 1, 0))
+    for i in range(len(full)):
+        monkeypatch.setattr(u3, "basis_enumeration", lambda hw: full[:i] + full[i + 1:])
+        with pytest.raises(su3_so3.So3ConsistencyError, match="not a sum of so"):
+            su3_so3.weight_multiplicities(lm)
+
+
 def test_casimir_schur_constancy():
     lm = su3_so3.Su3Label(4, 2)
     gens = su3_so3.assemble_so3_generators(lm)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vcs_irreps import repcheck, u3
+from vcs_irreps import cli, repcheck, u3
 from vcs_irreps.angmom import clebsch_gordan
 from vcs_irreps.radical import Radical, RadicalSum
 
@@ -153,10 +153,16 @@ def test_reduced_elements_are_each_evaluated_once(monkeypatch):
     reduced_me = u3.reduced_me
     monkeypatch.setattr(u3, "reduced_me", lambda *args: calls.append(args) or reduced_me(*args))
     hw = u3.U3HighestWeight(18, 8, 0)
+    u3.reduced_elements.cache_clear()
     u3.assemble_generators(hw)
     assert len({(lbl.tj, lbl.tS) for lbl in u3.basis_enumeration(hw)}) == 99
     assert len(calls) <= 198
     assert len(set(calls)) == len(calls)
+    # A whole ``gen`` document, matrices and table, evaluates them no more often.
+    u3.reduced_elements.cache_clear()
+    calls.clear()
+    cli._document(cli.U3, hw, "exact")
+    assert 0 < len(calls) <= 198
 
 
 def test_c11_diagonal_example():
