@@ -19,6 +19,7 @@ concurrent callers.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -136,35 +137,36 @@ def _validate_pair(tj: int, tm: int, what: str):
 def _cg_twice(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> Radical:
     if tM != tm1 + tm2 or not _triangle_ok(tj1, tj2, tJ):
         return Radical.zero()
-    # Racah's single-sum form of the Condon-Shortley coefficient.
-    kmin = max(0, -(tJ - tj2 + tm1) // 2, -(tJ - tj1 - tm2) // 2)
-    kmax = min((tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
+    # Racah's single-sum form of the Condon-Shortley coefficient, summed in
+    # plain integers over the least common denominator of its terms.  The
+    # callers' parity checks make every halved argument below an integer.
+    a, b, c = (tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2
+    d, e = (tJ - tj2 + tm1) // 2, (tJ - tj1 - tm2) // 2
+    kmin, kmax = max(0, -d, -e), min(a, b, c)
     if kmin > kmax:
         return Radical.zero()
-    total = Fraction(0)
-    for k in range(kmin, kmax + 1):
-        den = (
-            _fact(k)
-            * _tfact(tj1 + tj2 - tJ - 2 * k)
-            * _tfact(tj1 - tm1 - 2 * k)
-            * _tfact(tj2 + tm2 - 2 * k)
-            * _tfact(tJ - tj2 + tm1 + 2 * k)
-            * _tfact(tJ - tj1 - tm2 + 2 * k)
-        )
-        total += Fraction(-1 if k % 2 else 1, den)
+    dens = [
+        _fact(k) * _fact(a - k) * _fact(b - k) * _fact(c - k) * _fact(d + k) * _fact(e + k)
+        for k in range(kmin, kmax + 1)
+    ]
+    common = math.lcm(*dens)
+    total = sum(-(common // den) if k % 2 else common // den for k, den in enumerate(dens, kmin))
     if total == 0:
         return Radical.zero()
-    prefactor = (
-        Fraction(tJ + 1)
-        * _delta_sq(tj1, tj2, tJ)
-        * _tfact(tJ + tM)
-        * _tfact(tJ - tM)
-        * _tfact(tj1 + tm1)
-        * _tfact(tj1 - tm1)
-        * _tfact(tj2 + tm2)
-        * _tfact(tj2 - tm2)
+    num = (
+        (tJ + 1)
+        * _fact(a)
+        * _fact((tj1 - tj2 + tJ) // 2)
+        * _fact((tj2 - tj1 + tJ) // 2)
+        * _fact((tJ + tM) // 2)
+        * _fact((tJ - tM) // 2)
+        * _fact((tj1 + tm1) // 2)
+        * _fact(b)
+        * _fact(c)
+        * _fact((tj2 - tm2) // 2)
     )
-    return Radical(1 if total > 0 else -1, prefactor * total * total)
+    den = _fact((tj1 + tj2 + tJ) // 2 + 1) * common * common
+    return Radical(1 if total > 0 else -1, Fraction(num * total * total, den))
 
 
 def clebsch_gordan(

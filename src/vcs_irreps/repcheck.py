@@ -17,9 +17,10 @@ square roots of square-free cores.  The sums are then formed in plain
 integers, so a holding identity (or an exactly constant Casimir) reports
 exactly 0.0, and a non-zero defect is evaluated to float precision however
 much its square classes cancel.  Otherwise each generator becomes a
-:class:`SparseMatrix` once, and products are gathered entry by entry and
-summed with ``np.bincount``.  Either way a check costs the number of scalar
-products it forms plus ``d**2``, never ``d**3``.
+:class:`SparseMatrix` once, and products are gathered entry by entry, a block
+of rows at a time, and summed with ``np.bincount``; no ``d x d`` array is
+formed.  Either way a check costs about the number of scalar products it
+forms, never ``d**3``.
 
 Shipped tables: su(1,1), u(3) (all 81 relations), and su(3) in its
 SO(3)-tensor form (angular momentum plus the five quadrupole components).
@@ -247,43 +248,84 @@ class SparseMatrix:
     def adjoint(self) -> "SparseMatrix":
         return SparseMatrix(self.dim, self.cols, self.rows, self.vals.conj())
 
-    def _terms(self, c: float, b: "SparseMatrix | None"):
-        """``c A`` or ``c A B`` as unsummed ``(flat index, value)`` pairs."""
+    def _row_terms(self, b: "SparseMatrix | None") -> np.ndarray:
+        """How many terms ``A`` or ``A B`` forms in each row."""
         if b is None:
-            return self.rows * self.dim + self.cols, c * self.vals
-        lo = b.starts[self.cols]
-        counts = b.starts[self.cols + 1] - lo
-        src = np.repeat(np.arange(self.vals.size), counts)
-        at = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(src.size)
-        return self.rows[src] * self.dim + b.cols[at], c * self.vals[src] * b.vals[at]
+            return np.diff(self.starts)
+        return np.bincount(self.rows, b.starts[self.cols + 1] - b.starts[self.cols], self.dim)
+
+    def _terms(self, c: float, b: "SparseMatrix | None", r0: int, r1: int):
+        """``c A`` or ``c A B`` in rows ``r0:r1`` as unsummed ``(flat index within the rows, value)`` pairs."""
+        lo, hi = self.starts[r0], self.starts[r1]
+        rows, cols, vals = self.rows[lo:hi] - r0, self.cols[lo:hi], self.vals[lo:hi]
+        if b is None:
+            return rows * self.dim + cols, c * vals
+        lo = b.starts[cols]
+        counts = b.starts[cols + 1] - lo
+        at = np.repeat(lo - np.cumsum(counts) + counts, counts)
+        at += np.arange(at.size)
+        keys = b.cols[at]
+        keys += np.repeat(rows * self.dim, counts)
+        return keys, np.repeat(c * vals, counts) * b.vals[at]
 
     @staticmethod
     def sum(dim: int, terms) -> "FloatSum":
-        """The dense sum of the terms, gathered with ``np.bincount``."""
-        pairs = [a._terms(as_float(c), b) for c, a, b in terms]
-        keys = np.concatenate([k for k, _ in pairs])
-        vals = np.concatenate([v for _, v in pairs])
-        out = np.bincount(keys, vals.real, dim * dim)
-        if np.iscomplexobj(vals):
-            out = out + 1j * np.bincount(keys, vals.imag, dim * dim)
-        return FloatSum(out.reshape(dim, dim))
+        """The sum of the terms, gathered a row block at a time by its measures."""
+        return FloatSum(dim, [(as_float(c), a, b) for c, a, b in terms])
+
+
+# The size of a float sum's row block: a row costs its terms plus its ``dim``
+# output cells, and a block takes rows while their cost stays within this
+# (at least one row).
+_BLOCK_CELLS = 1 << 17
 
 
 class FloatSum:
-    """A float sum of matrices, held densely; both measures see the leading ``interior`` block."""
+    """A float sum of ``(c, A, B)`` terms, never held whole.
 
-    def __init__(self, dense: np.ndarray):
-        self.dense = dense
+    The measures gather the sum a block of rows at a time with
+    ``np.bincount``, so neither a ``dim * dim`` array nor the full term array
+    ever exists; each entry still adds its terms in their order.  Both
+    measures see the leading ``interior`` block.
+    """
+
+    def __init__(self, dim: int, terms: list):
+        self.dim, self.terms = dim, terms
+
+    def blocks(self, interior: int | None = None):
+        """``(r0, rows r0:r1 of the sum over columns :n)`` for consecutive row blocks of the leading ``n``."""
+        dim = self.dim
+        n = dim if interior is None else min(interior, dim)
+        cost = sum((a._row_terms(b)[:n] for _, a, b in self.terms), np.full(n, dim))
+        ends = np.cumsum(cost)
+        r0 = 0
+        while r0 < n:
+            r1 = max(r0 + 1, int(np.searchsorted(ends, ends[r0] - cost[r0] + _BLOCK_CELLS, "right")))
+            pairs = [a._terms(c, b, r0, r1) for c, a, b in self.terms]
+            keys = np.concatenate([k for k, _ in pairs])
+            vals = np.concatenate([v for _, v in pairs])
+            out = np.bincount(keys, vals.real, (r1 - r0) * dim)
+            if np.iscomplexobj(vals):
+                out = out + 1j * np.bincount(keys, vals.imag, (r1 - r0) * dim)
+            yield r0, out.reshape(r1 - r0, dim)[:, :n]
+            r0 = r1
 
     def norm(self, interior: int | None = None) -> float:
-        return float(np.linalg.norm(self.dense[:interior, :interior]))
+        return math.sqrt(sum(float(np.vdot(block, block).real) for _, block in self.blocks(interior)))
 
     def deviation(self, interior: int | None = None) -> float:
         """Largest deviation from the mean diagonal value times I."""
-        m = self.dense[:interior, :interior]
-        if not len(m):
+        off, diagonals = 0.0, []
+        for r0, block in self.blocks(interior):
+            at = np.arange(len(block)), np.arange(r0, r0 + len(block))
+            diagonals.append(block[at].copy())
+            block[at] = 0
+            off = max(off, float(np.abs(block).max()))
+        if not diagonals:
             return 0.0
-        return float(np.abs(m - float(np.trace(m).real) / len(m) * np.eye(len(m))).max())
+        diagonal = np.concatenate(diagonals)
+        mean = float(diagonal.sum().real) / len(diagonal)
+        return max(off, float(np.abs(diagonal - mean).max()))
 
 
 class ExactMatrix:
@@ -474,14 +516,15 @@ def schur_constancy(matrix) -> tuple[float, float]:
     """Mean diagonal value and max normalized deviation from that multiple of I."""
     m = _as_matrix(matrix)
     mean = float(np.trace(m).real) / len(m)
-    return mean, FloatSum(m).deviation() / (1.0 + abs(mean))
+    return mean, SparseMatrix.sum(len(m), [(1, SparseMatrix.of(m), None)]).deviation() / (1.0 + abs(mean))
 
 
 def casimir_matrix(spec: AlgebraSpec, matrices: dict) -> np.ndarray:
     """The spec's quadratic Casimir ``sum c X Y`` (at least one term) as a dense array."""
     forms = _forms(spec, matrices, SparseMatrix)
     dim = forms[spec.generators[0]].dim
-    return SparseMatrix.sum(dim, [(c, forms[x], forms[y]) for c, x, y in spec.casimir]).dense
+    total = SparseMatrix.sum(dim, [(c, forms[x], forms[y]) for c, x, y in spec.casimir])
+    return np.concatenate([block for _, block in total.blocks()])
 
 
 def standard_checks(

@@ -215,9 +215,10 @@ def _construction(lm: Su3Label) -> _Construction:
     levels = l_values(lm)
     candidates = {L: k_candidates(lm, L) for L in levels}
     raw_candidates = {L: raw_k_candidates(lm, L) for L in levels}
+    blocks = {(Lp, L): m_matrix(lm, Lp, L) for Lp in levels for L in levels if abs(Lp - L) <= 2}
     unitaries, eigenvalues = {}, {}
     for L in levels:
-        block = m_matrix(lm, L, L)
+        block = blocks[(L, L)]
         sym = [
             [RadicalSum.from_value(v) * Radical.sqrt_of(2 * L + 1) for v in row]
             for row in block.entries
@@ -249,17 +250,11 @@ def _construction(lm: Su3Label) -> _Construction:
         # the algebra (checked against the canonical-basis construction).
         eigenvalues[L] = ev / np.sqrt(2 * L + 1)
 
-    curly: dict[tuple[int, int], np.ndarray] = {}
-    for Lp in levels:
-        for L in levels:
-            if abs(Lp - L) > 2:
-                continue
-            block = m_matrix(lm, Lp, L)
-            if block.is_empty():
-                continue
-            curly[(Lp, L)] = (
-                unitaries[Lp].T @ block.to_dense() @ unitaries[L] / np.sqrt(2 * Lp + 1)
-            )
+    curly = {
+        (Lp, L): unitaries[Lp].T @ block.to_dense() @ unitaries[L] / np.sqrt(2 * Lp + 1)
+        for (Lp, L), block in blocks.items()
+        if not block.is_empty()
+    }
 
     positive, k_norm = _best_first_walk(levels, candidates, raw_candidates, curly)
     norms = {L: np.array([k_norm[(L, a)] for a in positive[L]]) for L in levels}
@@ -381,35 +376,46 @@ def basis_labels(lm: Su3Label) -> list[RotorLabel]:
 
 
 def assemble_so3_generators(lm: Su3Label) -> dict[str, OperatorMatrix]:
-    """Matrices of ``L0, L+, L-`` and ``Q(-2..2)`` on the orthonormal eigenbasis."""
+    """Matrices of ``L0, L+, L-`` and ``Q(-2..2)`` on the orthonormal eigenbasis.
+
+    State ``(L, alpha, M)`` sits at ``off[L] + alpha (2L+1) + (M+L)``.  Each
+    block pair ``(L', L)`` contributes the outer product of its non-zero
+    factors and its Clebsch-Gordan vector ``(L M, 2 nu | L' M+nu)``, as
+    coordinate arrays per ``nu``; every matrix is then filled in bulk.
+    """
     con = _construction(lm)
     basis = basis_labels(lm)
-    index = {(b.L, b.alpha, b.M): i for i, b in enumerate(basis)}
-    mats = {name: OperatorMatrix(name, basis) for name in
-            ("L0", "L+", "L-", "Q-2", "Q-1", "Q0", "Q1", "Q2")}
+    sizes = [len(con.candidates[L]) * (2 * L + 1) for L in con.levels]
+    off = dict(zip(con.levels, np.cumsum([0] + sizes).tolist()))
+    names = ("L0", "L+", "L-", "Q-2", "Q-1", "Q0", "Q1", "Q2")
+    parts: dict[str, list[tuple[np.ndarray, ...]]] = {name: [] for name in names}
 
-    for b in basis:
-        i = index[(b.L, b.alpha, b.M)]
-        if b.M:
-            mats["L0"][i, i] = float(b.M)
-        if b.M + 1 <= b.L:
-            amp = float(np.sqrt((b.L - b.M) * (b.L + b.M + 1)))
-            mats["L+"][index[(b.L, b.alpha, b.M + 1)], i] = amp
-            mats["L-"][i, index[(b.L, b.alpha, b.M + 1)]] = amp
+    for L, size in zip(con.levels, sizes):
+        i = off[L] + np.arange(size)
+        M = np.arange(size) % (2 * L + 1) - L
+        up = M < L
+        amp = np.sqrt((L - M[up]) * (L + M[up] + 1))
+        parts["L0"].append((i, i, M.astype(float)))
+        parts["L+"].append((i[up] + 1, i[up], amp))
+        parts["L-"].append((i[up], i[up] + 1, amp))
 
     for (Lp, L), factors in con.factors.items():
         # (L M, 2 nu | Lp M+nu), once per block pair.
-        cgs = []
-        for M in range(-L, L + 1):
-            for nu in range(max(-2, -Lp - M), min(2, Lp - M) + 1):
-                cgc = float(clebsch_gordan_twice(2 * L, 2 * M, 4, 2 * nu, 2 * Lp, 2 * (M + nu)))
-                if cgc != 0.0:
-                    cgs.append((M, nu, cgc))
-        for beta, alpha in np.argwhere(factors).tolist():
-            factor = float(factors[beta, alpha])
-            for M, nu, cgc in cgs:
-                mats[f"Q{nu}"][index[(Lp, beta, M + nu)], index[(L, alpha, M)]] = cgc * factor
-    return mats
+        pairs = [(M, nu) for M in range(-L, L + 1) for nu in range(max(-2, -Lp - M), min(2, Lp - M) + 1)]
+        cg = np.array([float(clebsch_gordan_twice(2 * L, 2 * M, 4, 2 * nu, 2 * Lp, 2 * (M + nu))) for M, nu in pairs])
+        M, nu = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        beta, alpha = np.nonzero(factors)
+        rows = off[Lp] + beta[:, None] * (2 * Lp + 1) + (M + nu + Lp)
+        cols = off[L] + alpha[:, None] * (2 * L + 1) + (M + L)
+        vals = factors[beta, alpha][:, None] * cg
+        for n in range(-2, 3):
+            at = nu == n
+            parts[f"Q{n}"].append((rows[:, at].ravel(), cols[:, at].ravel(), vals[:, at].ravel()))
+
+    return {
+        name: OperatorMatrix.from_arrays(name, basis, *(np.concatenate(a) for a in zip(*parts[name])))
+        for name in names
+    }
 
 
 def rotor_multiplicities(lm: Su3Label) -> dict[int, int]:

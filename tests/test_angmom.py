@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -304,3 +305,53 @@ def test_cg_twice_matches_sympy_up_to_spin_10():
         assert square.is_Rational and got.squared == Fraction(int(square.p), int(square.q))
         assert got.sign == int(sympy.sign(want))
         checked += 1
+
+
+def _racah_cg_in_fractions(tj1, tm1, tj2, tm2, tJ, tM):
+    """The Condon-Shortley coefficient from Racah's sum accumulated in ``Fraction``s."""
+    if tM != tm1 + tm2 or abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tM) > tJ:
+        return Radical.zero()
+
+    def f(t):
+        return math.factorial(t // 2)
+
+    kmin = max(0, -(tJ - tj2 + tm1) // 2, -(tJ - tj1 - tm2) // 2)
+    kmax = min((tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
+    total = Fraction(0)
+    for k in range(kmin, kmax + 1):
+        den = (
+            math.factorial(k)
+            * f(tj1 + tj2 - tJ - 2 * k)
+            * f(tj1 - tm1 - 2 * k)
+            * f(tj2 + tm2 - 2 * k)
+            * f(tJ - tj2 + tm1 + 2 * k)
+            * f(tJ - tj1 - tm2 + 2 * k)
+        )
+        total += Fraction(-1 if k % 2 else 1, den)
+    if total == 0:
+        return Radical.zero()
+    prefactor = (
+        Fraction((tJ + 1) * f(tj1 + tj2 - tJ) * f(tj1 - tj2 + tJ) * f(-tj1 + tj2 + tJ), f(tj1 + tj2 + tJ + 2))
+        * f(tJ + tM)
+        * f(tJ - tM)
+        * f(tj1 + tm1)
+        * f(tj1 - tm1)
+        * f(tj2 + tm2)
+        * f(tj2 - tm2)
+    )
+    return Radical(1 if total > 0 else -1, prefactor * total * total)
+
+
+def test_cg_integer_sum_matches_the_fraction_sum():
+    # every triangle-allowed coefficient with 2 j1 <= 12 and 2 j2 <= 8,
+    # out-of-range total projections included
+    checked = 0
+    for tj1, tj2 in itertools.product(range(13), range(9)):
+        for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+            for tm1, tm2 in itertools.product(range(-tj1, tj1 + 1, 2), range(-tj2, tj2 + 1, 2)):
+                args = (tj1, tm1, tj2, tm2, tJ, tm1 + tm2)
+                got, want = clebsch_gordan_twice(*args), _racah_cg_in_fractions(*args)
+                assert (got.sign, got.radicand) == (want.sign, want.radicand), args
+                assert float(got).hex() == float(want).hex(), args
+                checked += 1
+    assert checked == 23_427

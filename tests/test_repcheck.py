@@ -5,10 +5,13 @@ from __future__ import annotations
 import dataclasses
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vcs_irreps import repcheck, su3_so3, su11, u3
 from vcs_irreps.opmatrix import OperatorMatrix
@@ -255,6 +258,51 @@ def test_float_operator_matrix_matches_its_dense_form():
     assert np.linalg.norm(repcheck.casimir_matrix(spec, mats) - want) <= 1e-14 * np.linalg.norm(want)
 
 
+def _dense_deviation(m):
+    """Largest deviation of a dense square matrix from its mean diagonal value times I."""
+    if not len(m):
+        return 0.0
+    return float(np.abs(m - float(np.trace(m).real) / len(m) * np.eye(len(m))).max())
+
+
+@pytest.mark.parametrize("rows", [1, 3], ids=["1-row blocks", "3-row blocks"])
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    dim=st.integers(1, 12),
+    cut=st.integers(0, 12),
+    density=st.sampled_from((0.0, 0.05, 0.2, 0.5)),
+    complex_entries=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(dim=10, cut=7, density=0.2, complex_entries=True, seed=1)
+@example(dim=10, cut=0, density=0.2, complex_entries=False, seed=2)
+def test_row_blocks_match_the_dense_sum(rows, dim, cut, density, complex_entries, seed):
+    # Each row costs at least ``dim`` cells, so this budget makes every block
+    # one row, or at most three; ``cut`` > ``dim`` measures the whole sum.
+    rng = np.random.default_rng(seed)
+    dense = []
+    for _ in range(3):
+        m = rng.normal(size=(dim, dim))
+        if complex_entries:
+            m = m + 1j * rng.normal(size=(dim, dim))
+        dense.append(np.where(rng.random((dim, dim)) < density, m, 0))
+    a, b, c = (repcheck.SparseMatrix.of(m) for m in dense)
+    terms = [(1.5, a, b), (-2, b, a), (Fraction(1, 3), c, None), (1, a.adjoint(), None)]
+    full = 1.5 * dense[0] @ dense[1] - 2 * dense[1] @ dense[0] + dense[2] / 3 + dense[0].conj().T
+    interior = None if cut > dim else cut
+    want = full[:interior, :interior]
+    total = repcheck.SparseMatrix.sum(dim, terms)
+    with mock.patch.object(repcheck, "_BLOCK_CELLS", 1 if rows == 1 else 3 * dim):
+        blocks = list(total.blocks(interior))
+        sizes = [len(m) for _, m in blocks]
+        assert [r0 for r0, _ in blocks] == np.cumsum([0] + sizes[:-1]).tolist()[: len(blocks)]
+        assert sum(sizes) == len(want) and max(sizes, default=1) <= rows
+        gathered = np.concatenate([np.empty((0, len(want)))] + [m for _, m in blocks])
+        assert np.abs(gathered - want).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(want).max(initial=0.0))
+        assert abs(total.norm(interior) - np.linalg.norm(want)) <= 1e-12 * np.linalg.norm(want)
+        assert abs(total.deviation(interior) - _dense_deviation(want)) <= 1e-12 * _dense_deviation(want)
+
+
 # -- the exact kernel against sympy and against OperatorMatrix arithmetic --------
 
 # Radicands with square factors (8, 12, 18, 50), so the kernel has to reduce them.
@@ -360,7 +408,7 @@ def _reference_checks(spec, mats, interior):
     casimir = OperatorMatrix("cas", next(iter(mats.values())).basis)
     for c, x, y in spec.casimir:
         casimir = casimir + (mats[x] @ mats[y]).scale(c)
-    dev = repcheck.FloatSum(casimir.to_dense()[:interior, :interior]).deviation()
+    dev = _dense_deviation(casimir.to_dense()[:interior, :interior])
     scale = 1.0 + sum(abs(float(c)) * norm(mats[x]) * norm(mats[y]) for c, x, y in spec.casimir)
     return comm, herm, dev / scale
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcs_irreps import cli, repcheck, su3_so3, u3
-from vcs_irreps.angmom import clebsch_gordan
+from vcs_irreps.opmatrix import OperatorMatrix
+from vcs_irreps.angmom import clebsch_gordan, clebsch_gordan_twice
 from vcs_irreps.radical import Radical, RadicalSum
 
 WEIGHTS = [(2, 0), (0, 2), (1, 1), (2, 2), (4, 2)]
@@ -205,6 +207,59 @@ def test_full_algebra_and_hermiticity_family_sweep():
             gens = su3_so3.assemble_so3_generators(lm)
             assert repcheck.commutator_residual(spec, gens) < 1e-10, (lam, mu)
             assert repcheck.hermiticity_residual(spec, gens) < 1e-10, (lam, mu)
+
+
+def _assemble_entry_by_entry(lm):
+    """The generators filled one entry at a time, from the labels and the construction's factors."""
+    con = su3_so3._construction(lm)
+    basis = su3_so3.basis_labels(lm)
+    index = {(b.L, b.alpha, b.M): i for i, b in enumerate(basis)}
+    mats = {name: OperatorMatrix(name, basis) for name in ("L0", "L+", "L-", "Q-2", "Q-1", "Q0", "Q1", "Q2")}
+    for b in basis:
+        i = index[(b.L, b.alpha, b.M)]
+        if b.M:
+            mats["L0"][i, i] = float(b.M)
+        if b.M + 1 <= b.L:
+            amp = float(np.sqrt((b.L - b.M) * (b.L + b.M + 1)))
+            mats["L+"][index[(b.L, b.alpha, b.M + 1)], i] = amp
+            mats["L-"][i, index[(b.L, b.alpha, b.M + 1)]] = amp
+    for (Lp, L), factors in con.factors.items():
+        for beta, alpha in np.argwhere(factors).tolist():
+            factor = float(factors[beta, alpha])
+            for M in range(-L, L + 1):
+                for nu in range(max(-2, -Lp - M), min(2, Lp - M) + 1):
+                    cgc = float(clebsch_gordan_twice(2 * L, 2 * M, 4, 2 * nu, 2 * Lp, 2 * (M + nu)))
+                    if cgc != 0.0:
+                        mats[f"Q{nu}"][index[(Lp, beta, M + nu)], index[(L, alpha, M)]] = cgc * factor
+    return mats
+
+
+@pytest.mark.parametrize("lam,mu", [(2, 1), (4, 2), (8, 6), (10, 8)])
+def test_array_assembly_matches_the_entry_by_entry_fill(lam, mu):
+    lm = su3_so3.Su3Label(lam, mu)
+    got, want = su3_so3.assemble_so3_generators(lm), _assemble_entry_by_entry(lm)
+    assert list(got) == list(want)
+    for name, mat in got.items():
+        assert mat.basis == want[name].basis
+        assert mat.entries.keys() == want[name].entries.keys(), name
+        assert all(v.hex() == want[name].entries[k].hex() for k, v in mat.entries.items()), name
+        assert all(type(v) is float and v != 0.0 for v in mat.entries.values()), name
+
+
+def test_construction_builds_each_quadrupole_block_once(monkeypatch):
+    calls = Counter()
+    real = su3_so3.m_matrix
+    monkeypatch.setattr(su3_so3, "m_matrix", lambda lm, Lp, L: calls.update([(Lp, L)]) or real(lm, Lp, L))
+    su3_so3._construction.__wrapped__(su3_so3.Su3Label(10, 8))
+    assert len(calls) == 82 and set(calls.values()) == {1}
+
+
+def test_bulk_fill_drops_zeros_and_rejects_entries_outside():
+    mat = OperatorMatrix.from_arrays("m", range(3), [0, 1, 2], [2, 1, 0], np.array([1.5, 0.0, -2.0]))
+    assert mat.entries == OperatorMatrix("m", range(3), {(0, 2): 1.5, (1, 1): 0.0, (2, 0): -2.0}).entries
+    for rows, cols in (([0, 3], [0, 0]), ([0, 0], [-1, 0])):
+        with pytest.raises(IndexError):
+            OperatorMatrix.from_arrays("m", range(3), rows, cols, [1.0, 1.0])
 
 
 def test_hermiticity_keeps_float_precision_at_8_6():
