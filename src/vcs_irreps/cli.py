@@ -15,14 +15,19 @@ Each algebra is described once, by an :class:`Algebra` entry in
 :data:`ALGEBRAS`: how to read its label from the command line or from a
 document, how to build its generators, what its document holds and how its
 checks run.  ``gen``, ``check`` and ``check --replay`` are one path through
-that table; adding an algebra means adding one entry.  A replay reads each
-entry as the document stores it (an exact ``{"sign", "radicand"}`` as a
-``Radical``, a ``repr`` string as a float) into the same ``OperatorMatrix``
-form the builders return, so the live and replayed checks are one
+that table; adding an algebra means adding one entry.  A replay reads a
+generator whose entries are all floats (``repr`` strings) straight into
+coordinate arrays, a :class:`repcheck.SparseMatrix` as the su(3) builder
+returns it, and a generator with any exact ``{"sign", "radicand"}`` entry
+into an ``OperatorMatrix`` of ``Radical``s as the su(1,1) and u(3) builders
+return it.  So the live and replayed checks are one
 :func:`repcheck.standard_checks` call, and both pick the exact or the float
-kernel from the entries alone.  The su(1,1) matrices are truncations of an
-infinite-dimensional irrep, so its commutator and Casimir checks run on the
-interior block (every row and column but the last).
+kernel from the entries alone.  An entry's indices must be integers inside
+the matrix, its value finite, and no ``(row, col)`` may repeat.  ``gen``
+writes float generators from their arrays and streams the JSON document to
+its file.  The su(1,1) matrices are truncations of an infinite-dimensional
+irrep, so its commutator and Casimir checks run on the interior block (every
+row and column but the last).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (with a one-line
 ``error:`` message).  The default tolerance is 1e-10, overridable per-call
@@ -33,6 +38,7 @@ either must be a finite number >= 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -110,24 +116,52 @@ def _value_to_json(value, mode: str):
     return repr(as_float(value))
 
 
-def _matrix_to_json(mat: OperatorMatrix, mode: str) -> dict:
-    entries = [
-        [r, c, _value_to_json(v, mode)] for (r, c), v in sorted(mat.entries.items())
-    ]
+def _is_exact(mat: OperatorMatrix | repcheck.SparseMatrix) -> bool:
+    """Whether every entry is exact: a float ``SparseMatrix`` qualifies only when it has none."""
+    return mat.is_exact() if isinstance(mat, OperatorMatrix) else not mat.vals.size
+
+
+def _matrix_to_json(mat: OperatorMatrix | repcheck.SparseMatrix, mode: str) -> dict:
+    """Entries as ``[row, col, value]`` in row, then column order."""
+    if isinstance(mat, repcheck.SparseMatrix):
+        entries = [[r, c, repr(v)] for r, c, v in zip(mat.rows.tolist(), mat.cols.tolist(), mat.vals.tolist())]
+    else:
+        entries = [[r, c, _value_to_json(v, mode)] for (r, c), v in sorted(mat.entries.items())]
     return {"dim": mat.dim, "entries": entries}
 
 
-def _matrix_from_json(name: str, info: dict, dim: int) -> OperatorMatrix:
-    """A generator as its builder returned it: exact entries as ``Radical``s, ``repr`` strings as floats."""
+def _finite(name: str, value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{name} has the value {value!r}, which is not finite")
+    return number
+
+
+def _matrix_from_json(name: str, info: dict, dim: int) -> OperatorMatrix | repcheck.SparseMatrix:
+    """A generator as its builder returned it.
+
+    Float entries (``repr`` strings) become a ``SparseMatrix``; a generator
+    with any exact entry becomes an ``OperatorMatrix`` of ``Radical``s.  An
+    index must be an ``int`` inside the matrix (``IndexError`` outside), a
+    value finite, and a ``(row, col)`` given once.
+    """
     if info["dim"] != dim:
         raise ValueError(f"{name} has dim {info['dim']!r}, but the weight gives {dim}")
-    entries: dict[tuple[int, int], object] = {}
-    for r, c, v in info["entries"]:
-        key = (int(r), int(c))
-        if key in entries:
-            raise ValueError(f"{name} repeats entry {key}")
-        entries[key] = Radical.from_json(v) if isinstance(v, dict) else float(v)
-    return OperatorMatrix(name, range(dim), entries)  # IndexError for an entry outside
+    entries = info["entries"]
+    if not all(isinstance(e, list) and len(e) == 3 for e in entries):
+        raise ValueError(f"{name} has an entry that is not [row, col, value]")
+    rows, cols, values = zip(*entries) if entries else ((), (), ())
+    indices = rows + cols
+    if not all(type(i) is int for i in indices):
+        raise ValueError(f"{name} has an entry index that is not an integer")
+    if indices and not 0 <= min(indices) <= max(indices) < dim:
+        raise IndexError(f"{name} has an entry outside its {dim}x{dim} matrix")
+    if not any(isinstance(v, dict) for v in values):
+        return repcheck.SparseMatrix(dim, rows, cols, [_finite(name, v) for v in values])  # ValueError for a repeat
+    matrix = dict(zip(zip(rows, cols), (Radical.from_json(v) if isinstance(v, dict) else _finite(name, v) for v in values)))
+    if len(matrix) != len(values):
+        raise ValueError(f"{name} repeats an entry")
+    return OperatorMatrix(name, range(dim), matrix)
 
 
 # -- the algebras ------------------------------------------------------------
@@ -147,6 +181,7 @@ class Algebra:
     from_weight: Callable[[dict], Any]  # a document's "weight" -> label
     spec: Callable[[], repcheck.AlgebraSpec]
     build: Callable[[Any], dict]  # label -> generator matrices
+    basis: Callable[[Any], Iterable]  # label -> basis labels, in matrix index order
     title: Callable[[Any], str]
     weight: Callable[[Any], dict]  # label -> the document's "weight"
     csv_weight: Callable[[Any], str]
@@ -202,6 +237,7 @@ SU11 = Algebra(
     from_weight=lambda w: su11.Su11Irrep(Fraction(w["lambda"]), int(w["nmax"])),
     spec=lambda: repcheck.su11_spec(),
     build=lambda irrep: su11.generator_matrices(irrep),
+    basis=lambda irrep: range(irrep.dim),
     title=lambda irrep: f"su11 lambda={irrep.lam} nmax={irrep.n_max}",
     weight=lambda irrep: {"lambda": str(irrep.lam), "nmax": irrep.n_max},
     csv_weight=lambda irrep: f"lambda={irrep.lam}",
@@ -220,6 +256,7 @@ U3 = Algebra(
     from_weight=lambda w: u3.U3HighestWeight(*(Fraction(x) for x in w["w"])),
     spec=lambda: repcheck.u3_spec(),
     build=lambda hw: u3.assemble_generators(hw),
+    basis=lambda hw: u3.basis_enumeration(hw),
     title=lambda hw: f"u3 weight {{{hw.w1},{hw.w2},{hw.w3}}}",
     weight=lambda hw: {"w": [str(w) for w in (hw.w1, hw.w2, hw.w3)]},
     csv_weight=lambda hw: f"{hw.w1},{hw.w2},{hw.w3}",
@@ -233,6 +270,7 @@ SU3_SO3 = Algebra(
     from_weight=lambda w: su3_so3.Su3Label(int(w["lam"]), int(w["mu"])),
     spec=lambda: repcheck.su3_so3_spec(),
     build=lambda lm: su3_so3.assemble_so3_generators(lm),
+    basis=lambda lm: su3_so3.basis_labels(lm),
     title=lambda lm: f"su3-so3 ({lm.lam},{lm.mu})",
     weight=lambda lm: {"lam": lm.lam, "mu": lm.mu},
     csv_weight=lambda lm: f"{lm.lam},{lm.mu}",
@@ -257,14 +295,14 @@ def _label(algebra: Algebra, args):
 
 def _document(algebra: Algebra, label, mode: str) -> dict:
     gens = algebra.build(label)
-    if not all(m.is_exact() for m in gens.values()):
+    if not all(_is_exact(m) for m in gens.values()):
         mode = "float"
     doc = {
         "schema": SCHEMA_VERSION,
         "algebra": algebra.name,
         "weight": algebra.weight(label),
         "mode": mode,
-        "basis": [str(b) for b in next(iter(gens.values())).basis],
+        "basis": [str(b) for b in algebra.basis(label)],
         "generators": {k: _matrix_to_json(v, mode) for k, v in gens.items()},
         "reduced_matrix_elements": [
             {"bra": bra, "ket": ket, "value": _value_to_json(value, mode)}
@@ -331,15 +369,13 @@ def cmd_gen(args) -> int:
     algebra = ALGEBRAS[args.algebra]
     label = _label(algebra, args)
     doc = _document(algebra, label, args.mode)
-    if args.format == "csv":
-        text = _doc_to_csv(doc, algebra.csv_weight(label))
-    else:
-        text = json.dumps(doc, indent=1)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        print(text)
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        if args.format == "csv":
+            fh.write(_doc_to_csv(doc, algebra.csv_weight(label)))
+        else:
+            json.dump(doc, fh, indent=1)  # streamed: the document is never one string
+        if not args.out:
+            fh.write("\n")
     return 0
 
 

@@ -27,23 +27,6 @@ class OperatorMatrix:
         for (r, c), v in (entries or {}).items():
             self[r, c] = v
 
-    @classmethod
-    def from_arrays(cls, name: str, basis, rows, cols, vals) -> "OperatorMatrix":
-        """A float matrix from coordinate arrays with distinct ``(row, col)`` keys, filled in bulk.
-
-        As with item assignment, an entry outside the matrix raises
-        ``IndexError`` and exact zeros are dropped.
-        """
-        out = cls(name, basis)
-        rows, cols, vals = np.asarray(rows), np.asarray(cols), np.asarray(vals)
-        outside = (rows < 0) | (rows >= out.dim) | (cols < 0) | (cols >= out.dim)
-        if outside.any():
-            at = int(np.argmax(outside))
-            raise IndexError(f"entry {(int(rows[at]), int(cols[at]))} outside {out.dim}x{out.dim} matrix")
-        kept = vals != 0
-        out.entries = dict(zip(zip(rows[kept].tolist(), cols[kept].tolist()), vals[kept].tolist()))
-        return out
-
     @property
     def dim(self) -> int:
         return len(self.basis)

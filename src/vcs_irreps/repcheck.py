@@ -213,12 +213,15 @@ def su3_so3_spec() -> AlgebraSpec:
 
 
 class SparseMatrix:
-    """A float matrix in row-sorted coordinate form, as the float checks use it.
+    """A float matrix in row-sorted coordinate form: the su(3) builder's output and the float checks' input.
 
-    ``rows``, ``cols`` and ``vals`` hold the entries sorted by row, then by
-    column; ``starts[r]:starts[r + 1]`` is row ``r``'s slice and ``norm`` is the
-    Frobenius norm.  A product gathers ``B``'s row slice for every entry of
-    ``A``, so it costs the number of scalar products it forms, not ``d**3``.
+    ``rows``, ``cols`` and ``vals`` hold the non-zero entries sorted by row,
+    then by column; ``starts[r]:starts[r + 1]`` is row ``r``'s slice and
+    ``norm`` is the Frobenius norm.  A product gathers ``B``'s row slice for
+    every entry of ``A``, so it costs the number of scalar products it forms,
+    not ``d**3``.  Coordinate arrays in any order make one: an entry outside
+    the matrix raises ``IndexError``, a repeated ``(row, col)`` raises
+    ``ValueError`` and exact zeros are dropped.
     """
 
     __slots__ = ("dim", "rows", "cols", "vals", "starts", "norm")
@@ -226,15 +229,26 @@ class SparseMatrix:
     def __init__(self, dim: int, rows, cols, vals):
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        order = np.argsort(rows * dim + cols, kind="stable")
+        vals = np.asarray(vals)
+        outside = (rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim)
+        if outside.any():
+            at = int(np.argmax(outside))
+            raise IndexError(f"entry {(int(rows[at]), int(cols[at]))} outside {dim}x{dim} matrix")
+        keys = rows * dim + cols
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        repeated = np.flatnonzero(keys[1:] == keys[:-1])
+        if repeated.size:
+            raise ValueError(f"entry {divmod(int(keys[repeated[0]]), dim)} given twice")
+        order = order[vals[order] != 0]
         self.dim = dim
-        self.rows, self.cols, self.vals = rows[order], cols[order], np.asarray(vals)[order]
+        self.rows, self.cols, self.vals = rows[order], cols[order], vals[order]
         self.starts = np.searchsorted(self.rows, np.arange(dim + 1))
         self.norm = float(np.linalg.norm(self.vals))
 
     @classmethod
     def of(cls, m) -> "SparseMatrix":
-        """The sparse form of an OperatorMatrix (exact or float) or an ndarray."""
+        """The sparse form of an OperatorMatrix (exact or float) or an ndarray; a SparseMatrix as it is."""
         if isinstance(m, cls):
             return m
         if isinstance(m, OperatorMatrix):
@@ -244,6 +258,11 @@ class SparseMatrix:
         m = np.asarray(m)
         rows, cols = np.nonzero(m)
         return cls(m.shape[0], rows, cols, m[rows, cols])
+
+    def to_dense(self) -> np.ndarray:
+        out = np.zeros((self.dim, self.dim), self.vals.dtype)
+        out[self.rows, self.cols] = self.vals
+        return out
 
     def adjoint(self) -> "SparseMatrix":
         return SparseMatrix(self.dim, self.cols, self.rows, self.vals.conj())
@@ -469,7 +488,7 @@ def _forms(spec: AlgebraSpec, matrices: dict, form=None) -> dict:
 
 
 def _as_matrix(m) -> np.ndarray:
-    return m.to_dense() if isinstance(m, OperatorMatrix) else np.asarray(m)
+    return m.to_dense() if isinstance(m, (OperatorMatrix, SparseMatrix)) else np.asarray(m)
 
 
 def commutator_residual(spec: AlgebraSpec, matrices: dict, interior: int | None = None) -> float:

@@ -46,9 +46,8 @@ from functools import lru_cache
 import numpy as np
 
 from .angmom import clebsch_gordan, clebsch_gordan_twice
-from .opmatrix import OperatorMatrix
 from .radical import Radical, RadicalSum, as_float
-from .repcheck import DEFAULT_TOL
+from .repcheck import DEFAULT_TOL, SparseMatrix
 
 DEGENERACY_TOL = 1e-9
 _EDGE_TOL = 1e-8
@@ -375,16 +374,18 @@ def basis_labels(lm: Su3Label) -> list[RotorLabel]:
     return out
 
 
-def assemble_so3_generators(lm: Su3Label) -> dict[str, OperatorMatrix]:
-    """Matrices of ``L0, L+, L-`` and ``Q(-2..2)`` on the orthonormal eigenbasis.
+def assemble_so3_generators(lm: Su3Label) -> dict[str, SparseMatrix]:
+    """Matrices of ``L0, L+, L-`` and ``Q(-2..2)`` on the orthonormal eigenbasis, as coordinate arrays.
 
-    State ``(L, alpha, M)`` sits at ``off[L] + alpha (2L+1) + (M+L)``.  Each
-    block pair ``(L', L)`` contributes the outer product of its non-zero
-    factors and its Clebsch-Gordan vector ``(L M, 2 nu | L' M+nu)``, as
-    coordinate arrays per ``nu``; every matrix is then filled in bulk.
+    State ``(L, alpha, M)`` sits at ``off[L] + alpha (2L+1) + (M+L)``, the
+    index of its label in :func:`basis_labels`.  Each block pair ``(L', L)``
+    contributes the outer product of its non-zero factors and its
+    Clebsch-Gordan vector ``(L M, 2 nu | L' M+nu)``, as coordinate arrays per
+    ``nu``.  Each generator is one :class:`~vcs_irreps.repcheck.SparseMatrix`
+    of its concatenated arrays, which sorts them and drops exact zeros; no
+    entry ever becomes a Python object.
     """
     con = _construction(lm)
-    basis = basis_labels(lm)
     sizes = [len(con.candidates[L]) * (2 * L + 1) for L in con.levels]
     off = dict(zip(con.levels, np.cumsum([0] + sizes).tolist()))
     names = ("L0", "L+", "L-", "Q-2", "Q-1", "Q0", "Q1", "Q2")
@@ -412,10 +413,7 @@ def assemble_so3_generators(lm: Su3Label) -> dict[str, OperatorMatrix]:
             at = nu == n
             parts[f"Q{n}"].append((rows[:, at].ravel(), cols[:, at].ravel(), vals[:, at].ravel()))
 
-    return {
-        name: OperatorMatrix.from_arrays(name, basis, *(np.concatenate(a) for a in zip(*parts[name])))
-        for name in names
-    }
+    return {name: SparseMatrix(sum(sizes), *(np.concatenate(a) for a in zip(*parts[name]))) for name in names}
 
 
 def rotor_multiplicities(lm: Su3Label) -> dict[int, int]:

@@ -12,6 +12,7 @@ import pytest
 
 from vcs_irreps import su3_so3
 from vcs_irreps.cli import ALGEBRAS, main
+from vcs_irreps.opmatrix import OperatorMatrix
 from vcs_irreps.radical import Radical
 
 # A small irrep of every registered algebra, as command-line flags.
@@ -310,6 +311,21 @@ def _negative_row(entries):
     entries[0][0] = -1
 
 
+def _edit_float_entries(tmp_path, capsys, edit):
+    path = tmp_path / "doc.json"
+    run(capsys, "gen", "su3-so3", "--lm", "1,0", "--out", str(path))
+    doc = json.loads(path.read_text())
+    edit(doc["generators"]["L0"]["entries"])
+    return json.dumps(doc)
+
+
+def _first_entry(position, value):
+    def edit(entries):
+        entries[0][position] = value
+
+    return edit
+
+
 def _duplicate_first(entries):
     entries.append(entries[0])
 
@@ -360,6 +376,15 @@ def _one_basis_label(doc):
         (["check", "--replay"], lambda tmp_path, capsys: _drop_key(tmp_path, capsys, "su3-so3", "weight"), {}),
         (["check", "--replay"], lambda tmp_path, capsys: _edit_entries(tmp_path, capsys, _negative_row), {}),
         (["check", "--replay"], lambda tmp_path, capsys: _edit_entries(tmp_path, capsys, _duplicate_first), {}),
+        (["check", "--replay"], lambda tmp_path, capsys: _edit_entries(tmp_path, capsys, _first_entry(0, 1.5)), {}),
+        (["check", "--replay"], lambda tmp_path, capsys: _edit_entries(tmp_path, capsys, _first_entry(2, "nan")), {}),
+        *(
+            (["check", "--replay"], lambda tmp_path, capsys, edit=edit: _edit_float_entries(tmp_path, capsys, edit), {})
+            for edit in (
+                _first_entry(0, 1.5), _first_entry(0, True), _first_entry(0, "1"), _first_entry(0, 3),
+                _first_entry(2, "nan"), _first_entry(2, "inf"), _duplicate_first,
+            )
+        ),
         (
             ["check", "--replay"],
             lambda tmp_path, capsys: _edit_document(tmp_path, capsys, ["su11", *SMALL_IRREPS["su11"]], _one_dim_changed),
@@ -395,7 +420,9 @@ def _one_basis_label(doc):
     ],
     ids=[
         "negative-lambda", "zero-lambda", "zero-nmax", "non-json", "no-generators", "no-weight",
-        "negative-entry-index", "duplicate-entry", "mismatched-dims", "zero-dims",
+        "negative-entry-index", "duplicate-entry", "fractional-entry-index", "nan-among-exact-values",
+        "float-doc-fractional-index", "float-doc-bool-index", "float-doc-string-index", "float-doc-index-outside",
+        "float-doc-nan-value", "float-doc-inf-value", "float-doc-duplicate-entry", "mismatched-dims", "zero-dims",
         "su11-nmax-relabelled", "su3-relabelled", "basis-length", "env-tol-not-a-number", "env-tol-infinite",
         "tol-nan", "tol-negative", "tol-not-a-number",
     ],
@@ -410,6 +437,17 @@ def test_bad_input_is_one_line_usage_error(tmp_path, capsys, monkeypatch, argv, 
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_float_su3_paths_build_no_operator_matrix(tmp_path, capsys, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an OperatorMatrix was built")
+
+    monkeypatch.setattr(OperatorMatrix, "__init__", refuse)
+    path = tmp_path / "doc.json"
+    assert run(capsys, "check", "su3-so3", "--lm", "4,2")[0] == 0
+    assert run(capsys, "gen", "su3-so3", "--lm", "4,2", "--out", str(path))[0] == 0
+    assert run(capsys, "check", "--replay", str(path))[0] == 0
 
 
 def _check_names(report: str) -> list[str]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -188,7 +189,7 @@ def test_conjugate_irreps_flip_diagonal_quadrupole_sign():
 def test_assemble_trivial_irrep():
     gens = su3_so3.assemble_so3_generators(su3_so3.Su3Label(0, 0))
     for mat in gens.values():
-        assert mat.dim == 1 and mat.is_zero()
+        assert mat.dim == 1 and mat.vals.size == 0
 
 
 @pytest.mark.parametrize("lam,mu", WEIGHTS)
@@ -240,10 +241,28 @@ def test_array_assembly_matches_the_entry_by_entry_fill(lam, mu):
     got, want = su3_so3.assemble_so3_generators(lm), _assemble_entry_by_entry(lm)
     assert list(got) == list(want)
     for name, mat in got.items():
-        assert mat.basis == want[name].basis
-        assert mat.entries.keys() == want[name].entries.keys(), name
-        assert all(v.hex() == want[name].entries[k].hex() for k, v in mat.entries.items()), name
-        assert all(type(v) is float and v != 0.0 for v in mat.entries.values()), name
+        assert mat.dim == len(want[name].basis)
+        keys, vals = zip(*sorted(want[name].entries.items()))
+        assert mat.rows.tolist() == [r for r, _ in keys], name
+        assert mat.cols.tolist() == [c for _, c in keys], name
+        assert mat.vals.dtype == np.float64 and mat.vals.tobytes() == np.array(vals).tobytes(), name
+        assert np.all(mat.vals != 0.0), name
+
+
+@pytest.mark.parametrize("lam,mu", [(0, 0), (2, 1), (8, 6)])
+def test_gen_writes_the_arrays_as_the_entry_dicts_were_written(tmp_path, monkeypatch, lam, mu):
+    # The reference is the dict writer: OperatorMatrix generators filled entry
+    # by entry, written in sorted(entries.items()) order and by json.dumps.
+    for fmt in ("json", "csv"):
+        assert cli.main(["gen", "su3-so3", "--lm", f"{lam},{mu}", "--format", fmt, "--out", str(tmp_path / fmt)]) == 0
+    lm = su3_so3.Su3Label(lam, mu)
+    old = _assemble_entry_by_entry(lm)
+    monkeypatch.setattr(su3_so3, "assemble_so3_generators", lambda lm: old)
+    doc = cli._document(cli.SU3_SO3, lm, "exact")
+    assert doc["mode"] == ("exact" if (lam, mu) == (0, 0) else "float")
+    assert doc["basis"] == [str(b) for b in old["L0"].basis]
+    assert (tmp_path / "json").read_bytes() == json.dumps(doc, indent=1).encode()
+    assert (tmp_path / "csv").read_bytes() == cli._doc_to_csv(doc, f"{lam},{mu}").encode()
 
 
 def test_construction_builds_each_quadrupole_block_once(monkeypatch):
@@ -255,11 +274,19 @@ def test_construction_builds_each_quadrupole_block_once(monkeypatch):
 
 
 def test_bulk_fill_drops_zeros_and_rejects_entries_outside():
-    mat = OperatorMatrix.from_arrays("m", range(3), [0, 1, 2], [2, 1, 0], np.array([1.5, 0.0, -2.0]))
-    assert mat.entries == OperatorMatrix("m", range(3), {(0, 2): 1.5, (1, 1): 0.0, (2, 0): -2.0}).entries
+    mat = repcheck.SparseMatrix(3, [2, 1, 0], [0, 1, 2], np.array([-2.0, 0.0, 1.5]))
+    assert (mat.rows.tolist(), mat.cols.tolist(), mat.vals.tolist()) == ([0, 2], [2, 0], [1.5, -2.0])
+    assert mat.starts.tolist() == [0, 1, 1, 2]
     for rows, cols in (([0, 3], [0, 0]), ([0, 0], [-1, 0])):
         with pytest.raises(IndexError):
-            OperatorMatrix.from_arrays("m", range(3), rows, cols, [1.0, 1.0])
+            repcheck.SparseMatrix(3, rows, cols, [1.0, 1.0])
+    with pytest.raises(ValueError, match="given twice"):
+        repcheck.SparseMatrix(3, [1, 0, 1], [2, 0, 2], [1.0, 1.0, 0.0])
+    # The build drops the zeros of L0 at M = 0: (2,1) has one state there per L multiplet.
+    lm = su3_so3.Su3Label(2, 1)
+    l0 = su3_so3.assemble_so3_generators(lm)["L0"]
+    assert l0.vals.size == lm.dimension() - sum(su3_so3.rotor_multiplicities(lm).values())
+    assert np.all(l0.vals != 0.0)
 
 
 def test_hermiticity_keeps_float_precision_at_8_6():
@@ -351,6 +378,7 @@ def _table_gap(lm):
     ``<Lp beta Mp|Q(nu)|L alpha M> = (L M, 2 nu | Lp Mp) value / sqrt(2Lp+1)``.
     """
     gens = cli.SU3_SO3.build(lm)
+    entries = {name: dict(zip(zip(m.rows.tolist(), m.cols.tolist()), m.vals.tolist())) for name, m in gens.items()}
     index = {(b.L, b.alpha, b.M): i for i, b in enumerate(su3_so3.basis_labels(lm))}
     worst = 0.0
     for bra, ket, value in cli.SU3_SO3.reduced(lm, gens):
@@ -359,7 +387,7 @@ def _table_gap(lm):
             for nu in range(-2, 3):
                 cgc = float(clebsch_gordan(L, M, 2, nu, Lp, M + nu))
                 if cgc:
-                    entry = gens[f"Q{nu}"][index[(Lp, beta, M + nu)], index[(L, alpha, M)]]
+                    entry = entries[f"Q{nu}"].get((index[(Lp, beta, M + nu)], index[(L, alpha, M)]), 0.0)
                     want = cgc * value / np.sqrt(2 * Lp + 1)
                     worst = max(worst, abs(entry - want) / abs(want))
     return worst
