@@ -24,10 +24,13 @@ return it.  So the live and replayed checks are one
 :func:`repcheck.standard_checks` call, and both pick the exact or the float
 kernel from the entries alone.  An entry's indices must be integers inside
 the matrix, its value finite, and no ``(row, col)`` may repeat.  ``gen``
-writes float generators from their arrays and streams the JSON document to
-its file.  The su(1,1) matrices are truncations of an infinite-dimensional
-irrep, so its commutator and Casimir checks run on the interior block (every
-row and column but the last).
+writes the JSON document one generator at a time, in the ``json.dump(...,
+indent=1)`` layout: a float generator's entries are formatted straight from
+its coordinate arrays, and every other field by ``json.dumps``.  ``--format
+csv`` writes the reduced table alone and formats no generator.  The su(1,1)
+matrices are truncations of an infinite-dimensional irrep, so its commutator
+and Casimir checks run on the interior block (every row and column but the
+last).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (with a one-line
 ``error:`` message).  The default tolerance is 1e-10, overridable per-call
@@ -121,13 +124,28 @@ def _is_exact(mat: OperatorMatrix | repcheck.SparseMatrix) -> bool:
     return mat.is_exact() if isinstance(mat, OperatorMatrix) else not mat.vals.size
 
 
-def _matrix_to_json(mat: OperatorMatrix | repcheck.SparseMatrix, mode: str) -> dict:
-    """Entries as ``[row, col, value]`` in row, then column order."""
-    if isinstance(mat, repcheck.SparseMatrix):
-        entries = [[r, c, repr(v)] for r, c, v in zip(mat.rows.tolist(), mat.cols.tolist(), mat.vals.tolist())]
-    else:
+def _indented(value, depth: int) -> str:
+    """``json.dumps(value, indent=1)`` as it reads ``depth`` levels into an ``indent=1`` document."""
+    return json.dumps(value, indent=1).replace("\n", "\n" + " " * depth)  # strings hold no raw newline
+
+
+# One float ``[row, col, "repr(value)"]`` entry, as ``indent=1`` lays it out four levels down.
+_FLOAT_ENTRY = '[\n     {},\n     {},\n     "{!r}"\n    ]'.format
+
+
+def _generator_json(mat: OperatorMatrix | repcheck.SparseMatrix, mode: str) -> str:
+    """One generator's ``{"dim", "entries"}`` object, two levels down; entries in row, then column order.
+
+    A float generator's entries are formatted straight from its arrays, never
+    held as ``[row, col, value]`` lists.
+    """
+    if isinstance(mat, OperatorMatrix):
         entries = [[r, c, _value_to_json(v, mode)] for (r, c), v in sorted(mat.entries.items())]
-    return {"dim": mat.dim, "entries": entries}
+        return _indented({"dim": mat.dim, "entries": entries}, 2)
+    if not mat.vals.size:
+        return _indented({"dim": mat.dim, "entries": []}, 2)
+    body = ",\n    ".join(map(_FLOAT_ENTRY, mat.rows.tolist(), mat.cols.tolist(), mat.vals.tolist()))
+    return f'{{\n   "dim": {mat.dim},\n   "entries": [\n    {body}\n   ]\n  }}'
 
 
 def _finite(name: str, value) -> float:
@@ -303,7 +321,7 @@ def _document(algebra: Algebra, label, mode: str) -> dict:
         "weight": algebra.weight(label),
         "mode": mode,
         "basis": [str(b) for b in algebra.basis(label)],
-        "generators": {k: _matrix_to_json(v, mode) for k, v in gens.items()},
+        "generators": gens,  # the matrices; _write_json formats them one at a time
         "reduced_matrix_elements": [
             {"bra": bra, "ket": ket, "value": _value_to_json(value, mode)}
             for bra, ket, value in algebra.reduced(label, gens)
@@ -313,6 +331,28 @@ def _document(algebra: Algebra, label, mode: str) -> dict:
     if metadata is not None:
         doc["metadata"] = metadata
     return doc
+
+
+def _write_json(doc: dict, fh) -> None:
+    """Write ``doc`` as ``json.dump(..., indent=1)`` wrote it with entry lists, one generator at a time.
+
+    ``doc["generators"]`` holds the matrices themselves, each written by
+    :func:`_generator_json`; every other field is one ``json.dumps`` call.
+    The document is never one string.
+    """
+    sep = "{"
+    for key, value in doc.items():
+        fh.write(f"{sep}\n {json.dumps(key)}: ")
+        sep = ","
+        if key != "generators":
+            fh.write(_indented(value, 1))
+            continue
+        inner = "{"
+        for name, mat in value.items():
+            fh.write(f"{inner}\n  {json.dumps(name)}: {_generator_json(mat, doc['mode'])}")
+            inner = ","
+        fh.write("\n }" if value else "{}")
+    fh.write("\n}")
 
 
 def _doc_to_csv(doc: dict, weight: str) -> str:
@@ -373,7 +413,7 @@ def cmd_gen(args) -> int:
         if args.format == "csv":
             fh.write(_doc_to_csv(doc, algebra.csv_weight(label)))
         else:
-            json.dump(doc, fh, indent=1)  # streamed: the document is never one string
+            _write_json(doc, fh)
         if not args.out:
             fh.write("\n")
     return 0

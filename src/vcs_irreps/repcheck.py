@@ -296,7 +296,7 @@ class SparseMatrix:
 # The size of a float sum's row block: a row costs its terms plus its ``dim``
 # output cells, and a block takes rows while their cost stays within this
 # (at least one row).
-_BLOCK_CELLS = 1 << 17
+_BLOCK_CELLS = 1 << 16
 
 
 class FloatSum:
@@ -492,16 +492,18 @@ def _as_matrix(m) -> np.ndarray:
 
 
 def commutator_residual(spec: AlgebraSpec, matrices: dict, interior: int | None = None) -> float:
-    """Max over generator pairs of ``|[A,B] - sum c C| / (1 + |A| |B|)`` (Frobenius).
+    """Max over distinct generator pairs of ``|[A,B] - sum c C| / (1 + |A| |B|)`` (Frobenius).
 
-    ``interior`` restricts the defect, not the norms of A and B, to the leading block.
+    ``[A,A]`` vanishes for every matrix (the spec rejects a non-zero ``[X,X]``),
+    so a self-pair could only measure rounding.  ``interior`` restricts the
+    defect, not the norms of A and B, to the leading block.
     """
     forms = _forms(spec, matrices)
     gens = spec.generators
     worst = 0.0
     for i, x in enumerate(gens):
         a = forms[x]
-        for y in gens[i:]:
+        for y in gens[i + 1:]:
             defect = type(a).sum(a.dim, _commutator_terms(spec, forms, x, y))
             worst = max(worst, defect.norm(interior) / (1.0 + a.norm * forms[y].norm))
     return worst

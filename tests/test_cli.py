@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from vcs_irreps import su3_so3
+from vcs_irreps import cli, repcheck, su3_so3
 from vcs_irreps.cli import ALGEBRAS, main
 from vcs_irreps.opmatrix import OperatorMatrix
 from vcs_irreps.radical import Radical
@@ -77,6 +77,59 @@ def test_gen_csv_columns(capsys):
     assert rows[0] == ["weight", "bra", "ket", "value"]
     assert all(r[0] == "2,1,0" for r in rows[1:])
     assert len(rows) > 1
+
+
+def _entry_lists(doc: dict) -> dict:
+    """``doc`` as the list writer held it, each generator's entries as ``[row, col, value]`` lists."""
+
+    def listed(mat):
+        if isinstance(mat, repcheck.SparseMatrix):
+            return [[r, c, repr(v)] for r, c, v in zip(mat.rows.tolist(), mat.cols.tolist(), mat.vals.tolist())]
+        return [[r, c, cli._value_to_json(v, doc["mode"])] for (r, c), v in sorted(mat.entries.items())]
+
+    return dict(doc, generators={k: {"dim": m.dim, "entries": listed(m)} for k, m in doc["generators"].items()})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["su11", "--lambda", "7/2", "--nmax", "12"],
+        ["su11", "--lambda", "7/2", "--nmax", "12", "--mode", "float"],
+        ["u3", "--weight", "7/3,4/3,1/3"],
+        ["u3", "--weight", "2,1,0", "--mode", "float"],
+        ["su3-so3", "--lm", "0,0"],
+        ["su3-so3", "--lm", "2,1"],
+    ],
+    ids=["su11", "su11-float", "u3", "u3-float", "su3-0-0", "su3-2-1"],
+)
+def test_gen_writes_json_dumps_of_the_entry_lists_to_stdout_and_file(tmp_path, capsys, argv):
+    path = tmp_path / "doc.json"
+    assert run(capsys, "gen", *argv, "--out", str(path))[0] == 0
+    code, out, _ = run(capsys, "gen", *argv)
+    assert code == 0
+    assert out == path.read_text() + "\n" and not out.endswith("\n\n")
+    algebra = ALGEBRAS[argv[0]]
+    args = cli.build_parser().parse_args(["gen", *argv])
+    doc = cli._document(algebra, cli._label(algebra, args), args.mode)
+    assert ("metadata" in doc) == (algebra is cli.SU11)
+    assert out == json.dumps(_entry_lists(doc), indent=1) + "\n"
+
+
+def test_gen_csv_formats_no_generator_entries(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a generator was formatted")
+
+    monkeypatch.setattr(cli, "_generator_json", refuse)
+    path = tmp_path / "t.csv"
+    assert run(capsys, "gen", "su3-so3", "--lm", "4,2", "--format", "csv", "--out", str(path))[0] == 0
+    # The table as it has always been written: one csv row per reduced element, floats as repr.
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow(["weight", "bra", "ket", "value"])
+    lm = su3_so3.Su3Label(4, 2)
+    for bra, ket, value in cli._su3_so3_reduced(lm, su3_so3.assemble_so3_generators(lm)):
+        writer.writerow(["4,2", bra, ket, repr(float(value))])
+    assert path.read_bytes() == want.getvalue().encode()
 
 
 def test_check_su11_passes(capsys):

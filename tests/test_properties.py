@@ -1,5 +1,6 @@
 """Property tests: the exact and float kernels agree, exact values are accurate,
-``Radical`` arithmetic obeys the field laws, and a replay prints the live check.
+``Radical`` arithmetic obeys the field laws, a replay prints the live check, and
+the ``gen`` writer writes what ``json.dumps(indent=1)`` of the entry lists did.
 
 Hypothesis runs derandomized with no example database, so the examples are
 the same on every run.
@@ -9,10 +10,12 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import tempfile
 from fractions import Fraction
 
+import numpy as np
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,3 +133,56 @@ def test_replay_of_a_u3_document_prints_the_live_check(lm, shift):
         replayed = _cli("check", "--replay", path, "--tol", "0")
     assert replayed[0] == live[0] == 0
     assert replayed[1].splitlines()[1:] == live[1].splitlines()[1:]
+
+
+float_values = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    (5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, 2.0, -2.0, 1.0, 0.0)
+)
+single_radicals = st.one_of(st.integers(-3, 3), rationals, radicals)
+
+
+@st.composite
+def gen_documents(draw):
+    """A ``gen`` document with matrices for generators, and the same document with their entry lists.
+
+    The lists are what the list writer held: ``[row, col, value]`` in row, then
+    column order, a float as its ``repr`` string.
+    """
+    mode = draw(st.sampled_from(("exact", "float")))
+    dim = draw(st.integers(0, 30))
+    cell = st.integers(0, max(dim - 1, 0))
+    size = 40 if dim else 0
+    gens, listed = {}, {}
+    for name in draw(st.lists(st.text(max_size=3), unique=True, max_size=4)):
+        if draw(st.booleans()):
+            entries = draw(st.dictionaries(st.tuples(cell, cell), float_values, max_size=size))
+            rows, cols = zip(*entries) if entries else ((), ())
+            with np.errstate(over="ignore"):  # the norm of 1e300 entries; the writer does not read it
+                gens[name] = repcheck.SparseMatrix(dim, rows, cols, list(entries.values()))
+            kept = [[r, c, repr(v)] for (r, c), v in sorted(entries.items()) if v != 0.0]
+        else:
+            entries = draw(st.dictionaries(st.tuples(cell, cell), single_radicals, max_size=size // 4))
+            gens[name] = OperatorMatrix(name, range(dim), entries)
+            kept = [[r, c, cli._value_to_json(v, mode)] for (r, c), v in sorted(gens[name].entries.items())]
+        listed[name] = {"dim": dim, "entries": kept}
+    head = {
+        "schema": 1,
+        "algebra": draw(st.text(max_size=5)),  # any text, escapes and newlines included
+        "weight": draw(st.dictionaries(st.text(max_size=3), st.integers() | st.text(max_size=3), max_size=3)),
+        "mode": mode,
+        "basis": draw(st.lists(st.text(max_size=6), max_size=dim)),
+    }
+    row = st.fixed_dictionaries({"bra": st.text(max_size=4), "ket": st.text(max_size=4), "value": st.text(max_size=6)})
+    tail = {"reduced_matrix_elements": draw(st.lists(row, max_size=3))}
+    if draw(st.booleans()):
+        tail["metadata"] = {"kernel_convergence_radius": draw(float_values)}
+    return {**head, "generators": gens, **tail}, {**head, "generators": listed, **tail}
+
+
+@fixed(200)
+@given(gen_documents())
+def test_gen_writer_writes_the_entry_lists_as_json_dumps_did(docs):
+    doc, listed = docs
+    out = io.StringIO()
+    cli._write_json(doc, out)
+    assert out.getvalue() == json.dumps(listed, indent=1)

@@ -76,6 +76,22 @@ def test_commutator_residual_exact_path():
     assert repcheck.commutator_residual(repcheck.u3_spec(), gens) == 0.0
 
 
+def test_commutator_residual_skips_the_self_pairs(monkeypatch):
+    pairs = []
+    terms = repcheck._commutator_terms
+
+    def counted(spec, forms, x, y):
+        pairs.append((x, y))
+        return terms(spec, forms, x, y)
+
+    monkeypatch.setattr(repcheck, "_commutator_terms", counted)
+    spec = repcheck.su3_so3_spec()
+    gens = su3_so3.assemble_so3_generators(su3_so3.Su3Label(2, 1))
+    assert repcheck.commutator_residual(spec, gens) < 1e-12
+    assert len(pairs) == len(set(pairs)) == 28
+    assert all(x != y for x, y in pairs)
+
+
 def test_commutator_residual_requires_all_generators():
     with pytest.raises(ValueError):
         repcheck.commutator_residual(repcheck.su11_spec(), {"S0": np.eye(2)})

@@ -251,8 +251,9 @@ def test_array_assembly_matches_the_entry_by_entry_fill(lam, mu):
 
 @pytest.mark.parametrize("lam,mu", [(0, 0), (2, 1), (8, 6)])
 def test_gen_writes_the_arrays_as_the_entry_dicts_were_written(tmp_path, monkeypatch, lam, mu):
-    # The reference is the dict writer: OperatorMatrix generators filled entry
-    # by entry, written in sorted(entries.items()) order and by json.dumps.
+    # The reference is the dict and list writer: OperatorMatrix generators
+    # filled entry by entry, each entry a [row, col, repr] list in
+    # sorted(entries.items()) order, the whole document written by json.dumps.
     for fmt in ("json", "csv"):
         assert cli.main(["gen", "su3-so3", "--lm", f"{lam},{mu}", "--format", fmt, "--out", str(tmp_path / fmt)]) == 0
     lm = su3_so3.Su3Label(lam, mu)
@@ -261,7 +262,11 @@ def test_gen_writes_the_arrays_as_the_entry_dicts_were_written(tmp_path, monkeyp
     doc = cli._document(cli.SU3_SO3, lm, "exact")
     assert doc["mode"] == ("exact" if (lam, mu) == (0, 0) else "float")
     assert doc["basis"] == [str(b) for b in old["L0"].basis]
-    assert (tmp_path / "json").read_bytes() == json.dumps(doc, indent=1).encode()
+    listed = {
+        name: {"dim": m.dim, "entries": [[r, c, repr(v)] for (r, c), v in sorted(m.entries.items())]}
+        for name, m in old.items()
+    }
+    assert (tmp_path / "json").read_bytes() == json.dumps(dict(doc, generators=listed), indent=1).encode()
     assert (tmp_path / "csv").read_bytes() == cli._doc_to_csv(doc, f"{lam},{mu}").encode()
 
 
