@@ -12,9 +12,14 @@ delta(e,e')``, i.e. ``U = sqrt((2e+1)(2f+1)) W(abcd;ef)``.
 Angular momenta may be passed as ints, ``Fraction``, :class:`Spin`, or floats
 that are exact multiples of 1/2; they are converted to twice-integer form
 internally; ``clebsch_gordan_twice`` takes the doubled integers directly, for
-callers that already hold them.  Everything here is a pure function of its
-arguments; the memo caches are ``functools.lru_cache`` instances, safe for
-concurrent callers.
+callers that already hold them.  One integer kernel sums Racah's series and
+returns ``(sign, num, den)``: the exact caller wraps it in a cached
+``Radical``, and ``clebsch_gordan_twice_float`` returns ``sign *
+sqrt(num / den)``, the same bits as ``float()`` of that ``Radical``, for the
+float su(3) builder, which fills half of each rank-2 vector from the other by
+the M-mirror ``(j1 -m1, j2 -m2 | J -M) = (-1)**(j1+j2-J) (j1 m1, j2 m2 | J M)``.
+Everything here is a pure function of its arguments; the memo caches are
+``functools.lru_cache`` instances, safe for concurrent callers.
 """
 
 from __future__ import annotations
@@ -133,10 +138,10 @@ def _validate_pair(tj: int, tm: int, what: str):
         raise SpinError(f"{what} projection has wrong parity for its spin")
 
 
-@lru_cache(maxsize=None)
-def _cg_twice(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> Radical:
+def _cg_parts(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> tuple[int, int, int]:
+    """``(sign, num, den)`` with ``(j1 m1, j2 m2 | J M) = sign * sqrt(num / den)``; ``(0, 0, 1)`` for zero."""
     if tM != tm1 + tm2 or not _triangle_ok(tj1, tj2, tJ):
-        return Radical.zero()
+        return 0, 0, 1
     # Racah's single-sum form of the Condon-Shortley coefficient, summed in
     # plain integers over the least common denominator of its terms.  The
     # callers' parity checks make every halved argument below an integer.
@@ -144,7 +149,7 @@ def _cg_twice(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> Radic
     d, e = (tJ - tj2 + tm1) // 2, (tJ - tj1 - tm2) // 2
     kmin, kmax = max(0, -d, -e), min(a, b, c)
     if kmin > kmax:
-        return Radical.zero()
+        return 0, 0, 1
     dens = [
         _fact(k) * _fact(a - k) * _fact(b - k) * _fact(c - k) * _fact(d + k) * _fact(e + k)
         for k in range(kmin, kmax + 1)
@@ -152,7 +157,7 @@ def _cg_twice(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> Radic
     common = math.lcm(*dens)
     total = sum(-(common // den) if k % 2 else common // den for k, den in enumerate(dens, kmin))
     if total == 0:
-        return Radical.zero()
+        return 0, 0, 1
     num = (
         (tJ + 1)
         * _fact(a)
@@ -166,7 +171,21 @@ def _cg_twice(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> Radic
         * _fact((tj2 - tm2) // 2)
     )
     den = _fact((tj1 + tj2 + tJ) // 2 + 1) * common * common
-    return Radical(1 if total > 0 else -1, Fraction(num * total * total, den))
+    return (1 if total > 0 else -1), num * total * total, den
+
+
+@lru_cache(maxsize=None)
+def _cg_twice(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> Radical:
+    sign, num, den = _cg_parts(tj1, tm1, tj2, tm2, tJ, tM)
+    return Radical(sign, Fraction(num, den)) if sign else Radical.zero()
+
+
+def _in_range(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> bool:
+    """Validate the doubled arguments; False when a projection exceeds its spin (a zero coefficient)."""
+    _validate_pair(tj1, tm1, "j1")
+    _validate_pair(tj2, tm2, "j2")
+    _validate_pair(tJ, tM, "J")
+    return abs(tm1) <= tj1 and abs(tm2) <= tj2 and abs(tM) <= tJ
 
 
 def clebsch_gordan(
@@ -185,12 +204,21 @@ def clebsch_gordan_twice(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: in
 
     Same rules as :func:`clebsch_gordan`, without converting its arguments.
     """
-    _validate_pair(tj1, tm1, "j1")
-    _validate_pair(tj2, tm2, "j2")
-    _validate_pair(tJ, tM, "J")
-    if abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tM) > tJ:
+    if not _in_range(tj1, tm1, tj2, tm2, tJ, tM):
         return Radical.zero()
     return _cg_twice(tj1, tm1, tj2, tm2, tJ, tM)
+
+
+def clebsch_gordan_twice_float(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:
+    """``float(clebsch_gordan_twice(...))``, bit for bit, without building a ``Radical``.
+
+    Both round the same exact quotient ``num / den`` once and take its square
+    root; this one skips the ``Fraction`` and the cache.
+    """
+    if not _in_range(tj1, tm1, tj2, tm2, tJ, tM):
+        return 0.0
+    sign, num, den = _cg_parts(tj1, tm1, tj2, tm2, tJ, tM)
+    return sign * math.sqrt(num / den)
 
 
 @lru_cache(maxsize=None)

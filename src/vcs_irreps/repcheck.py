@@ -304,8 +304,11 @@ class FloatSum:
 
     The measures gather the sum a block of rows at a time with
     ``np.bincount``, so neither a ``dim * dim`` array nor the full term array
-    ever exists; each entry still adds its terms in their order.  Both
-    measures see the leading ``interior`` block.
+    ever exists; each entry still adds its terms in their order.  When every
+    term is linear (``B`` is None, as in ``A^dag - phase B``), ``norm`` instead
+    merges the terms' sorted coordinates and sums each shared entry in term
+    order, touching only the stored entries.  Both measures see the leading
+    ``interior`` block.
     """
 
     def __init__(self, dim: int, terms: list):
@@ -330,7 +333,22 @@ class FloatSum:
             r0 = r1
 
     def norm(self, interior: int | None = None) -> float:
+        if all(b is None for _, _, b in self.terms):
+            return float(np.linalg.norm(self._linear_entries(interior)))
         return math.sqrt(sum(float(np.vdot(block, block).real) for _, block in self.blocks(interior)))
+
+    def _linear_entries(self, interior: int | None) -> np.ndarray:
+        """The non-empty entries of a sum of ``c A`` terms in the leading block, from the union of their coordinates."""
+        n = self.dim if interior is None else min(interior, self.dim)
+        keys, vals = [], []
+        for c, a, _ in self.terms:
+            at = (a.rows < n) & (a.cols < n)
+            keys.append(a.rows[at] * self.dim + a.cols[at])
+            vals.append(c * a.vals[at])
+        keys, vals = np.concatenate(keys), np.concatenate(vals)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        return np.add.reduceat(vals[order], np.flatnonzero(np.diff(keys, prepend=-1)))
 
     def deviation(self, interior: int | None = None) -> float:
         """Largest deviation from the mean diagonal value times I."""
@@ -487,10 +505,6 @@ def _forms(spec: AlgebraSpec, matrices: dict, form=None) -> dict:
     return forms
 
 
-def _as_matrix(m) -> np.ndarray:
-    return m.to_dense() if isinstance(m, (OperatorMatrix, SparseMatrix)) else np.asarray(m)
-
-
 def commutator_residual(spec: AlgebraSpec, matrices: dict, interior: int | None = None) -> float:
     """Max over distinct generator pairs of ``|[A,B] - sum c C| / (1 + |A| |B|)`` (Frobenius).
 
@@ -535,17 +549,9 @@ def casimir_residual(spec: AlgebraSpec, matrices: dict, interior: int | None = N
 
 def schur_constancy(matrix) -> tuple[float, float]:
     """Mean diagonal value and max normalized deviation from that multiple of I."""
-    m = _as_matrix(matrix)
+    m = matrix.to_dense() if isinstance(matrix, (OperatorMatrix, SparseMatrix)) else np.asarray(matrix)
     mean = float(np.trace(m).real) / len(m)
     return mean, SparseMatrix.sum(len(m), [(1, SparseMatrix.of(m), None)]).deviation() / (1.0 + abs(mean))
-
-
-def casimir_matrix(spec: AlgebraSpec, matrices: dict) -> np.ndarray:
-    """The spec's quadratic Casimir ``sum c X Y`` (at least one term) as a dense array."""
-    forms = _forms(spec, matrices, SparseMatrix)
-    dim = forms[spec.generators[0]].dim
-    total = SparseMatrix.sum(dim, [(c, forms[x], forms[y]) for c, x, y in spec.casimir])
-    return np.concatenate([block for _, block in total.blocks()])
 
 
 def standard_checks(
@@ -567,15 +573,3 @@ def standard_checks(
     if spec.casimir:
         residuals.append(("casimir constancy" + suffix, casimir_residual(spec, forms, interior)))
     return [(name, r, r <= tol) for name, r in residuals]
-
-
-def spectrum_multiset(matrix, hermitian_tol: float = 1e-9) -> list[float]:
-    """Sorted eigenvalue list (uses the symmetric solver when applicable)."""
-    m = _as_matrix(matrix)
-    if np.abs(m - m.conj().T).max() <= hermitian_tol * (1.0 + np.abs(m).max()):
-        ev = np.linalg.eigvalsh(m)
-    else:
-        ev = np.sort_complex(np.linalg.eigvals(m))
-        if np.abs(ev.imag).max() < 1e-9:
-            ev = ev.real
-    return [float(x) for x in np.sort(ev.real)]

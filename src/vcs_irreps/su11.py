@@ -87,15 +87,6 @@ def generator_matrices(irrep: Su11Irrep) -> dict[str, OperatorMatrix]:
     return {"S0": s0, "S+": sp, "S-": sm}
 
 
-def casimir_matrix(irrep: Su11Irrep) -> OperatorMatrix:
-    """``S0**2 - (S+ S- + S- S+)/2``, exactly."""
-    g = generator_matrices(irrep)
-    s0, sp, sm = g["S0"], g["S+"], g["S-"]
-    out = (s0 @ s0) - ((sp @ sm) + (sm @ sp)).scale(Fraction(1, 2))
-    out.name = "Casimir"
-    return out
-
-
 def casimir_eigenvalue(irrep: Su11Irrep) -> Fraction:
     """Scalar value of the Casimir on the irrep: ``lam**2/4 - lam/2``."""
     return Fraction(irrep.lam, 2) ** 2 - Fraction(irrep.lam, 2)

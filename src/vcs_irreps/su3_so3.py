@@ -45,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angmom import clebsch_gordan, clebsch_gordan_twice
+from .angmom import clebsch_gordan, clebsch_gordan_twice_float
 from .radical import Radical, RadicalSum, as_float
 from .repcheck import DEFAULT_TOL, SparseMatrix
 
@@ -334,18 +334,6 @@ def _best_first_walk(levels, candidates, raw_candidates, curly):
     return positive, k_norm
 
 
-def x_eigenbasis(lm: Su3Label, L: int) -> tuple[np.ndarray, list[float]]:
-    """Orthogonal U diagonalizing ``M[L,L]`` and its eigenvalues, ascending.
-
-    Columns are sign-fixed (largest-magnitude component positive); ``alpha``
-    indexes the eigenvalue order.
-    """
-    con = _construction(lm)
-    if L not in con.unitaries:
-        raise ValueError(f"L={L} carries no states in ({lm.lam},{lm.mu})")
-    return con.unitaries[L].copy(), [float(v) for v in con.eigenvalues[L]]
-
-
 def reduced_q(lm: Su3Label, beta: int, Lp: int, alpha: int, L: int) -> float:
     """Reduced quadrupole matrix element ``<(lam,mu) beta Lp || Q || (lam,mu) alpha L>``.
 
@@ -401,9 +389,14 @@ def assemble_so3_generators(lm: Su3Label) -> dict[str, SparseMatrix]:
         parts["L-"].append((i[up], i[up] + 1, amp))
 
     for (Lp, L), factors in con.factors.items():
-        # (L M, 2 nu | Lp M+nu), once per block pair.
+        # (L M, 2 nu | Lp M+nu), once per block pair.  The pairs run in (M, nu)
+        # order, so pairs[-1 - i] is the mirror (-M, -nu) of pairs[i], whose
+        # coefficient is (-1)**(L+2-Lp) times its own: only the upper half is computed.
         pairs = [(M, nu) for M in range(-L, L + 1) for nu in range(max(-2, -Lp - M), min(2, Lp - M) + 1)]
-        cg = np.array([float(clebsch_gordan_twice(2 * L, 2 * M, 4, 2 * nu, 2 * Lp, 2 * (M + nu))) for M, nu in pairs])
+        half = np.array(
+            [clebsch_gordan_twice_float(2 * L, 2 * M, 4, 2 * nu, 2 * Lp, 2 * (M + nu)) for M, nu in pairs[len(pairs) // 2:]]
+        )
+        cg = np.concatenate([half[:0:-1] * (-1) ** (L + Lp), half])
         M, nu = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
         beta, alpha = np.nonzero(factors)
         rows = off[Lp] + beta[:, None] * (2 * Lp + 1) + (M + nu + Lp)

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 # ``clebsch_gordan`` stays a module attribute: bench/spans.py wraps it by name.
 from .angmom import clebsch_gordan, clebsch_gordan_twice, racah_u  # noqa: F401
 from .kmatrix import GammaRep
@@ -239,22 +237,6 @@ def angular_momentum_dense(generators: dict[str, OperatorMatrix]):
     lp = 1j * (c["C13"] - c["C31"]) + (c["C12"] - c["C21"])
     lm = 1j * (c["C13"] - c["C31"]) - (c["C12"] - c["C21"])
     return l0, lp, lm
-
-
-def quadrupole_dense(generators: dict[str, OperatorMatrix]):
-    """Dense complex quadrupole components ``Q(-2) .. Q(2)`` from the generators."""
-    c = {name: generators[name].to_dense() for name in GENERATOR_NAMES}
-    h1 = c["C11"] - c["C22"]
-    h2 = c["C22"] - c["C33"]
-    root32 = np.sqrt(1.5)
-    q = {
-        0: (2 * h1 + h2).astype(complex),
-        1: -root32 * ((c["C12"] + c["C21"]) + 1j * (c["C13"] + c["C31"])),
-        -1: root32 * ((c["C12"] + c["C21"]) - 1j * (c["C13"] + c["C31"])),
-        2: root32 * (h2 + 1j * (c["C23"] + c["C32"])),
-        -2: root32 * (h2 - 1j * (c["C23"] + c["C32"])),
-    }
-    return q
 
 
 def holomorphic_gamma_rep(hw: U3HighestWeight, extra_grades: int = 1) -> GammaRep:

@@ -10,7 +10,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vcs_irreps.angmom import Spin, SpinError, _twice, clebsch_gordan, clebsch_gordan_twice, racah_u, wigner_6j
+from vcs_irreps.angmom import (
+    Spin,
+    SpinError,
+    _twice,
+    clebsch_gordan,
+    clebsch_gordan_twice,
+    clebsch_gordan_twice_float,
+    racah_u,
+    wigner_6j,
+)
 from vcs_irreps.radical import Radical, RadicalSum
 
 HALF = Fraction(1, 2)
@@ -278,9 +287,13 @@ def test_cg_twice_input_rules():
     # out-of-range projections give zero, as for the spin-valued entry point
     assert clebsch_gordan_twice(2, 4, 2, 0, 4, 4) == Radical.zero()
     assert clebsch_gordan_twice(1, 1, 1, -1, 0, 0) == Radical.sqrt_of(HALF)
+    assert clebsch_gordan_twice_float(2, 4, 2, 0, 4, 4) == 0.0
+    assert clebsch_gordan_twice_float(1, 1, 1, -1, 0, 0) == math.sqrt(0.5)
     for bad in [(1, 0, 1, 1, 2, 1), (2, 1, 1, 0, 3, 1), (2, 0, 2, 0, 3, 0), (-2, 0, 2, 0, 2, 0)]:
         with pytest.raises(SpinError):
             clebsch_gordan_twice(*bad)
+        with pytest.raises(SpinError):
+            clebsch_gordan_twice_float(*bad)
     with pytest.raises(SpinError):
         clebsch_gordan(-1, 0, 1, 0, 1, 0)
 
@@ -353,5 +366,24 @@ def test_cg_integer_sum_matches_the_fraction_sum():
                 got, want = clebsch_gordan_twice(*args), _racah_cg_in_fractions(*args)
                 assert (got.sign, got.radicand) == (want.sign, want.radicand), args
                 assert float(got).hex() == float(want).hex(), args
+                assert clebsch_gordan_twice_float(*args).hex() == float(want).hex(), args
+                mirror = clebsch_gordan_twice_float(tj1, -tm1, tj2, -tm2, tJ, -tm1 - tm2)
+                assert mirror == (-1) ** ((tj1 + tj2 - tJ) // 2) * float(want), args
                 checked += 1
     assert checked == 23_427
+
+
+def test_float_cg_is_the_float_of_the_radical_for_rank_2():
+    # every (j m, 2 nu | J m+nu) with 2 j <= 80, the su(3) builder's family,
+    # out-of-range total projections included; the M-mirror is an exact sign
+    checked = 0
+    for tj in range(81):
+        for tJ in range(abs(tj - 4), tj + 5, 2):
+            sign = (-1) ** ((tj + 4 - tJ) // 2)
+            for tm, tnu in itertools.product(range(-tj, tj + 1, 2), range(-4, 5, 2)):
+                args = (tj, tm, 4, tnu, tJ, tm + tnu)
+                got = clebsch_gordan_twice_float(*args)
+                assert got.hex() == float(clebsch_gordan_twice(*args)).hex(), args
+                assert clebsch_gordan_twice_float(tj, -tm, 4, -tnu, tJ, -tm - tnu) == sign * got, args
+                checked += 1
+    assert checked == 82_925

@@ -17,6 +17,8 @@ from vcs_irreps import repcheck, su3_so3, su11, u3
 from vcs_irreps.opmatrix import OperatorMatrix
 from vcs_irreps.radical import Radical, RadicalSum
 
+import oracles
+
 
 def defining_u3_matrices():
     out = {}
@@ -117,7 +119,7 @@ def test_schur_constancy_examples():
     mean, dev = repcheck.schur_constancy(np.eye(4))
     assert (mean, dev) == (1.0, 0.0)
     irrep = su11.Su11Irrep(3, 8)
-    cas = su11.casimir_matrix(irrep).to_dense()[:8, :8]
+    cas = oracles.su11_casimir_matrix(irrep).to_dense()[:8, :8]
     mean, dev = repcheck.schur_constancy(cas)
     assert mean == pytest.approx(0.75)
     assert dev <= 1e-12
@@ -128,13 +130,13 @@ def test_schur_constancy_examples():
 
 
 def test_spectrum_multiset_examples():
-    assert repcheck.spectrum_multiset(np.diag([2.0, 1.0, 2.0])) == [1.0, 2.0, 2.0]
-    assert repcheck.spectrum_multiset(np.zeros((3, 3))) == [0.0, 0.0, 0.0]
+    assert oracles.spectrum_multiset(np.diag([2.0, 1.0, 2.0])) == [1.0, 2.0, 2.0]
+    assert oracles.spectrum_multiset(np.zeros((3, 3))) == [0.0, 0.0, 0.0]
     # L^2 on {2,0,0} has eigenvalues 0 (x1) and 6 (x5), i.e. L in {0, 2}
     gens = u3.assemble_generators(u3.U3HighestWeight(2, 0, 0))
     l0, lp, lm = u3.angular_momentum_dense(gens)
     lsq = l0 @ l0 + (lp @ lm + lm @ lp) / 2
-    spec = repcheck.spectrum_multiset(lsq)
+    spec = oracles.spectrum_multiset(lsq)
     assert spec == pytest.approx([0.0] + [6.0] * 5, abs=1e-9)
 
 
@@ -174,7 +176,7 @@ def _su3_so3_case():
 @pytest.mark.parametrize("case", [_su11_case, _u3_case, _su3_so3_case], ids=["su11", "u3", "su3-so3"])
 def test_spec_casimir_gives_closed_form_eigenvalue(case):
     spec, gens, expected, interior = case()
-    cas = repcheck.casimir_matrix(spec, gens)[:interior, :interior]
+    cas = oracles.casimir_matrix(spec, gens)[:interior, :interior]
     assert np.abs(cas - float(expected) * np.eye(cas.shape[0])).max() <= 1e-10 * (1 + abs(expected))
 
 
@@ -249,7 +251,7 @@ def test_sparse_kernel_matches_dense_reference(spec, complex_entries, zero_gener
         repcheck.commutator_residual(spec, dense, interior), _dense_commutator_residual(spec, dense, interior)
     )
     _assert_close(repcheck.hermiticity_residual(spec, dense), _dense_hermiticity_residual(spec, dense))
-    cas, want = repcheck.casimir_matrix(spec, dense), _dense_casimir(spec, dense)
+    cas, want = oracles.casimir_matrix(spec, dense), _dense_casimir(spec, dense)
     assert cas.shape == (dim, dim)
     assert np.linalg.norm(cas - want) <= 1e-14 * np.linalg.norm(want)
 
@@ -270,8 +272,116 @@ def test_float_operator_matrix_matches_its_dense_form():
             repcheck.commutator_residual(spec, as_dense, interior),
         )
     _assert_close(repcheck.hermiticity_residual(spec, mats), repcheck.hermiticity_residual(spec, as_dense))
-    want = repcheck.casimir_matrix(spec, as_dense)
-    assert np.linalg.norm(repcheck.casimir_matrix(spec, mats) - want) <= 1e-14 * np.linalg.norm(want)
+    want = oracles.casimir_matrix(spec, as_dense)
+    assert np.linalg.norm(oracles.casimir_matrix(spec, mats) - want) <= 1e-14 * np.linalg.norm(want)
+
+
+# -- the Hermiticity measure on sorted coordinates against the dense reference ----
+
+
+def _u3_float(weight, phased):
+    """The u(3) generators as ``gen u3 --mode float`` writes them (``float`` of each exact entry).
+
+    ``phased`` conjugates them by a diagonal unitary, ``P^dag C P``: still a
+    Hermitian-paired set, with complex entries whose pairs agree only to rounding.
+    """
+    mats = {g: repcheck.SparseMatrix.of(m) for g, m in u3.assemble_generators(u3.U3HighestWeight(*weight)).items()}
+    if not phased:
+        return mats
+    dim = next(iter(mats.values())).dim
+    p = np.exp(1j * np.random.default_rng(7).uniform(0, 2 * np.pi, dim))
+    return {g: repcheck.SparseMatrix(dim, m.rows, m.cols, m.vals * p[m.rows].conj() * p[m.cols]) for g, m in mats.items()}
+
+
+@pytest.mark.parametrize("weight", [(4, 2, 0), (Fraction(7, 3), Fraction(4, 3), Fraction(1, 3))], ids=["4-2-0", "7/3-4/3-1/3"])
+@pytest.mark.parametrize("phased", [False, True], ids=["real", "complex"])
+def test_hermiticity_on_u3_float_matrices_matches_the_dense_reference(weight, phased):
+    spec, mats = repcheck.u3_spec(), _u3_float(weight, phased)
+    assert all(np.iscomplexobj(m.vals) == phased for m in mats.values())
+    got = repcheck.hermiticity_residual(spec, mats)
+    want = _dense_hermiticity_residual(spec, {g: m.to_dense() for g, m in mats.items()})
+    if phased:
+        assert 0 < want < 1e-14
+        _assert_close(got, want)
+    else:
+        assert got == want == 0.0  # float() of an exact pair is one value on both sides
+
+
+def _su3_so3_dense(lam, mu):
+    return {g: m.to_dense() for g, m in su3_so3.assemble_so3_generators(su3_so3.Su3Label(lam, mu)).items()}
+
+
+def _one_sided(dense):
+    # an entry of Q2 whose partner in Q-2 (and its own place) is empty
+    r, c = np.argwhere((dense["Q2"] == 0) & (dense["Q-2"].T == 0))[0]
+    dense["Q2"][r, c] = 0.25
+
+
+def _flipped_sign(dense):
+    # one entry of a phase -1 pair, Q1^dag = -Q-1
+    r, c = np.argwhere(dense["Q1"])[3]
+    dense["Q1"][r, c] *= -1
+
+
+def _wrong_phase(dense):
+    # Q-1 replaced by Q1^dag: the pair holds with phase +1, not the declared -1
+    dense["Q-1"] = -dense["Q-1"]
+
+
+@pytest.mark.parametrize("mutate", [_one_sided, _flipped_sign, _wrong_phase], ids=["one-sided", "flipped-sign", "wrong-phase"])
+def test_hermiticity_mutations_match_the_dense_reference(mutate):
+    spec, dense = repcheck.su3_so3_spec(), _su3_so3_dense(3, 2)
+    before = repcheck.hermiticity_residual(spec, dense)
+    _assert_close(before, _dense_hermiticity_residual(spec, dense))
+    mutate(dense)
+    got = repcheck.hermiticity_residual(spec, dense)
+    _assert_close(got, _dense_hermiticity_residual(spec, dense))
+    assert got > 1e-3 > 1e6 * before
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+def test_exactly_hermitian_pairs_read_exactly_zero(complex_entries):
+    # A^dag is A's entries conjugated and transposed, exactly, and -x is exact,
+    # so every declared pair of su3-so3, phase -1 included, holds bit for bit.
+    rng = np.random.default_rng(9)
+    dim = 14
+    a = _random_sparse(rng, repcheck.su3_so3_spec(), dim, complex_entries)
+    h = a["L0"] + a["L0"].conj().T  # x + conj(y) == conj(y) + x, exactly
+    mats = {"L0": h, "L+": a["L+"], "L-": a["L+"].conj().T, "Q0": a["Q0"] + a["Q0"].conj().T}
+    for n in (1, 2):
+        mats[f"Q{n}"] = a[f"Q{n}"]
+        mats[f"Q{-n}"] = (-1) ** n * a[f"Q{n}"].conj().T
+    spec = repcheck.su3_so3_spec()
+    assert repcheck.hermiticity_residual(spec, mats) == 0.0
+    assert _dense_hermiticity_residual(spec, mats) == 0.0
+    r, c = np.argwhere(mats["Q-1"])[0]
+    mats["Q-1"][r, c] *= 1 + 2**-52
+    assert 0 < repcheck.hermiticity_residual(spec, mats) < 1e-15
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    dim=st.integers(0, 12),
+    cut=st.integers(0, 13),
+    density=st.sampled_from((0.0, 0.1, 0.5, 1.0)),
+    complex_entries=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_linear_sum_norm_matches_the_dense_sum(dim, cut, density, complex_entries, seed):
+    # All terms linear, so the norm merges sorted coordinates instead of gathering blocks.
+    rng = np.random.default_rng(seed)
+    dense = []
+    for _ in range(2):
+        m = rng.normal(size=(dim, dim)) + (1j * rng.normal(size=(dim, dim)) if complex_entries else 0)
+        dense.append(np.where(rng.random((dim, dim)) < density, m, 0))
+    a, b = (repcheck.SparseMatrix.of(m) for m in dense)
+    terms = [(1, a.adjoint(), None), (-1, b, None), (Fraction(1, 3), a, None)]
+    full = dense[0].conj().T - dense[1] + dense[0] / 3
+    interior = None if cut > dim else cut
+    want = np.linalg.norm(full[:interior, :interior])
+    with mock.patch.object(repcheck.FloatSum, "blocks", side_effect=AssertionError("gathered blocks")):
+        got = repcheck.SparseMatrix.sum(dim, terms).norm(interior)
+    assert abs(got - want) <= 1e-14 * want
 
 
 def _dense_deviation(m):
