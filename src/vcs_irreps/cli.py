@@ -33,9 +33,10 @@ and Casimir checks run on the interior block (every row and column but the
 last).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (with a one-line
-``error:`` message).  The default tolerance is 1e-10, overridable per-call
-with ``--tol`` or globally with the ``VCS_IRREPS_TOL`` environment variable;
-either must be a finite number >= 0.
+``error:`` message), which includes a value, generator norm or residual scale
+too large for a float (``OverflowError``).  The default tolerance is 1e-10,
+overridable per-call with ``--tol`` or globally with the ``VCS_IRREPS_TOL``
+environment variable; either must be a finite number >= 0.
 """
 
 from __future__ import annotations
@@ -491,7 +492,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, OSError) as exc:
+    except (UsageError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

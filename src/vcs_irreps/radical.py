@@ -26,14 +26,30 @@ Rational = Union[int, Fraction]
 _FACTOR_BOUND = 10_000
 
 
+def _primes_to(bound: int) -> tuple[int, ...]:
+    """The primes up to ``bound``, by the sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (bound - 1)
+    for p in range(2, math.isqrt(bound) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, bound + 1, p)))
+    return tuple(p for p, prime in enumerate(sieve) if prime)
+
+
+_PRIMES = _primes_to(_FACTOR_BOUND)
+
+
 @lru_cache(maxsize=None)
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write ``n = root**2 * core`` with ``core`` square-free; return ``(root, core)``."""
+    """Write ``n = root**2 * core`` with ``core`` square-free; return ``(root, core)``.
+
+    Trial division by the primes up to ``_FACTOR_BOUND`` while ``p * p <= n``.
+    """
     if n <= 0:
         raise ValueError(f"positive integer required, got {n}")
     root, core = 1, 1
-    p = 2
-    while p <= _FACTOR_BOUND and p * p <= n:
+    for p in _PRIMES:
+        if p * p > n:
+            break
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -42,7 +58,6 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             root *= p ** (e // 2)
             if e % 2:
                 core *= p
-        p += 1 if p == 2 else 2
     # Leftover cofactor: either 1, a prime, a perfect square of a prime, or a
     # product of distinct large primes.  Peeling perfect squares covers every
     # case that can arise from inputs with prime factors below the bound.

@@ -16,11 +16,19 @@ kernel that the matrices choose.  When every generator is exact (``int``,
 square roots of square-free cores.  The sums are then formed in plain
 integers, so a holding identity (or an exactly constant Casimir) reports
 exactly 0.0, and a non-zero defect is evaluated to float precision however
-much its square classes cancel.  Otherwise each generator becomes a
-:class:`SparseMatrix` once, and products are gathered entry by entry, a block
-of rows at a time, and summed with ``np.bincount``; no ``d x d`` array is
-formed.  Either way a check costs about the number of scalar products it
-forms, never ``d**3``.
+much its square classes cancel.  Otherwise the float kernel runs, on one of
+two forms.  The spec's weight generators are those whose bracket with every
+generator ``X`` is a multiple of ``X`` (``L0``, ``C11``/``C22``/``C33``,
+``S0``).  When their matrices are exactly diagonal, the basis is one of weight
+states: each generator becomes a :class:`TiledMatrix`, dense blocks between
+tiles of consecutive weight classes (at most ``_TILE_STATES`` states a tile,
+unless one class is larger), and a product is a short list of matmuls between
+tiles.  Otherwise (a rotated basis, a hand-edited document) each generator
+becomes a :class:`SparseMatrix`, and products are gathered entry by entry, a
+block of rows at a time, and summed with ``np.bincount``; no ``d x d`` array
+is formed, and a check costs about the number of scalar products it forms,
+never ``d**3``.  A generator norm or a residual scale that overflows a float
+raises ``OverflowError``: a defect divided by it would read 0.
 
 Shipped tables: su(1,1), u(3) (all 81 relations), and su(3) in its
 SO(3)-tensor form (angular momentum plus the five quadrupole components).
@@ -244,7 +252,8 @@ class SparseMatrix:
         self.dim = dim
         self.rows, self.cols, self.vals = rows[order], cols[order], vals[order]
         self.starts = np.searchsorted(self.rows, np.arange(dim + 1))
-        self.norm = float(np.linalg.norm(self.vals))
+        with np.errstate(over="ignore"):  # an overflowing norm reads inf, which _forms rejects
+            self.norm = float(np.linalg.norm(self.vals))
 
     @classmethod
     def of(cls, m) -> "SparseMatrix":
@@ -365,6 +374,135 @@ class FloatSum:
         return max(off, float(np.abs(diagonal - mean).max()))
 
 
+# A weight tile takes consecutive weight classes while it holds at most this
+# many states; a larger class is a tile of its own.
+_TILE_STATES = 32
+
+
+class TiledMatrix:
+    """A float matrix as dense blocks between weight tiles, for bases of weight states.
+
+    ``index[I]`` lists tile ``I``'s states (their places in the given basis)
+    and ``blocks[I, J]`` is the dense block from tile ``J``'s states to tile
+    ``I``'s; a pair with no entry has no block.  ``norm`` is the Frobenius
+    norm.  A generator that moves the weights by a fixed amount has a few
+    blocks per tile row, so a product is a short list of matmuls between tiles.
+    """
+
+    __slots__ = ("dim", "index", "blocks", "norm", "_by_row")
+
+    def __init__(self, dim: int, index: list[np.ndarray], blocks: dict[tuple[int, int], np.ndarray], norm: float):
+        self.dim, self.index, self.blocks, self.norm = dim, index, blocks, norm
+        self._by_row: dict[int, list[tuple[int, np.ndarray]]] = {}
+        for (i, j), block in blocks.items():
+            self._by_row.setdefault(i, []).append((j, block))
+
+    @classmethod
+    def tile(cls, spec: AlgebraSpec, forms: dict[str, SparseMatrix]) -> dict | None:
+        """The forms on tiles of their weight classes, or None unless every weight generator is exactly diagonal.
+
+        States are sorted by their weight generators' diagonal values (stable,
+        so a class keeps the basis order), and consecutive classes share a
+        tile while it holds at most ``_TILE_STATES`` states.
+        """
+        weights = [forms[h] for h in _weight_generators(spec)]
+        if not weights or any((w.rows != w.cols).any() for w in weights):
+            return None
+        dim = weights[0].dim
+        values = np.zeros((dim, 2 * len(weights)))  # real and imaginary diagonal parts
+        for k, w in enumerate(weights):
+            values[w.rows, 2 * k], values[w.rows, 2 * k + 1] = w.vals.real, w.vals.imag
+        _, classes, counts = np.unique(values, axis=0, return_inverse=True, return_counts=True)
+        order = np.argsort(classes.ravel(), kind="stable")
+        ends = np.cumsum(counts).tolist()
+        starts = [0]
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            if hi - starts[-1] > _TILE_STATES:
+                starts.append(lo)
+        edges = np.array(starts + [dim])
+        index = [order[lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
+        sizes = np.diff(edges)
+        tile = np.empty(dim, np.int64)
+        tile[order] = np.repeat(np.arange(len(index)), sizes)
+        place = np.empty(dim, np.int64)
+        place[order] = np.arange(dim) - np.repeat(edges[:-1], sizes)
+        return {g: cls._of(m, index, sizes, tile, place) for g, m in forms.items()}
+
+    @classmethod
+    def _of(cls, m: SparseMatrix, index, sizes, tile, place) -> "TiledMatrix":
+        """``m`` scattered into its blocks, which are views of one flat array."""
+        ti, tj = tile[m.rows], tile[m.cols]
+        pairs, at = np.unique(ti * len(index) + tj, return_inverse=True)
+        pi, pj = np.divmod(pairs, len(index))
+        ends = np.cumsum(sizes[pi] * sizes[pj])
+        flat = np.zeros(ends[-1] if ends.size else 0, m.vals.dtype)
+        flat[(ends - sizes[pi] * sizes[pj])[at] + place[m.rows] * sizes[tj] + place[m.cols]] = m.vals
+        blocks = {
+            (i, j): flat[end - sizes[i] * sizes[j]:end].reshape(sizes[i], sizes[j])
+            for i, j, end in zip(pi.tolist(), pj.tolist(), ends.tolist())
+        }
+        return cls(m.dim, index, blocks, m.norm)
+
+    def adjoint(self) -> "TiledMatrix":
+        """The conjugate-transposed blocks, as views where the entries are real."""
+        flip = (lambda b: b.T.conj()) if any(np.iscomplexobj(b) for b in self.blocks.values()) else (lambda b: b.T)
+        return TiledMatrix(self.dim, self.index, {(j, i): flip(b) for (i, j), b in self.blocks.items()}, self.norm)
+
+    @staticmethod
+    def sum(dim: int, terms) -> "TileSum":
+        """The sum of the terms as dense blocks: ``c A B`` is a matmul per pair of blocks that meet."""
+        out: dict[tuple[int, int], np.ndarray] = {}
+        for c, a, b in terms:
+            c = as_float(c)
+            if b is None:
+                products = ((key, c * block) for key, block in a.blocks.items())
+            else:
+                products = (((i, j), c * (x @ y)) for (i, k), x in a.blocks.items() for j, y in b._by_row.get(k, ()))
+            for key, value in products:
+                prev = out.get(key)
+                out[key] = value if prev is None else prev + value
+        return TileSum(dim, terms[0][1].index, out)
+
+
+class TileSum:
+    """A float sum of tiled terms, held as its dense blocks; both measures see the leading ``interior`` block."""
+
+    def __init__(self, dim: int, index: list[np.ndarray], blocks: dict[tuple[int, int], np.ndarray]):
+        self.dim, self.index, self.blocks = dim, index, blocks
+
+    def _inside(self, interior: int | None):
+        """The leading block's size and, per tile, where its states inside that block sit (a slice when all do)."""
+        n = self.dim if interior is None else min(interior, self.dim)
+        return n, [slice(None) if t.size and t.max() < n else np.flatnonzero(t < n) for t in self.index]
+
+    def _kept(self, inside: list):
+        """``(I, J, block, rows)`` for every block, cut to the states ``inside`` the leading block."""
+        for (i, j), block in self.blocks.items():
+            yield i, j, block[inside[i]][:, inside[j]], inside[i]
+
+    def norm(self, interior: int | None = None) -> float:
+        _, inside = self._inside(interior)
+        return math.sqrt(sum(float(np.vdot(block, block).real) for _, _, block, _ in self._kept(inside)))
+
+    def deviation(self, interior: int | None = None) -> float:
+        """Largest deviation from the mean diagonal value times I, the mean taken in basis order."""
+        n, inside = self._inside(interior)
+        if not n:
+            return 0.0
+        diagonal = np.zeros(n, np.result_type(float, *self.blocks.values()))
+        off = 0.0
+        for i, j, block, rows in self._kept(inside):
+            if not block.size:
+                continue
+            size = np.abs(block)
+            if i == j:
+                diagonal[self.index[i][rows]] = np.diagonal(block)
+                np.fill_diagonal(size, 0)
+            off = max(off, float(size.max()))
+        mean = float(diagonal.sum().real) / n
+        return max(off, float(np.abs(diagonal - mean).max()))
+
+
 class ExactMatrix:
     """An exact matrix as integer numerators over one denominator, as the exact checks use it.
 
@@ -389,7 +527,11 @@ class ExactMatrix:
         rows: list[list[tuple[int, int, int]]] = [[] for _ in range(m.dim)]
         for r, c, (core, num, d) in terms:
             rows[r].append((c, core, num * (den // d)))
-        return cls(m.dim, den, rows, m.frobenius())
+        try:
+            norm = m.frobenius()
+        except OverflowError:  # an entry or its square is too large for a float
+            norm = math.inf
+        return cls(m.dim, den, rows, norm)
 
     def adjoint(self) -> "ExactMatrix":
         """The transpose: exact entries are real."""
@@ -490,19 +632,45 @@ def _commutator_terms(spec: AlgebraSpec, forms: dict, x: str, y: str) -> list:
     return [(1, a, b), (-1, b, a)] + [(-c, forms[z], None) for c, z in spec.bracket(x, y)]
 
 
+def _weight_generators(spec: AlgebraSpec) -> tuple[str, ...]:
+    """The generators ``H`` whose bracket with every generator ``X`` is a multiple of ``X``: they label weight states."""
+    return tuple(
+        h for h in spec.generators if all(z == x for x in spec.generators for _, z in spec.bracket(h, x))
+    )
+
+
 def _forms(spec: AlgebraSpec, matrices: dict, form=None) -> dict:
-    """Every generator converted once, all given, at one dimension; by default exact when all are."""
+    """Every generator converted once, all given, at one dimension.
+
+    By default the form is exact when every matrix is, else weight tiles when
+    the weight generators are exactly diagonal (:meth:`TiledMatrix.tile`), else
+    sparse.  A norm that overflows raises ``OverflowError``.
+    """
     missing = [g for g in spec.generators if g not in matrices]
     if missing:
         raise ValueError(f"matrices missing for generators {missing}")
     given = [matrices[g] for g in spec.generators]
+    if form is None and all(isinstance(m, TiledMatrix) for m in given):
+        return dict(zip(spec.generators, given))
+    tiles = form is None
     if form is None:
         exact = all(isinstance(m, ExactMatrix) or (isinstance(m, OperatorMatrix) and m.is_exact()) for m in given)
         form = ExactMatrix if exact else SparseMatrix
     forms = {g: form.of(m) for g, m in zip(spec.generators, given)}
     if len({f.dim for f in forms.values()}) != 1:
         raise ValueError("matrices have mismatched dimensions")
+    for g, f in forms.items():
+        _finite(f.norm, f"the norm of {g}")
+    if tiles and form is SparseMatrix:
+        return TiledMatrix.tile(spec, forms) or forms
     return forms
+
+
+def _finite(value: float, what: str) -> float:
+    """``value`` when finite; a defect divided by an infinite scale would read 0, so otherwise ``OverflowError``."""
+    if not math.isfinite(value):
+        raise OverflowError(f"{what} overflows a float")
+    return value
 
 
 def commutator_residual(spec: AlgebraSpec, matrices: dict, interior: int | None = None) -> float:
@@ -510,7 +678,9 @@ def commutator_residual(spec: AlgebraSpec, matrices: dict, interior: int | None 
 
     ``[A,A]`` vanishes for every matrix (the spec rejects a non-zero ``[X,X]``),
     so a self-pair could only measure rounding.  ``interior`` restricts the
-    defect, not the norms of A and B, to the leading block.
+    defect, not the norms of A and B, to the leading block.  The scale is
+    finite: a norm is the root of a float sum of squares, which ``_forms``
+    found finite, so ``|A|**2 + |B|**2`` and hence ``|A| |B|`` are too.
     """
     forms = _forms(spec, matrices)
     gens = spec.generators
@@ -542,7 +712,7 @@ def casimir_residual(spec: AlgebraSpec, matrices: dict, interior: int | None = N
     """
     forms = _forms(spec, matrices)
     terms = [(c, forms[x], forms[y]) for c, x, y in spec.casimir]
-    scale = 1.0 + sum(abs(as_float(c)) * a.norm * b.norm for c, a, b in terms)
+    scale = _finite(1.0 + sum(abs(as_float(c)) * a.norm * b.norm for c, a, b in terms), "the Casimir scale")
     a = terms[0][1]
     return type(a).sum(a.dim, terms).deviation(interior) / scale
 

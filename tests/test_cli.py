@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import re
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -518,3 +519,30 @@ def test_replay_runs_the_same_checks_as_check(tmp_path, capsys, algebra):
     assert code == 0
     assert len(_check_names(direct)) >= 3
     assert _check_names(replayed) == _check_names(direct)
+
+
+def _gen_to(tmp_path, capsys, *argv):
+    path = tmp_path / "doc.json"
+    assert run(capsys, "gen", *argv, "--out", str(path))[0] == 0
+    return ["--replay", str(path)]
+
+
+@pytest.mark.parametrize(
+    "check_argv",
+    [
+        lambda tmp_path, capsys: ["su11", "--lambda", "1e155", "--nmax", "3"],
+        lambda tmp_path, capsys: ["su11", "--lambda", "1e400", "--nmax", "3"],
+        lambda tmp_path, capsys: _gen_to(tmp_path, capsys, "su11", "--lambda", "1e155", "--nmax", "3", "--mode", "float"),
+        lambda tmp_path, capsys: _gen_to(tmp_path, capsys, "su11", "--lambda", "1e400", "--nmax", "3"),
+    ],
+    ids=["exact-1e155", "exact-1e400", "float-replay-1e155", "exact-replay-1e400"],
+)
+def test_a_norm_too_large_for_a_float_is_a_one_line_error(tmp_path, capsys, check_argv):
+    # The squared entries (1e155) or the entries themselves (1e400) overflow a
+    # float; a defect over an infinite scale would read 0.0 and pass.
+    argv = check_argv(tmp_path, capsys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "check", *argv)
+    assert code == 2 and "PASS" not in out
+    assert err.startswith("error: ") and err.count("\n") == 1 and "overflows a float" in err

@@ -6,7 +6,11 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vcs_irreps import kmatrix, radical, su11
 from vcs_irreps.radical import Radical, RadicalSum, squarefree_decompose
 
 
@@ -18,6 +22,46 @@ def test_squarefree_decompose():
     assert squarefree_decompose(big) == (2**3 * 3**2 * 7, 3 * 11)
     with pytest.raises(ValueError):
         squarefree_decompose(0)
+
+
+def _factorint_split(n: int) -> tuple[int, int]:
+    """``(root, core)`` of ``n`` from sympy's factorization."""
+    root, core = 1, 1
+    for p, e in sympy.factorint(n).items():
+        root *= p ** (e // 2)
+        core *= p ** (e % 2)
+    return root, core
+
+
+def test_primes_are_the_primes_up_to_the_bound():
+    assert radical._PRIMES == tuple(sympy.primerange(radical._FACTOR_BOUND + 1))
+
+
+def test_squarefree_decompose_matches_factorint_on_a_range():
+    # Below the bound squared no prime above it can appear twice.
+    for n in range(1, 5000):
+        assert squarefree_decompose.__wrapped__(n) == _factorint_split(n), n
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(1, radical._FACTOR_BOUND**2))
+def test_squarefree_decompose_matches_factorint_below_the_bound_squared(n):
+    assert squarefree_decompose.__wrapped__(n) == _factorint_split(n)
+
+
+def test_squarefree_decompose_matches_factorint_on_su11_radicands(monkeypatch):
+    seen = set()
+
+    def recorded(n):
+        seen.add(n)
+        return squarefree_decompose(n)
+
+    monkeypatch.setattr(radical, "squarefree_decompose", recorded)
+    rep = su11.holomorphic_gamma_rep(su11.Su11Irrep(Fraction(7, 2), 1000))  # as in induce-su11
+    kmatrix.unitarize(rep, kmatrix.orthonormalize(kmatrix.solve_s_recursion(rep), exact=rep.exact))
+    assert len(seen) > 2000
+    for n in seen:
+        assert squarefree_decompose.__wrapped__(n) == _factorint_split(n), n
 
 
 def test_invariants_at_construction():

@@ -607,3 +607,173 @@ def test_exact_su11_checks_are_exactly_zero_on_the_interior(lam, nmax):
         ("hermiticity", 0.0, True),
         ("casimir constancy (interior)", 0.0, True),
     ]
+
+
+# -- weight tiles against the dense references ------------------------------------
+
+
+def test_weight_generators_of_the_shipped_specs():
+    assert repcheck._weight_generators(repcheck.su11_spec()) == ("S0",)
+    assert repcheck._weight_generators(repcheck.u3_spec()) == ("C11", "C22", "C33")
+    assert repcheck._weight_generators(repcheck.su3_so3_spec()) == ("L0",)
+
+
+def _shifts(spec):
+    """Each generator's weight shift: ``[H, X] = shift_H X`` for every weight generator ``H``."""
+    weights = repcheck._weight_generators(spec)
+    return {
+        x: np.array([sum(float(c) for c, _ in spec.bracket(h, x)) for h in weights]) for x in spec.generators
+    }
+
+
+def _graded(rng, spec, dim, complex_entries, density=0.6):
+    """Random matrices on states of repeated integer weights: each generator moves them by its shift.
+
+    The weight generators are the diagonal matrices of the weights, and every
+    other generator has random entries only where the weights differ by its shift.
+    """
+    names = repcheck._weight_generators(spec)
+    weights = rng.integers(-2, 3, size=(dim, len(names)))
+    diffs = weights[:, None, :] - weights[None, :, :]
+    out = {}
+    for g, shift in _shifts(spec).items():
+        if g in names:
+            out[g] = np.diag(weights[:, names.index(g)].astype(float))
+            continue
+        m = rng.normal(size=(dim, dim))
+        if complex_entries:
+            m = m + 1j * rng.normal(size=(dim, dim))
+        out[g] = np.where((diffs == shift).all(axis=2) & (rng.random((dim, dim)) < density), m, 0)
+    return out, weights
+
+
+def _assert_matches_dense(spec, dense, interior):
+    forms = repcheck._forms(spec, dense)
+    comm = repcheck.commutator_residual(spec, forms, interior)
+    _assert_close(comm, _dense_commutator_residual(spec, dense, interior))
+    _assert_close(repcheck.hermiticity_residual(spec, forms), _dense_hermiticity_residual(spec, dense))
+    scale = 1.0 + sum(abs(float(c)) * np.linalg.norm(dense[x]) * np.linalg.norm(dense[y]) for c, x, y in spec.casimir)
+    want = _dense_deviation(_dense_casimir(spec, dense)[:interior, :interior]) / scale
+    assert abs(repcheck.casimir_residual(spec, forms, interior) - want) <= 1e-12 * want
+    return forms
+
+
+_SPECS = [repcheck.su11_spec(), repcheck.u3_spec(), repcheck.su3_so3_spec()]
+
+
+@pytest.mark.parametrize("spec", _SPECS, ids=["su11", "u3", "su3-so3"])
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("dim,interior", [(1, None), (9, None), (9, 5), (47, None), (47, 30)])
+def test_weight_tiles_match_the_dense_reference(spec, complex_entries, dim, interior):
+    rng = np.random.default_rng([dim, complex_entries, len(spec.generators)])
+    dense, _ = _graded(rng, spec, dim, complex_entries)
+    forms = _assert_matches_dense(spec, dense, interior)
+    assert all(isinstance(f, repcheck.TiledMatrix) for f in forms.values())
+
+
+@pytest.mark.parametrize("bound", [1, 3, 32])
+def test_weight_tiles_hold_whole_classes_within_the_bound(bound):
+    spec = repcheck.su3_so3_spec()
+    dense, weights = _graded(np.random.default_rng(bound), spec, 60, complex_entries=True)
+    with mock.patch.object(repcheck, "_TILE_STATES", bound):
+        forms = _assert_matches_dense(spec, dense, 41)
+    index = forms["L0"].index
+    assert sorted(np.concatenate(index).tolist()) == list(range(60))
+    seen = [weights[t, 0].tolist() for t in index]
+    order = [w for tile in seen for w in tile]
+    assert order == sorted(order)  # tiles run through the weights in sorted order
+    for tile, nxt in zip(seen, seen[1:]):
+        assert tile[-1] != nxt[0]  # no class is split between tiles
+        assert len(tile) + nxt.count(nxt[0]) > bound  # the next class did not fit
+    assert all(len(tile) <= bound or len(set(tile)) == 1 for tile in seen)
+
+
+def test_an_off_grade_entry_is_measured_on_tiles():
+    spec = repcheck.su3_so3_spec()
+    dense, weights = _graded(np.random.default_rng(4), spec, 30, complex_entries=False)
+    before = repcheck.commutator_residual(spec, dense)
+    r, c = np.argwhere(weights[:, None, 0] - weights[None, :, 0] == 1)[0]
+    assert dense["Q2"][r, c] == 0
+    dense["Q2"][r, c] = 0.5  # Q2 moves the weight by 2, not 1
+    forms = _assert_matches_dense(spec, dense, None)
+    assert isinstance(forms["Q2"], repcheck.TiledMatrix)
+    assert repcheck.commutator_residual(spec, forms) != before
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+def test_exactly_hermitian_pairs_read_exactly_zero_on_tiles(complex_entries):
+    spec = repcheck.su3_so3_spec()
+    a, _ = _graded(np.random.default_rng(9), spec, 40, complex_entries)
+    mats = {"L0": a["L0"], "L+": a["L+"], "L-": a["L+"].conj().T, "Q0": a["Q0"] + a["Q0"].conj().T}
+    for n in (1, 2):
+        mats[f"Q{n}"] = a[f"Q{n}"]
+        mats[f"Q{-n}"] = (-1) ** n * a[f"Q{n}"].conj().T
+    assert isinstance(repcheck._forms(spec, mats)["Q1"], repcheck.TiledMatrix)
+    assert repcheck.hermiticity_residual(spec, mats) == 0.0
+    assert _dense_hermiticity_residual(spec, mats) == 0.0
+    r, c = np.argwhere(mats["Q-1"])[0]
+    mats["Q-1"][r, c] *= 1 + 2**-52
+    assert 0 < repcheck.hermiticity_residual(spec, mats) < 1e-15
+
+
+def test_a_non_diagonal_weight_generator_takes_the_row_blocks():
+    spec = repcheck.su3_so3_spec()
+    dense, _ = _graded(np.random.default_rng(6), spec, 30, complex_entries=True)
+    dense["L0"][3, 7] = 1e-3
+    with mock.patch.object(repcheck.TiledMatrix, "sum", side_effect=AssertionError("tiles used")):
+        forms = _assert_matches_dense(spec, dense, 20)
+    assert all(isinstance(f, repcheck.SparseMatrix) for f in forms.values())
+
+
+def test_tiled_su3_so3_generators_keep_their_residuals():
+    spec = repcheck.su3_so3_spec()
+    gens = su3_so3.assemble_so3_generators(su3_so3.Su3Label(4, 3))
+    forms = repcheck._forms(spec, gens)
+    assert all(isinstance(f, repcheck.TiledMatrix) for f in forms.values())
+    assert 1 < len(forms["L0"].index) and max(len(t) for t in forms["L0"].index) <= repcheck._TILE_STATES
+    assert all(residual < 1e-14 for _, residual, _ in repcheck.standard_checks(spec, forms, 0.0))
+
+
+# -- scales that overflow -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "value",
+    [2e154, 1e200, Radical.from_rational(2 * 10**154), Radical.from_rational(10**400)],
+    ids=["float-square-overflows", "float-1e200", "exact-square-overflows", "exact-1e400"],
+)
+def test_an_overflowing_norm_raises_instead_of_reading_zero(value):
+    spec = repcheck.su11_spec()
+    mats = {g: OperatorMatrix(g, range(2), {(0, 0): value}) for g in spec.generators}
+    for check in (repcheck.commutator_residual, repcheck.hermiticity_residual, repcheck.casimir_residual):
+        with pytest.raises(OverflowError, match="the norm of S0 overflows a float"):
+            check(spec, mats)
+
+
+def test_an_overflowing_casimir_scale_raises_instead_of_reading_zero():
+    # Each norm and each |X| |Y| is below the largest float, their Casimir sum is not.
+    spec = repcheck.su3_so3_spec()
+    mats = {g: np.array([[1e154]]) for g in spec.generators}
+    assert all(np.isfinite(f.norm * f.norm) for f in repcheck._forms(spec, mats).values())
+    with pytest.raises(OverflowError, match="the Casimir scale overflows a float"):
+        repcheck.casimir_residual(spec, mats)
+
+
+@pytest.mark.parametrize(
+    "diagonal,bound,tiles",
+    [
+        # classes 0 | 1 | 2 2 | 3 | 4 4 4 | 5 | 6 | 7: a tile may fill up to the bound exactly
+        ([3, 1, 2, 2, 4, 4, 4, 0, 5, 6, 7], 3, [[7, 1], [2, 3, 0], [4, 5, 6], [8, 9, 10]]),
+        ([3, 1, 2, 2, 4, 4, 4, 0, 5, 6, 7], 1, [[7], [1], [2, 3], [0], [4, 5, 6], [8], [9], [10]]),
+        # complex weights are sorted by real part, then imaginary part
+        ([1, 1j, 1, 1j, 0], 1, [[4], [1, 3], [0, 2]]),
+        ([1, 1j, 1, 1j, 0], 32, [[4, 1, 3, 0, 2]]),
+    ],
+)
+def test_weight_tiles_merge_consecutive_classes_up_to_the_bound(diagonal, bound, tiles):
+    spec, dim = repcheck.su11_spec(), len(diagonal)
+    mats = {"S0": np.diag(diagonal), "S+": np.eye(dim, k=-1), "S-": np.eye(dim, k=1)}
+    with mock.patch.object(repcheck, "_TILE_STATES", bound):
+        forms = repcheck._forms(spec, mats)
+    assert [t.tolist() for t in forms["S0"].index] == tiles
+    assert all(f.index is forms["S0"].index for f in forms.values())
