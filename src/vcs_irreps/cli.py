@@ -27,7 +27,8 @@ the matrix, its value finite, and no ``(row, col)`` may repeat.  ``gen``
 writes the JSON document one generator at a time, in the ``json.dump(...,
 indent=1)`` layout: a float generator's entries are formatted straight from
 its coordinate arrays, and every other field by ``json.dumps``.  ``--format
-csv`` writes the reduced table alone and formats no generator.  The su(1,1)
+csv`` writes the reduced table alone and formats no generator.  A ``gen
+--out`` that fails part-way removes the file it opened.  The su(1,1)
 matrices are truncations of an infinite-dimensional irrep, so its commutator
 and Casimir checks run on the interior block (every row and column but the
 last).
@@ -42,7 +43,6 @@ environment variable; either must be a finite number >= 0.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import json
@@ -410,13 +410,24 @@ def cmd_gen(args) -> int:
     algebra = ALGEBRAS[args.algebra]
     label = _label(algebra, args)
     doc = _document(algebra, label, args.mode)
-    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+
+    def write(fh):
         if args.format == "csv":
             fh.write(_doc_to_csv(doc, algebra.csv_weight(label)))
         else:
             _write_json(doc, fh)
-        if not args.out:
-            fh.write("\n")
+
+    if not args.out:
+        write(sys.stdout)
+        sys.stdout.write("\n")
+        return 0
+    with open(args.out, "w") as fh:
+        try:
+            write(fh)
+        except BaseException:  # a value that fails part-way leaves no truncated document
+            fh.close()
+            os.remove(args.out)
+            raise
     return 0
 
 

@@ -17,14 +17,20 @@ the irreducible space.
 Two arithmetic modes.  Exact mode takes one-dimensional sectors only, which
 the :class:`GammaRep` checks when it is built: every block is ``[[g]]`` with
 one exact scalar ``g = q sqrt(core)`` (a ``Radical``, ``Fraction`` or
-``int``), every S-block is ``[[s]]`` with one rational ``s``, kept a
-``Fraction`` throughout, and every check is exact.  Float mode (numpy) takes
-sectors of any dimension, solves by least squares and checks to a tolerance.
+``int``), and every S-block is ``[[s]]`` with one rational ``s``, kept a
+``Fraction`` throughout.  Each block's square class is read once per
+:class:`GammaRep` as the plain integers ``(core, num, den)`` with
+``q = num/den``, and every check runs on these: an S equation
+``S(col) q_g == q_p S(row)`` is cross-multiplied in integers and the cores of
+``g`` and ``p`` are compared.  The unitary entry is then
+``sign(q_g) sqrt(q_g q_p core)``, from the short ``q`` alone, and the closing
+adjoint check compares entries exactly.  Float mode (numpy) takes sectors of
+any dimension, solves by least squares and checks to a tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +38,8 @@ import numpy as np
 from .opmatrix import OperatorMatrix
 from .radical import Radical, radical_terms
 from .repcheck import DEFAULT_TOL
+
+_ZERO_CLASS = (1, 0, 1)  # the square class of an absent or zero exact block
 
 
 class KMatrixError(Exception):
@@ -58,6 +66,7 @@ class GammaRep:
     blocks: dict[str, dict[tuple[tuple, tuple], object]]
     adjoints: dict[str, str]
     exact: bool = False
+    _classes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for gen, adj in self.adjoints.items():
@@ -73,6 +82,23 @@ class GammaRep:
 
     def block(self, gen: str, row: tuple, col: tuple):
         return self.blocks.get(gen, {}).get((row, col))
+
+    def square_class(self, block) -> tuple[int, int, int]:
+        """An exact block ``[[q sqrt(core)]]`` as the integers ``(core, num, den)`` with ``q = num/den``.
+
+        ``core`` is square-free; an absent or zero block is ``(1, 0, 1)``.
+        Each block object is classified once, and a block replaced by another
+        object is classified anew.
+        """
+        if block is None:
+            return _ZERO_CLASS
+        hit = self._classes.get(id(block))
+        if hit is None:  # the cache holds the block, so its id is not reused
+            terms = radical_terms(block[0][0])
+            if len(terms) > 1:
+                raise KMatrixError(f"{block[0][0]!r} spans more than one square class")
+            hit = self._classes[id(block)] = (block, terms[0] if terms else _ZERO_CLASS)
+        return hit[1]
 
     def raw_dimension(self) -> int:
         return sum(self.sectors.values())
@@ -106,50 +132,45 @@ def solve_s_recursion(rep: GammaRep) -> dict[tuple, SBlock]:
         if not constraints:
             raise KMatrixError(f"sector {sec} is not reachable from the lowest grade")
         if rep.exact:
-            solved[sec] = SBlock(sec, [[_solve_exact(sec, constraints)]])
+            solved[sec] = SBlock(sec, [[_solve_exact(rep, sec, constraints)]])
         else:
             solved[sec] = SBlock(sec, _solve_float(sec, constraints))
     _check_consistency(rep, solved)
     return solved
 
 
-def _square_class(value) -> tuple[int, Fraction]:
-    """An exact scalar ``q * sqrt(core)``, ``core`` square-free, as ``(core, q)``; zero is ``(1, 0)``."""
-    terms = radical_terms(value)
-    if len(terms) > 1:
-        raise KMatrixError(f"{value!r} spans more than one square class")
-    core, num, den = terms[0] if terms else (1, 0, 1)
-    return core, Fraction(num, den)
+def _balanced(s_col, g, p, s_row) -> bool:
+    """Whether ``S(col) g == p S(row)``, for exact blocks given as square classes ``g`` and ``p``.
+
+    The rational coefficients are cross-multiplied in integers; the cores
+    must agree unless both sides are zero.
+    """
+    core_g, num_g, den_g = g
+    core_p, num_p, den_p = p
+    lhs = s_col.numerator * num_g * den_p * s_row.denominator
+    return lhs == s_row.numerator * num_p * den_g * s_col.denominator and (not lhs or core_g == core_p)
 
 
-def _entry(block):
-    """The scalar of a 1x1 exact block; an absent block is zero."""
-    return 0 if block is None else block[0][0]
-
-
-def _solve_exact(sec, constraints) -> Fraction:
+def _solve_exact(rep, sec, constraints) -> Fraction:
     """The rational S value of a one-dimensional sector.
 
     A block ``g = q_g sqrt(c_g)`` and its partner ``p = q_p sqrt(c_p)`` give
     ``S g = p S(low)``, so ``S = S(low) q_p / q_g``, rational only when
-    ``c_p == c_g``.  The (possibly very long) S values are only multiplied and
-    divided by the short coefficients ``q``, never squared or factored.
+    ``c_p == c_g``.  The first constraint with ``q_g != 0`` sets the value,
+    and every other one is checked against it in integers.  The (possibly
+    very long) S values are only multiplied by the short coefficients ``q``,
+    never squared or factored.
     """
     value = None
     for block, partner, s_low in constraints:
-        core_g, q_g = _square_class(block[0][0])
-        core_p, q_p = _square_class(_entry(partner))
-        rhs = q_p * s_low[0][0]
-        if not q_g:
-            if rhs:
-                raise KMatrixError(f"inconsistent constraints at sector {sec}")
-            continue
-        if rhs and core_p != core_g:
+        g, p = rep.square_class(block), rep.square_class(partner)
+        (core_g, num_g, den_g), (core_p, num_p, den_p) = g, p
+        s_low = s_low[0][0]
+        if num_g and num_p and s_low and core_g != core_p:
             raise KMatrixError(f"irrational S value at sector {sec}")
-        s = rhs / q_g
-        if value is None:
-            value = s
-        elif value != s:
+        if value is None and num_g:
+            value = s_low * Fraction(num_p * den_g, den_p * num_g)
+        elif not _balanced(value or 0, g, p, s_low):  # with no value yet, g is 0 and so must p S(low) be
             raise KMatrixError(f"inconsistent constraints at sector {sec}")
     if value is None:
         raise KMatrixError(f"sector {sec} is undetermined by the recursion")
@@ -181,8 +202,9 @@ def _solve_float(sec, constraints) -> np.ndarray:
 def _check_consistency(rep, solved):
     """Verify S(col).Gamma(X)[row,col]^dag = Gamma(Xdag)[col,row].S(row) for all blocks.
 
-    Exact mode compares ``S(col) q_g == q_p S(row)`` and the square classes
-    of ``g`` and ``p`` exactly; float mode to ``DEFAULT_TOL``, relative.
+    Exact mode compares ``S(col) q_g == q_p S(row)`` in integers and the
+    square classes of ``g`` and ``p`` exactly; float mode to ``DEFAULT_TOL``,
+    relative.
     """
     worst = 0.0
     for gen, blocks in rep.blocks.items():
@@ -191,10 +213,7 @@ def _check_consistency(rep, solved):
             partner = rep.block(adj, col, row)
             s_col, s_row = solved[col].matrix, solved[row].matrix
             if rep.exact:
-                core_g, q_g = _square_class(block[0][0])
-                core_p, q_p = _square_class(_entry(partner))
-                lhs, rhs = s_col[0][0] * q_g, q_p * s_row[0][0]
-                if lhs != rhs or (lhs and core_g != core_p):
+                if not _balanced(s_col[0][0], rep.square_class(block), rep.square_class(partner), s_row[0][0]):
                     raise KMatrixError(f"S-matrix equations violated exactly at {gen} {(row, col)}")
                 continue
             lhs = s_col @ np.asarray(block, dtype=float).T
@@ -224,12 +243,15 @@ def orthonormalize(sblocks: dict[tuple, SBlock], exact: bool = False) -> dict[tu
     """Diagonalize each S-block; ``k = sqrt(eigenvalue)``, small ones are zero-norm.
 
     ``exact=True`` is for the S-blocks of an exact :class:`GammaRep`: each is a
-    rational ``[[s]]``, and ``k = sqrt(s)`` is a :class:`Radical`.
+    rational ``[[s]]``, and ``k = sqrt(s)`` is a :class:`Radical`.  In float
+    mode an eigenvalue is zero-norm when it is at most ``DEFAULT_TOL`` times
+    the largest of the sector's eigenvalues and of every sector's largest
+    absolute S entry, so a sector whose S is all rounding noise is cut.
     """
-    out = {}
-    for sec, sb in sorted(sblocks.items()):
-        out[sec] = _ortho_exact(sec, sb) if exact else _ortho_float(sec, sb)
-    return out
+    if exact:
+        return {sec: _ortho_exact(sec, sb) for sec, sb in sorted(sblocks.items())}
+    floor = max((float(np.abs(sb.to_dense()).max(initial=0.0)) for sb in sblocks.values()), default=0.0)
+    return {sec: _ortho_float(sec, sb, floor) for sec, sb in sorted(sblocks.items())}
 
 
 def _ortho_exact(sec, sb) -> OrthoSector:
@@ -240,7 +262,7 @@ def _ortho_exact(sec, sb) -> OrthoSector:
     return OrthoSector(sec, [[Fraction(1)]], [k], 0 if k.is_zero() else 1)
 
 
-def _ortho_float(sec, sb) -> OrthoSector:
+def _ortho_float(sec, sb, floor: float) -> OrthoSector:
     s = sb.to_dense()
     s = (s + s.T) / 2
     if s.shape[0] == 1 or np.count_nonzero(s - np.diag(np.diag(s))) == 0:
@@ -255,7 +277,7 @@ def _ortho_float(sec, sb) -> OrthoSector:
             lead = np.argmax(np.abs(u[:, col]))
             if u[lead, col] < 0:
                 u[:, col] = -u[:, col]
-    top = max(ev.max(initial=0.0), 0.0)
+    top = max(ev.max(initial=0.0), floor, 0.0)
     cut = DEFAULT_TOL * top if top > 0 else DEFAULT_TOL
     if ev.min(initial=0.0) < -max(cut, DEFAULT_TOL):
         raise KMatrixError(f"negative S eigenvalue {ev.min():.2e} at {sec}")
@@ -275,7 +297,11 @@ def unitarize(
 
     Returns the ordered basis (sector, multiplicity-index) and one
     OperatorMatrix per generator with
-    ``gamma[b,a] = (1/k_b) [U' Gamma U]_{ba} k_a``.
+    ``gamma[b,a] = (1/k_b) [U' Gamma U]_{ba} k_a``.  In exact mode a block
+    ``g`` and its partner ``p`` first pass ``k_col**2 q_g == q_p k_row**2``
+    (the S equation on the given norms), so ``k_col / k_row`` is
+    ``sqrt(q_p / q_g)`` and ``gamma = sign(q_g) sqrt(q_g q_p core)``; the
+    adjoint pairs are then compared exactly, in float mode to ``DEFAULT_TOL``.
     """
     basis = []
     for sec in sorted(ortho, key=lambda s: (rep.grades[s], s)):
@@ -291,10 +317,15 @@ def unitarize(
             if o_r.n_positive == 0 or o_c.n_positive == 0:
                 continue
             if rep.exact:  # one-dimensional sectors: both unitaries are [[1]]
-                core, q = _square_class(block[0][0])
-                if q:
-                    g = Radical(1 if q > 0 else -1, q * q * core)
-                    mat[index[(row, 0)], index[(col, 0)]] = g * o_c.k_values[0] / o_r.k_values[0]
+                g = rep.square_class(block)
+                p = rep.square_class(rep.block(rep.adjoints[gen], col, row))
+                if not _balanced(o_c.k_values[0].squared, g, p, o_r.k_values[0].squared):
+                    raise KMatrixError(f"norm factors do not solve the S equation at {gen} {(row, col)}")
+                (core, num_g, den_g), (_, num_p, den_p) = g, p
+                if num_g:
+                    mat[index[(row, 0)], index[(col, 0)]] = Radical(
+                        1 if num_g > 0 else -1, Fraction(num_g * num_p * core, den_g * den_p)
+                    )
                 continue
             u_r = np.asarray(o_r.unitary, dtype=float)
             u_c = np.asarray(o_c.unitary, dtype=float)
@@ -308,9 +339,13 @@ def unitarize(
 
     for gen, adj in rep.adjoints.items():
         if gen in gammas and adj in gammas:
-            diff = gammas[gen].dagger().max_abs_diff(gammas[adj])
-            scale = 1.0 + gammas[gen].frobenius()
-            if diff / scale > DEFAULT_TOL:
+            if rep.exact:
+                transposed = {(c, r): v for (r, c), v in gammas[gen].entries.items()}
+                adjoint = transposed == gammas[adj].entries
+            else:
+                diff = gammas[gen].dagger().max_abs_diff(gammas[adj])
+                adjoint = diff / (1.0 + gammas[gen].frobenius()) <= DEFAULT_TOL
+            if not adjoint:
                 raise KMatrixError(
                     f"unitarized gamma({gen}) is not the adjoint of gamma({adj})"
                 )

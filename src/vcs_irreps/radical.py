@@ -42,10 +42,15 @@ _PRIMES = _primes_to(_FACTOR_BOUND)
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write ``n = root**2 * core`` with ``core`` square-free; return ``(root, core)``.
 
-    Trial division by the primes up to ``_FACTOR_BOUND`` while ``p * p <= n``.
+    A perfect square returns ``(isqrt(n), 1)`` at once: every rational value
+    reaches here as ``q**2`` (see :meth:`Radical.from_rational`).  Otherwise
+    trial division by the primes up to ``_FACTOR_BOUND`` while ``p * p <= n``.
     """
     if n <= 0:
         raise ValueError(f"positive integer required, got {n}")
+    root = math.isqrt(n)
+    if root * root == n:
+        return root, 1
     root, core = 1, 1
     for p in _PRIMES:
         if p * p > n:

@@ -28,7 +28,9 @@ becomes a :class:`SparseMatrix`, and products are gathered entry by entry, a
 block of rows at a time, and summed with ``np.bincount``; no ``d x d`` array
 is formed, and a check costs about the number of scalar products it forms,
 never ``d**3``.  A generator norm or a residual scale that overflows a float
-raises ``OverflowError``: a defect divided by it would read 0.
+raises ``OverflowError``: a defect divided by it would read 0.  A float
+defect whose sum of squares overflows is measured again over its entries
+divided by the largest one, so a finite defect never reads ``inf``.
 
 Shipped tables: su(1,1), u(3) (all 81 relations), and su(3) in its
 SO(3)-tensor form (angular momentum plus the five quadrupole components).
@@ -302,6 +304,24 @@ class SparseMatrix:
         return FloatSum(dim, [(as_float(c), a, b) for c, a, b in terms])
 
 
+def _norm(parts, plain: float | None = None) -> float:
+    """The Frobenius norm of the arrays that ``parts()`` yields, or ``plain``, that norm already formed.
+
+    Only when the plain sum of squares overflows is the norm formed again,
+    over the arrays divided by their largest absolute entry, so a finite norm
+    above ``sqrt(max float)`` stays finite and the usual path costs nothing
+    more.
+    """
+    if plain is None:
+        plain = math.sqrt(sum(float(np.vdot(part, part).real) for part in parts()))
+    if math.isfinite(plain):
+        return plain
+    big = max(float(np.abs(part).max(initial=0.0)) for part in parts())
+    if not math.isfinite(big):
+        return big
+    return big * math.sqrt(sum(float(np.vdot(part / big, part / big).real) for part in parts()))
+
+
 # The size of a float sum's row block: a row costs its terms plus its ``dim``
 # output cells, and a block takes rows while their cost stays within this
 # (at least one row).
@@ -343,8 +363,11 @@ class FloatSum:
 
     def norm(self, interior: int | None = None) -> float:
         if all(b is None for _, _, b in self.terms):
-            return float(np.linalg.norm(self._linear_entries(interior)))
-        return math.sqrt(sum(float(np.vdot(block, block).real) for _, block in self.blocks(interior)))
+            entries = self._linear_entries(interior)
+            with np.errstate(over="ignore"):
+                plain = float(np.linalg.norm(entries))
+            return _norm(lambda: (entries,), plain)
+        return _norm(lambda: (block for _, block in self.blocks(interior)))
 
     def _linear_entries(self, interior: int | None) -> np.ndarray:
         """The non-empty entries of a sum of ``c A`` terms in the leading block, from the union of their coordinates."""
@@ -482,7 +505,7 @@ class TileSum:
 
     def norm(self, interior: int | None = None) -> float:
         _, inside = self._inside(interior)
-        return math.sqrt(sum(float(np.vdot(block, block).real) for _, _, block, _ in self._kept(inside)))
+        return _norm(lambda: (block for _, _, block, _ in self._kept(inside)))
 
     def deviation(self, interior: int | None = None) -> float:
         """Largest deviation from the mean diagonal value times I, the mean taken in basis order."""

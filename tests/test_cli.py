@@ -546,3 +546,13 @@ def test_a_norm_too_large_for_a_float_is_a_one_line_error(tmp_path, capsys, chec
         code, out, err = run(capsys, "check", *argv)
     assert code == 2 and "PASS" not in out
     assert err.startswith("error: ") and err.count("\n") == 1 and "overflows a float" in err
+
+
+def test_gen_that_fails_part_way_leaves_no_file(tmp_path, capsys):
+    # 1e400 overflows a float only when the first float generator is written,
+    # after the file is open and its header is out
+    path = tmp_path / "f.json"
+    code, out, err = run(capsys, "gen", "su11", "--lambda", "1e400", "--nmax", "3", "--mode", "float", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from vcs_irreps import kmatrix, su11, u3
+from vcs_irreps import kmatrix, repcheck, su11, u3
 from vcs_irreps.kmatrix import KMatrixError
 from vcs_irreps.radical import Radical, radical_terms
 
@@ -219,6 +220,75 @@ def test_exact_consistency_check_compares_square_classes():
         kmatrix.solve_s_recursion(rep)
 
 
+def test_su11_induction_is_exactly_the_closed_form():
+    # the size of the benchmark's induce-su11: 1001 S values, numerators and denominators of up to 608 digits
+    irrep, rep, sblocks, ortho = su11_pipeline(Fraction(7, 2), 1000)
+    assert [sblocks[(n,)].matrix[0][0] for n in range(irrep.dim)] == su11.s_kernel_coefficients(irrep, 1000)
+    basis, gammas = kmatrix.unitarize(rep, ortho)
+    assert basis == [((n,), 0) for n in range(irrep.dim)]
+    for name, matrix in su11.generator_matrices(irrep).items():
+        assert gammas[name].entries == matrix.entries
+
+
+def _u3_k_squared(hw, tj, tS):
+    """``K(j, S)**2`` from the telescoped norm ratios; 0 outside the irrep."""
+    if not u3.is_admissible(hw, tj, tS):
+        return 0
+    if tj == 0:
+        return 1
+    low = tS - 1 if u3.is_admissible(hw, tj - 1, tS - 1) else tS + 1
+    return _u3_k_squared(hw, tj - 1, low) * u3.k_ratio_sq(hw, tj - 1, low, tS)
+
+
+@pytest.mark.parametrize(
+    "weight, extra_grades",
+    [((8, 4, 0), 1), ((Fraction(7, 3), Fraction(4, 3), Fraction(1, 3)), 2)],
+    ids=["8,4,0", "7/3,4/3,1/3"],
+)
+def test_u3_induction_is_exactly_the_canonical_irrep(weight, extra_grades):
+    # {8,4,0} is the benchmark's induce-u3; S is K**2 on every raw sector
+    hw = u3.U3HighestWeight(*weight)
+    rep = u3.holomorphic_gamma_rep(hw, extra_grades=extra_grades)
+    sblocks = kmatrix.solve_s_recursion(rep)
+    for (tj, tS, _), sb in sblocks.items():
+        assert sb.matrix[0][0] == _u3_k_squared(hw, tj, tS)
+    ortho = kmatrix.orthonormalize(sblocks, exact=True)
+    basis, gammas = kmatrix.unitarize(rep, ortho)
+    labels = u3.basis_enumeration(hw)
+    perm = [labels.index(u3.CanonicalLabel(*sec)) for sec, _ in basis]
+    assert sorted(perm) == list(range(hw.dimension()))
+    assert kmatrix.zero_norm_count(ortho) == rep.raw_dimension() - hw.dimension()
+    for name, matrix in u3.assemble_generators(hw).items():
+        assert {(perm[r], perm[c]): v for (r, c), v in gammas[name].entries.items()} == matrix.entries
+
+
+def test_unitarize_rejects_a_norm_factor_that_does_not_solve_the_s_equations():
+    irrep, rep, sblocks, ortho = su11_pipeline(Fraction(7, 2), 8)
+    ortho[(4,)].k_values[0] = 2 * ortho[(4,)].k_values[0]
+    with pytest.raises(KMatrixError, match=r"norm factors do not solve the S equation"):
+        kmatrix.unitarize(rep, ortho)
+
+
+def test_unitarize_classifies_a_replaced_partner_anew():
+    # S(3) was solved with S-(2,3) in the class of S+(3,2); moved to another
+    # class after the solve, the pair no longer balances
+    irrep, rep, sblocks, ortho = su11_pipeline(Fraction(7, 2), 8)
+    rep.blocks["S-"][(2,), (3,)] = [[_other_class(rep.blocks["S-"][(2,), (3,)][0][0])]]
+    with pytest.raises(KMatrixError, match=r"norm factors do not solve the S equation"):
+        kmatrix.unitarize(rep, ortho)
+
+
+def test_exact_adjoint_check_compares_the_unitary_entries_exactly(monkeypatch):
+    # the closing check on its own: with the per-block S check switched off,
+    # a partner in another square class gives gamma(S-)[2,3] the core of
+    # S-(2,3) and gamma(S+)[3,2] the core of S+(3,2)
+    irrep, rep, sblocks, ortho = su11_pipeline(Fraction(7, 2), 8)
+    rep.blocks["S-"][(2,), (3,)] = [[_other_class(rep.blocks["S-"][(2,), (3,)][0][0])]]
+    monkeypatch.setattr(kmatrix, "_balanced", lambda *args: True)
+    with pytest.raises(KMatrixError, match=r"gamma\(S\+\) is not the adjoint of gamma\(S-\)"):
+        kmatrix.unitarize(rep, ortho)
+
+
 def test_orthonormalize_rank_deficient_block():
     sb = {("x",): kmatrix.SBlock(("x",), np.array([[1.0, 1.0], [1.0, 1.0]]))}
     ortho = kmatrix.orthonormalize(sb)
@@ -336,6 +406,55 @@ def test_json_ingestion_round_trip():
     _, gammas = kmatrix.unitarize(rep, ortho)
     assert gammas["up"][1, 0] == pytest.approx(np.sqrt(2.0))
     assert gammas["down"][0, 1] == pytest.approx(np.sqrt(2.0))
+
+
+def _grade_document(fine, c=1.0):
+    """An exact rep as a user's JSON GammaRep, one sector per grade, each block times ``c**(grade(row) - grade(col))``.
+
+    The factor is the similarity by ``c**grade``, which leaves the algebra and
+    the unitary irrep unchanged but rescales S by ``c**(2 grade)``.
+    """
+    members = {}
+    for sec in sorted(fine.sectors):
+        members.setdefault(fine.grades[sec], []).append(sec)
+    position = {sec: i for secs in members.values() for i, sec in enumerate(secs)}
+    generators = {}
+    for gen, blocks in fine.blocks.items():
+        coarse = {}
+        for (row, col), block in blocks.items():
+            r, k = fine.grades[row], fine.grades[col]
+            coarse.setdefault((r, k), []).append([position[row], position[col], float(block[0][0]) * c ** (r - k)])
+        generators[gen] = {
+            "adjoint": fine.adjoints[gen],
+            "blocks": [{"row": [r], "col": [k], "entries": e} for (r, k), e in sorted(coarse.items())],
+        }
+    sectors = [{"key": [g], "dim": len(secs), "grade": g} for g, secs in sorted(members.items())]
+    return {"sectors": sectors, "generators": generators}
+
+
+@pytest.mark.parametrize("c", [1.0, 0.5, 0.25])
+def test_float_ingestion_cuts_a_top_grade_of_rounding_noise(c):
+    # u(3) {6,3,0} with one grade past the irrep: the top grade is wholly
+    # zero-norm, and its solved S is rounding noise far below the other
+    # sectors' scale but not below its own.  Scaling the grades by c moves
+    # every sector's scale, so the cut must be relative to all of them.
+    hw = u3.U3HighestWeight(6, 3, 0)
+    doc = json.loads(json.dumps(_grade_document(u3.holomorphic_gamma_rep(hw, extra_grades=1), c)))
+    rep = kmatrix.gamma_rep_from_json(doc)
+    ortho = kmatrix.orthonormalize(kmatrix.solve_s_recursion(rep))
+    basis, gammas = kmatrix.unitarize(rep, ortho)
+    assert len(basis) == hw.dimension() == 64
+    assert kmatrix.zero_norm_count(ortho) == rep.raw_dimension() - 64
+    spec = repcheck.u3_spec()
+    dense = {name: gammas[name].to_dense() for name in u3.GENERATOR_NAMES}
+    assert repcheck.commutator_residual(spec, dense) <= 1e-10
+    assert repcheck.hermiticity_residual(spec, dense) <= 1e-10
+    # the grade blocks are rotated by a float eigenbasis: compare spectra
+    reference = u3.assemble_generators(hw)
+    for name in ("C11", "C22", "C33"):
+        got = np.sort(np.linalg.eigvalsh(dense[name]))
+        want = np.sort(np.diag(reference[name].to_dense()))
+        assert np.abs(got - want).max() <= 1e-10
 
 
 def _two_sector_doc(entries, row=(1,)):

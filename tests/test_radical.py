@@ -49,6 +49,23 @@ def test_squarefree_decompose_matches_factorint_below_the_bound_squared(n):
     assert squarefree_decompose.__wrapped__(n) == _factorint_split(n)
 
 
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(1, 10**80))
+def test_squarefree_decompose_of_a_perfect_square_is_its_root(r):
+    assert squarefree_decompose.__wrapped__(r * r) == (r, 1)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(1, radical._FACTOR_BOUND**2), st.integers(1, radical._FACTOR_BOUND))
+def test_squarefree_decompose_leaves_a_square_free_core(n, square):
+    # Below the bound squared, n has at most one prime above the bound, and
+    # that to the first power; the square's primes are all below it.
+    n *= square * square
+    root, core = squarefree_decompose.__wrapped__(n)
+    assert root * root * core == n
+    assert all(e == 1 for e in sympy.factorint(core).values())
+
+
 def test_squarefree_decompose_matches_factorint_on_su11_radicands(monkeypatch):
     seen = set()
 

@@ -759,6 +759,33 @@ def test_an_overflowing_casimir_scale_raises_instead_of_reading_zero():
         repcheck.casimir_residual(spec, mats)
 
 
+@pytest.mark.parametrize("value", [1e150, 1e154])
+def test_a_finite_defect_whose_squares_overflow_stays_finite(value):
+    # At 1e154 the defect's squared entries overflow, its norm (about 6e154) does not.
+    spec = repcheck.su3_so3_spec()
+    got = repcheck.commutator_residual(spec, {g: np.array([[value]]) for g in spec.generators})
+    assert got == pytest.approx(6 / value, rel=1e-12)
+
+
+@pytest.mark.parametrize("tiled", [False, True], ids=["row-blocks", "tiles"])
+@pytest.mark.parametrize("linear", [False, True], ids=["products", "linear"])
+def test_sum_norms_rescale_when_the_squares_overflow(tiled, linear):
+    # Every term is linear in S+, so scaling S+ by 1e160 scales the norm alike.
+    spec, dim = repcheck.su11_spec(), 7
+    up, down = np.random.default_rng(5).normal(size=(2, dim - 1))
+    norms = []
+    for scale in (1.0, 1e160):
+        mats = {"S0": np.diag(np.arange(dim, dtype=float)), "S+": scale * np.diag(up, -1), "S-": np.diag(down, 1)}
+        forms = {g: repcheck.SparseMatrix.of(m) for g, m in mats.items()}
+        if tiled:
+            forms = repcheck.TiledMatrix.tile(spec, forms)
+        p, m = forms["S+"], forms["S-"]
+        terms = [(1, p.adjoint(), None), (-3, p, None)] if linear else [(1, p, m), (-1, m, p), (2, p, None)]
+        norms.append(type(p).sum(dim, terms).norm())
+    assert 0 < norms[0] and np.isfinite(norms[1])
+    assert norms[1] == pytest.approx(1e160 * norms[0], rel=1e-14)
+
+
 @pytest.mark.parametrize(
     "diagonal,bound,tiles",
     [
