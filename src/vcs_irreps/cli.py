@@ -48,6 +48,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -426,7 +427,8 @@ def cmd_gen(args) -> int:
             write(fh)
         except BaseException:  # a value that fails part-way leaves no truncated document
             fh.close()
-            os.remove(args.out)
+            if stat.S_ISREG(os.lstat(args.out).st_mode):  # not a device, FIFO or link
+                os.remove(args.out)
             raise
     return 0
 

@@ -52,6 +52,9 @@ class SBlock:
 
     sector: tuple
     matrix: object  # [[Fraction]] in exact mode, np.ndarray in float mode
+    # float mode: the size the sector's constraints give S, the largest
+    # |partner| |S(low)| / |block|; an S of rounding noise lies far below it
+    scale: float = 0.0
 
     def to_dense(self) -> np.ndarray:
         return np.asarray(self.matrix, dtype=float)
@@ -87,17 +90,19 @@ class GammaRep:
         """An exact block ``[[q sqrt(core)]]`` as the integers ``(core, num, den)`` with ``q = num/den``.
 
         ``core`` is square-free; an absent or zero block is ``(1, 0, 1)``.
-        Each block object is classified once, and a block replaced by another
-        object is classified anew.
+        Each value is classified once.  The cache is keyed by the value
+        object, which is immutable, so a block replaced or changed in place
+        is classified anew.
         """
         if block is None:
             return _ZERO_CLASS
-        hit = self._classes.get(id(block))
-        if hit is None:  # the cache holds the block, so its id is not reused
-            terms = radical_terms(block[0][0])
+        value = block[0][0]
+        hit = self._classes.get(id(value))
+        if hit is None:  # the cache holds the value, so its id is not reused
+            terms = radical_terms(value)
             if len(terms) > 1:
-                raise KMatrixError(f"{block[0][0]!r} spans more than one square class")
-            hit = self._classes[id(block)] = (block, terms[0] if terms else _ZERO_CLASS)
+                raise KMatrixError(f"{value!r} spans more than one square class")
+            hit = self._classes[id(value)] = (value, terms[0] if terms else _ZERO_CLASS)
         return hit[1]
 
     def raw_dimension(self) -> int:
@@ -134,7 +139,7 @@ def solve_s_recursion(rep: GammaRep) -> dict[tuple, SBlock]:
         if rep.exact:
             solved[sec] = SBlock(sec, [[_solve_exact(rep, sec, constraints)]])
         else:
-            solved[sec] = SBlock(sec, _solve_float(sec, constraints))
+            solved[sec] = _solve_float(sec, constraints)
     _check_consistency(rep, solved)
     return solved
 
@@ -179,13 +184,21 @@ def _solve_exact(rep, sec, constraints) -> Fraction:
     return value
 
 
-def _solve_float(sec, constraints) -> np.ndarray:
+def _solve_float(sec, constraints) -> SBlock:
     """S from all ``S A = B`` side by side: one least-squares solve with d right-hand sides, symmetrized."""
-    a_parts, b_parts = [], []
+    a_parts, b_parts, sizes = [], [], [0.0]
     for block, partner, s_low in constraints:
         a = np.asarray(block, dtype=float).T
         a_parts.append(a)
-        b_parts.append(np.zeros_like(a) if partner is None else np.asarray(partner, dtype=float) @ s_low)
+        if partner is None:
+            b_parts.append(np.zeros_like(a))
+            continue
+        partner = np.asarray(partner, dtype=float)
+        b_parts.append(partner @ s_low)
+        size_a = float(np.abs(a).max(initial=0.0))
+        if size_a > 0:
+            size_b = float(np.abs(partner).max(initial=0.0)) * float(np.abs(s_low).max(initial=0.0))
+            sizes.append(size_b / size_a)
     a, b = np.hstack(a_parts), np.hstack(b_parts)
     s_t, *_ = np.linalg.lstsq(a.T, b.T, rcond=None)
     s = (s_t + s_t.T) / 2
@@ -196,7 +209,7 @@ def _solve_float(sec, constraints) -> np.ndarray:
     ev = np.linalg.eigvalsh(s)
     if ev.min() < -DEFAULT_TOL * max(1.0, ev.max()):
         raise KMatrixError(f"S-block at {sec} is not positive semi-definite")
-    return s
+    return SBlock(sec, s, max(sizes))
 
 
 def _check_consistency(rep, solved):
@@ -245,13 +258,12 @@ def orthonormalize(sblocks: dict[tuple, SBlock], exact: bool = False) -> dict[tu
     ``exact=True`` is for the S-blocks of an exact :class:`GammaRep`: each is a
     rational ``[[s]]``, and ``k = sqrt(s)`` is a :class:`Radical`.  In float
     mode an eigenvalue is zero-norm when it is at most ``DEFAULT_TOL`` times
-    the largest of the sector's eigenvalues and of every sector's largest
-    absolute S entry, so a sector whose S is all rounding noise is cut.
+    the larger of the sector's largest eigenvalue and its ``scale``, so a
+    sector whose S is all rounding noise is cut; the scale moves with the
+    sector's S, so a graded input keeps its small genuine norms.
     """
-    if exact:
-        return {sec: _ortho_exact(sec, sb) for sec, sb in sorted(sblocks.items())}
-    floor = max((float(np.abs(sb.to_dense()).max(initial=0.0)) for sb in sblocks.values()), default=0.0)
-    return {sec: _ortho_float(sec, sb, floor) for sec, sb in sorted(sblocks.items())}
+    ortho = _ortho_exact if exact else _ortho_float
+    return {sec: ortho(sec, sb) for sec, sb in sorted(sblocks.items())}
 
 
 def _ortho_exact(sec, sb) -> OrthoSector:
@@ -262,7 +274,7 @@ def _ortho_exact(sec, sb) -> OrthoSector:
     return OrthoSector(sec, [[Fraction(1)]], [k], 0 if k.is_zero() else 1)
 
 
-def _ortho_float(sec, sb, floor: float) -> OrthoSector:
+def _ortho_float(sec, sb) -> OrthoSector:
     s = sb.to_dense()
     s = (s + s.T) / 2
     if s.shape[0] == 1 or np.count_nonzero(s - np.diag(np.diag(s))) == 0:
@@ -277,10 +289,11 @@ def _ortho_float(sec, sb, floor: float) -> OrthoSector:
             lead = np.argmax(np.abs(u[:, col]))
             if u[lead, col] < 0:
                 u[:, col] = -u[:, col]
-    top = max(ev.max(initial=0.0), floor, 0.0)
-    cut = DEFAULT_TOL * top if top > 0 else DEFAULT_TOL
-    if ev.min(initial=0.0) < -max(cut, DEFAULT_TOL):
+    top = max(ev.max(initial=0.0), 0.0)
+    if ev.min(initial=0.0) < -DEFAULT_TOL * max(top, 1.0):
         raise KMatrixError(f"negative S eigenvalue {ev.min():.2e} at {sec}")
+    top = max(top, sb.scale)
+    cut = DEFAULT_TOL * top if top > 0 else DEFAULT_TOL
     ks = [float(np.sqrt(e)) if e > cut else 0.0 for e in ev]
     n_pos = sum(1 for k in ks if k > 0)
     return OrthoSector(sec, u, ks, n_pos)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import re
 import warnings
 from fractions import Fraction
@@ -556,3 +557,14 @@ def test_gen_that_fails_part_way_leaves_no_file(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_that_fails_part_way_removes_no_device(capsys, monkeypatch):
+    # only a regular file is removed: writing to the null device, the
+    # failure is the one-line error and the device is left alone
+    removed = []
+    monkeypatch.setattr(os, "remove", removed.append)
+    code, out, err = run(capsys, "gen", "su11", "--lambda", "1e400", "--nmax", "3", "--mode", "float", "--out", os.devnull)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert removed == []

@@ -269,11 +269,17 @@ def test_unitarize_rejects_a_norm_factor_that_does_not_solve_the_s_equations():
         kmatrix.unitarize(rep, ortho)
 
 
-def test_unitarize_classifies_a_replaced_partner_anew():
+@pytest.mark.parametrize("in_place", [False, True], ids=["replaced", "in-place"])
+def test_unitarize_rejects_a_partner_moved_to_another_square_class(in_place):
     # S(3) was solved with S-(2,3) in the class of S+(3,2); moved to another
-    # class after the solve, the pair no longer balances
+    # class after the solve, by a new block or by a new value in the old
+    # block, the pair no longer balances
     irrep, rep, sblocks, ortho = su11_pipeline(Fraction(7, 2), 8)
-    rep.blocks["S-"][(2,), (3,)] = [[_other_class(rep.blocks["S-"][(2,), (3,)][0][0])]]
+    block = rep.blocks["S-"][(2,), (3,)]
+    if in_place:
+        block[0][0] = _other_class(block[0][0])
+    else:
+        rep.blocks["S-"][(2,), (3,)] = [[_other_class(block[0][0])]]
     with pytest.raises(KMatrixError, match=r"norm factors do not solve the S equation"):
         kmatrix.unitarize(rep, ortho)
 
@@ -432,12 +438,14 @@ def _grade_document(fine, c=1.0):
     return {"sectors": sectors, "generators": generators}
 
 
-@pytest.mark.parametrize("c", [1.0, 0.5, 0.25])
+@pytest.mark.parametrize("c", [1.0, 0.5, 0.25, 0.05, 0.01])
 def test_float_ingestion_cuts_a_top_grade_of_rounding_noise(c):
     # u(3) {6,3,0} with one grade past the irrep: the top grade is wholly
-    # zero-norm, and its solved S is rounding noise far below the other
-    # sectors' scale but not below its own.  Scaling the grades by c moves
-    # every sector's scale, so the cut must be relative to all of them.
+    # zero-norm, and its solved S is rounding noise far below the scale its
+    # constraints give but not below its own largest eigenvalue.  Scaling
+    # the grades by c moves S by c**(2 grade), so at small c a genuine norm
+    # of a high grade lies far below grade 0's: the cut must follow each
+    # sector's own scale, not one shared by all.
     hw = u3.U3HighestWeight(6, 3, 0)
     doc = json.loads(json.dumps(_grade_document(u3.holomorphic_gamma_rep(hw, extra_grades=1), c)))
     rep = kmatrix.gamma_rep_from_json(doc)
