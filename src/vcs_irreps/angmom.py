@@ -13,13 +13,15 @@ Angular momenta may be passed as ints, ``Fraction``, :class:`Spin`, or floats
 that are exact multiples of 1/2; they are converted to twice-integer form
 internally; ``clebsch_gordan_twice`` takes the doubled integers directly, for
 callers that already hold them.  One integer kernel sums Racah's series and
-returns ``(sign, num, den)``: the exact caller wraps it in a cached
-``Radical``, and ``clebsch_gordan_twice_float`` returns ``sign *
-sqrt(num / den)``, the same bits as ``float()`` of that ``Radical``, for the
-float su(3) builder, which fills half of each rank-2 vector from the other by
-the M-mirror ``(j1 -m1, j2 -m2 | J -M) = (-1)**(j1+j2-J) (j1 m1, j2 m2 | J M)``.
-Everything here is a pure function of its arguments; the memo caches are
-``functools.lru_cache`` instances, safe for concurrent callers.
+returns ``(sign, num, den)``, which the exact caller wraps in a cached
+``Radical``.  The su(3) rotor builder needs only rank-2 coefficients
+``(L M, 2 nu | L' M+nu)`` at integer L, and :func:`rank2_cg_parts` gives them
+as int64 arrays ``(sign, num, den)`` over a whole M range from their closed
+forms (Edmonds, Table 2): ``sign * np.sqrt(num / den)`` has the bits of
+``float()`` of the exact value, and ``Radical(sign, Fraction(num, den))`` is
+the exact value.  Everything here is a pure function of its arguments; the
+memo caches are ``functools.lru_cache`` instances, safe for concurrent
+callers.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
+
+import numpy as np
 
 from .radical import Radical
 
@@ -209,16 +213,66 @@ def clebsch_gordan_twice(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: in
     return _cg_twice(tj1, tm1, tj2, tm2, tJ, tM)
 
 
-def clebsch_gordan_twice_float(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:
-    """``float(clebsch_gordan_twice(...))``, bit for bit, without building a ``Radical``.
+# (L M, 2 nu | L+d M+nu) = f * sqrt(g / q) for nu >= 0, from the closed forms: q
+# depends on d and L, f and g on d, nu, L and M; f carries the sign.
+_RANK2_Q = {
+    2: lambda L: (2 * L + 1) * (2 * L + 2) * (2 * L + 3) * (2 * L + 4),
+    1: lambda L: 2 * L * (L + 1) * (L + 2) * (2 * L + 1),
+    0: lambda L: 2 * L * (L + 1) * (2 * L - 1) * (2 * L + 3),
+    -1: lambda L: 2 * (L - 1) * L * (L + 1) * (2 * L + 1),
+    -2: lambda L: 2 * L * (2 * L - 2) * (2 * L - 1) * (2 * L + 1),
+}
+_RANK2_FG = {
+    (2, 0): lambda L, M: (1, 6 * (L - M + 1) * (L - M + 2) * (L + M + 1) * (L + M + 2)),
+    (2, 1): lambda L, M: (1, 4 * (L - M + 1) * (L + M + 1) * (L + M + 2) * (L + M + 3)),
+    (2, 2): lambda L, M: (1, (L + M + 1) * (L + M + 2) * (L + M + 3) * (L + M + 4)),
+    (1, 0): lambda L, M: (M, 6 * (L - M + 1) * (L + M + 1)),
+    (1, 1): lambda L, M: (2 * M - L, (L + M + 1) * (L + M + 2)),
+    (1, 2): lambda L, M: (-1, (L - M) * (L + M + 1) * (L + M + 2) * (L + M + 3)),
+    (0, 0): lambda L, M: (3 * M * M - L * (L + 1), 2),
+    (0, 1): lambda L, M: (-(2 * M + 1), 3 * (L - M) * (L + M + 1)),
+    (0, 2): lambda L, M: (1, 3 * (L - M) * (L - M - 1) * (L + M + 1) * (L + M + 2)),
+    (-1, 0): lambda L, M: (-M, 6 * (L - M) * (L + M)),
+    (-1, 1): lambda L, M: (L + 2 * M + 1, (L - M) * (L - M - 1)),
+    (-1, 2): lambda L, M: (-1, (L - M) * (L - M - 1) * (L - M - 2) * (L + M + 1)),
+    (-2, 0): lambda L, M: (1, 6 * (L - M) * (L - M - 1) * (L + M) * (L + M - 1)),
+    (-2, 1): lambda L, M: (-1, 4 * (L - M) * (L - M - 1) * (L - M - 2) * (L + M)),
+    (-2, 2): lambda L, M: (1, (L - M) * (L - M - 1) * (L - M - 2) * (L - M - 3)),
+}
+# For |M| <= L every f * f * g and q above is below 6 (2L + 4)**4, which stays
+# under 2**53 up to this L.
+RANK2_MAX_L = 3110
 
-    Both round the same exact quotient ``num / den`` once and take its square
-    root; this one skips the ``Fraction`` and the cache.
+
+def rank2_cg_parts(L: int, Lp: int, M, nu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Int64 arrays ``(sign, num, den)`` with ``(L M, 2 nu | Lp M+nu) = sign * sqrt(num / den)``.
+
+    ``M`` and ``nu`` are integer arrays (or scalars) broadcast against each
+    other; ``L`` and ``Lp`` are integers.  Zero coefficients, out-of-range
+    projections and a failed triangle included, give ``(0, 0, 1)``.  A
+    negative ``nu`` comes from the mirror ``(L -M, 2 -nu | Lp -M-nu) =
+    (-1)**(L+2-Lp) (L M, 2 nu | Lp M+nu)``.  ``num`` and ``den`` are exact
+    in a float64, so ``sign * np.sqrt(num / den)`` rounds the exact value's
+    square once and its root once, as ``float()`` of the exact ``Radical``
+    does.  Raises ``OverflowError`` above ``L = RANK2_MAX_L``, where they
+    could reach 2**53.
     """
-    if not _in_range(tj1, tm1, tj2, tm2, tJ, tM):
-        return 0.0
-    sign, num, den = _cg_parts(tj1, tm1, tj2, tm2, tJ, tM)
-    return sign * math.sqrt(num / den)
+    if L > RANK2_MAX_L:
+        raise OverflowError(f"rank-2 coefficients at L={L} exceed float64 integers (L <= {RANK2_MAX_L})")
+    M, nu = np.broadcast_arrays(np.asarray(M, dtype=np.int64), np.asarray(nu, dtype=np.int64))
+    f, g = np.zeros(M.shape, np.int64), np.zeros(M.shape, np.int64)
+    d = Lp - L
+    if abs(d) > 2 or Lp < abs(L - 2):
+        return f, g, np.ones(M.shape, np.int64)
+    valid = (np.abs(M) <= L) & (np.abs(nu) <= 2) & (np.abs(M + nu) <= Lp)
+    flip = np.where(nu < 0, -1, 1)  # the mirror (M, nu) -> (-M, -nu), and its sign is flip**d
+    m, n = np.where(valid, flip * M, 0), np.where(valid, np.abs(nu), -1)
+    for k in range(3):
+        at = n == k
+        if at.any():
+            fk, gk = _RANK2_FG[(d, k)](L, m)
+            f, g = np.where(at, fk, f), np.where(at, gk, g)
+    return np.sign(f) * np.sign(g) * flip ** abs(d), f * f * g, np.where(valid, _RANK2_Q[d](L), 1)
 
 
 @lru_cache(maxsize=None)

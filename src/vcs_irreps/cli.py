@@ -33,7 +33,9 @@ matrices are truncations of an infinite-dimensional irrep, so its commutator
 and Casimir checks run on the interior block (every row and column but the
 last).
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (with a one-line
+Exit codes: 0 success, 1 verification failure, which includes an su(3)
+construction that fails its own consistency checks (``So3ConsistencyError``,
+with a one-line ``error:`` message), 2 usage error (also with a one-line
 ``error:`` message), which includes a value, generator norm or residual scale
 too large for a float (``OverflowError``).  The default tolerance is 1e-10,
 overridable per-call with ``--tol`` or globally with the ``VCS_IRREPS_TOL``
@@ -508,6 +510,9 @@ def main(argv=None) -> int:
     except (UsageError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except su3_so3.So3ConsistencyError as exc:  # the su(3) construction failed its own checks
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -7,17 +7,20 @@ projection ``K`` and angular momentum ``L``:
     L in {lam, lam-2, ..., 1 or 0} for K = 0.
 
 The quadrupole action on these functions is encoded by blocks ``M[L', L]``
-over ``(K', K)`` built from SU(2) Clebsch-Gordan coefficients (exact radical
-arithmetic).  Diagonalizing the symmetric ``sqrt(2L+1) M[L, L]`` defines the
-multiplicity label ``alpha`` (the eigenbasis of the scalar L.Q.L invariant).
-One best-first walk over the quadrupole couplings between eigenstates, from
-the lowest-L state and along the strongest edge first, finds the in-irrep
-states and fixes each one's norm factor ``k`` from the ratio across the edge
-that reached it.  The squared norm ratio ``(-1)**(L-L') curlyM[L,L'][alpha,beta]
-/ curlyM[L',L][beta,alpha]`` must be positive on every in-irrep edge, and the
-walk checks its sign on all of them, not only on the edges it took.  The norm
-factors unitarize the representation, and each reduced quadrupole matrix
-element comes from them once,
+over ``(K', K)`` built in exact radical arithmetic from rank-2 Clebsch-Gordan
+coefficients ``(L M, 2 nu | L' M+nu)``.  Both the blocks and the float
+generator matrices take these from the closed forms in
+:func:`~vcs_irreps.angmom.rank2_cg_parts`, one call per block pair, and never
+sum Racah's series.  Diagonalizing the symmetric ``sqrt(2L+1) M[L, L]``
+defines the multiplicity label ``alpha`` (the eigenbasis of the scalar L.Q.L
+invariant).  One best-first walk over the quadrupole couplings between
+eigenstates, from the lowest-L state and along the strongest edge first, finds
+the in-irrep states and fixes each one's norm factor ``k`` from the ratio
+across the edge that reached it.  The squared norm ratio ``(-1)**(L-L')
+curlyM[L,L'][alpha,beta] / curlyM[L',L][beta,alpha]`` must be positive on
+every in-irrep edge, and the walk checks its sign on all of them, not only on
+the edges it took.  The norm factors unitarize the representation, and each
+reduced quadrupole matrix element comes from them once,
 
     <beta L'||Q||alpha L> = (2L'+1) curlyM[L',L][beta,alpha] k_alpha / k_beta,
 
@@ -45,7 +48,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angmom import clebsch_gordan, clebsch_gordan_twice_float
+# ``clebsch_gordan`` stays a module attribute: bench/spans.py wraps it by name.
+from .angmom import clebsch_gordan, rank2_cg_parts  # noqa: F401
 from .radical import Radical, RadicalSum, as_float
 from .repcheck import DEFAULT_TOL, SparseMatrix
 
@@ -167,18 +171,26 @@ def m_matrix(lm: Su3Label, Lp: int, L: int) -> MBlock:
         return block
     ridx = {K: i for i, K in enumerate(rows)}
     bracket = Fraction(2 * lm.lam + lm.mu + 3) - Fraction(Lp * (Lp + 1), 2) + Fraction(L * (L + 1), 2)
+    # (L M, 2 nu | Lp M+nu) = s sqrt(a / b) at every (M, nu) used below, from one kernel call.
+    n = len(cols)
+    M, nu = [*cols, *cols, *cols, -1], [0] * n + [2] * n + [-2] * n + [2]
+    cg = dict(zip(zip(M, nu), zip(*(x.tolist() for x in rank2_cg_parts(L, Lp, M, nu)))))
+
+    def times_cg(square: Fraction, m: int, v: int) -> RadicalSum:
+        """``sqrt(square) (L m, 2 v | Lp m+v)``, exactly, for ``square >= 0``."""
+        s, a, b = cg[(m, v)]
+        radicand = square * Fraction(a, b)
+        return RadicalSum.from_value(Radical(s if radicand else 0, radicand))
+
+    # Each entry takes one term: column K meets row K through the diagonal
+    # term and rows K +- 2 through one step each.
     for c, K in enumerate(cols):
         if K in ridx:
-            term = RadicalSum.from_value(clebsch_gordan(L, K, 2, 0, Lp, K)) * bracket
+            term = times_cg(Fraction(1), K, 0) * bracket
             if K == 1:
                 phase = -1 if (lm.lam + L + 1) % 2 else 1
-                refl = (
-                    RadicalSum.from_value(clebsch_gordan(L, -1, 2, 2, Lp, 1))
-                    * Radical.sqrt_of(Fraction(3, 2))
-                    * (phase * (lm.mu + 1))
-                )
-                term = term + refl
-            block.entries[ridx[K]][c] = block.entries[ridx[K]][c] + term
+                term = term + times_cg(Fraction(3, 2), -1, 2) * (phase * (lm.mu + 1))
+            block.entries[ridx[K]][c] = term
         for step in (+2, -2):
             Kp = K + step
             if Kp < 0 or Kp not in ridx:
@@ -189,8 +201,7 @@ def m_matrix(lm: Su3Label, Lp: int, L: int) -> MBlock:
                 amp_sq = Fraction(3, 2) * (lm.mu + K) * (lm.mu - K + 2)
             if K == 0 or Kp == 0:
                 amp_sq *= 2
-            amp = Radical.sqrt_of(amp_sq) * clebsch_gordan(L, K, 2, step, Lp, Kp)
-            block.entries[ridx[Kp]][c] = block.entries[ridx[Kp]][c] + amp
+            block.entries[ridx[Kp]][c] = times_cg(amp_sq, K, step)
     return block
 
 
@@ -215,26 +226,24 @@ def _construction(lm: Su3Label) -> _Construction:
     candidates = {L: k_candidates(lm, L) for L in levels}
     raw_candidates = {L: raw_k_candidates(lm, L) for L in levels}
     blocks = {(Lp, L): m_matrix(lm, Lp, L) for Lp in levels for L in levels if abs(Lp - L) <= 2}
+    dense = {pair: block.to_dense() for pair, block in blocks.items() if not block.is_empty()}
     unitaries, eigenvalues = {}, {}
     for L in levels:
-        block = blocks[(L, L)]
-        sym = [
-            [RadicalSum.from_value(v) * Radical.sqrt_of(2 * L + 1) for v in row]
-            for row in block.entries
-        ]
-        n = len(block.rows)
+        # sqrt(2L+1) M[L, L] is symmetric exactly when M[L, L] is.
+        entries = blocks[(L, L)].entries
+        n = len(entries)
         for i in range(n):
-            for j in range(n):
-                if not (sym[i][j] - sym[j][i]).is_zero():
+            for j in range(i + 1, n):
+                if entries[i][j] != entries[j][i]:
                     raise So3ConsistencyError(
                         f"sqrt(2L+1) M[{L},{L}] is not symmetric at ({i},{j})"
                     )
-        dense = block.to_dense()
+        block = dense[(L, L)]
         if n == 1:
             u = np.eye(1)
-            ev = dense.diagonal().copy()
+            ev = block.diagonal().copy()
         else:
-            evs, u = np.linalg.eigh((dense + dense.T) / 2)
+            evs, u = np.linalg.eigh((block + block.T) / 2)
             scale = max(1.0, float(np.abs(evs).max()))
             if np.diff(evs).min() < DEGENERACY_TOL * scale:
                 raise So3ConsistencyError(f"degenerate invariant eigenvalues at L={L}")
@@ -250,9 +259,8 @@ def _construction(lm: Su3Label) -> _Construction:
         eigenvalues[L] = ev / np.sqrt(2 * L + 1)
 
     curly = {
-        (Lp, L): unitaries[Lp].T @ block.to_dense() @ unitaries[L] / np.sqrt(2 * Lp + 1)
-        for (Lp, L), block in blocks.items()
-        if not block.is_empty()
+        (Lp, L): unitaries[Lp].T @ block @ unitaries[L] / np.sqrt(2 * Lp + 1)
+        for (Lp, L), block in dense.items()
     }
 
     positive, k_norm = _best_first_walk(levels, candidates, raw_candidates, curly)
@@ -368,8 +376,9 @@ def assemble_so3_generators(lm: Su3Label) -> dict[str, SparseMatrix]:
     State ``(L, alpha, M)`` sits at ``off[L] + alpha (2L+1) + (M+L)``, the
     index of its label in :func:`basis_labels`.  Each block pair ``(L', L)``
     contributes the outer product of its non-zero factors and its
-    Clebsch-Gordan vector ``(L M, 2 nu | L' M+nu)``, as coordinate arrays per
-    ``nu``.  Each generator is one :class:`~vcs_irreps.repcheck.SparseMatrix`
+    Clebsch-Gordan vector ``(L M, 2 nu | L' M+nu)``, which one
+    :func:`~vcs_irreps.angmom.rank2_cg_parts` call gives over every ``(M,
+    nu)``, as coordinate arrays per ``nu``.  Each generator is one :class:`~vcs_irreps.repcheck.SparseMatrix`
     of its concatenated arrays, which sorts them and drops exact zeros; no
     entry ever becomes a Python object.
     """
@@ -389,15 +398,12 @@ def assemble_so3_generators(lm: Su3Label) -> dict[str, SparseMatrix]:
         parts["L-"].append((i[up], i[up] + 1, amp))
 
     for (Lp, L), factors in con.factors.items():
-        # (L M, 2 nu | Lp M+nu), once per block pair.  The pairs run in (M, nu)
-        # order, so pairs[-1 - i] is the mirror (-M, -nu) of pairs[i], whose
-        # coefficient is (-1)**(L+2-Lp) times its own: only the upper half is computed.
-        pairs = [(M, nu) for M in range(-L, L + 1) for nu in range(max(-2, -Lp - M), min(2, Lp - M) + 1)]
-        half = np.array(
-            [clebsch_gordan_twice_float(2 * L, 2 * M, 4, 2 * nu, 2 * Lp, 2 * (M + nu)) for M, nu in pairs[len(pairs) // 2:]]
-        )
-        cg = np.concatenate([half[:0:-1] * (-1) ** (L + Lp), half])
-        M, nu = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        # (L M, 2 nu | Lp M+nu) at every (M, nu) pair in order, from one kernel call.
+        M, nu = np.repeat(np.arange(-L, L + 1), 5), np.tile(np.arange(-2, 3), 2 * L + 1)
+        keep = np.abs(M + nu) <= Lp
+        M, nu = M[keep], nu[keep]
+        sign, num, den = rank2_cg_parts(L, Lp, M, nu)
+        cg = sign * np.sqrt(num / den)
         beta, alpha = np.nonzero(factors)
         rows = off[Lp] + beta[:, None] * (2 * Lp + 1) + (M + nu + Lp)
         cols = off[L] + alpha[:, None] * (2 * L + 1) + (M + L)

@@ -6,11 +6,12 @@ constructions and checks with them.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from vcs_irreps import repcheck, su3_so3, u3
+from vcs_irreps import angmom, repcheck, su3_so3, u3
 from vcs_irreps.opmatrix import OperatorMatrix
 from vcs_irreps.su11 import Su11Irrep, generator_matrices
 
@@ -33,6 +34,18 @@ def casimir_matrix(spec: repcheck.AlgebraSpec, matrices: dict) -> np.ndarray:
     dim = forms[spec.generators[0]].dim
     total = repcheck.SparseMatrix.sum(dim, [(c, forms[x], forms[y]) for c, x, y in spec.casimir])
     return np.concatenate([block for _, block in total.blocks()])
+
+
+def clebsch_gordan_twice_float(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:
+    """``float(angmom.clebsch_gordan_twice(...))``, bit for bit, from Racah's series without a ``Radical``.
+
+    Both round the same exact quotient ``num / den`` once and take its square
+    root.  The reference that ``angmom.rank2_cg_parts`` is compared with.
+    """
+    if not angmom._in_range(tj1, tm1, tj2, tm2, tJ, tM):
+        return 0.0
+    sign, num, den = angmom._cg_parts(tj1, tm1, tj2, tm2, tJ, tM)
+    return sign * math.sqrt(num / den)
 
 
 def su11_casimir_matrix(irrep: Su11Irrep) -> OperatorMatrix:

@@ -10,14 +10,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import clebsch_gordan_twice_float
 from vcs_irreps.angmom import (
+    RANK2_MAX_L,
     Spin,
     SpinError,
+    _cg_parts,
     _twice,
     clebsch_gordan,
     clebsch_gordan_twice,
-    clebsch_gordan_twice_float,
     racah_u,
+    rank2_cg_parts,
     wigner_6j,
 )
 from vcs_irreps.radical import Radical, RadicalSum
@@ -375,15 +378,66 @@ def test_cg_integer_sum_matches_the_fraction_sum():
 
 def test_float_cg_is_the_float_of_the_radical_for_rank_2():
     # every (j m, 2 nu | J m+nu) with 2 j <= 80, the su(3) builder's family,
-    # out-of-range total projections included; the M-mirror is an exact sign
+    # out-of-range total projections included; the M-mirror is an exact sign,
+    # and at integer j the closed-form kernel gives the same bits
     checked = 0
     for tj in range(81):
         for tJ in range(abs(tj - 4), tj + 5, 2):
             sign = (-1) ** ((tj + 4 - tJ) // 2)
-            for tm, tnu in itertools.product(range(-tj, tj + 1, 2), range(-4, 5, 2)):
+            pairs = list(itertools.product(range(-tj, tj + 1, 2), range(-4, 5, 2)))
+            if tj % 2 == 0:
+                m, nu = np.array(pairs).T // 2
+                s, num, den = rank2_cg_parts(tj // 2, tJ // 2, m, nu)
+                kernel = (s * np.sqrt(num / den)).tolist()
+            for k, (tm, tnu) in enumerate(pairs):
                 args = (tj, tm, 4, tnu, tJ, tm + tnu)
                 got = clebsch_gordan_twice_float(*args)
                 assert got.hex() == float(clebsch_gordan_twice(*args)).hex(), args
                 assert clebsch_gordan_twice_float(tj, -tm, 4, -tnu, tJ, -tm - tnu) == sign * got, args
+                if tj % 2 == 0:
+                    assert kernel[k].hex() == got.hex(), args
                 checked += 1
     assert checked == 82_925
+
+
+def _assert_rank2_kernel_is_the_series(L, Lp, M, nu):
+    sign, num, den = (a.tolist() for a in rank2_cg_parts(L, Lp, M, nu))
+    for m, n, s, a, b in zip(M.tolist(), nu.tolist(), sign, num, den):
+        if abs(m) > L or abs(n) > 2 or abs(m + n) > Lp:
+            want = (0, 0, 1)
+        else:
+            want = _cg_parts(2 * L, 2 * m, 4, 2 * n, 2 * Lp, 2 * (m + n))
+        assert s == want[0] and a * want[2] == want[1] * b, (L, Lp, m, n)
+        assert max(a, b) < 6 * (2 * L + 4) ** 4  # the bound behind RANK2_MAX_L
+    return len(M)
+
+
+def test_rank2_kernel_is_the_racah_series_exactly():
+    # every L <= 60 with every L', M and nu around the allowed ones, so failed
+    # triangles and out-of-range projections too; above that up to L = 130,
+    # the extreme M at each end and a sample between
+    checked = 0
+    for L in range(61):
+        M, nu = np.repeat(np.arange(-L - 1, L + 2), 7), np.tile(np.arange(-3, 4), 2 * L + 3)
+        for Lp in range(max(0, L - 3), L + 4):
+            checked += _assert_rank2_kernel_is_the_series(L, Lp, M, nu)
+    rng = random.Random(20121)
+    for L in range(61, 131):
+        ms = sorted({*range(-L, -L + 3), *range(L - 2, L + 1), *rng.sample(range(-L, L + 1), 8)})
+        M, nu = np.repeat(ms, 5), np.tile(np.arange(-2, 3), len(ms))
+        for Lp in range(L - 2, L + 3):
+            checked += _assert_rank2_kernel_is_the_series(L, Lp, M, nu)
+    assert checked == 212_150
+
+
+def test_rank2_kernel_refuses_l_where_num_or_den_could_reach_2_to_the_53():
+    L = RANK2_MAX_L
+    assert 6 * (2 * L + 4) ** 4 < 2**53 <= 6 * (2 * L + 6) ** 4
+    M = np.arange(-L, L + 1)
+    for Lp in range(L - 2, L + 3):
+        for nu in range(-2, 3):
+            sign, num, den = rank2_cg_parts(L, Lp, M, nu)
+            assert 0 < num.max() and max(num.max(), den.max()) < 2**53
+    _assert_rank2_kernel_is_the_series(L, L + 1, np.array([-L, 0, 7, L - 1]), np.array([2, -1, 0, 1]))
+    with pytest.raises(OverflowError, match="L=3111"):
+        rank2_cg_parts(L + 1, L + 1, 0, 0)

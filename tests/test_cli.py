@@ -165,6 +165,28 @@ def test_check_tolerance_flag_can_force_failure(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "su3-so3", "--lm", "2,1"],
+        ["gen", "su3-so3", "--lm", "2,1"],
+        ["gen", "su3-so3", "--lm", "2,1", "--format", "csv"],
+        ["gen", "su3-so3", "--lm", "2,1", "--out", "OUT"],
+    ],
+)
+def test_a_failed_su3_construction_is_one_error_line_and_exit_1(tmp_path, capsys, monkeypatch, argv):
+    message = "non-positive norm ratio -4.150e-06 between (L=41,a=1) and (L=43,a=10)"
+
+    def fail(lm):
+        raise su3_so3.So3ConsistencyError(message)
+
+    monkeypatch.setattr(su3_so3, "_construction", fail)
+    out_path = tmp_path / "d.json"
+    code, out, err = run(capsys, *(str(out_path) if a == "OUT" else a for a in argv))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not out_path.exists()
+
+
 def test_tolerance_env_override(capsys, monkeypatch):
     monkeypatch.setenv("VCS_IRREPS_TOL", "1e-20")
     code, out, _ = run(capsys, "check", "su3-so3", "--lm", "2,0")

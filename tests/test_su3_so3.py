@@ -97,6 +97,21 @@ def test_sqrt_weighted_diagonal_blocks_symmetric_exactly(lam, mu):
                 assert (lhs - rhs).is_zero()
 
 
+def test_construction_refuses_a_diagonal_block_that_is_not_exactly_symmetric(monkeypatch):
+    # far below a float's resolution of the entry, so only the exact test sees it
+    real = su3_so3.m_matrix
+
+    def skewed(lm, Lp, L):
+        block = real(lm, Lp, L)
+        if Lp == L == 4:
+            block.entries[0][2] = block.entries[0][2] + RadicalSum.from_value(Fraction(1, 10**30))
+        return block
+
+    monkeypatch.setattr(su3_so3, "m_matrix", skewed)
+    with pytest.raises(su3_so3.So3ConsistencyError, match=r"M\[4,4\] is not symmetric at \(0,2\)"):
+        su3_so3._construction.__wrapped__(su3_so3.Su3Label(4, 4))
+
+
 def test_x_eigenbasis_single_candidate_is_identity():
     u, ev = oracles.x_eigenbasis(su3_so3.Su3Label(2, 0), 2)
     assert np.array_equal(u, np.eye(1))
