@@ -23,15 +23,16 @@ into an ``OperatorMatrix`` of ``Radical``s as the su(1,1) and u(3) builders
 return it.  So the live and replayed checks are one
 :func:`repcheck.standard_checks` call, and both pick the exact or the float
 kernel from the entries alone.  An entry's indices must be integers inside
-the matrix, its value finite, and no ``(row, col)`` may repeat.  ``gen``
-writes the JSON document one generator at a time, in the ``json.dump(...,
-indent=1)`` layout: a float generator's entries are formatted straight from
-its coordinate arrays, and every other field by ``json.dumps``.  ``--format
-csv`` writes the reduced table alone and formats no generator.  A ``gen
---out`` that fails part-way removes the file it opened.  The su(1,1)
-matrices are truncations of an infinite-dimensional irrep, so its commutator
-and Casimir checks run on the interior block (every row and column but the
-last).
+the matrix, its value finite, and no ``(row, col)`` may repeat; the
+weight's integer fields (su(1,1) ``nmax``, su(3) ``lam`` and ``mu``) must be
+JSON integers.  ``gen`` writes the JSON document one generator at a time, in
+the ``json.dump(..., indent=1)`` layout: a float generator's entries are
+formatted straight from its coordinate arrays, and every other field by
+``json.dumps``.  ``--format csv`` writes the reduced table alone and formats
+no generator.  A ``gen --out`` that fails part-way removes the file it
+opened.  The su(1,1) matrices are truncations of an infinite-dimensional
+irrep, so its commutator and Casimir checks run on the interior block (every
+row and column but the last).
 
 Exit codes: 0 success, 1 verification failure, which includes an su(3)
 construction that fails its own consistency checks (``So3ConsistencyError``,
@@ -215,6 +216,14 @@ class Algebra:
     extra_checks: Callable[[Any], list] = lambda label: []
 
 
+def _integer(weight: dict, key: str) -> int:
+    """A document's integer label field, which must be a JSON integer: a float, bool or string would truncate."""
+    value = weight[key]
+    if type(value) is not int:
+        raise ValueError(f"weight field {key!r} is {value!r}, not an integer")
+    return value
+
+
 def _su11_from_args(args) -> su11.Su11Irrep:
     _require(args, "su11 requires --lambda and --nmax", "lam", "nmax")
     return su11.Su11Irrep(_parse_fraction(args.lam), args.nmax)
@@ -256,7 +265,7 @@ def _su3_so3_branching(lm: su3_so3.Su3Label) -> list[tuple[str, float, bool]]:
 SU11 = Algebra(
     name="su11",
     from_args=_su11_from_args,
-    from_weight=lambda w: su11.Su11Irrep(Fraction(w["lambda"]), int(w["nmax"])),
+    from_weight=lambda w: su11.Su11Irrep(Fraction(w["lambda"]), _integer(w, "nmax")),
     spec=lambda: repcheck.su11_spec(),
     build=lambda irrep: su11.generator_matrices(irrep),
     basis=lambda irrep: range(irrep.dim),
@@ -289,7 +298,7 @@ U3 = Algebra(
 SU3_SO3 = Algebra(
     name="su3-so3",
     from_args=_su3_so3_from_args,
-    from_weight=lambda w: su3_so3.Su3Label(int(w["lam"]), int(w["mu"])),
+    from_weight=lambda w: su3_so3.Su3Label(_integer(w, "lam"), _integer(w, "mu")),
     spec=lambda: repcheck.su3_so3_spec(),
     build=lambda lm: su3_so3.assemble_so3_generators(lm),
     basis=lambda lm: su3_so3.basis_labels(lm),

@@ -16,21 +16,21 @@ kernel that the matrices choose.  When every generator is exact (``int``,
 square roots of square-free cores.  The sums are then formed in plain
 integers, so a holding identity (or an exactly constant Casimir) reports
 exactly 0.0, and a non-zero defect is evaluated to float precision however
-much its square classes cancel.  Otherwise the float kernel runs, on one of
-two forms.  The spec's weight generators are those whose bracket with every
+much its square classes cancel.  Otherwise the float kernel runs, on weight
+tiles.  The spec's weight generators are those whose bracket with every
 generator ``X`` is a multiple of ``X`` (``L0``, ``C11``/``C22``/``C33``,
-``S0``).  When their matrices are exactly diagonal, the basis is one of weight
-states: each generator becomes a :class:`TiledMatrix`, dense blocks between
-tiles of consecutive weight classes (at most ``_TILE_STATES`` states a tile,
-unless one class is larger), and a product is a short list of matmuls between
-tiles.  Otherwise (a rotated basis, a hand-edited document) each generator
-becomes a :class:`SparseMatrix`, and products are gathered entry by entry, a
-block of rows at a time, and summed with ``np.bincount``; no ``d x d`` array
-is formed, and a check costs about the number of scalar products it forms,
-never ``d**3``.  A generator norm or a residual scale that overflows a float
-raises ``OverflowError``: a defect divided by it would read 0.  A float
-defect whose sum of squares overflows is measured again over its entries
-divided by the largest one, so a finite defect never reads ``inf``.
+``S0``).  States are grouped into classes by those generators' diagonal
+entries, and each generator becomes a :class:`TiledMatrix`: dense blocks
+between tiles of consecutive classes (at most ``_TILE_STATES`` states a tile,
+unless one class is larger).  A product is then a list of matmuls between
+tiles.  In a basis of weight states (every weight generator exactly diagonal)
+the classes are the weight spaces and the list is short; in any other basis
+(a rotated one, a hand-edited document) the same tiles group states of nearby
+diagonal values, and off-class entries take more blocks.  A generator norm or
+a residual scale that overflows a float raises ``OverflowError``: a defect
+divided by it would read 0.  A float defect whose sum of squares overflows is
+measured again over its entries divided by the largest one, so a finite
+defect never reads ``inf``.
 
 Shipped tables: su(1,1), u(3) (all 81 relations), and su(3) in its
 SO(3)-tensor form (angular momentum plus the five quadrupole components).
@@ -223,18 +223,17 @@ def su3_so3_spec() -> AlgebraSpec:
 
 
 class SparseMatrix:
-    """A float matrix in row-sorted coordinate form: the su(3) builder's output and the float checks' input.
+    """A float matrix in row-sorted coordinate form: what the su(3) builder returns and the replay reads.
 
     ``rows``, ``cols`` and ``vals`` hold the non-zero entries sorted by row,
-    then by column; ``starts[r]:starts[r + 1]`` is row ``r``'s slice and
-    ``norm`` is the Frobenius norm.  A product gathers ``B``'s row slice for
-    every entry of ``A``, so it costs the number of scalar products it forms,
-    not ``d**3``.  Coordinate arrays in any order make one: an entry outside
-    the matrix raises ``IndexError``, a repeated ``(row, col)`` raises
-    ``ValueError`` and exact zeros are dropped.
+    then by column, and ``norm`` is the Frobenius norm.  The float checks
+    scatter it into weight tiles (:meth:`TiledMatrix.tile`).  Coordinate
+    arrays in any order make one: an entry outside the matrix raises
+    ``IndexError``, a repeated ``(row, col)`` raises ``ValueError`` and exact
+    zeros are dropped.
     """
 
-    __slots__ = ("dim", "rows", "cols", "vals", "starts", "norm")
+    __slots__ = ("dim", "rows", "cols", "vals", "norm")
 
     def __init__(self, dim: int, rows, cols, vals):
         rows = np.asarray(rows, dtype=np.int64)
@@ -253,7 +252,6 @@ class SparseMatrix:
         order = order[vals[order] != 0]
         self.dim = dim
         self.rows, self.cols, self.vals = rows[order], cols[order], vals[order]
-        self.starts = np.searchsorted(self.rows, np.arange(dim + 1))
         with np.errstate(over="ignore"):  # an overflowing norm reads inf, which _forms rejects
             self.norm = float(np.linalg.norm(self.vals))
 
@@ -275,45 +273,16 @@ class SparseMatrix:
         out[self.rows, self.cols] = self.vals
         return out
 
-    def adjoint(self) -> "SparseMatrix":
-        return SparseMatrix(self.dim, self.cols, self.rows, self.vals.conj())
 
-    def _row_terms(self, b: "SparseMatrix | None") -> np.ndarray:
-        """How many terms ``A`` or ``A B`` forms in each row."""
-        if b is None:
-            return np.diff(self.starts)
-        return np.bincount(self.rows, b.starts[self.cols + 1] - b.starts[self.cols], self.dim)
-
-    def _terms(self, c: float, b: "SparseMatrix | None", r0: int, r1: int):
-        """``c A`` or ``c A B`` in rows ``r0:r1`` as unsummed ``(flat index within the rows, value)`` pairs."""
-        lo, hi = self.starts[r0], self.starts[r1]
-        rows, cols, vals = self.rows[lo:hi] - r0, self.cols[lo:hi], self.vals[lo:hi]
-        if b is None:
-            return rows * self.dim + cols, c * vals
-        lo = b.starts[cols]
-        counts = b.starts[cols + 1] - lo
-        at = np.repeat(lo - np.cumsum(counts) + counts, counts)
-        at += np.arange(at.size)
-        keys = b.cols[at]
-        keys += np.repeat(rows * self.dim, counts)
-        return keys, np.repeat(c * vals, counts) * b.vals[at]
-
-    @staticmethod
-    def sum(dim: int, terms) -> "FloatSum":
-        """The sum of the terms, gathered a row block at a time by its measures."""
-        return FloatSum(dim, [(as_float(c), a, b) for c, a, b in terms])
-
-
-def _norm(parts, plain: float | None = None) -> float:
-    """The Frobenius norm of the arrays that ``parts()`` yields, or ``plain``, that norm already formed.
+def _norm(parts) -> float:
+    """The Frobenius norm of the arrays that ``parts()`` yields.
 
     Only when the plain sum of squares overflows is the norm formed again,
     over the arrays divided by their largest absolute entry, so a finite norm
     above ``sqrt(max float)`` stays finite and the usual path costs nothing
     more.
     """
-    if plain is None:
-        plain = math.sqrt(sum(float(np.vdot(part, part).real) for part in parts()))
+    plain = math.sqrt(sum(float(np.vdot(part, part).real) for part in parts()))
     if math.isfinite(plain):
         return plain
     big = max(float(np.abs(part).max(initial=0.0)) for part in parts())
@@ -322,94 +291,20 @@ def _norm(parts, plain: float | None = None) -> float:
     return big * math.sqrt(sum(float(np.vdot(part / big, part / big).real) for part in parts()))
 
 
-# The size of a float sum's row block: a row costs its terms plus its ``dim``
-# output cells, and a block takes rows while their cost stays within this
-# (at least one row).
-_BLOCK_CELLS = 1 << 16
-
-
-class FloatSum:
-    """A float sum of ``(c, A, B)`` terms, never held whole.
-
-    The measures gather the sum a block of rows at a time with
-    ``np.bincount``, so neither a ``dim * dim`` array nor the full term array
-    ever exists; each entry still adds its terms in their order.  When every
-    term is linear (``B`` is None, as in ``A^dag - phase B``), ``norm`` instead
-    merges the terms' sorted coordinates and sums each shared entry in term
-    order, touching only the stored entries.  Both measures see the leading
-    ``interior`` block.
-    """
-
-    def __init__(self, dim: int, terms: list):
-        self.dim, self.terms = dim, terms
-
-    def blocks(self, interior: int | None = None):
-        """``(r0, rows r0:r1 of the sum over columns :n)`` for consecutive row blocks of the leading ``n``."""
-        dim = self.dim
-        n = dim if interior is None else min(interior, dim)
-        cost = sum((a._row_terms(b)[:n] for _, a, b in self.terms), np.full(n, dim))
-        ends = np.cumsum(cost)
-        r0 = 0
-        while r0 < n:
-            r1 = max(r0 + 1, int(np.searchsorted(ends, ends[r0] - cost[r0] + _BLOCK_CELLS, "right")))
-            pairs = [a._terms(c, b, r0, r1) for c, a, b in self.terms]
-            keys = np.concatenate([k for k, _ in pairs])
-            vals = np.concatenate([v for _, v in pairs])
-            out = np.bincount(keys, vals.real, (r1 - r0) * dim)
-            if np.iscomplexobj(vals):
-                out = out + 1j * np.bincount(keys, vals.imag, (r1 - r0) * dim)
-            yield r0, out.reshape(r1 - r0, dim)[:, :n]
-            r0 = r1
-
-    def norm(self, interior: int | None = None) -> float:
-        if all(b is None for _, _, b in self.terms):
-            entries = self._linear_entries(interior)
-            with np.errstate(over="ignore"):
-                plain = float(np.linalg.norm(entries))
-            return _norm(lambda: (entries,), plain)
-        return _norm(lambda: (block for _, block in self.blocks(interior)))
-
-    def _linear_entries(self, interior: int | None) -> np.ndarray:
-        """The non-empty entries of a sum of ``c A`` terms in the leading block, from the union of their coordinates."""
-        n = self.dim if interior is None else min(interior, self.dim)
-        keys, vals = [], []
-        for c, a, _ in self.terms:
-            at = (a.rows < n) & (a.cols < n)
-            keys.append(a.rows[at] * self.dim + a.cols[at])
-            vals.append(c * a.vals[at])
-        keys, vals = np.concatenate(keys), np.concatenate(vals)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        return np.add.reduceat(vals[order], np.flatnonzero(np.diff(keys, prepend=-1)))
-
-    def deviation(self, interior: int | None = None) -> float:
-        """Largest deviation from the mean diagonal value times I."""
-        off, diagonals = 0.0, []
-        for r0, block in self.blocks(interior):
-            at = np.arange(len(block)), np.arange(r0, r0 + len(block))
-            diagonals.append(block[at].copy())
-            block[at] = 0
-            off = max(off, float(np.abs(block).max()))
-        if not diagonals:
-            return 0.0
-        diagonal = np.concatenate(diagonals)
-        mean = float(diagonal.sum().real) / len(diagonal)
-        return max(off, float(np.abs(diagonal - mean).max()))
-
-
 # A weight tile takes consecutive weight classes while it holds at most this
 # many states; a larger class is a tile of its own.
 _TILE_STATES = 32
 
 
 class TiledMatrix:
-    """A float matrix as dense blocks between weight tiles, for bases of weight states.
+    """A float matrix as dense blocks between weight tiles: the form of every float check.
 
     ``index[I]`` lists tile ``I``'s states (their places in the given basis)
     and ``blocks[I, J]`` is the dense block from tile ``J``'s states to tile
     ``I``'s; a pair with no entry has no block.  ``norm`` is the Frobenius
-    norm.  A generator that moves the weights by a fixed amount has a few
-    blocks per tile row, so a product is a short list of matmuls between tiles.
+    norm.  In a basis of weight states a generator that moves the weights by
+    a fixed amount has a few blocks per tile row, so a product is a short
+    list of matmuls between tiles.
     """
 
     __slots__ = ("dim", "index", "blocks", "norm", "_by_row")
@@ -421,20 +316,21 @@ class TiledMatrix:
             self._by_row.setdefault(i, []).append((j, block))
 
     @classmethod
-    def tile(cls, spec: AlgebraSpec, forms: dict[str, SparseMatrix]) -> dict | None:
-        """The forms on tiles of their weight classes, or None unless every weight generator is exactly diagonal.
+    def tile(cls, spec: AlgebraSpec, forms: dict[str, SparseMatrix]) -> dict:
+        """The forms on tiles of the classes that the weight generators' diagonal entries define.
 
-        States are sorted by their weight generators' diagonal values (stable,
-        so a class keeps the basis order), and consecutive classes share a
-        tile while it holds at most ``_TILE_STATES`` states.
+        States are sorted by those diagonal entries, whether or not the
+        generators are exactly diagonal (stable, so a class keeps the basis
+        order), and consecutive classes share a tile while it holds at most
+        ``_TILE_STATES`` states.  With no weight generators, or with equal
+        diagonals, every state is in one class: one tile, in basis order.
         """
         weights = [forms[h] for h in _weight_generators(spec)]
-        if not weights or any((w.rows != w.cols).any() for w in weights):
-            return None
-        dim = weights[0].dim
-        values = np.zeros((dim, 2 * len(weights)))  # real and imaginary diagonal parts
+        dim = next(iter(forms.values())).dim
+        values = np.zeros((dim, 1 + 2 * len(weights)))  # one constant column, then real and imaginary diagonals
         for k, w in enumerate(weights):
-            values[w.rows, 2 * k], values[w.rows, 2 * k + 1] = w.vals.real, w.vals.imag
+            on = w.rows == w.cols
+            values[w.rows[on], 2 * k + 1], values[w.rows[on], 2 * k + 2] = w.vals[on].real, w.vals[on].imag
         _, classes, counts = np.unique(values, axis=0, return_inverse=True, return_counts=True)
         order = np.argsort(classes.ravel(), kind="stable")
         ends = np.cumsum(counts).tolist()
@@ -662,31 +558,27 @@ def _weight_generators(spec: AlgebraSpec) -> tuple[str, ...]:
     )
 
 
-def _forms(spec: AlgebraSpec, matrices: dict, form=None) -> dict:
+def _forms(spec: AlgebraSpec, matrices: dict) -> dict:
     """Every generator converted once, all given, at one dimension.
 
-    By default the form is exact when every matrix is, else weight tiles when
-    the weight generators are exactly diagonal (:meth:`TiledMatrix.tile`), else
-    sparse.  A norm that overflows raises ``OverflowError``.
+    The form is :class:`ExactMatrix` when every matrix is exact, else weight
+    tiles (:meth:`TiledMatrix.tile`); tiles pass through as they are.  A norm
+    that overflows raises ``OverflowError``.
     """
     missing = [g for g in spec.generators if g not in matrices]
     if missing:
         raise ValueError(f"matrices missing for generators {missing}")
     given = [matrices[g] for g in spec.generators]
-    if form is None and all(isinstance(m, TiledMatrix) for m in given):
+    if all(isinstance(m, TiledMatrix) for m in given):
         return dict(zip(spec.generators, given))
-    tiles = form is None
-    if form is None:
-        exact = all(isinstance(m, ExactMatrix) or (isinstance(m, OperatorMatrix) and m.is_exact()) for m in given)
-        form = ExactMatrix if exact else SparseMatrix
+    exact = all(isinstance(m, ExactMatrix) or (isinstance(m, OperatorMatrix) and m.is_exact()) for m in given)
+    form = ExactMatrix if exact else SparseMatrix
     forms = {g: form.of(m) for g, m in zip(spec.generators, given)}
     if len({f.dim for f in forms.values()}) != 1:
         raise ValueError("matrices have mismatched dimensions")
     for g, f in forms.items():
         _finite(f.norm, f"the norm of {g}")
-    if tiles and form is SparseMatrix:
-        return TiledMatrix.tile(spec, forms) or forms
-    return forms
+    return forms if exact else TiledMatrix.tile(spec, forms)
 
 
 def _finite(value: float, what: str) -> float:
@@ -744,7 +636,9 @@ def schur_constancy(matrix) -> tuple[float, float]:
     """Mean diagonal value and max normalized deviation from that multiple of I."""
     m = matrix.to_dense() if isinstance(matrix, (OperatorMatrix, SparseMatrix)) else np.asarray(matrix)
     mean = float(np.trace(m).real) / len(m)
-    return mean, SparseMatrix.sum(len(m), [(1, SparseMatrix.of(m), None)]).deviation() / (1.0 + abs(mean))
+    diagonal = np.diagonal(m)
+    off = float(np.abs(m - np.diag(diagonal)).max())
+    return mean, max(off, float(np.abs(diagonal - mean).max())) / (1.0 + abs(mean))
 
 
 def standard_checks(
@@ -753,7 +647,7 @@ def standard_checks(
     """Commutator, Hermiticity and Casimir-constancy residuals as ``(name, residual, passed)``.
 
     The generators are converted once, to :class:`ExactMatrix` when every
-    matrix is exact and to :class:`SparseMatrix` otherwise.  ``interior``
+    matrix is exact and to :class:`TiledMatrix` otherwise.  ``interior``
     confines the commutator defect and the Schur test to the leading block,
     for truncations whose identities fail only on the last rows and columns.
     """

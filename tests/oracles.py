@@ -29,11 +29,18 @@ def spectrum_multiset(matrix, hermitian_tol: float = 1e-9) -> list[float]:
 
 
 def casimir_matrix(spec: repcheck.AlgebraSpec, matrices: dict) -> np.ndarray:
-    """The spec's quadratic Casimir ``sum c X Y`` (at least one term) as a dense array, from the float kernel."""
-    forms = repcheck._forms(spec, matrices, repcheck.SparseMatrix)
+    """The spec's quadratic Casimir ``sum c X Y`` (at least one term) as a dense array, from the float tiles."""
+    forms = repcheck.TiledMatrix.tile(spec, {g: repcheck.SparseMatrix.of(matrices[g]) for g in spec.generators})
     dim = forms[spec.generators[0]].dim
-    total = repcheck.SparseMatrix.sum(dim, [(c, forms[x], forms[y]) for c, x, y in spec.casimir])
-    return np.concatenate([block for _, block in total.blocks()])
+    return tile_sum_dense(repcheck.TiledMatrix.sum(dim, [(c, forms[x], forms[y]) for c, x, y in spec.casimir]))
+
+
+def tile_sum_dense(total: repcheck.TileSum) -> np.ndarray:
+    """A tile sum as a dense array: each block put back in its places of the basis."""
+    out = np.zeros((total.dim, total.dim), np.result_type(float, *total.blocks.values()))
+    for (i, j), block in total.blocks.items():
+        out[np.ix_(total.index[i], total.index[j])] = block
+    return out
 
 
 def clebsch_gordan_twice_float(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:

@@ -442,6 +442,27 @@ def _one_basis_label(doc):
     doc["basis"] = ["x"]
 
 
+# A weight field edited to a value that int() reads as the document's own
+# label, so only its type is wrong: (gen arguments, field, value, id).
+_NON_INTEGER_LABELS = [
+    (["su11", "--lambda", "3/2", "--nmax", "2"], "nmax", 2.5, "su11-nmax-2.5"),
+    (["su11", "--lambda", "3/2", "--nmax", "2"], "nmax", "2", "su11-nmax-string"),
+    (["su11", "--lambda", "3/2", "--nmax", "2"], "nmax", 2.0, "su11-nmax-2.0"),
+    (["su3-so3", "--lm", "1,1"], "lam", 1.5, "su3-lam-1.5"),
+    (["su3-so3", "--lm", "1,1"], "lam", True, "su3-lam-true"),
+    (["su3-so3", "--lm", "1,1"], "lam", "1", "su3-lam-string"),
+    (["su3-so3", "--lm", "1,1"], "mu", 1.0, "su3-mu-1.0"),
+]
+
+
+def _weight_field(key, value):
+    def edit(doc):
+        assert doc["weight"][key] == int(value)
+        doc["weight"][key] = value
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "argv, document, env",
     [
@@ -489,6 +510,16 @@ def _one_basis_label(doc):
             lambda tmp_path, capsys: _edit_document(tmp_path, capsys, ["u3", "--weight", "2,1,0"], _one_basis_label),
             {},
         ),
+        *(
+            (
+                ["check", "--replay"],
+                lambda tmp_path, capsys, gen=gen, key=key, value=value: _edit_document(
+                    tmp_path, capsys, gen, _weight_field(key, value)
+                ),
+                {},
+            )
+            for gen, key, value, _ in _NON_INTEGER_LABELS
+        ),
         (["check", "u3", "--weight", "2,1,0"], None, {"VCS_IRREPS_TOL": "abc"}),
         (["check", "u3", "--weight", "2,1,0"], None, {"VCS_IRREPS_TOL": "inf"}),
         (["check", "u3", "--weight", "2,1,0", "--tol", "nan"], None, {}),
@@ -500,7 +531,8 @@ def _one_basis_label(doc):
         "negative-entry-index", "duplicate-entry", "fractional-entry-index", "nan-among-exact-values",
         "float-doc-fractional-index", "float-doc-bool-index", "float-doc-string-index", "float-doc-index-outside",
         "float-doc-nan-value", "float-doc-inf-value", "float-doc-duplicate-entry", "mismatched-dims", "zero-dims",
-        "su11-nmax-relabelled", "su3-relabelled", "basis-length", "env-tol-not-a-number", "env-tol-infinite",
+        "su11-nmax-relabelled", "su3-relabelled", "basis-length", *(case[-1] for case in _NON_INTEGER_LABELS),
+        "env-tol-not-a-number", "env-tol-infinite",
         "tol-nan", "tol-negative", "tol-not-a-number",
     ],
 )

@@ -359,6 +359,19 @@ def test_exactly_hermitian_pairs_read_exactly_zero(complex_entries):
     assert 0 < repcheck.hermiticity_residual(spec, mats) < 1e-15
 
 
+def _su11_tiles(a, b, diagonal):
+    """The su(1,1) forms with ``S+ = a``, ``S- = b`` and ``S0`` the sum with ``diagonal`` set, and that ``S0``.
+
+    ``S0`` is a weight generator that is not diagonal, so only its diagonal
+    groups the states into tiles.
+    """
+    s0 = a + b
+    np.fill_diagonal(s0, diagonal)
+    forms = repcheck._forms(repcheck.su11_spec(), {"S0": s0, "S+": a, "S-": b})
+    assert all(isinstance(f, repcheck.TiledMatrix) for f in forms.values())
+    return forms, s0
+
+
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(
     dim=st.integers(0, 12),
@@ -368,19 +381,19 @@ def test_exactly_hermitian_pairs_read_exactly_zero(complex_entries):
     seed=st.integers(0, 2**16),
 )
 def test_linear_sum_norm_matches_the_dense_sum(dim, cut, density, complex_entries, seed):
-    # All terms linear, so the norm merges sorted coordinates instead of gathering blocks.
+    # All terms linear, as in Hermiticity's ``A^dag - phase B``, on tiles of distinct diagonal values.
     rng = np.random.default_rng(seed)
     dense = []
     for _ in range(2):
         m = rng.normal(size=(dim, dim)) + (1j * rng.normal(size=(dim, dim)) if complex_entries else 0)
         dense.append(np.where(rng.random((dim, dim)) < density, m, 0))
-    a, b = (repcheck.SparseMatrix.of(m) for m in dense)
+    forms, _ = _su11_tiles(*dense, rng.permutation(dim))
+    a, b = forms["S+"], forms["S-"]
     terms = [(1, a.adjoint(), None), (-1, b, None), (Fraction(1, 3), a, None)]
     full = dense[0].conj().T - dense[1] + dense[0] / 3
     interior = None if cut > dim else cut
     want = np.linalg.norm(full[:interior, :interior])
-    with mock.patch.object(repcheck.FloatSum, "blocks", side_effect=AssertionError("gathered blocks")):
-        got = repcheck.SparseMatrix.sum(dim, terms).norm(interior)
+    got = repcheck.TiledMatrix.sum(dim, terms).norm(interior)
     assert abs(got - want) <= 1e-14 * want
 
 
@@ -396,37 +409,41 @@ def _dense_deviation(m):
 @given(
     dim=st.integers(1, 12),
     cut=st.integers(0, 12),
+    classes=st.integers(1, 12),
     density=st.sampled_from((0.0, 0.05, 0.2, 0.5)),
     complex_entries=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-@example(dim=10, cut=7, density=0.2, complex_entries=True, seed=1)
-@example(dim=10, cut=0, density=0.2, complex_entries=False, seed=2)
-def test_row_blocks_match_the_dense_sum(rows, dim, cut, density, complex_entries, seed):
-    # Each row costs at least ``dim`` cells, so this budget makes every block
-    # one row, or at most three; ``cut`` > ``dim`` measures the whole sum.
+@example(dim=10, cut=7, classes=10, density=0.2, complex_entries=True, seed=1)
+@example(dim=10, cut=0, classes=3, density=0.2, complex_entries=False, seed=2)
+def test_row_blocks_match_the_dense_sum(rows, dim, cut, classes, density, complex_entries, seed):
+    # A tile of k states holds k rows of the sum.  The diagonal drawn from
+    # ``classes`` values partitions the states in any way, and a tile takes
+    # at most ``rows`` states unless one class is larger; ``cut`` > ``dim``
+    # measures the whole sum.
     rng = np.random.default_rng(seed)
     dense = []
-    for _ in range(3):
+    for _ in range(2):
         m = rng.normal(size=(dim, dim))
         if complex_entries:
             m = m + 1j * rng.normal(size=(dim, dim))
         dense.append(np.where(rng.random((dim, dim)) < density, m, 0))
-    a, b, c = (repcheck.SparseMatrix.of(m) for m in dense)
+    diagonal = rng.integers(0, classes, dim)
+    with mock.patch.object(repcheck, "_TILE_STATES", rows):
+        forms, s0 = _su11_tiles(*dense, diagonal)
+    a, b, c = forms["S+"], forms["S-"], forms["S0"]
+    index = [t.tolist() for t in a.index]
+    assert sorted(sum(index, [])) == list(range(dim))
+    assert all(len(t) <= rows or len(set(diagonal[t])) == 1 for t in index)
     terms = [(1.5, a, b), (-2, b, a), (Fraction(1, 3), c, None), (1, a.adjoint(), None)]
-    full = 1.5 * dense[0] @ dense[1] - 2 * dense[1] @ dense[0] + dense[2] / 3 + dense[0].conj().T
+    full = 1.5 * dense[0] @ dense[1] - 2 * dense[1] @ dense[0] + s0 / 3 + dense[0].conj().T
     interior = None if cut > dim else cut
     want = full[:interior, :interior]
-    total = repcheck.SparseMatrix.sum(dim, terms)
-    with mock.patch.object(repcheck, "_BLOCK_CELLS", 1 if rows == 1 else 3 * dim):
-        blocks = list(total.blocks(interior))
-        sizes = [len(m) for _, m in blocks]
-        assert [r0 for r0, _ in blocks] == np.cumsum([0] + sizes[:-1]).tolist()[: len(blocks)]
-        assert sum(sizes) == len(want) and max(sizes, default=1) <= rows
-        gathered = np.concatenate([np.empty((0, len(want)))] + [m for _, m in blocks])
-        assert np.abs(gathered - want).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(want).max(initial=0.0))
-        assert abs(total.norm(interior) - np.linalg.norm(want)) <= 1e-12 * np.linalg.norm(want)
-        assert abs(total.deviation(interior) - _dense_deviation(want)) <= 1e-12 * _dense_deviation(want)
+    total = repcheck.TiledMatrix.sum(dim, terms)
+    size = max(1.0, np.abs(full).max(initial=0.0))
+    assert np.abs(oracles.tile_sum_dense(total) - full).max(initial=0.0) <= 1e-12 * size
+    assert abs(total.norm(interior) - np.linalg.norm(want)) <= 1e-12 * np.linalg.norm(want)
+    assert abs(total.deviation(interior) - _dense_deviation(want)) <= 1e-12 * _dense_deviation(want)
 
 
 # -- the exact kernel against sympy and against OperatorMatrix arithmetic --------
@@ -716,13 +733,14 @@ def test_exactly_hermitian_pairs_read_exactly_zero_on_tiles(complex_entries):
     assert 0 < repcheck.hermiticity_residual(spec, mats) < 1e-15
 
 
-def test_a_non_diagonal_weight_generator_takes_the_row_blocks():
+def test_a_non_diagonal_weight_generator_is_measured_on_tiles_of_its_diagonal():
     spec = repcheck.su3_so3_spec()
     dense, _ = _graded(np.random.default_rng(6), spec, 30, complex_entries=True)
+    tiles = [t.tolist() for t in repcheck._forms(spec, dense)["L0"].index]
     dense["L0"][3, 7] = 1e-3
-    with mock.patch.object(repcheck.TiledMatrix, "sum", side_effect=AssertionError("tiles used")):
-        forms = _assert_matches_dense(spec, dense, 20)
-    assert all(isinstance(f, repcheck.SparseMatrix) for f in forms.values())
+    forms = _assert_matches_dense(spec, dense, 20)
+    assert all(isinstance(f, repcheck.TiledMatrix) for f in forms.values())
+    assert [t.tolist() for t in forms["L0"].index] == tiles
 
 
 def test_tiled_su3_so3_generators_keep_their_residuals():
@@ -732,6 +750,68 @@ def test_tiled_su3_so3_generators_keep_their_residuals():
     assert all(isinstance(f, repcheck.TiledMatrix) for f in forms.values())
     assert 1 < len(forms["L0"].index) and max(len(t) for t in forms["L0"].index) <= repcheck._TILE_STATES
     assert all(residual < 1e-14 for _, residual, _ in repcheck.standard_checks(spec, forms, 0.0))
+
+
+def _pairwise_rotation(dim, angle):
+    """Consecutive state pairs (0, 1), (2, 3), ... each rotated by ``angle``."""
+    q = np.eye(dim)
+    c, s = np.cos(angle), np.sin(angle)
+    for k in range(0, dim - 1, 2):
+        q[k:k + 2, k:k + 2] = [[c, -s], [s, c]]
+    return q
+
+
+@pytest.mark.parametrize("rotation", ["random", "pairwise"])
+def test_a_rotated_su3_irrep_passes_on_tiles(rotation):
+    # No weight generator is diagonal in the rotated basis, so the tiles group
+    # states by the rotated L0's diagonal; a correct irrep still passes.
+    spec = repcheck.su3_so3_spec()
+    gens = su3_so3.assemble_so3_generators(su3_so3.Su3Label(4, 2))
+    dim = gens["L0"].dim
+    if rotation == "random":
+        q, _ = np.linalg.qr(np.random.default_rng(11).normal(size=(dim, dim)))
+    else:
+        q = _pairwise_rotation(dim, 0.3)
+    rotated = {g: q.T @ m.to_dense() @ q for g, m in gens.items()}
+    assert np.abs(rotated["L0"] - np.diag(np.diagonal(rotated["L0"]))).max() > 0.1
+    forms = repcheck._forms(spec, rotated)
+    assert all(isinstance(f, repcheck.TiledMatrix) for f in forms.values())
+    checks = repcheck.standard_checks(spec, forms, 1e-13)
+    assert [name for name, _, _ in checks] == ["commutators", "hermiticity", "casimir constancy"]
+    assert all(passed for _, _, passed in checks), checks
+
+
+def _so3_spec():
+    """so(3) as ``[X,Y] = Z``, ``[Y,Z] = X``, ``[Z,X] = Y``: no generator is a weight generator."""
+    return repcheck.AlgebraSpec(
+        name="so3",
+        generators=("X", "Y", "Z"),
+        brackets={("X", "Y"): ((1, "Z"),), ("Y", "Z"): ((1, "X"),), ("Z", "X"): ((1, "Y"),)},
+        hermiticity_pairs=(("X", "X", -1), ("Y", "Y", -1), ("Z", "Z", -1)),
+        casimir=((1, "X", "X"), (1, "Y", "Y"), (1, "Z", "Z")),
+    )
+
+
+def _spin(two_j):
+    """``-i J_x``, ``-i J_y``, ``-i J_z`` of spin ``two_j / 2``: they close as :func:`_so3_spec` says."""
+    m = np.arange(two_j, -two_j - 1, -2) / 2
+    j = two_j / 2
+    up = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1)  # J+ raises m by one
+    jx, jy, jz = (up + up.T) / 2, (up - up.T) / 2j, np.diag(m)
+    return {"X": -1j * jx, "Y": -1j * jy, "Z": -1j * jz}
+
+
+@pytest.mark.parametrize("interior", [None, 4])
+def test_a_spec_without_weight_generators_tiles_the_basis_in_order(interior):
+    spec = _so3_spec()
+    assert repcheck._weight_generators(spec) == ()
+    dense = _random_sparse(np.random.default_rng(3), spec, 40, complex_entries=True)
+    forms = _assert_matches_dense(spec, dense, interior)
+    assert all(isinstance(f, repcheck.TiledMatrix) for f in forms.values())
+    assert [t.tolist() for t in forms["X"].index] == [list(range(40))]
+    checks = repcheck.standard_checks(spec, _spin(5), 1e-13)
+    assert all(passed for _, _, passed in checks), checks
+    assert max(residual for _, residual, _ in repcheck.standard_checks(spec, dense, 1e-13)) > 0.1
 
 
 # -- scales that overflow -----------------------------------------------------------
@@ -767,18 +847,15 @@ def test_a_finite_defect_whose_squares_overflow_stays_finite(value):
     assert got == pytest.approx(6 / value, rel=1e-12)
 
 
-@pytest.mark.parametrize("tiled", [False, True], ids=["row-blocks", "tiles"])
-@pytest.mark.parametrize("linear", [False, True], ids=["products", "linear"])
-def test_sum_norms_rescale_when_the_squares_overflow(tiled, linear):
+@pytest.mark.parametrize("linear", [False, True], ids=["products-tiles", "linear-tiles"])
+def test_sum_norms_rescale_when_the_squares_overflow(linear):
     # Every term is linear in S+, so scaling S+ by 1e160 scales the norm alike.
     spec, dim = repcheck.su11_spec(), 7
     up, down = np.random.default_rng(5).normal(size=(2, dim - 1))
     norms = []
     for scale in (1.0, 1e160):
         mats = {"S0": np.diag(np.arange(dim, dtype=float)), "S+": scale * np.diag(up, -1), "S-": np.diag(down, 1)}
-        forms = {g: repcheck.SparseMatrix.of(m) for g, m in mats.items()}
-        if tiled:
-            forms = repcheck.TiledMatrix.tile(spec, forms)
+        forms = repcheck.TiledMatrix.tile(spec, {g: repcheck.SparseMatrix.of(m) for g, m in mats.items()})
         p, m = forms["S+"], forms["S-"]
         terms = [(1, p.adjoint(), None), (-3, p, None)] if linear else [(1, p, m), (-1, m, p), (2, p, None)]
         norms.append(type(p).sum(dim, terms).norm())
