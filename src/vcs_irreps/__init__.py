@@ -9,7 +9,7 @@ constants, and the ``vcs-irreps`` CLI exposes generation, verification and
 cross-basis comparisons.
 """
 
-from .angmom import Spin, SpinError, clebsch_gordan, clebsch_gordan_twice, racah_u, wigner_6j
+from .angmom import SpinError, clebsch_gordan, clebsch_gordan_twice, racah_u, wigner_6j
 from .opmatrix import OperatorMatrix
 from .radical import Radical, RadicalSum
 from .su11 import Su11Irrep
@@ -22,7 +22,6 @@ __all__ = [
     "Radical",
     "RadicalSum",
     "RotorLabel",
-    "Spin",
     "SpinError",
     "Su11Irrep",
     "Su3Label",

@@ -9,10 +9,10 @@ Phase convention is Condon-Shortley throughout.  ``racah_u`` is the unitary
 recoupling coefficient normalised so that ``sum_f U(abcd;ef) U(abcd;e'f) =
 delta(e,e')``, i.e. ``U = sqrt((2e+1)(2f+1)) W(abcd;ef)``.
 
-Angular momenta may be passed as ints, ``Fraction``, :class:`Spin`, or floats
-that are exact multiples of 1/2; they are converted to twice-integer form
-internally; ``clebsch_gordan_twice`` takes the doubled integers directly, for
-callers that already hold them.  One integer kernel sums Racah's series and
+Angular momenta may be passed as ints, ``Fraction``, or floats that are
+exact multiples of 1/2; :func:`_twice` converts them to twice-integer form,
+and ``clebsch_gordan_twice`` takes the doubled integers directly, for callers
+that already hold them.  One integer kernel sums Racah's series and
 returns ``(sign, num, den)``, which the exact caller wraps in a cached
 ``Radical``.  The su(3) rotor builder needs only rank-2 coefficients
 ``(L M, 2 nu | L' M+nu)`` at integer L, and :func:`rank2_cg_parts` gives them
@@ -35,59 +35,17 @@ import numpy as np
 
 from .radical import Radical
 
-SpinLike = Union[int, float, Fraction, "Spin"]
+SpinLike = Union[int, float, Fraction]
 
 
 class SpinError(ValueError):
     """Malformed spin or projection input (range or parity violation)."""
 
 
-class Spin:
-    """An angular momentum stored as its doubled (integer) value."""
-
-    __slots__ = ("twice",)
-
-    def __init__(self, value: SpinLike):
-        if isinstance(value, Spin):
-            twice = value.twice
-        else:
-            twice = _twice(value)
-        if twice < 0:
-            raise SpinError(f"spin must be non-negative, got {Fraction(twice, 2)}")
-        object.__setattr__(self, "twice", twice)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Spin is immutable")
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.twice, 2)
-
-    def projections(self) -> list[Fraction]:
-        """All m with |m| <= j and j - m integer, ascending."""
-        return [Fraction(tm, 2) for tm in range(-self.twice, self.twice + 1, 2)]
-
-    def __eq__(self, other):
-        if isinstance(other, Spin):
-            return self.twice == other.twice
-        try:
-            return self.twice == _twice(other)
-        except (TypeError, SpinError):
-            return NotImplemented
-
-    def __hash__(self):
-        return hash(("Spin", self.twice))
-
-    def __repr__(self):
-        return f"Spin({self.value})"
-
-
 def _twice(value: SpinLike) -> int:
     """Twice the value of a spin-like number, validating half-integerness."""
     if isinstance(value, Fraction) and value.denominator <= 2:
         return value.numerator * (2 // value.denominator)
-    if isinstance(value, Spin):
-        return value.twice
     if isinstance(value, bool):
         raise SpinError("bool is not a spin")
     if isinstance(value, int):
@@ -97,6 +55,14 @@ def _twice(value: SpinLike) -> int:
     if t.denominator != 1:
         raise SpinError(f"{value} is not an integer or half-odd-integer")
     return int(t)
+
+
+def _spins(values) -> list[int]:
+    """The doubled values of spins, by :func:`_twice`; a negative spin raises :class:`SpinError`."""
+    twices = [_twice(x) for x in values]
+    if min(twices) < 0:
+        raise SpinError(f"spin must be non-negative, got {Fraction(min(twices), 2)}")
+    return twices
 
 
 @lru_cache(maxsize=None)
@@ -313,7 +279,7 @@ def wigner_6j(
     a: SpinLike, b: SpinLike, c: SpinLike, d: SpinLike, e: SpinLike, f: SpinLike
 ) -> Radical:
     """The 6j symbol ``{a b c; d e f}``, exact."""
-    return _sixj_twice(*(Spin(x).twice for x in (a, b, c, d, e, f)))
+    return _sixj_twice(*_spins((a, b, c, d, e, f)))
 
 
 def racah_u(
@@ -325,7 +291,7 @@ def racah_u(
     ``U(abcd;ef) = sqrt((2e+1)(2f+1)) * (-1)**(a+b+c+d) * {a b e; d c f}``.
     Returns zero when any of the four triangle conditions fails.
     """
-    ta, tb, tc, td, te, tf = (Spin(x).twice for x in (a, b, c, d, e, f))
+    ta, tb, tc, td, te, tf = _spins((a, b, c, d, e, f))
     if not (
         _triangle_ok(ta, tb, te)
         and _triangle_ok(te, td, tc)

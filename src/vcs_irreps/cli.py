@@ -59,7 +59,7 @@ from fractions import Fraction
 from typing import Any
 
 from . import repcheck, su3_so3, su11, u3
-from .opmatrix import OperatorMatrix
+from .opmatrix import OperatorMatrix, json_entries, json_finite, json_integer
 from .radical import Radical, RadicalSum, as_float
 
 SCHEMA_VERSION = 1
@@ -153,13 +153,6 @@ def _generator_json(mat: OperatorMatrix | repcheck.SparseMatrix, mode: str) -> s
     return f'{{\n   "dim": {mat.dim},\n   "entries": [\n    {body}\n   ]\n  }}'
 
 
-def _finite(name: str, value) -> float:
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"{name} has the value {value!r}, which is not finite")
-    return number
-
-
 def _matrix_from_json(name: str, info: dict, dim: int) -> OperatorMatrix | repcheck.SparseMatrix:
     """A generator as its builder returned it.
 
@@ -170,18 +163,13 @@ def _matrix_from_json(name: str, info: dict, dim: int) -> OperatorMatrix | repch
     """
     if info["dim"] != dim:
         raise ValueError(f"{name} has dim {info['dim']!r}, but the weight gives {dim}")
-    entries = info["entries"]
-    if not all(isinstance(e, list) and len(e) == 3 for e in entries):
-        raise ValueError(f"{name} has an entry that is not [row, col, value]")
-    rows, cols, values = zip(*entries) if entries else ((), (), ())
+    rows, cols, values = json_entries(name, info["entries"])
     indices = rows + cols
-    if not all(type(i) is int for i in indices):
-        raise ValueError(f"{name} has an entry index that is not an integer")
     if indices and not 0 <= min(indices) <= max(indices) < dim:
         raise IndexError(f"{name} has an entry outside its {dim}x{dim} matrix")
     if not any(isinstance(v, dict) for v in values):
-        return repcheck.SparseMatrix(dim, rows, cols, [_finite(name, v) for v in values])  # ValueError for a repeat
-    matrix = dict(zip(zip(rows, cols), (Radical.from_json(v) if isinstance(v, dict) else _finite(name, v) for v in values)))
+        return repcheck.SparseMatrix(dim, rows, cols, [json_finite(name, v) for v in values])  # ValueError for a repeat
+    matrix = dict(zip(zip(rows, cols), (Radical.from_json(v) if isinstance(v, dict) else json_finite(name, v) for v in values)))
     if len(matrix) != len(values):
         raise ValueError(f"{name} repeats an entry")
     return OperatorMatrix(name, range(dim), matrix)
@@ -214,14 +202,6 @@ class Algebra:
     interior: Callable[[Any], int | None] = lambda label: None
     metadata: Callable[[Any], dict | None] = lambda label: None
     extra_checks: Callable[[Any], list] = lambda label: []
-
-
-def _integer(weight: dict, key: str) -> int:
-    """A document's integer label field, which must be a JSON integer: a float, bool or string would truncate."""
-    value = weight[key]
-    if type(value) is not int:
-        raise ValueError(f"weight field {key!r} is {value!r}, not an integer")
-    return value
 
 
 def _su11_from_args(args) -> su11.Su11Irrep:
@@ -265,7 +245,7 @@ def _su3_so3_branching(lm: su3_so3.Su3Label) -> list[tuple[str, float, bool]]:
 SU11 = Algebra(
     name="su11",
     from_args=_su11_from_args,
-    from_weight=lambda w: su11.Su11Irrep(Fraction(w["lambda"]), _integer(w, "nmax")),
+    from_weight=lambda w: su11.Su11Irrep(Fraction(w["lambda"]), json_integer(w, "nmax", "weight")),
     spec=lambda: repcheck.su11_spec(),
     build=lambda irrep: su11.generator_matrices(irrep),
     basis=lambda irrep: range(irrep.dim),
@@ -298,7 +278,7 @@ U3 = Algebra(
 SU3_SO3 = Algebra(
     name="su3-so3",
     from_args=_su3_so3_from_args,
-    from_weight=lambda w: su3_so3.Su3Label(_integer(w, "lam"), _integer(w, "mu")),
+    from_weight=lambda w: su3_so3.Su3Label(json_integer(w, "lam", "weight"), json_integer(w, "mu", "weight")),
     spec=lambda: repcheck.su3_so3_spec(),
     build=lambda lm: su3_so3.assemble_so3_generators(lm),
     basis=lambda lm: su3_so3.basis_labels(lm),

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .opmatrix import OperatorMatrix
+from .opmatrix import OperatorMatrix, json_entries, json_finite, json_integer
 from .radical import Radical, radical_terms
 from .repcheck import DEFAULT_TOL
 
@@ -378,8 +378,8 @@ def gamma_rep_from_json(doc: dict) -> GammaRep:
     sectors, grades = {}, {}
     for s in doc["sectors"]:
         key = tuple(s["key"])
-        sectors[key] = int(s["dim"])
-        grades[key] = int(s["grade"])
+        sectors[key] = json_integer(s, "dim", f"sector {key}")
+        grades[key] = json_integer(s, "grade", f"sector {key}")
     blocks = {}
     adjoints = {}
     for gen, info in doc["generators"].items():
@@ -402,12 +402,11 @@ def _block_from_json(name, row, col, entries, sectors) -> np.ndarray:
             raise ValueError(f"{name}: unknown sector {key}")
     m = np.zeros((sectors[row], sectors[col]))
     seen = set()
-    for i, j, v in entries:
-        i, j = int(i), int(j)
+    for i, j, v in zip(*json_entries(name, entries)):
         if not (0 <= i < m.shape[0] and 0 <= j < m.shape[1]):
             raise ValueError(f"{name}: entry ({i}, {j}) outside {m.shape[0]}x{m.shape[1]}")
         if (i, j) in seen:
             raise ValueError(f"{name}: duplicate entry ({i}, {j})")
         seen.add((i, j))
-        m[i, j] = float(v)
+        m[i, j] = json_finite(name, v)
     return m

@@ -8,6 +8,7 @@ this is what lets commutator identities be verified with zero residual.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -147,3 +148,32 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     out = (a @ b) - (b @ a)
     out.name = f"[{a.name},{b.name}]"
     return out
+
+
+# JSON readers shared by a document's replay and a K-matrix input; each bad value raises ``ValueError``.
+def json_integer(record: dict, key: str, where: str) -> int:
+    """``record[key]``, which must be a JSON integer: ``int()`` would truncate a float and read a bool or string."""
+    if type(record[key]) is not int:
+        raise ValueError(f"{where} field {key!r} is {record[key]!r}, not an integer")
+    return record[key]
+
+
+def json_entries(name: str, entries) -> tuple[tuple, tuple, tuple]:
+    """The rows, columns and values of ``[row, col, value]`` entries, whose indices must be JSON integers."""
+    if not all(isinstance(e, list) and len(e) == 3 for e in entries):
+        raise ValueError(f"{name} has an entry that is not [row, col, value]")
+    rows, cols, values = zip(*entries) if entries else ((), (), ())
+    if not all(type(i) is int for i in rows + cols):
+        raise ValueError(f"{name} has an entry index that is not an integer")
+    return rows, cols, values
+
+
+def json_finite(name: str, value) -> float:
+    """A number or numeric string as a finite float; anything else raises ``ValueError``."""
+    try:
+        number = float(value)
+    except TypeError:  # a dict, list or None
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"{name} has the value {value!r}, which is not a finite number")
+    return number

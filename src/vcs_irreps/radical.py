@@ -75,18 +75,6 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return root, core
 
 
-def _sqrt_fraction_parts(q: Fraction) -> tuple[Fraction, int]:
-    """Express ``sqrt(q)`` as ``coeff * sqrt(core)`` with ``core`` square-free."""
-    if q < 0:
-        raise ValueError("negative radicand")
-    if q == 0:
-        return Fraction(0), 1
-    p, d = q.numerator, q.denominator
-    # sqrt(p/d) = sqrt(p*d)/d
-    root, core = squarefree_decompose(p * d)
-    return Fraction(root, d), core
-
-
 def _float_sqrt(q: Fraction) -> float:
     """Correctly-rounded-enough float sqrt of a non-negative rational."""
     if q == 0:
@@ -211,14 +199,14 @@ class Radical:
             return self
         if self.sign == 0:
             return other
-        c1, d1 = _sqrt_fraction_parts(self.radicand)
-        c2, d2 = _sqrt_fraction_parts(other.radicand)
+        ((d1, n1, e1),), ((d2, n2, e2),) = radical_terms(self), radical_terms(other)
+        c1, c2 = Fraction(n1, e1), Fraction(n2, e2)
         if d1 == d2:
-            coeff = self.sign * c1 + other.sign * c2
+            coeff = c1 + c2
             if coeff == 0:
                 return _ZERO
             return Radical(1 if coeff > 0 else -1, coeff * coeff * d1)
-        return RadicalSum({d1: self.sign * c1, d2: other.sign * c2})
+        return RadicalSum({d1: c1, d2: c2})
 
     __radd__ = __add__
 
@@ -316,14 +304,8 @@ class RadicalSum:
     def from_value(cls, value) -> "RadicalSum":
         if isinstance(value, RadicalSum):
             return value
-        if isinstance(value, Radical):
-            if value.sign == 0:
-                return cls()
-            coeff, core = _sqrt_fraction_parts(value.radicand)
-            return cls({core: value.sign * coeff})
-        if isinstance(value, (int, Fraction)):
-            q = Fraction(value)
-            return cls({1: q}) if q else cls()
+        if isinstance(value, (int, Fraction, Radical)):
+            return cls({core: Fraction(num, den) for core, num, den in radical_terms(value)})
         raise TypeError(f"cannot build RadicalSum from {type(value).__name__}")
 
     def is_zero(self) -> bool:

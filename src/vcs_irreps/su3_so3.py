@@ -18,9 +18,10 @@ eigenstates, from the lowest-L state and along the strongest edge first, finds
 the in-irrep states and fixes each one's norm factor ``k`` from the ratio
 across the edge that reached it.  The squared norm ratio ``(-1)**(L-L')
 curlyM[L,L'][alpha,beta] / curlyM[L',L][beta,alpha]`` must be positive on
-every in-irrep edge, and the walk checks its sign on all of them, not only on
-the edges it took.  The norm factors unitarize the representation, and each
-reduced quadrupole matrix element comes from them once,
+every in-irrep edge: the walk checks its sign on every edge it weighs, and
+reduced Hermiticity of the elements below covers the weaker ones.  The norm
+factors unitarize the representation, and each reduced quadrupole matrix
+element comes from them once,
 
     <beta L'||Q||alpha L> = (2L'+1) curlyM[L',L][beta,alpha] k_alpha / k_beta,
 
@@ -96,36 +97,22 @@ def k_ladder(mu: int) -> list[int]:
     return list(range(mu % 2, mu + 1, 2))
 
 
-def k_candidates(lm: Su3Label, L: int) -> list[int]:
-    """In-irrep K values at angular momentum L, ascending.
-
-    Closed-form content: ``K <= L <= K + lam`` for K > 0, and for K = 0 the
-    reflection parity keeps only ``L in {lam, lam-2, ..., 1 or 0}``.
-    """
-    out = []
-    for K in k_ladder(lm.mu):
-        if K == 0:
-            if L <= lm.lam and (lm.lam + L) % 2 == 0:
-                out.append(K)
-        elif K <= L <= K + lm.lam:
-            out.append(K)
-    return out
-
-
 def raw_k_candidates(lm: Su3Label, L: int) -> list[int]:
     """All rotor-function candidates at L: ladder K <= L, parity rule at K = 0.
 
     This set has no upper cap in L; candidates beyond the irrep content are
     the zero-norm states, which the diagonalization separates out.
     """
-    out = []
-    for K in k_ladder(lm.mu):
-        if K > L:
-            continue
-        if K == 0 and (lm.lam + L) % 2:
-            continue
-        out.append(K)
-    return out
+    return [K for K in k_ladder(lm.mu) if K <= L and (K or (lm.lam + L) % 2 == 0)]
+
+
+def k_candidates(lm: Su3Label, L: int) -> list[int]:
+    """In-irrep K values at angular momentum L, ascending: the raw candidates with ``L <= K + lam``.
+
+    Closed-form content: ``K <= L <= K + lam`` for K > 0, and for K = 0 the
+    reflection parity keeps only ``L in {lam, lam-2, ..., 1 or 0}``.
+    """
+    return [K for K in raw_k_candidates(lm, L) if L <= K + lm.lam]
 
 
 def l_values(lm: Su3Label) -> list[int]:
@@ -264,14 +251,31 @@ def _construction(lm: Su3Label) -> _Construction:
     }
 
     positive, k_norm = _best_first_walk(levels, candidates, raw_candidates, curly)
-    norms = {L: np.array([k_norm[(L, a)] for a in positive[L]]) for L in levels}
+    factors = _factors(curly, positive, k_norm)
+    return _Construction(
+        lm, levels, candidates, raw_candidates, unitaries, eigenvalues, curly, positive, k_norm, factors
+    )
+
+
+def _factors(curly, positive, k_norm):
+    """Factors ``T[(L', L)] = sqrt(2L'+1) curlyM[L',L][beta,alpha] k_alpha / k_beta`` over in-irrep indices.
+
+    Each entry must meet reduced Hermiticity, ``T[(L', L)] = (-1)**(L-L') sqrt((2L+1)/(2L'+1)) T[(L, L')].T``,
+    to ``DEFAULT_TOL`` of the largest factor: a wrong norm breaks it, as does a pair too weak for the walk.
+    """
+    norms = {L: np.array([k_norm[(L, a)] for a in indices]) for L, indices in positive.items()}
     factors = {
         (Lp, L): np.sqrt(2 * Lp + 1) * block[np.ix_(positive[Lp], positive[L])] * norms[L] / norms[Lp][:, None]
         for (Lp, L), block in curly.items()
     }
-    return _Construction(
-        lm, levels, candidates, raw_candidates, unitaries, eigenvalues, curly, positive, k_norm, factors
-    )
+    bound = DEFAULT_TOL * max(float(np.abs(t).max()) for t in factors.values())
+    for (Lp, L), t in factors.items():
+        defect = float(np.abs(t - (-1.0) ** (L - Lp) * np.sqrt((2 * L + 1) / (2 * Lp + 1)) * factors[(L, Lp)].T).max())
+        if defect > bound:
+            raise So3ConsistencyError(
+                f"factors T[{Lp},{L}] and T[{L},{Lp}] break reduced Hermiticity by {defect:.3e} (bound {bound:.3e})"
+            )
+    return factors
 
 
 def _listed(block: np.ndarray) -> np.ndarray:
@@ -297,8 +301,10 @@ def _best_first_walk(levels, candidates, raw_candidates, curly):
     rounding of a weak one.  Ties break on the state labels.  The closed-form
     per-L counts then serve as a cross-check, and the norm ratio
     ``(-1)**(L-L') curlyM[L,L'][a,b] / curlyM[L',L][b,a]`` must be strictly
-    positive on every in-irrep pair the walk weighs above ``_EDGE_TOL`` or a
-    reduced table lists, not only on the edges the walk took.
+    positive on every in-irrep pair the walk weighs above ``_EDGE_TOL``, not
+    only on the edges the walk took.  A weaker pair's partner entry can be
+    rounding noise of either sign, so its ratio is left to the reduced
+    Hermiticity identity that :func:`_factors` checks.
     """
     root = (levels[0], 0)
     k_norm = {root: 1.0}
@@ -331,7 +337,7 @@ def _best_first_walk(levels, candidates, raw_candidates, curly):
             )
     for (Lp, L), fwd in curly.items():
         bwd = curly[(L, Lp)]
-        checked = (_edge_weights(fwd, bwd) > _EDGE_TOL) | _listed(fwd)
+        checked = _edge_weights(fwd, bwd) > _EDGE_TOL
         for b in positive[Lp]:
             for a in positive[L]:
                 ratio = (-1.0) ** (L - Lp) * bwd[a, b] / fwd[b, a] if checked[b, a] else 1.0

@@ -13,7 +13,6 @@ import pytest
 from oracles import clebsch_gordan_twice_float
 from vcs_irreps.angmom import (
     RANK2_MAX_L,
-    Spin,
     SpinError,
     _cg_parts,
     _twice,
@@ -136,13 +135,13 @@ def test_projection_rules():
 
 
 def test_spin_type():
-    s = Spin(HALF)
-    assert s.twice == 1
-    assert s.projections() == [-HALF, HALF]
-    with pytest.raises(SpinError):
-        Spin(Fraction(1, 3))
-    with pytest.raises(SpinError):
-        Spin(-1)
+    # the recoupling coefficients read spins through _twice and refuse negative ones
+    assert racah_u(HALF, HALF, 1, 1, 1, HALF) == racah_u(0.5, Fraction(1, 2), 1.0, 1, Fraction(2, 2), HALF)
+    for coefficient in (racah_u, wigner_6j):
+        with pytest.raises(SpinError, match="not an integer or half-odd-integer"):
+            coefficient(Fraction(1, 3), 1, 1, 1, 1, 1)
+        with pytest.raises(SpinError, match="spin must be non-negative, got -1"):
+            coefficient(1, 1, 1, -1, 1, 1)
 
 
 def test_twice_fraction_fast_path():

@@ -497,6 +497,40 @@ def test_json_ingestion_rejects_bad_blocks(doc, message):
         kmatrix.gamma_rep_from_json(doc)
 
 
+def _sector_field(key, value):
+    doc = _two_sector_doc([[0, 0, 2.0]])
+    doc["sectors"][1][key] = value
+    return doc
+
+
+_NOT_AN_INDEX = r"up block \(1,\) -> \(0,\) has an entry index that is not an integer"
+_NOT_FINITE = r"up block \(1,\) -> \(0,\) has the value .*, which is not a finite number"
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_two_sector_doc([[0.9, 0, 2.0]]), _NOT_AN_INDEX),
+        (_two_sector_doc([["0", 0, 2.0]]), _NOT_AN_INDEX),
+        (_sector_field("dim", 1.7), r"sector \(1,\) field 'dim' is 1.7, not an integer"),
+        (_sector_field("dim", True), r"sector \(1,\) field 'dim' is True, not an integer"),
+        (_sector_field("grade", 1.5), r"sector \(1,\) field 'grade' is 1.5, not an integer"),
+        (_sector_field("grade", "1"), r"sector \(1,\) field 'grade' is '1', not an integer"),
+        (_two_sector_doc([[0, 0, float("nan")]]), _NOT_FINITE),
+        (_two_sector_doc([[0, 0, float("inf")]]), _NOT_FINITE),
+        (_two_sector_doc([[0, 0, {"sign": 1, "radicand": "4"}]]), _NOT_FINITE),
+    ],
+    ids=[
+        "fractional-index", "string-index", "fractional-dim", "bool-dim", "fractional-grade", "string-grade",
+        "nan-value", "inf-value", "exact-value",
+    ],
+)
+def test_json_ingestion_refuses_what_a_replay_refuses(doc, message):
+    # each of these used to be truncated, coerced or kept, or raised TypeError
+    with pytest.raises(ValueError, match=message):
+        kmatrix.gamma_rep_from_json(doc)
+
+
 def test_adjoint_pairing_validation():
     with pytest.raises(ValueError):
         kmatrix.GammaRep({("a",): 1}, {("a",): 0}, {"X": {}}, {"X": "Y"})

@@ -181,6 +181,19 @@ def test_radical_sum_arithmetic():
         (RadicalSum.from_value(Radical.sqrt_of(2)) + Radical.one()).to_radical()
 
 
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    st.integers(2, 10**4), st.integers(1, 10**6), st.integers(1, 10**6), st.integers(1, 10**3), st.sampled_from([-1, 1])
+)
+def test_radical_sum_of_a_radical_with_squared_factors_is_one_square_class(f, p, q, g, sign):
+    r = Radical(sign, Fraction(f * f * p, g * g * q))
+    ((core, c),) = RadicalSum.from_value(r).terms.items()
+    assert all(e == 1 for e in sympy.factorint(core).values())
+    assert c * c * core == r.squared
+    assert (c > 0) == (sign > 0)
+    assert RadicalSum.from_value(r).to_radical() == r
+
+
 def test_radical_sum_division_by_radical():
     s = RadicalSum.from_value(Radical.sqrt_of(6))
     assert (s / Radical.sqrt_of(2)).to_radical() == Radical.sqrt_of(3)

@@ -40,6 +40,17 @@ def test_k_ladder_and_candidates():
     assert su3_so3.raw_k_candidates(lm, 4) == [0, 2]
 
 
+def test_k_candidates_are_the_closed_form():
+    # K > 0: K <= L <= K + lam;  K = 0: L <= lam and lam + L even
+    for lam in range(13):
+        for mu in range(13):
+            lm = su3_so3.Su3Label(lam, mu)
+            for L in range(lam + mu + 1):
+                ladder = range(mu % 2, mu + 1, 2)
+                want = [K for K in ladder if (K <= L <= K + lam if K else L <= lam and (lam + L) % 2 == 0)]
+                assert su3_so3.k_candidates(lm, L) == want
+
+
 def test_m_matrix_mu_zero_is_scalar_bracket():
     lm = su3_so3.Su3Label(2, 0)
     block = su3_so3.m_matrix(lm, 2, 0)
@@ -317,12 +328,13 @@ def test_hermiticity_keeps_float_precision_at_8_6():
     assert repcheck.hermiticity_residual(repcheck.su3_so3_spec(), gens) <= 1e-15
 
 
-def _walk(corrupt, lm=su3_so3.Su3Label(2, 2)):
-    """Run the walk on a copy of the curlyM blocks of ``lm`` edited by ``corrupt``."""
+def _walk(corrupt, lm=su3_so3.Su3Label(2, 2), factors=False):
+    """Run the walk, and with ``factors`` the factors after it, on a copy of the curlyM blocks of ``lm`` edited by ``corrupt``."""
     con = su3_so3._construction(lm)
     curly = {key: block.copy() for key, block in con.curly.items()}
     corrupt(con, curly)
-    return su3_so3._best_first_walk(con.levels, con.candidates, con.raw_candidates, curly)
+    positive, k_norm = su3_so3._best_first_walk(con.levels, con.candidates, con.raw_candidates, curly)
+    return su3_so3._factors(curly, positive, k_norm) if factors else (positive, k_norm)
 
 
 def test_walk_on_intact_blocks_reproduces_the_construction():
@@ -378,7 +390,8 @@ def test_walk_rejects_each_flipped_in_irrep_edge():
 
 def test_walk_rejects_a_flipped_pair_that_only_the_table_lists():
     # at (12,10), L=12 a=0 <- L=10 b=5 weighs 4.9e-10 of its blocks' scale,
-    # below the edge tolerance, but its curlyM entry is listed in the table
+    # below the edge tolerance, but its curlyM entry is listed in the table:
+    # the walk leaves its sign alone, and reduced Hermiticity refuses the flip
     lm = su3_so3.Su3Label(12, 10)
     con = su3_so3._construction(lm)
     a, b = con.positive[12][0], con.positive[10][5]
@@ -388,8 +401,32 @@ def test_walk_rejects_a_flipped_pair_that_only_the_table_lists():
     def flip(con, curly):
         curly[(12, 10)][a, b] = -curly[(12, 10)][a, b]
 
-    with pytest.raises(su3_so3.So3ConsistencyError, match="non-positive norm ratio"):
-        _walk(flip, lm)
+    assert _walk(flip, lm) == (con.positive, con.k_norm)
+    with pytest.raises(su3_so3.So3ConsistencyError, match=r"T\[10,12\] and T\[12,10\] break reduced Hermiticity"):
+        _walk(flip, lm, factors=True)
+
+
+def _hermiticity_defect(factors):
+    """Largest ``|T[L',L] - (-1)**(L-L') sqrt((2L+1)/(2L'+1)) T[L,L'].T|`` over the largest ``|T|``."""
+    defect = max(
+        np.abs(t - (-1.0) ** (L - Lp) * np.sqrt((2 * L + 1) / (2 * Lp + 1)) * factors[(L, Lp)].T).max()
+        for (Lp, L), t in factors.items()
+    )
+    return defect / max(np.abs(t).max() for t in factors.values())
+
+
+@pytest.mark.parametrize("lam,mu", [(38, 36), (40, 38)])
+def test_large_irreps_build_and_a_scaled_norm_is_refused(lam, mu):
+    # the walk once checked the sign of noise here; reduced Hermiticity holds to 1e-12
+    lm = su3_so3.Su3Label(lam, mu)
+    assert len(su3_so3.basis_labels(lm)) == lm.dimension()
+    con = su3_so3._construction(lm)
+    assert _hermiticity_defect(con.factors) < 1e-12
+    k_norm = dict(con.k_norm)
+    L = con.levels[len(con.levels) // 2]
+    k_norm[(L, con.positive[L][0])] *= 1 + 1e-6
+    with pytest.raises(su3_so3.So3ConsistencyError, match="break reduced Hermiticity"):
+        su3_so3._factors(con.curly, con.positive, k_norm)
 
 
 def _table_gap(lm):
