@@ -329,7 +329,7 @@ def test_hermiticity_keeps_float_precision_at_8_6():
 
 
 def _walk(corrupt, lm=su3_so3.Su3Label(2, 2), factors=False):
-    """Run the walk, and with ``factors`` the factors after it, on a copy of the curlyM blocks of ``lm`` edited by ``corrupt``."""
+    """Run the walk (then ``_factors``, with ``factors``) on a copy of the curlyM blocks of ``lm`` edited by ``corrupt``."""
     con = su3_so3._construction(lm)
     curly = {key: block.copy() for key, block in con.curly.items()}
     corrupt(con, curly)
@@ -417,7 +417,7 @@ def _hermiticity_defect(factors):
 
 @pytest.mark.parametrize("lam,mu", [(38, 36), (40, 38)])
 def test_large_irreps_build_and_a_scaled_norm_is_refused(lam, mu):
-    # the walk once checked the sign of noise here; reduced Hermiticity holds to 1e-12
+    # some weak pairs here have a partner entry of rounding noise, of either sign
     lm = su3_so3.Su3Label(lam, mu)
     assert len(su3_so3.basis_labels(lm)) == lm.dimension()
     con = su3_so3._construction(lm)
