@@ -379,6 +379,8 @@ def gamma_rep_from_json(doc: dict) -> GammaRep:
     for s in doc["sectors"]:
         key = tuple(s["key"])
         sectors[key] = json_integer(s, "dim", f"sector {key}")
+        if sectors[key] < 1:
+            raise ValueError(f"sector {key} has dim {sectors[key]}, not a positive integer")
         grades[key] = json_integer(s, "grade", f"sector {key}")
     blocks = {}
     adjoints = {}

@@ -169,9 +169,9 @@ def json_entries(name: str, entries) -> tuple[tuple, tuple, tuple]:
 
 
 def json_finite(name: str, value) -> float:
-    """A number or numeric string as a finite float; anything else raises ``ValueError``."""
+    """A number or numeric string, not a bool, as a finite float; anything else raises ``ValueError``."""
     try:
-        number = float(value)
+        number = math.nan if value is True or value is False else float(value)
     except TypeError:  # a dict, list or None
         number = math.nan
     if not math.isfinite(number):

@@ -7,21 +7,22 @@ projection ``K`` and angular momentum ``L``:
     L in {lam, lam-2, ..., 1 or 0} for K = 0.
 
 The quadrupole action on these functions is encoded by blocks ``M[L', L]``
-over ``(K', K)`` built in exact radical arithmetic from rank-2 Clebsch-Gordan
-coefficients ``(L M, 2 nu | L' M+nu)``.  Both the blocks and the float
-generator matrices take these from the closed forms in
-:func:`~vcs_irreps.angmom.rank2_cg_parts`, one call per block pair, and never
-sum Racah's series.  Diagonalizing the symmetric ``sqrt(2L+1) M[L, L]``
-defines the multiplicity label ``alpha`` (the eigenbasis of the scalar L.Q.L
-invariant).  One best-first walk over the quadrupole couplings between
-eigenstates, from the lowest-L state and along the strongest edge first, finds
-the in-irrep states and fixes each one's norm factor ``k`` from the ratio
-across the edge that reached it.  The squared norm ratio ``(-1)**(L-L')
-curlyM[L,L'][alpha,beta] / curlyM[L',L][beta,alpha]`` must be positive on
-every in-irrep edge: the walk checks its sign on every edge it weighs, and
-reduced Hermiticity of the elements below covers the weaker ones.  The norm
-factors unitarize the representation, and each reduced quadrupole matrix
-element comes from them once,
+over ``(K', K)``.  Each entry is an exact value ``num/den * sqrt(core)``, held
+as the plain integers ``(core, num, den)`` of one square class, from rank-2
+Clebsch-Gordan coefficients ``(L M, 2 nu | L' M+nu)`` times closed-form
+amplitudes.  Both the blocks and the float generator matrices take these
+coefficients from :func:`~vcs_irreps.angmom.rank2_cg_parts`, one call per
+block pair, and never sum Racah's series.  Diagonalizing the symmetric
+``sqrt(2L+1) M[L, L]`` defines the multiplicity label ``alpha`` (the
+eigenbasis of the scalar L.Q.L invariant).  One best-first walk over the
+quadrupole couplings between eigenstates, from the lowest-L state and along
+the strongest edge first, finds the in-irrep states and fixes each one's norm
+factor ``k`` from the ratio across the edge that reached it.  The squared norm
+ratio ``(-1)**(L-L') curlyM[L,L'][alpha,beta] / curlyM[L',L][beta,alpha]``
+must be positive on every in-irrep edge: the walk checks its sign on every
+edge it weighs, and reduced Hermiticity of the elements below covers the
+weaker ones.  The norm factors unitarize the representation, and each reduced
+quadrupole matrix element comes from them once,
 
     <beta L'||Q||alpha L> = (2L'+1) curlyM[L',L][beta,alpha] k_alpha / k_beta,
 
@@ -42,16 +43,16 @@ irrep, is kept as the dense reference that the tests compare it with.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 # ``clebsch_gordan`` stays a module attribute: bench/spans.py wraps it by name.
 from .angmom import clebsch_gordan, rank2_cg_parts  # noqa: F401
-from .radical import Radical, RadicalSum, as_float
+from .radical import squarefree_decompose
 from .repcheck import DEFAULT_TOL, SparseMatrix
 
 DEGENERACY_TOL = 1e-9
@@ -120,75 +121,60 @@ def l_values(lm: Su3Label) -> list[int]:
     return [L for L in range(lm.lam + lm.mu + 1) if k_candidates(lm, L)]
 
 
-@dataclass
-class MBlock:
-    """Quadrupole coupling block between rotor candidates at ``L`` and ``Lp``."""
+def m_matrix(lm: Su3Label, Lp: int, L: int) -> tuple[list[int], list[int], dict]:
+    """Exact quadrupole block ``M[Lp, L]``: raw ``K'`` rows, raw ``K`` columns and the non-zero entries.
 
-    Lp: int
-    L: int
-    rows: list[int]  # K' values at Lp
-    cols: list[int]  # K values at L
-    entries: list[list[object]]  # exact Radical/RadicalSum values
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.rows), len(self.cols)
-
-    def to_dense(self) -> np.ndarray:
-        return np.array([[as_float(v) for v in row] for row in self.entries])
-
-    def is_empty(self) -> bool:
-        return not self.rows or not self.cols
-
-
-def m_matrix(lm: Su3Label, Lp: int, L: int) -> MBlock:
-    """Exact quadrupole block ``M[Lp, L]`` over raw ``(K', K)`` candidate pairs.
-
-    The reflection-symmetrized K = 0 states carry an extra sqrt(2); it enters
-    symmetrically on whichever side of a K <-> K+-2 step is at K = 0 (this is
-    what makes ``sqrt(2L+1) M[L, L]`` exactly symmetric, and the assembled
-    matrices close the algebra).
+    Entry ``(i, j)`` is the square class ``(core, num, den)`` of the value
+    ``num/den * sqrt(core)``, ``core`` square-free, as in
+    :func:`~vcs_irreps.radical.radical_terms`.  The reflection-symmetrized
+    K = 0 states carry an extra sqrt(2); it enters symmetrically on whichever
+    side of a K <-> K+-2 step is at K = 0 (this is what makes ``sqrt(2L+1)
+    M[L, L]`` exactly symmetric, and the assembled matrices close the algebra).
     """
     if abs(Lp - L) > 2:
         raise ValueError("quadrupole blocks need |Lp - L| <= 2")
-    rows = raw_k_candidates(lm, Lp)
-    cols = raw_k_candidates(lm, L)
-    block = MBlock(Lp, L, rows, cols, [[RadicalSum() for _ in cols] for _ in rows])
-    if block.is_empty():
-        return block
+    rows, cols = raw_k_candidates(lm, Lp), raw_k_candidates(lm, L)
     ridx = {K: i for i, K in enumerate(rows)}
-    bracket = Fraction(2 * lm.lam + lm.mu + 3) - Fraction(Lp * (Lp + 1), 2) + Fraction(L * (L + 1), 2)
+    bracket = 2 * (2 * lm.lam + lm.mu + 3) - Lp * (Lp + 1) + L * (L + 1)  # twice the diagonal amplitude
     # (L M, 2 nu | Lp M+nu) = s sqrt(a / b) at every (M, nu) used below, from one kernel call.
     n = len(cols)
     M, nu = [*cols, *cols, *cols, -1], [0] * n + [2] * n + [-2] * n + [2]
     cg = dict(zip(zip(M, nu), zip(*(x.tolist() for x in rank2_cg_parts(L, Lp, M, nu)))))
 
-    def times_cg(square: Fraction, m: int, v: int) -> RadicalSum:
-        """``sqrt(square) (L m, 2 v | Lp m+v)``, exactly, for ``square >= 0``."""
+    def times_cg(coeff: int, square: int, m: int, v: int) -> tuple[int, int, int]:
+        """``coeff/2 sqrt(square/2) (L m, 2 v | Lp m+v)`` as ``(core, num, den)``; ``num`` is 0 for a zero."""
         s, a, b = cg[(m, v)]
-        radicand = square * Fraction(a, b)
-        return RadicalSum.from_value(Radical(s if radicand else 0, radicand))
+        if not (coeff and square and a):
+            return 1, 0, 1
+        root, core = squarefree_decompose(2 * square * a * b)  # sqrt(square a / 2b) = root sqrt(core) / 2b
+        return core, s * coeff * root, 4 * b
 
-    # Each entry takes one term: column K meets row K through the diagonal
-    # term and rows K +- 2 through one step each.
+    # Column K meets row K through the diagonal term and rows K +- 2 through one step each.
+    entries = {}
     for c, K in enumerate(cols):
         if K in ridx:
-            term = times_cg(Fraction(1), K, 0) * bracket
-            if K == 1:
-                phase = -1 if (lm.lam + L + 1) % 2 else 1
-                term = term + times_cg(Fraction(3, 2), -1, 2) * (phase * (lm.mu + 1))
-            block.entries[ridx[K]][c] = term
+            core, num, den = times_cg(bracket, 2, K, 0)
+            if K == 1:  # a second diagonal term, in the same square class
+                core2, num2, den2 = times_cg(2 * (lm.mu + 1) * (-1) ** (lm.lam + L + 1), 3, -1, 2)
+                if num and num2 and core2 != core:
+                    raise So3ConsistencyError(f"M[{Lp},{L}] at K = 1 adds square classes {core} and {core2}")
+                core, num, den = core if num else core2, num * den2 + num2 * den, den * den2
+            entries[(ridx[K], c)] = core, num, den
         for step in (+2, -2):
-            Kp = K + step
-            if Kp < 0 or Kp not in ridx:
-                continue
-            if step > 0:
-                amp_sq = Fraction(3, 2) * (lm.mu - K) * (lm.mu + K + 2)
-            else:
-                amp_sq = Fraction(3, 2) * (lm.mu + K) * (lm.mu - K + 2)
-            if K == 0 or Kp == 0:
-                amp_sq *= 2
-            block.entries[ridx[Kp]][c] = times_cg(amp_sq, K, step)
+            if K + step in ridx:
+                amp = (lm.mu - K) * (lm.mu + K + 2) if step > 0 else (lm.mu + K) * (lm.mu - K + 2)
+                entries[(ridx[K + step], c)] = times_cg(2, 3 * amp * (2 if 0 in (K, K + step) else 1), K, step)
+    return rows, cols, {rc: term for rc, term in entries.items() if term[1]}
+
+
+def _float_block(rows: list[int], cols: list[int], entries: dict) -> np.ndarray:
+    """An :func:`m_matrix` block in floats, each entry ``float()`` of its exact value.
+
+    ``num / den`` is Python's correctly rounded int division, as in ``float(Fraction(num, den))``.
+    """
+    block = np.zeros((len(rows), len(cols)))
+    for (i, j), (core, num, den) in entries.items():
+        block[i, j] = num / den * math.sqrt(core)
     return block
 
 
@@ -213,18 +199,16 @@ def _construction(lm: Su3Label) -> _Construction:
     candidates = {L: k_candidates(lm, L) for L in levels}
     raw_candidates = {L: raw_k_candidates(lm, L) for L in levels}
     blocks = {(Lp, L): m_matrix(lm, Lp, L) for Lp in levels for L in levels if abs(Lp - L) <= 2}
-    dense = {pair: block.to_dense() for pair, block in blocks.items() if not block.is_empty()}
+    dense = {pair: _float_block(*block) for pair, block in blocks.items() if block[0] and block[1]}
     unitaries, eigenvalues = {}, {}
     for L in levels:
-        # sqrt(2L+1) M[L, L] is symmetric exactly when M[L, L] is.
-        entries = blocks[(L, L)].entries
-        n = len(entries)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if entries[i][j] != entries[j][i]:
-                    raise So3ConsistencyError(
-                        f"sqrt(2L+1) M[{L},{L}] is not symmetric at ({i},{j})"
-                    )
+        # sqrt(2L+1) M[L, L] is symmetric exactly when M[L, L] is: equal cores and equal fractions.
+        rows, _, entries = blocks[(L, L)]
+        n = len(rows)
+        for (i, j), (core, num, den) in entries.items():
+            core2, num2, den2 = entries.get((j, i), (core, 0, 1))
+            if core2 != core or num * den2 != num2 * den:
+                raise So3ConsistencyError(f"sqrt(2L+1) M[{L},{L}] is not symmetric at ({min(i, j)},{max(i, j)})")
         block = dense[(L, L)]
         if n == 1:
             u = np.eye(1)
@@ -279,7 +263,10 @@ def _factors(curly, positive, k_norm):
 
 
 def _listed(block: np.ndarray) -> np.ndarray:
-    """Entries of a curlyM block above ``DEFAULT_TOL`` of its scale: the elements a table lists."""
+    """Entries of a curlyM block above ``DEFAULT_TOL`` of its own scale.
+
+    A table lists an element when its entry or its mirror's passes (see :func:`reduced_q`).
+    """
     return np.abs(block) > DEFAULT_TOL * max(1.0, float(np.abs(block).max()))
 
 
@@ -354,13 +341,16 @@ def reduced_q(lm: Su3Label, beta: int, Lp: int, alpha: int, L: int) -> float:
     ``alpha`` and ``beta`` index the in-irrep states at their L in ascending
     invariant-eigenvalue order.  The value is ``sqrt(2Lp+1)`` times the factor
     that :func:`assemble_so3_generators` expands, so a table and the matrices
-    agree.  Queries outside the irrep, and elements whose curlyM entry lies
-    within ``DEFAULT_TOL`` of its block's scale, return 0.
+    agree.  Queries outside the irrep return 0, and so do elements whose
+    curlyM entry and whose mirror's both lie within ``DEFAULT_TOL`` of their
+    own block's scale: the two blocks have different scales, and an element
+    is listed exactly when its mirror is.
     """
     con = _construction(lm)
     if (Lp, L) not in con.factors or beta >= len(con.positive[Lp]) or alpha >= len(con.positive[L]):
         return 0.0
-    if not _listed(con.curly[(Lp, L)])[con.positive[Lp][beta], con.positive[L][alpha]]:
+    listed = _listed(con.curly[(Lp, L)]) | _listed(con.curly[(L, Lp)]).T
+    if not listed[con.positive[Lp][beta], con.positive[L][alpha]]:
         return 0.0
     return float(np.sqrt(2 * Lp + 1) * con.factors[(Lp, L)][beta, alpha])
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from vcs_irreps import angmom, repcheck, su3_so3, u3
 from vcs_irreps.opmatrix import OperatorMatrix
+from vcs_irreps.radical import Radical, RadicalSum
 from vcs_irreps.su11 import Su11Irrep, generator_matrices
 
 
@@ -74,6 +75,34 @@ def x_eigenbasis(lm: su3_so3.Su3Label, L: int) -> tuple[np.ndarray, list[float]]
     if L not in con.unitaries:
         raise ValueError(f"L={L} carries no states in ({lm.lam},{lm.mu})")
     return con.unitaries[L].copy(), [float(v) for v in con.eigenvalues[L]]
+
+
+def m_block_reference(lm: su3_so3.Su3Label, Lp: int, L: int) -> tuple[list[int], list[int], dict]:
+    """``su3_so3.m_matrix(lm, Lp, L)`` with each non-zero entry a ``RadicalSum``, from Racah's series.
+
+    Each entry is its closed-form amplitude times ``angmom.clebsch_gordan`` in
+    ``Radical`` and ``RadicalSum`` arithmetic, independent of
+    ``angmom.rank2_cg_parts`` and of the library's integer square classes.
+    """
+    rows, cols = su3_so3.raw_k_candidates(lm, Lp), su3_so3.raw_k_candidates(lm, L)
+    bracket = Fraction(2 * lm.lam + lm.mu + 3) - Fraction(Lp * (Lp + 1), 2) + Fraction(L * (L + 1), 2)
+    out = {}
+    for c, K in enumerate(cols):
+        for r, Kp in enumerate(rows):
+            value = RadicalSum()
+            if Kp == K:
+                value = RadicalSum.from_value(angmom.clebsch_gordan(L, K, 2, 0, Lp, K)) * bracket
+                if K == 1:
+                    phase = -1 if (lm.lam + L + 1) % 2 else 1
+                    cg = Radical.sqrt_of(Fraction(3, 2)) * angmom.clebsch_gordan(L, -1, 2, 2, Lp, 1)
+                    value = value + RadicalSum.from_value(cg) * (phase * (lm.mu + 1))
+            elif abs(Kp - K) == 2:
+                low, high = min(K, Kp), max(K, Kp)
+                amp_sq = Fraction(3, 2) * (lm.mu - low) * (lm.mu + high) * (2 if low == 0 else 1)
+                value = RadicalSum.from_value(Radical.sqrt_of(amp_sq) * angmom.clebsch_gordan(L, K, 2, Kp - K, Lp, Kp))
+            if value:
+                out[(r, c)] = value
+    return rows, cols, out
 
 
 def quadrupole_dense(generators: dict[str, OperatorMatrix]) -> dict[int, np.ndarray]:

@@ -480,7 +480,7 @@ def _weight_field(key, value):
             (["check", "--replay"], lambda tmp_path, capsys, edit=edit: _edit_float_entries(tmp_path, capsys, edit), {})
             for edit in (
                 _first_entry(0, 1.5), _first_entry(0, True), _first_entry(0, "1"), _first_entry(0, 3),
-                _first_entry(2, "nan"), _first_entry(2, "inf"), _duplicate_first,
+                _first_entry(2, "nan"), _first_entry(2, "inf"), _first_entry(2, True), _duplicate_first,
             )
         ),
         (
@@ -530,7 +530,8 @@ def _weight_field(key, value):
         "negative-lambda", "zero-lambda", "zero-nmax", "non-json", "no-generators", "no-weight",
         "negative-entry-index", "duplicate-entry", "fractional-entry-index", "nan-among-exact-values",
         "float-doc-fractional-index", "float-doc-bool-index", "float-doc-string-index", "float-doc-index-outside",
-        "float-doc-nan-value", "float-doc-inf-value", "float-doc-duplicate-entry", "mismatched-dims", "zero-dims",
+        "float-doc-nan-value", "float-doc-inf-value", "float-doc-bool-value", "float-doc-duplicate-entry",
+        "mismatched-dims", "zero-dims",
         "su11-nmax-relabelled", "su3-relabelled", "basis-length", *(case[-1] for case in _NON_INTEGER_LABELS),
         "env-tol-not-a-number", "env-tol-infinite",
         "tol-nan", "tol-negative", "tol-not-a-number",

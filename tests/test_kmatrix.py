@@ -514,15 +514,18 @@ _NOT_FINITE = r"up block \(1,\) -> \(0,\) has the value .*, which is not a finit
         (_two_sector_doc([["0", 0, 2.0]]), _NOT_AN_INDEX),
         (_sector_field("dim", 1.7), r"sector \(1,\) field 'dim' is 1.7, not an integer"),
         (_sector_field("dim", True), r"sector \(1,\) field 'dim' is True, not an integer"),
+        (_sector_field("dim", 0), r"sector \(1,\) has dim 0, not a positive integer"),
+        (_sector_field("dim", -1), r"sector \(1,\) has dim -1, not a positive integer"),
         (_sector_field("grade", 1.5), r"sector \(1,\) field 'grade' is 1.5, not an integer"),
         (_sector_field("grade", "1"), r"sector \(1,\) field 'grade' is '1', not an integer"),
         (_two_sector_doc([[0, 0, float("nan")]]), _NOT_FINITE),
         (_two_sector_doc([[0, 0, float("inf")]]), _NOT_FINITE),
+        (_two_sector_doc([[0, 0, True]]), _NOT_FINITE),
         (_two_sector_doc([[0, 0, {"sign": 1, "radicand": "4"}]]), _NOT_FINITE),
     ],
     ids=[
-        "fractional-index", "string-index", "fractional-dim", "bool-dim", "fractional-grade", "string-grade",
-        "nan-value", "inf-value", "exact-value",
+        "fractional-index", "string-index", "fractional-dim", "bool-dim", "zero-dim", "negative-dim",
+        "fractional-grade", "string-grade", "nan-value", "inf-value", "bool-value", "exact-value",
     ],
 )
 def test_json_ingestion_refuses_what_a_replay_refuses(doc, message):

@@ -51,21 +51,26 @@ def test_k_candidates_are_the_closed_form():
                 assert su3_so3.k_candidates(lm, L) == want
 
 
+def _exact(entries):
+    """An ``m_matrix`` block's ``(core, num, den)`` entries as ``RadicalSum`` values."""
+    return {rc: RadicalSum({core: Fraction(num, den)}) for rc, (core, num, den) in entries.items()}
+
+
 def test_m_matrix_mu_zero_is_scalar_bracket():
     lm = su3_so3.Su3Label(2, 0)
-    block = su3_so3.m_matrix(lm, 2, 0)
-    assert block.shape == (1, 1)
+    rows, cols, entries = su3_so3.m_matrix(lm, 2, 0)
+    assert (len(rows), len(cols)) == (1, 1)
     bracket = Fraction(2 * 2 + 0 + 3) - Fraction(2 * 3, 2) + 0
     expected = RadicalSum.from_value(clebsch_gordan(0, 0, 2, 0, 2, 0)) * bracket
-    assert block.entries[0][0] == expected
+    assert _exact(entries) == {(0, 0): expected}
 
 
 def test_m_matrix_20_diagonal_value():
     # (2,0), L = L' = 2: single K = 0 entry, bracket is 2*lam + mu + 3 = 7
     lm = su3_so3.Su3Label(2, 0)
-    block = su3_so3.m_matrix(lm, 2, 2)
+    _, _, entries = su3_so3.m_matrix(lm, 2, 2)
     expected = RadicalSum.from_value(clebsch_gordan(2, 0, 2, 0, 2, 0)) * 7
-    assert block.entries[0][0] == expected
+    assert _exact(entries) == {(0, 0): expected}
 
 
 def test_m_matrix_02_block_and_invariant_eigenvalue():
@@ -73,11 +78,10 @@ def test_m_matrix_02_block_and_invariant_eigenvalue():
     # quadrupole action gives the (2,2) entry as 5*(2 2, 2 0 | 2 2), and the
     # positive-norm eigenvalue of the block comes out at sqrt(14)
     lm = su3_so3.Su3Label(0, 2)
-    block = su3_so3.m_matrix(lm, 2, 2)
-    assert (block.rows, block.cols) == ([0, 2], [0, 2])
-    entry = RadicalSum.from_value(block.entries[1][1])
+    rows, cols, entries = su3_so3.m_matrix(lm, 2, 2)
+    assert (rows, cols) == ([0, 2], [0, 2])
     expected = RadicalSum.from_value(clebsch_gordan(2, 2, 2, 0, 2, 2)) * 5
-    assert entry == expected
+    assert _exact(entries)[(1, 1)] == expected
     _, eigenvalues = oracles.x_eigenbasis(lm, 2)
     raw = np.array(eigenvalues) * np.sqrt(5.0)
     assert np.sqrt(14.0) == pytest.approx(raw.max(), abs=1e-10)
@@ -90,37 +94,58 @@ def test_m_matrix_rejects_distant_l():
 
 def test_m_matrix_empty_block():
     lm = su3_so3.Su3Label(2, 0)
-    block = su3_so3.m_matrix(lm, 1, 0)  # lam + L odd at K = 0: no candidates
-    assert block.is_empty()
+    rows, cols, entries = su3_so3.m_matrix(lm, 1, 0)  # lam + L odd at K = 0: no candidates
+    assert (rows, cols, entries) == ([], [0], {})
+
+
+def test_m_matrix_is_the_racah_series_reference_exactly():
+    # Every block of every (lam, mu) with lam, mu <= 12: the integer square
+    # classes equal the RadicalSum reference built from clebsch_gordan, and
+    # the float block is float() of that reference, bit for bit.
+    for lam in range(13):
+        for mu in range(13):
+            lm = su3_so3.Su3Label(lam, mu)
+            levels = su3_so3.l_values(lm)
+            for Lp, L in ((Lp, L) for Lp in levels for L in levels if abs(Lp - L) <= 2):
+                rows, cols, entries = su3_so3.m_matrix(lm, Lp, L)
+                want_rows, want_cols, want = oracles.m_block_reference(lm, Lp, L)
+                assert (rows, cols) == (want_rows, want_cols)
+                assert _exact(entries) == want, (lam, mu, Lp, L)
+                floats = np.array([[float(want.get((i, j), RadicalSum())) for j in range(len(cols))] for i in range(len(rows))])
+                assert su3_so3._float_block(rows, cols, entries).tobytes() == floats.tobytes(), (lam, mu, Lp, L)
 
 
 @pytest.mark.parametrize("lam,mu", WEIGHTS + [(3, 3), (2, 3)])
 def test_sqrt_weighted_diagonal_blocks_symmetric_exactly(lam, mu):
     lm = su3_so3.Su3Label(lam, mu)
     for L in su3_so3.l_values(lm):
-        block = su3_so3.m_matrix(lm, L, L)
+        rows, _, entries = su3_so3.m_matrix(lm, L, L)
+        exact = _exact(entries)
         weight = Radical.sqrt_of(2 * L + 1)
-        n = len(block.rows)
-        for i in range(n):
-            for j in range(n):
-                lhs = RadicalSum.from_value(block.entries[i][j]) * weight
-                rhs = RadicalSum.from_value(block.entries[j][i]) * weight
+        for i in range(len(rows)):
+            for j in range(len(rows)):
+                lhs = exact.get((i, j), RadicalSum()) * weight
+                rhs = exact.get((j, i), RadicalSum()) * weight
                 assert (lhs - rhs).is_zero()
 
 
 def test_construction_refuses_a_diagonal_block_that_is_not_exactly_symmetric(monkeypatch):
-    # far below a float's resolution of the entry, so only the exact test sees it
+    # far below a float's resolution of the entry, so only the exact test sees
+    # it: 10**-30 sqrt(core) added to the zero entry (0,2) of M[4,4], and to
+    # the non-zero entry (0,1)
     real = su3_so3.m_matrix
+    for j in (2, 1):
 
-    def skewed(lm, Lp, L):
-        block = real(lm, Lp, L)
-        if Lp == L == 4:
-            block.entries[0][2] = block.entries[0][2] + RadicalSum.from_value(Fraction(1, 10**30))
-        return block
+        def skewed(lm, Lp, L):
+            rows, cols, entries = real(lm, Lp, L)
+            if Lp == L == 4:
+                core, num, den = entries.get((0, j), (1, 0, 1))
+                entries[(0, j)] = core, num * 10**30 + den, den * 10**30
+            return rows, cols, entries
 
-    monkeypatch.setattr(su3_so3, "m_matrix", skewed)
-    with pytest.raises(su3_so3.So3ConsistencyError, match=r"M\[4,4\] is not symmetric at \(0,2\)"):
-        su3_so3._construction.__wrapped__(su3_so3.Su3Label(4, 4))
+        monkeypatch.setattr(su3_so3, "m_matrix", skewed)
+        with pytest.raises(su3_so3.So3ConsistencyError, match=rf"M\[4,4\] is not symmetric at \(0,{j}\)"):
+            su3_so3._construction.__wrapped__(su3_so3.Su3Label(4, 4))
 
 
 def test_x_eigenbasis_single_candidate_is_identity():
@@ -139,7 +164,7 @@ def test_x_eigenbasis_two_by_two_distinct():
 def test_x_eigenvalues_invariant_under_input_permutation():
     # similarity invariance: eigenvalues do not depend on K ordering
     lm = su3_so3.Su3Label(2, 2)
-    block = su3_so3.m_matrix(lm, 2, 2).to_dense()
+    block = su3_so3._float_block(*su3_so3.m_matrix(lm, 2, 2))
     perm = block[::-1, ::-1]
     _, ev = oracles.x_eigenbasis(lm, 2)
     flipped = np.sort(np.linalg.eigvalsh((perm + perm.T) / 2)) / np.sqrt(5.0)
@@ -160,6 +185,15 @@ def test_reduced_q_out_of_irrep_queries_return_zero():
     assert su3_so3.reduced_q(lm, 0, 1, 0, 0) == 0.0
     assert su3_so3.reduced_q(lm, 5, 2, 0, 0) == 0.0
     assert su3_so3.reduced_q(lm, 0, 8, 0, 6) == 0.0
+
+
+def test_reduced_table_lists_every_element_with_its_mirror():
+    # At (16,14) the mirrors of 13 of the 2,789 elements whose own curlyM
+    # entry passes lie within DEFAULT_TOL of their own block's scale; the
+    # table lists each such pair all the same.
+    listed = {(bra, ket) for bra, ket, _ in cli._su3_so3_reduced(su3_so3.Su3Label(16, 14), {})}
+    assert all((ket, bra) in listed for bra, ket in listed)
+    assert len(listed) == 2789 + 13
 
 
 def canonical_reduced_q(weight):
