@@ -16,23 +16,23 @@ Each algebra is described once, by an :class:`Algebra` entry in
 document, how to build its generators, what its document holds and how its
 checks run.  ``gen``, ``check`` and ``check --replay`` are one path through
 that table; adding an algebra means adding one entry.  A replay reads a
-generator whose entries are all floats (``repr`` strings) straight into
-coordinate arrays, a :class:`repcheck.SparseMatrix` as the su(3) builder
-returns it, and a generator with any exact ``{"sign", "radicand"}`` entry
-into an ``OperatorMatrix`` of ``Radical``s as the su(1,1) and u(3) builders
-return it.  So the live and replayed checks are one
-:func:`repcheck.standard_checks` call, and both pick the exact or the float
-kernel from the entries alone.  An entry's indices must be integers inside
-the matrix, its value finite, and no ``(row, col)`` may repeat; the
-weight's integer fields (su(1,1) ``nmax``, su(3) ``lam`` and ``mu``) must be
-JSON integers.  ``gen`` writes the JSON document one generator at a time, in
-the ``json.dump(..., indent=1)`` layout: a float generator's entries are
-formatted straight from its coordinate arrays, and every other field by
-``json.dumps``.  ``--format csv`` writes the reduced table alone and formats
-no generator.  A ``gen --out`` that fails part-way removes the file it
-opened.  The su(1,1) matrices are truncations of an infinite-dimensional
-irrep, so its commutator and Casimir checks run on the interior block (every
-row and column but the last).
+generator whose entries are all exact ``{"sign", "radicand"}`` objects into
+an ``OperatorMatrix`` of ``Radical``s, as the su(1,1) and u(3) builders
+return it, and any other into a :class:`repcheck.SparseMatrix` of each
+entry's ``float()``, the one float form, as the su(3) builder returns it.  So
+the live and replayed checks are one :func:`repcheck.standard_checks` call,
+and both pick the exact or the float kernel from the matrix types alone.  An
+entry's indices must be integers inside the matrix, its value finite, and no
+``(row, col)`` may repeat; the weight's integer fields (su(1,1) ``nmax``,
+su(3) ``lam`` and ``mu``) must be JSON integers.  ``gen`` writes the JSON
+document one generator at a time, in the ``json.dump(..., indent=1)``
+layout: a float generator's entries are formatted straight from its
+coordinate arrays (``--mode float`` converts an exact generator once), and
+every other field by ``json.dumps``.  ``--format csv`` writes the reduced
+table alone and formats no generator.  A ``gen --out`` that fails part-way
+removes the file it opened.  The su(1,1) matrices are truncations of an
+infinite-dimensional irrep, so its commutator and Casimir checks run on the
+interior block (every row and column but the last).
 
 Exit codes: 0 success, 1 verification failure, which includes an su(3)
 construction that fails its own consistency checks (``So3ConsistencyError``,
@@ -60,7 +60,7 @@ from typing import Any
 
 from . import repcheck, su3_so3, su11, u3
 from .opmatrix import OperatorMatrix, json_entries, json_finite, json_integer
-from .radical import Radical, RadicalSum, as_float
+from .radical import Radical
 
 SCHEMA_VERSION = 1
 
@@ -114,19 +114,12 @@ def _require(args, usage: str, *flags: str) -> None:
 
 def _value_to_json(value, mode: str):
     if mode == "exact":
-        if isinstance(value, RadicalSum):
-            value = value.to_radical()
         if isinstance(value, (int, Fraction)):
             value = Radical.from_rational(Fraction(value))
         if isinstance(value, Radical):
             return value.to_json()
         raise UsageError("exact output requested but matrix entries are floats")
-    return repr(as_float(value))
-
-
-def _is_exact(mat: OperatorMatrix | repcheck.SparseMatrix) -> bool:
-    """Whether every entry is exact: a float ``SparseMatrix`` qualifies only when it has none."""
-    return mat.is_exact() if isinstance(mat, OperatorMatrix) else not mat.vals.size
+    return repr(float(value))
 
 
 def _indented(value, depth: int) -> str:
@@ -141,9 +134,12 @@ _FLOAT_ENTRY = '[\n     {},\n     {},\n     "{!r}"\n    ]'.format
 def _generator_json(mat: OperatorMatrix | repcheck.SparseMatrix, mode: str) -> str:
     """One generator's ``{"dim", "entries"}`` object, two levels down; entries in row, then column order.
 
-    A float generator's entries are formatted straight from its arrays, never
-    held as ``[row, col, value]`` lists.
+    In float mode an exact generator is first converted once to a
+    ``SparseMatrix``, whose entries are formatted straight from its arrays,
+    never held as ``[row, col, value]`` lists.
     """
+    if isinstance(mat, OperatorMatrix) and mode == "float":
+        mat = repcheck.SparseMatrix.of(mat)
     if isinstance(mat, OperatorMatrix):
         entries = [[r, c, _value_to_json(v, mode)] for (r, c), v in sorted(mat.entries.items())]
         return _indented({"dim": mat.dim, "entries": entries}, 2)
@@ -156,9 +152,10 @@ def _generator_json(mat: OperatorMatrix | repcheck.SparseMatrix, mode: str) -> s
 def _matrix_from_json(name: str, info: dict, dim: int) -> OperatorMatrix | repcheck.SparseMatrix:
     """A generator as its builder returned it.
 
-    Float entries (``repr`` strings) become a ``SparseMatrix``; a generator
-    with any exact entry becomes an ``OperatorMatrix`` of ``Radical``s.  An
-    index must be an ``int`` inside the matrix (``IndexError`` outside), a
+    A generator whose entries are all exact ``{"sign", "radicand"}`` objects
+    becomes an ``OperatorMatrix`` of ``Radical``s; any other, a
+    ``SparseMatrix`` of the ``float()`` of every entry, exact ones included.
+    An index must be an ``int`` inside the matrix (``IndexError`` outside), a
     value finite, and a ``(row, col)`` given once.
     """
     if info["dim"] != dim:
@@ -167,12 +164,13 @@ def _matrix_from_json(name: str, info: dict, dim: int) -> OperatorMatrix | repch
     indices = rows + cols
     if indices and not 0 <= min(indices) <= max(indices) < dim:
         raise IndexError(f"{name} has an entry outside its {dim}x{dim} matrix")
-    if not any(isinstance(v, dict) for v in values):
-        return repcheck.SparseMatrix(dim, rows, cols, [json_finite(name, v) for v in values])  # ValueError for a repeat
-    matrix = dict(zip(zip(rows, cols), (Radical.from_json(v) if isinstance(v, dict) else json_finite(name, v) for v in values)))
-    if len(matrix) != len(values):
-        raise ValueError(f"{name} repeats an entry")
-    return OperatorMatrix(name, range(dim), matrix)
+    if all(isinstance(v, dict) for v in values):
+        matrix = dict(zip(zip(rows, cols), map(Radical.from_json, values)))
+        if len(matrix) != len(values):
+            raise ValueError(f"{name} repeats an entry")
+        return OperatorMatrix(name, range(dim), matrix)
+    floats = [float(Radical.from_json(v)) if isinstance(v, dict) else json_finite(name, v) for v in values]
+    return repcheck.SparseMatrix(dim, rows, cols, floats)  # ValueError for a repeat
 
 
 # -- the algebras ------------------------------------------------------------
@@ -225,16 +223,8 @@ def _u3_reduced(hw: u3.U3HighestWeight, gens: dict):
 
 
 def _su3_so3_reduced(lm: su3_so3.Su3Label, gens: dict):
-    mults = su3_so3.rotor_multiplicities(lm)
-    for L in sorted(mults):
-        for Lp in sorted(mults):
-            if abs(Lp - L) > 2:
-                continue
-            for alpha in range(mults[L]):
-                for beta in range(mults[Lp]):
-                    val = su3_so3.reduced_q(lm, beta, Lp, alpha, L)
-                    if val != 0.0:
-                        yield f"L={Lp},alpha={beta}", f"L={L},alpha={alpha}", val
+    for Lp, beta, L, alpha, val in su3_so3.reduced_elements(lm):
+        yield f"L={Lp},alpha={beta}", f"L={L},alpha={alpha}", val
 
 
 def _su3_so3_branching(lm: su3_so3.Su3Label) -> list[tuple[str, float, bool]]:
@@ -306,7 +296,7 @@ def _label(algebra: Algebra, args):
 
 def _document(algebra: Algebra, label, mode: str) -> dict:
     gens = algebra.build(label)
-    if not all(_is_exact(m) for m in gens.values()):
+    if not all(isinstance(m, OperatorMatrix) or not m.vals.size for m in gens.values()):  # an entry is a float
         mode = "float"
     doc = {
         "schema": SCHEMA_VERSION,

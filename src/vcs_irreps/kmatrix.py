@@ -25,7 +25,8 @@ one exact scalar ``g = q sqrt(core)`` (a ``Radical``, ``Fraction`` or
 ``g`` and ``p`` are compared.  The unitary entry is then
 ``sign(q_g) sqrt(q_g q_p core)``, from the short ``q`` alone, and the closing
 adjoint check compares entries exactly.  Float mode (numpy) takes sectors of
-any dimension, solves by least squares and checks to a tolerance.
+any dimension, solves by least squares, checks to a tolerance relative to
+each sector's scale and returns one ``SparseMatrix`` per generator.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from .opmatrix import OperatorMatrix, json_entries, json_finite, json_integer
 from .radical import Radical, radical_terms
-from .repcheck import DEFAULT_TOL
+from .repcheck import DEFAULT_TOL, SparseMatrix
 
 _ZERO_CLASS = (1, 0, 1)  # the square class of an absent or zero exact block
 
@@ -185,7 +186,12 @@ def _solve_exact(rep, sec, constraints) -> Fraction:
 
 
 def _solve_float(sec, constraints) -> SBlock:
-    """S from all ``S A = B`` side by side: one least-squares solve with d right-hand sides, symmetrized."""
+    """S from all ``S A = B`` side by side: one least-squares solve with d right-hand sides, symmetrized.
+
+    The residual is measured against ``1 + |A| (|S| + scale)`` and a negative
+    eigenvalue against ``max(1, |S|, scale)``, so an S of rounding noise is
+    judged by the size its constraints give it (the ``SBlock.scale``).
+    """
     a_parts, b_parts, sizes = [], [], [0.0]
     for block, partner, s_low in constraints:
         a = np.asarray(block, dtype=float).T
@@ -202,14 +208,14 @@ def _solve_float(sec, constraints) -> SBlock:
     a, b = np.hstack(a_parts), np.hstack(b_parts)
     s_t, *_ = np.linalg.lstsq(a.T, b.T, rcond=None)
     s = (s_t + s_t.T) / 2
-    scale = 1.0 + float(np.abs(a).max()) * float(np.abs(s).max())
-    residual = float(np.abs(s @ a - b).max()) / scale
+    size = max(sizes)
+    residual = float(np.abs(s @ a - b).max()) / (1.0 + float(np.abs(a).max()) * (float(np.abs(s).max()) + size))
     if residual > DEFAULT_TOL:
         raise KMatrixError(f"S-recursion residual {residual:.2e} at sector {sec}")
     ev = np.linalg.eigvalsh(s)
-    if ev.min() < -DEFAULT_TOL * max(1.0, ev.max()):
+    if ev.min() < -DEFAULT_TOL * max(1.0, ev.max(), size):
         raise KMatrixError(f"S-block at {sec} is not positive semi-definite")
-    return SBlock(sec, s, max(sizes))
+    return SBlock(sec, s, size)
 
 
 def _check_consistency(rep, solved):
@@ -217,7 +223,8 @@ def _check_consistency(rep, solved):
 
     Exact mode compares ``S(col) q_g == q_p S(row)`` in integers and the
     square classes of ``g`` and ``p`` exactly; float mode to ``DEFAULT_TOL``,
-    relative.
+    relative to ``1 + |lhs| + |rhs|`` plus the sizes the sectors' scales give
+    the two sides, ``scale(col) |block|`` and ``|partner| scale(row)``.
     """
     worst = 0.0
     for gen, blocks in rep.blocks.items():
@@ -229,11 +236,11 @@ def _check_consistency(rep, solved):
                 if not _balanced(s_col[0][0], rep.square_class(block), rep.square_class(partner), s_row[0][0]):
                     raise KMatrixError(f"S-matrix equations violated exactly at {gen} {(row, col)}")
                 continue
-            lhs = s_col @ np.asarray(block, dtype=float).T
-            rhs = np.zeros_like(lhs) if partner is None else np.asarray(partner, dtype=float) @ s_row
-            num = float(np.abs(lhs - rhs).max())
-            den = 1.0 + float(np.abs(lhs).max()) + float(np.abs(rhs).max())
-            worst = max(worst, num / den)
+            block = np.asarray(block, dtype=float)
+            partner = np.zeros(block.T.shape) if partner is None else np.asarray(partner, dtype=float)
+            lhs, rhs = s_col @ block.T, partner @ s_row
+            size = solved[col].scale * np.abs(block).max() + np.abs(partner).max() * solved[row].scale
+            worst = max(worst, float(np.abs(lhs - rhs).max() / (1.0 + np.abs(lhs).max() + np.abs(rhs).max() + size)))
     if worst > DEFAULT_TOL:
         raise KMatrixError(f"S-matrix equations violated, residual {worst:.2e}")
 
@@ -260,7 +267,8 @@ def orthonormalize(sblocks: dict[tuple, SBlock], exact: bool = False) -> dict[tu
     mode an eigenvalue is zero-norm when it is at most ``DEFAULT_TOL`` times
     the larger of the sector's largest eigenvalue and its ``scale``, so a
     sector whose S is all rounding noise is cut; the scale moves with the
-    sector's S, so a graded input keeps its small genuine norms.
+    sector's S, so a graded input keeps its small genuine norms.  A negative
+    eigenvalue is refused beyond ``DEFAULT_TOL`` of that same size (or of 1).
     """
     ortho = _ortho_exact if exact else _ortho_float
     return {sec: ortho(sec, sb) for sec, sb in sorted(sblocks.items())}
@@ -289,10 +297,9 @@ def _ortho_float(sec, sb) -> OrthoSector:
             lead = np.argmax(np.abs(u[:, col]))
             if u[lead, col] < 0:
                 u[:, col] = -u[:, col]
-    top = max(ev.max(initial=0.0), 0.0)
+    top = max(ev.max(initial=0.0), 0.0, sb.scale)
     if ev.min(initial=0.0) < -DEFAULT_TOL * max(top, 1.0):
         raise KMatrixError(f"negative S eigenvalue {ev.min():.2e} at {sec}")
-    top = max(top, sb.scale)
     cut = DEFAULT_TOL * top if top > 0 else DEFAULT_TOL
     ks = [float(np.sqrt(e)) if e > cut else 0.0 for e in ev]
     n_pos = sum(1 for k in ks if k > 0)
@@ -305,16 +312,17 @@ def zero_norm_count(ortho: dict[tuple, OrthoSector]) -> int:
 
 def unitarize(
     rep: GammaRep, ortho: dict[tuple, OrthoSector]
-) -> tuple[list[tuple], dict[str, OperatorMatrix]]:
+) -> tuple[list[tuple], dict[str, OperatorMatrix | SparseMatrix]]:
     """Matrices ``gamma(X)`` of the unitary irrep on the positive-norm basis.
 
-    Returns the ordered basis (sector, multiplicity-index) and one
-    OperatorMatrix per generator with
-    ``gamma[b,a] = (1/k_b) [U' Gamma U]_{ba} k_a``.  In exact mode a block
-    ``g`` and its partner ``p`` first pass ``k_col**2 q_g == q_p k_row**2``
-    (the S equation on the given norms), so ``k_col / k_row`` is
-    ``sqrt(q_p / q_g)`` and ``gamma = sign(q_g) sqrt(q_g q_p core)``; the
-    adjoint pairs are then compared exactly, in float mode to ``DEFAULT_TOL``.
+    Returns the ordered basis (sector, multiplicity-index) and per generator
+    ``gamma[b,a] = (1/k_b) [U' Gamma U]_{ba} k_a``: an OperatorMatrix in exact
+    mode, in float mode a SparseMatrix of each block's arrays.  In exact mode
+    a block ``g`` and its partner ``p`` first pass
+    ``k_col**2 q_g == q_p k_row**2`` (the S equation on the given norms), so
+    ``k_col / k_row`` is ``sqrt(q_p / q_g)`` and ``gamma = sign(q_g) sqrt(q_g
+    q_p core)``; the adjoint pairs are then compared exactly, in float mode as
+    the largest entry of ``|gamma(X)' - gamma(Xdag)|`` over ``1 + |gamma(X)|``.
     """
     basis = []
     for sec in sorted(ortho, key=lambda s: (rep.grades[s], s)):
@@ -324,7 +332,8 @@ def unitarize(
 
     gammas = {}
     for gen, blocks in rep.blocks.items():
-        mat = OperatorMatrix(gen, basis)
+        mat = OperatorMatrix(gen, basis) if rep.exact else None
+        parts = [(np.empty(0, int), np.empty(0, int), np.empty(0))]  # float mode: each block's rows, columns, values
         for (row, col), block in blocks.items():
             o_r, o_c = ortho[row], ortho[col]
             if o_r.n_positive == 0 or o_c.n_positive == 0:
@@ -340,24 +349,23 @@ def unitarize(
                         1 if num_g > 0 else -1, Fraction(num_g * num_p * core, den_g * den_p)
                     )
                 continue
-            u_r = np.asarray(o_r.unitary, dtype=float)
-            u_c = np.asarray(o_c.unitary, dtype=float)
-            core = u_r.T @ np.asarray(block, dtype=float) @ u_c
-            for b in range(o_r.n_positive):
-                for a in range(o_c.n_positive):
-                    v = core[b, a] * o_c.k_values[a] / o_r.k_values[b]
-                    if v != 0.0:
-                        mat[index[(row, b)], index[(col, a)]] = float(v)
-        gammas[gen] = mat
+            u_r, u_c = np.asarray(o_r.unitary, dtype=float), np.asarray(o_c.unitary, dtype=float)
+            k_r, k_c = np.asarray(o_r.k_values[:o_r.n_positive]), o_c.k_values[:o_c.n_positive]
+            core = (u_r.T @ np.asarray(block, dtype=float) @ u_c)[:len(k_r), :len(k_c)] * k_c / k_r[:, None]
+            rows, cols = np.indices(core.shape)
+            parts.append(((rows + index[(row, 0)]).ravel(), (cols + index[(col, 0)]).ravel(), core.ravel()))
+        gammas[gen] = mat if rep.exact else SparseMatrix(len(basis), *map(np.concatenate, zip(*parts)))
 
     for gen, adj in rep.adjoints.items():
         if gen in gammas and adj in gammas:
+            a, b = gammas[gen], gammas[adj]
             if rep.exact:
-                transposed = {(c, r): v for (r, c), v in gammas[gen].entries.items()}
-                adjoint = transposed == gammas[adj].entries
-            else:
-                diff = gammas[gen].dagger().max_abs_diff(gammas[adj])
-                adjoint = diff / (1.0 + gammas[gen].frobenius()) <= DEFAULT_TOL
+                adjoint = {(c, r): v for (r, c), v in a.entries.items()} == b.entries
+            else:  # the largest entry of |A' - B|, over the union of both matrices' entries
+                flat = np.concatenate([a.cols * a.dim + a.rows, b.rows * b.dim + b.cols])
+                keys, at = np.unique(flat, return_inverse=True)
+                gap = np.abs(np.bincount(at, np.concatenate([a.vals, -b.vals]), len(keys))).max(initial=0.0)
+                adjoint = gap / (1.0 + a.norm) <= DEFAULT_TOL
             if not adjoint:
                 raise KMatrixError(
                     f"unitarized gamma({gen}) is not the adjoint of gamma({adj})"

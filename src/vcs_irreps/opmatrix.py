@@ -1,9 +1,10 @@
-"""Sparse generator matrices over a declared ordered basis.
+"""Sparse exact generator matrices over a declared ordered basis.
 
-Entries may be exact (``int``/``Fraction``/``Radical``/``RadicalSum``) or
-floats.  Exact matrices support exact products, sums and adjoints, with sums
-of mixed square classes accumulated in :class:`~vcs_irreps.radical.RadicalSum`;
-this is what lets commutator identities be verified with zero residual.
+An entry must be exact (``int``/``Fraction``/``Radical``/``RadicalSum``); a
+float matrix is a :class:`~vcs_irreps.repcheck.SparseMatrix`.  Products, sums
+and adjoints are exact, with sums of mixed square classes accumulated in
+:class:`~vcs_irreps.radical.RadicalSum`; this is what lets commutator
+identities be verified with zero residual.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .radical import Radical, RadicalSum, as_float
+from .radical import Radical, RadicalSum
 
 _EXACT_TYPES = (int, Fraction, Radical, RadicalSum)
 
 
 class OperatorMatrix:
-    """A named operator matrix stored sparsely over an ordered basis."""
+    """A named exact operator matrix stored sparsely over an ordered basis; any other value raises ``TypeError``."""
 
     def __init__(self, name: str, basis, entries: dict | None = None):
         self.name = name
@@ -32,9 +33,6 @@ class OperatorMatrix:
     def dim(self) -> int:
         return len(self.basis)
 
-    def is_exact(self) -> bool:
-        return all(isinstance(v, _EXACT_TYPES) for v in self.entries.values())
-
     def __getitem__(self, key):
         return self.entries.get(key, 0)
 
@@ -42,13 +40,12 @@ class OperatorMatrix:
         r, c = key
         if not (0 <= r < self.dim and 0 <= c < self.dim):
             raise IndexError(f"entry {key} outside {self.dim}x{self.dim} matrix")
+        if not isinstance(value, _EXACT_TYPES):
+            raise TypeError(f"{self.name} entry {key} is a {type(value).__name__}, not an exact value")
         if _value_is_zero(value):
             self.entries.pop(key, None)
         else:
             self.entries[key] = value
-
-    def items(self):
-        return self.entries.items()
 
     def copy(self, name: str | None = None) -> "OperatorMatrix":
         return OperatorMatrix(name or self.name, self.basis, dict(self.entries))
@@ -108,7 +105,7 @@ class OperatorMatrix:
     def to_dense(self) -> np.ndarray:
         m = np.zeros((self.dim, self.dim))
         for (r, c), v in self.entries.items():
-            m[r, c] = as_float(v)
+            m[r, c] = float(v)
         return m
 
     def is_zero(self) -> bool:
@@ -116,22 +113,14 @@ class OperatorMatrix:
         return not self.entries
 
     def frobenius(self) -> float:
-        return float(np.sqrt(sum(as_float(v) ** 2 for v in self.entries.values())))
-
-    def max_abs_diff(self, other: "OperatorMatrix") -> float:
-        keys = set(self.entries) | set(other.entries)
-        return max((abs(as_float(self[k]) - as_float(other[k])) for k in keys), default=0.0)
+        return float(np.sqrt(sum(float(v) ** 2 for v in self.entries.values())))
 
     def __repr__(self):
         return f"OperatorMatrix({self.name!r}, dim={self.dim}, nnz={len(self.entries)})"
 
 
 def _value_is_zero(value) -> bool:
-    if isinstance(value, Radical):
-        return value.is_zero()
-    if isinstance(value, RadicalSum):
-        return value.is_zero()
-    return value == 0
+    return value.is_zero() if isinstance(value, (Radical, RadicalSum)) else value == 0
 
 
 def _simplify(value):

@@ -407,9 +407,3 @@ def radical_terms(value) -> list[tuple[int, int, int]]:
     if isinstance(value, RadicalSum):
         return [(core, c.numerator, c.denominator) for core, c in value.terms.items()]
     return [(1, value.numerator, value.denominator)] if value else []
-
-
-def as_float(value) -> float:
-    if isinstance(value, (int, Fraction, Radical, RadicalSum)):
-        return float(value)
-    return value

@@ -10,8 +10,8 @@ whether the Casimir is a multiple of the identity (Schur test);
 tolerances need no retuning with irrep size.
 
 Each check is written once, as a list of ``(c, A, B)`` terms summed by the
-kernel that the matrices choose.  When every generator is exact (``int``,
-``Fraction``, ``Radical`` or ``RadicalSum`` entries), each becomes an
+kernel that the matrices choose.  When every generator is exact (an
+``OperatorMatrix``, which holds exact values only), each becomes an
 :class:`ExactMatrix` once: integer numerators over one denominator, times
 square roots of square-free cores.  The sums are then formed in plain
 integers, so a holding identity (or an exactly constant Casimir) reports
@@ -46,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from .opmatrix import OperatorMatrix
-from .radical import Radical, RadicalSum, as_float, radical_terms
+from .radical import Radical, RadicalSum, radical_terms
 
 # The package's one default tolerance: for residual checks, for the K-matrix
 # engine's float solves and for su3_so3's zero test on reduced elements.
@@ -257,7 +257,7 @@ class SparseMatrix:
 
     @classmethod
     def of(cls, m) -> "SparseMatrix":
-        """The sparse form of an OperatorMatrix (exact or float) or an ndarray; a SparseMatrix as it is."""
+        """The sparse form of an exact OperatorMatrix or an ndarray, in floats; a SparseMatrix as it is."""
         if isinstance(m, cls):
             return m
         if isinstance(m, OperatorMatrix):
@@ -372,7 +372,7 @@ class TiledMatrix:
         """The sum of the terms as dense blocks: ``c A B`` is a matmul per pair of blocks that meet."""
         out: dict[tuple[int, int], np.ndarray] = {}
         for c, a, b in terms:
-            c = as_float(c)
+            c = float(c)
             if b is None:
                 products = ((key, c * block) for key, block in a.blocks.items())
             else:
@@ -571,7 +571,7 @@ def _forms(spec: AlgebraSpec, matrices: dict) -> dict:
     given = [matrices[g] for g in spec.generators]
     if all(isinstance(m, TiledMatrix) for m in given):
         return dict(zip(spec.generators, given))
-    exact = all(isinstance(m, ExactMatrix) or (isinstance(m, OperatorMatrix) and m.is_exact()) for m in given)
+    exact = all(isinstance(m, (ExactMatrix, OperatorMatrix)) for m in given)
     form = ExactMatrix if exact else SparseMatrix
     forms = {g: form.of(m) for g, m in zip(spec.generators, given)}
     if len({f.dim for f in forms.values()}) != 1:
@@ -627,7 +627,7 @@ def casimir_residual(spec: AlgebraSpec, matrices: dict, interior: int | None = N
     """
     forms = _forms(spec, matrices)
     terms = [(c, forms[x], forms[y]) for c, x, y in spec.casimir]
-    scale = _finite(1.0 + sum(abs(as_float(c)) * a.norm * b.norm for c, a, b in terms), "the Casimir scale")
+    scale = _finite(1.0 + sum(abs(float(c)) * a.norm * b.norm for c, a, b in terms), "the Casimir scale")
     a = terms[0][1]
     return type(a).sum(a.dim, terms).deviation(interior) / scale
 

@@ -191,6 +191,8 @@ class _Construction:
     k_norm: dict[tuple[int, int], float]  # (L, raw index) -> norm factor
     # (Lp, L) -> sqrt(2Lp+1) curlyM[Lp,L][beta,alpha] k_alpha / k_beta over in-irrep indices
     factors: dict[tuple[int, int], np.ndarray]
+    # (Lp, L) -> which of those elements a reduced table lists (see _listed)
+    listed: dict[tuple[int, int], np.ndarray]
 
 
 @lru_cache(maxsize=None)
@@ -236,8 +238,12 @@ def _construction(lm: Su3Label) -> _Construction:
 
     positive, k_norm = _best_first_walk(levels, candidates, raw_candidates, curly)
     factors = _factors(curly, positive, k_norm)
+    listed = {
+        (Lp, L): (_listed(block) | _listed(curly[(L, Lp)]).T)[np.ix_(positive[Lp], positive[L])]
+        for (Lp, L), block in curly.items()
+    }
     return _Construction(
-        lm, levels, candidates, raw_candidates, unitaries, eigenvalues, curly, positive, k_norm, factors
+        lm, levels, candidates, raw_candidates, unitaries, eigenvalues, curly, positive, k_norm, factors, listed
     )
 
 
@@ -265,7 +271,7 @@ def _factors(curly, positive, k_norm):
 def _listed(block: np.ndarray) -> np.ndarray:
     """Entries of a curlyM block above ``DEFAULT_TOL`` of its own scale.
 
-    A table lists an element when its entry or its mirror's passes (see :func:`reduced_q`).
+    A table lists an element when its entry or its mirror's passes; :func:`_construction` keeps that mask per pair.
     """
     return np.abs(block) > DEFAULT_TOL * max(1.0, float(np.abs(block).max()))
 
@@ -349,10 +355,18 @@ def reduced_q(lm: Su3Label, beta: int, Lp: int, alpha: int, L: int) -> float:
     con = _construction(lm)
     if (Lp, L) not in con.factors or beta >= len(con.positive[Lp]) or alpha >= len(con.positive[L]):
         return 0.0
-    listed = _listed(con.curly[(Lp, L)]) | _listed(con.curly[(L, Lp)]).T
-    if not listed[con.positive[Lp][beta], con.positive[L][alpha]]:
+    if not con.listed[(Lp, L)][beta, alpha]:
         return 0.0
     return float(np.sqrt(2 * Lp + 1) * con.factors[(Lp, L)][beta, alpha])
+
+
+def reduced_elements(lm: Su3Label):
+    """Every non-zero :func:`reduced_q` as ``(Lp, beta, L, alpha, value)``, in the order L, Lp, alpha, beta."""
+    con = _construction(lm)
+    for Lp, L in sorted(con.factors, key=lambda pair: pair[::-1]):
+        values = np.where(con.listed[(Lp, L)], np.sqrt(2 * Lp + 1) * con.factors[(Lp, L)], 0.0)
+        for alpha, beta in np.argwhere(values.T).tolist():
+            yield Lp, beta, L, alpha, float(values[beta, alpha])
 
 
 def basis_labels(lm: Su3Label) -> list[RotorLabel]:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from vcs_irreps import cli, repcheck, su3_so3
+from vcs_irreps import cli, kmatrix, repcheck, su3_so3, u3
 from vcs_irreps.cli import ALGEBRAS, main
 from vcs_irreps.opmatrix import OperatorMatrix
 from vcs_irreps.radical import Radical
@@ -280,6 +280,24 @@ def test_exact_replay_prints_the_live_lines(tmp_path, capsys):
     code, live, _ = run(capsys, "check", "u3", "--weight", "7/3,4/3,1/3", "--tol", "0")
     assert replayed.splitlines()[1:] == live.splitlines()[1:]
     assert all(" residual 0.000e+00  PASS" in line for line in live.splitlines()[1:])
+
+
+def test_a_mixed_document_replays_as_its_all_float_twin(tmp_path, capsys):
+    # A generator with any float entry is read as the floats of all its entries.
+    path = tmp_path / "u3.json"
+    run(capsys, "gen", "u3", "--weight", "4,2,0", "--out", str(path))
+    exact = path.read_text()
+    replays = []
+    for every in (2, 1):  # every other entry a float, then every entry
+        doc = json.loads(exact)
+        for info in doc["generators"].values():
+            for entry in info["entries"][::every]:
+                entry[2] = repr(float(Radical.from_json(entry[2])))
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "check", "--replay", str(path))
+        assert code == 0, out
+        replays.append(out)
+    assert replays[0] == replays[1]
 
 
 def test_replay_of_radicand_perturbed_at_1e_30_fails_at_zero_tolerance(tmp_path, capsys):
@@ -553,11 +571,29 @@ def test_float_su3_paths_build_no_operator_matrix(tmp_path, capsys, monkeypatch)
     def refuse(self, *args, **kwargs):
         raise AssertionError("an OperatorMatrix was built")
 
+    # the u(3) holomorphic rep as a float K-matrix input, one sector per raw state
+    hw = u3.U3HighestWeight(2, 1, 0)
+    fine = u3.holomorphic_gamma_rep(hw)
+    ingest = {
+        "sectors": [{"key": list(sec), "dim": 1, "grade": fine.grades[sec]} for sec in fine.sectors],
+        "generators": {
+            gen: {
+                "adjoint": fine.adjoints[gen],
+                "blocks": [
+                    {"row": list(r), "col": list(c), "entries": [[0, 0, float(b[0][0])]]} for (r, c), b in blocks.items()
+                ],
+            }
+            for gen, blocks in fine.blocks.items()
+        },
+    }
     monkeypatch.setattr(OperatorMatrix, "__init__", refuse)
     path = tmp_path / "doc.json"
     assert run(capsys, "check", "su3-so3", "--lm", "4,2")[0] == 0
     assert run(capsys, "gen", "su3-so3", "--lm", "4,2", "--out", str(path))[0] == 0
     assert run(capsys, "check", "--replay", str(path))[0] == 0
+    rep = kmatrix.gamma_rep_from_json(json.loads(json.dumps(ingest)))
+    basis, gammas = kmatrix.unitarize(rep, kmatrix.orthonormalize(kmatrix.solve_s_recursion(rep)))
+    assert len(basis) == hw.dimension() and all(isinstance(m, repcheck.SparseMatrix) for m in gammas.values())
 
 
 def _check_names(report: str) -> list[str]:

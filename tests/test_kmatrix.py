@@ -53,8 +53,8 @@ def test_su11_unitarize_matches_generator_matrices():
     for n in range(10):
         assert gammas["S+"][n + 1, n] == gens["S+"][n + 1, n]
         assert gammas["S+"][n + 1, n] == Radical.sqrt_of((3 + n) * (n + 1))
-    assert gammas["S0"].max_abs_diff(gens["S0"]) == 0.0
-    assert gammas["S-"].max_abs_diff(gens["S-"]) == 0.0
+    assert gammas["S0"].entries == gens["S0"].entries
+    assert gammas["S-"].entries == gens["S-"].entries
 
 
 def test_gamma_already_unitary_passes_through():
@@ -76,7 +76,7 @@ def test_gamma_already_unitary_passes_through():
     assert all(o.k_values[0] == Radical.one() for o in ortho.values())
     _, gammas = kmatrix.unitarize(rep, ortho)
     for name in ("S0", "S+", "S-"):
-        assert gammas[name].max_abs_diff(gens[name]) == 0.0
+        assert gammas[name].entries == gens[name].entries
 
 
 def test_u3_sblocks_are_products_of_norm_ratios():
@@ -410,8 +410,9 @@ def test_json_ingestion_round_trip():
     assert np.asarray(sblocks[(1,)].matrix)[0, 0] == pytest.approx(2.0)
     ortho = kmatrix.orthonormalize(sblocks)
     _, gammas = kmatrix.unitarize(rep, ortho)
-    assert gammas["up"][1, 0] == pytest.approx(np.sqrt(2.0))
-    assert gammas["down"][0, 1] == pytest.approx(np.sqrt(2.0))
+    assert all(isinstance(m, repcheck.SparseMatrix) for m in gammas.values())
+    assert gammas["up"].to_dense()[1, 0] == pytest.approx(np.sqrt(2.0))
+    assert gammas["down"].to_dense()[0, 1] == pytest.approx(np.sqrt(2.0))
 
 
 def _grade_document(fine, c=1.0):
@@ -438,7 +439,7 @@ def _grade_document(fine, c=1.0):
     return {"sectors": sectors, "generators": generators}
 
 
-@pytest.mark.parametrize("c", [1.0, 0.5, 0.25, 0.05, 0.01])
+@pytest.mark.parametrize("c", [8.0, 4.0, 2.0, 1.5, 1.0, 0.5, 0.25, 0.05, 0.01])
 def test_float_ingestion_cuts_a_top_grade_of_rounding_noise(c):
     # u(3) {6,3,0} with one grade past the irrep: the top grade is wholly
     # zero-norm, and its solved S is rounding noise far below the scale its
@@ -463,6 +464,19 @@ def test_float_ingestion_cuts_a_top_grade_of_rounding_noise(c):
         got = np.sort(np.linalg.eigvalsh(dense[name]))
         want = np.sort(np.diag(reference[name].to_dense()))
         assert np.abs(got - want).max() <= 1e-10
+
+
+@pytest.mark.parametrize("c", [1.0, 4.0])
+@pytest.mark.parametrize("block", [0, 3], ids=["grade-1", "grade-4"])
+def test_float_ingestion_refuses_one_entry_changed_by_1e_8(c, block):
+    # the sector scales that let a graded input pass do not let a wrong
+    # entry through: C21 between grades block and block + 1, off by 1e-8
+    hw = u3.U3HighestWeight(6, 3, 0)
+    doc = _grade_document(u3.holomorphic_gamma_rep(hw, extra_grades=1), c)
+    doc["generators"]["C21"]["blocks"][block]["entries"][0][2] *= 1 + 1e-8
+    rep = kmatrix.gamma_rep_from_json(doc)
+    with pytest.raises(KMatrixError):
+        kmatrix.unitarize(rep, kmatrix.orthonormalize(kmatrix.solve_s_recursion(rep)))
 
 
 def _two_sector_doc(entries, row=(1,)):

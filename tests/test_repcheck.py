@@ -260,11 +260,9 @@ def test_float_operator_matrix_matches_its_dense_form():
     spec = repcheck.su3_so3_spec()
     rng = np.random.default_rng(5)
     dense = _random_sparse(rng, spec, 9, complex_entries=False, zero_generator=True)
-    mats = {
-        g: OperatorMatrix(g, range(9), {(r, c): float(m[r, c]) for r, c in zip(*np.nonzero(m))})
-        for g, m in dense.items()
-    }
-    assert not all(m.is_exact() for m in mats.values())  # so the float path runs
+    # a float generator is the SparseMatrix of its entries; an OperatorMatrix holds exact values only
+    mats = {g: repcheck.SparseMatrix(9, *np.nonzero(m), m[np.nonzero(m)]) for g, m in dense.items()}
+    assert not any(isinstance(m, OperatorMatrix) for m in mats.values())  # so the float path runs
     as_dense = {g: m.to_dense() for g, m in mats.items()}
     for interior in (None, 5):
         _assert_close(
@@ -274,6 +272,16 @@ def test_float_operator_matrix_matches_its_dense_form():
     _assert_close(repcheck.hermiticity_residual(spec, mats), repcheck.hermiticity_residual(spec, as_dense))
     want = oracles.casimir_matrix(spec, as_dense)
     assert np.linalg.norm(oracles.casimir_matrix(spec, mats) - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("value", [0.5, np.float64(0.5), 0.0], ids=["float", "np.float64", "float-zero"])
+def test_operator_matrix_refuses_a_float(value):
+    with pytest.raises(TypeError, match=r"X entry \(0, 1\) is a (float|float64), not an exact value"):
+        OperatorMatrix("X", range(2), {(0, 1): value})
+    mat = OperatorMatrix("X", range(2), {(0, 1): Radical.sqrt_of(2)})
+    with pytest.raises(TypeError):
+        mat[0, 1] = value
+    assert mat.entries == {(0, 1): Radical.sqrt_of(2)}
 
 
 # -- the Hermiticity measure on sorted coordinates against the dense reference ----
@@ -565,7 +573,7 @@ def _assert_rel(got, want, rel=1e-14):
 @pytest.mark.parametrize("dim,interior", [(4, None), (6, None), (6, 4)])
 def test_exact_kernel_matches_operator_matrix_reference(spec, dim, interior):
     mats, _ = _random_exact(random.Random(dim), spec, dim, zero_generator=False)
-    assert all(m.is_exact() for m in mats.values())  # so the exact kernel runs
+    assert all(isinstance(m, OperatorMatrix) for m in mats.values())  # so the exact kernel runs
     comm, herm, dev = _reference_checks(spec, mats, interior)
     checks = repcheck.standard_checks(spec, mats, 1e-10, interior)
     for (_, got, _), want in zip(checks, (comm, max(herm), dev)):
@@ -824,7 +832,10 @@ def test_a_spec_without_weight_generators_tiles_the_basis_in_order(interior):
 )
 def test_an_overflowing_norm_raises_instead_of_reading_zero(value):
     spec = repcheck.su11_spec()
-    mats = {g: OperatorMatrix(g, range(2), {(0, 0): value}) for g in spec.generators}
+    if isinstance(value, float):  # a float generator is a SparseMatrix
+        mats = {g: repcheck.SparseMatrix(2, [0], [0], [value]) for g in spec.generators}
+    else:
+        mats = {g: OperatorMatrix(g, range(2), {(0, 0): value}) for g in spec.generators}
     for check in (repcheck.commutator_residual, repcheck.hermiticity_residual, repcheck.casimir_residual):
         with pytest.raises(OverflowError, match="the norm of S0 overflows a float"):
             check(spec, mats)

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcs_irreps import cli, repcheck, su3_so3, u3
-from vcs_irreps.opmatrix import OperatorMatrix
 from vcs_irreps.angmom import clebsch_gordan, clebsch_gordan_twice
 from vcs_irreps.radical import Radical, RadicalSum
 
@@ -196,6 +195,18 @@ def test_reduced_table_lists_every_element_with_its_mirror():
     assert len(listed) == 2789 + 13
 
 
+@pytest.mark.parametrize("lam,mu", [(4, 2), (8, 6)])
+def test_reduced_elements_are_the_non_zero_reduced_q(lam, mu):
+    lm = su3_so3.Su3Label(lam, mu)
+    mults = su3_so3.rotor_multiplicities(lm)
+    want = [
+        (Lp, beta, L, alpha, su3_so3.reduced_q(lm, beta, Lp, alpha, L))
+        for L in sorted(mults) for Lp in sorted(mults) if abs(Lp - L) <= 2
+        for alpha in range(mults[L]) for beta in range(mults[Lp])
+    ]
+    assert list(su3_so3.reduced_elements(lm)) == [w for w in want if w[-1] != 0.0]
+
+
 def canonical_reduced_q(weight):
     """Reduced quadrupole MEs of the canonical-basis construction, by L-block."""
     hw = u3.U3HighestWeight(*weight)
@@ -273,11 +284,11 @@ def test_full_algebra_and_hermiticity_family_sweep():
 
 
 def _assemble_entry_by_entry(lm):
-    """The generators filled one entry at a time, from the labels and the construction's factors."""
+    """The basis, and each generator as a ``{(row, col): value}`` dict filled entry by entry from the labels and factors."""
     con = su3_so3._construction(lm)
     basis = su3_so3.basis_labels(lm)
     index = {(b.L, b.alpha, b.M): i for i, b in enumerate(basis)}
-    mats = {name: OperatorMatrix(name, basis) for name in ("L0", "L+", "L-", "Q-2", "Q-1", "Q0", "Q1", "Q2")}
+    mats = {name: {} for name in ("L0", "L+", "L-", "Q-2", "Q-1", "Q0", "Q1", "Q2")}
     for b in basis:
         i = index[(b.L, b.alpha, b.M)]
         if b.M:
@@ -294,17 +305,17 @@ def _assemble_entry_by_entry(lm):
                     cgc = float(clebsch_gordan_twice(2 * L, 2 * M, 4, 2 * nu, 2 * Lp, 2 * (M + nu)))
                     if cgc != 0.0:
                         mats[f"Q{nu}"][index[(Lp, beta, M + nu)], index[(L, alpha, M)]] = cgc * factor
-    return mats
+    return basis, mats
 
 
 @pytest.mark.parametrize("lam,mu", [(2, 1), (4, 2), (8, 6), (10, 8)])
 def test_array_assembly_matches_the_entry_by_entry_fill(lam, mu):
     lm = su3_so3.Su3Label(lam, mu)
-    got, want = su3_so3.assemble_so3_generators(lm), _assemble_entry_by_entry(lm)
+    got, (basis, want) = su3_so3.assemble_so3_generators(lm), _assemble_entry_by_entry(lm)
     assert list(got) == list(want)
     for name, mat in got.items():
-        assert mat.dim == len(want[name].basis)
-        keys, vals = zip(*sorted(want[name].entries.items()))
+        assert mat.dim == len(basis)
+        keys, vals = zip(*sorted(want[name].items()))
         assert mat.rows.tolist() == [r for r, _ in keys], name
         assert mat.cols.tolist() == [c for _, c in keys], name
         assert mat.vals.dtype == np.float64 and mat.vals.tobytes() == np.array(vals).tobytes(), name
@@ -312,20 +323,19 @@ def test_array_assembly_matches_the_entry_by_entry_fill(lam, mu):
 
 
 @pytest.mark.parametrize("lam,mu", [(0, 0), (2, 1), (8, 6)])
-def test_gen_writes_the_arrays_as_the_entry_dicts_were_written(tmp_path, monkeypatch, lam, mu):
-    # The reference is the dict and list writer: OperatorMatrix generators
-    # filled entry by entry, each entry a [row, col, repr] list in
-    # sorted(entries.items()) order, the whole document written by json.dumps.
+def test_gen_writes_the_arrays_as_the_entry_dicts_were_written(tmp_path, lam, mu):
+    # The reference is the dict and list writer: each generator filled entry
+    # by entry, each entry a [row, col, repr] list in sorted(entries.items())
+    # order, the whole document written by json.dumps.
     for fmt in ("json", "csv"):
         assert cli.main(["gen", "su3-so3", "--lm", f"{lam},{mu}", "--format", fmt, "--out", str(tmp_path / fmt)]) == 0
     lm = su3_so3.Su3Label(lam, mu)
-    old = _assemble_entry_by_entry(lm)
-    monkeypatch.setattr(su3_so3, "assemble_so3_generators", lambda lm: old)
+    basis, old = _assemble_entry_by_entry(lm)
     doc = cli._document(cli.SU3_SO3, lm, "exact")
     assert doc["mode"] == ("exact" if (lam, mu) == (0, 0) else "float")
-    assert doc["basis"] == [str(b) for b in old["L0"].basis]
+    assert doc["basis"] == [str(b) for b in basis]
     listed = {
-        name: {"dim": m.dim, "entries": [[r, c, repr(v)] for (r, c), v in sorted(m.entries.items())]}
+        name: {"dim": len(basis), "entries": [[r, c, repr(v)] for (r, c), v in sorted(m.items())]}
         for name, m in old.items()
     }
     assert (tmp_path / "json").read_bytes() == json.dumps(dict(doc, generators=listed), indent=1).encode()
