@@ -19,9 +19,10 @@ returns ``(sign, num, den)``, which the exact caller wraps in a cached
 as int64 arrays ``(sign, num, den)`` over a whole M range from their closed
 forms (Edmonds, Table 2): ``sign * np.sqrt(num / den)`` has the bits of
 ``float()`` of the exact value, and ``Radical(sign, Fraction(num, den))`` is
-the exact value.  Everything here is a pure function of its arguments; the
-memo caches are ``functools.lru_cache`` instances, safe for concurrent
-callers.
+the exact value.  Everything here is a pure function of its arguments.  The
+one memo is the Clebsch-Gordan kernel's ``functools.lru_cache``, safe for
+concurrent callers; 6j symbols are not cached, as ``u3.reduced_elements``
+already caches the elements they feed.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import Union
 
 import numpy as np
@@ -65,21 +67,11 @@ def _spins(values) -> list[int]:
     return twices
 
 
-@lru_cache(maxsize=None)
-def _fact(n: int) -> int:
-    if n < 0:
-        raise ValueError("factorial of negative integer")
-    r = 1
-    for i in range(2, n + 1):
-        r *= i
-    return r
-
-
 def _tfact(twice: int) -> int:
     """Factorial of ``twice/2``, which must be a non-negative even twice-integer."""
     if twice % 2:
         raise ValueError("factorial argument is not an integer")
-    return _fact(twice // 2)
+    return factorial(twice // 2)
 
 
 def _triangle_ok(ta: int, tb: int, tc: int) -> bool:
@@ -121,7 +113,7 @@ def _cg_parts(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> tuple
     if kmin > kmax:
         return 0, 0, 1
     dens = [
-        _fact(k) * _fact(a - k) * _fact(b - k) * _fact(c - k) * _fact(d + k) * _fact(e + k)
+        factorial(k) * factorial(a - k) * factorial(b - k) * factorial(c - k) * factorial(d + k) * factorial(e + k)
         for k in range(kmin, kmax + 1)
     ]
     common = math.lcm(*dens)
@@ -130,17 +122,17 @@ def _cg_parts(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> tuple
         return 0, 0, 1
     num = (
         (tJ + 1)
-        * _fact(a)
-        * _fact((tj1 - tj2 + tJ) // 2)
-        * _fact((tj2 - tj1 + tJ) // 2)
-        * _fact((tJ + tM) // 2)
-        * _fact((tJ - tM) // 2)
-        * _fact((tj1 + tm1) // 2)
-        * _fact(b)
-        * _fact(c)
-        * _fact((tj2 - tm2) // 2)
+        * factorial(a)
+        * factorial((tj1 - tj2 + tJ) // 2)
+        * factorial((tj2 - tj1 + tJ) // 2)
+        * factorial((tJ + tM) // 2)
+        * factorial((tJ - tM) // 2)
+        * factorial((tj1 + tm1) // 2)
+        * factorial(b)
+        * factorial(c)
+        * factorial((tj2 - tm2) // 2)
     )
-    den = _fact((tj1 + tj2 + tJ) // 2 + 1) * common * common
+    den = factorial((tj1 + tj2 + tJ) // 2 + 1) * common * common
     return (1 if total > 0 else -1), num * total * total, den
 
 
@@ -241,18 +233,12 @@ def rank2_cg_parts(L: int, Lp: int, M, nu) -> tuple[np.ndarray, np.ndarray, np.n
     return np.sign(f) * np.sign(g) * flip ** abs(d), f * f * g, np.where(valid, _RANK2_Q[d](L), 1)
 
 
-@lru_cache(maxsize=None)
 def _sixj_twice(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> Radical:
     for tri in ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc)):
         if not _triangle_ok(*tri):
             return Radical.zero()
-    t1 = ta + tb + tc
-    t2 = ta + te + tf
-    t3 = td + tb + tf
-    t4 = td + te + tc
-    t5 = ta + tb + td + te
-    t6 = tb + tc + te + tf
-    t7 = ta + tc + td + tf
+    t1, t2, t3, t4 = ta + tb + tc, ta + te + tf, td + tb + tf, td + te + tc
+    t5, t6, t7 = ta + tb + td + te, tb + tc + te + tf, ta + tc + td + tf
     zmin = max(t1, t2, t3, t4)
     zmax = min(t5, t6, t7)
     total = Fraction(0)

@@ -24,13 +24,14 @@ the live and replayed checks are one :func:`repcheck.standard_checks` call,
 and both pick the exact or the float kernel from the matrix types alone.  An
 entry's indices must be integers inside the matrix, its value finite, and no
 ``(row, col)`` may repeat; the weight's integer fields (su(1,1) ``nmax``,
-su(3) ``lam`` and ``mu``) must be JSON integers.  ``gen`` writes the JSON
-document one generator at a time, in the ``json.dump(..., indent=1)``
-layout: a float generator's entries are formatted straight from its
-coordinate arrays (``--mode float`` converts an exact generator once), and
-every other field by ``json.dumps``.  ``--format csv`` writes the reduced
-table alone and formats no generator.  A ``gen --out`` that fails part-way
-removes the file it opened.  The su(1,1) matrices are truncations of an
+su(3) ``lam`` and ``mu``) must be JSON integers.  ``gen --mode float``
+converts every exact generator before it writes anything, so a value too
+large for a float, refused with its generator's name, leaves stdout empty.
+The JSON document is written one generator at a time, in the
+``json.dump(..., indent=1)`` layout: a float generator's entries straight from
+its coordinate arrays, every other field by ``json.dumps``; ``--format csv``
+writes the reduced table alone.  A ``gen --out`` whose write fails removes the
+file it opened.  The su(1,1) matrices are truncations of an
 infinite-dimensional irrep, so its commutator and Casimir checks run on the
 interior block (every row and column but the last).
 
@@ -134,12 +135,10 @@ _FLOAT_ENTRY = '[\n     {},\n     {},\n     "{!r}"\n    ]'.format
 def _generator_json(mat: OperatorMatrix | repcheck.SparseMatrix, mode: str) -> str:
     """One generator's ``{"dim", "entries"}`` object, two levels down; entries in row, then column order.
 
-    In float mode an exact generator is first converted once to a
-    ``SparseMatrix``, whose entries are formatted straight from its arrays,
-    never held as ``[row, col, value]`` lists.
+    A ``SparseMatrix``'s entries are formatted straight from its arrays, never
+    held as ``[row, col, value]`` lists; an ``OperatorMatrix``'s each by
+    :func:`_value_to_json` in ``mode``.
     """
-    if isinstance(mat, OperatorMatrix) and mode == "float":
-        mat = repcheck.SparseMatrix.of(mat)
     if isinstance(mat, OperatorMatrix):
         entries = [[r, c, _value_to_json(v, mode)] for (r, c), v in sorted(mat.entries.items())]
         return _indented({"dim": mat.dim, "entries": entries}, 2)
@@ -169,8 +168,16 @@ def _matrix_from_json(name: str, info: dict, dim: int) -> OperatorMatrix | repch
         if len(matrix) != len(values):
             raise ValueError(f"{name} repeats an entry")
         return OperatorMatrix(name, range(dim), matrix)
-    floats = [float(Radical.from_json(v)) if isinstance(v, dict) else json_finite(name, v) for v in values]
-    return repcheck.SparseMatrix(dim, rows, cols, floats)  # ValueError for a repeat
+    floats = (float(Radical.from_json(v)) if isinstance(v, dict) else json_finite(name, v) for v in values)
+    return repcheck.SparseMatrix(dim, rows, cols, _name_overflow(name, list, floats))  # ValueError for a repeat
+
+
+def _name_overflow(name: str, convert: Callable, *args):
+    """``convert(*args)``; a value too large for a float raises an ``OverflowError`` that names generator ``name``."""
+    try:
+        return convert(*args)
+    except OverflowError as exc:
+        raise OverflowError(f"an entry of {name} overflows a float") from exc
 
 
 # -- the algebras ------------------------------------------------------------
@@ -298,16 +305,17 @@ def _document(algebra: Algebra, label, mode: str) -> dict:
     gens = algebra.build(label)
     if not all(isinstance(m, OperatorMatrix) or not m.vals.size for m in gens.values()):  # an entry is a float
         mode = "float"
+    written = {g: _name_overflow(g, repcheck.SparseMatrix.of, m) for g, m in gens.items()} if mode == "float" else gens
     doc = {
         "schema": SCHEMA_VERSION,
         "algebra": algebra.name,
         "weight": algebra.weight(label),
         "mode": mode,
         "basis": [str(b) for b in algebra.basis(label)],
-        "generators": gens,  # the matrices; _write_json formats them one at a time
+        "generators": written,  # in written form before the first write; _write_json formats one at a time
         "reduced_matrix_elements": [
             {"bra": bra, "ket": ket, "value": _value_to_json(value, mode)}
-            for bra, ket, value in algebra.reduced(label, gens)
+            for bra, ket, value in algebra.reduced(label, gens)  # the exact generators
         ],
     }
     metadata = algebra.metadata(label)

@@ -18,9 +18,9 @@ Two arithmetic modes.  Exact mode takes one-dimensional sectors only, which
 the :class:`GammaRep` checks when it is built: every block is ``[[g]]`` with
 one exact scalar ``g = q sqrt(core)`` (a ``Radical``, ``Fraction`` or
 ``int``), and every S-block is ``[[s]]`` with one rational ``s``, kept a
-``Fraction`` throughout.  Each block's square class is read once per
-:class:`GammaRep` as the plain integers ``(core, num, den)`` with
-``q = num/den``, and every check runs on these: an S equation
+``Fraction`` throughout.  Each block's square class is read as the plain
+integers ``(core, num, den)`` with ``q = num/den`` wherever a check needs
+it, and every check runs on these: an S equation
 ``S(col) q_g == q_p S(row)`` is cross-multiplied in integers and the cores of
 ``g`` and ``p`` are compared.  The unitary entry is then
 ``sign(q_g) sqrt(q_g q_p core)``, from the short ``q`` alone, and the closing
@@ -31,14 +31,14 @@ each sector's scale and returns one ``SparseMatrix`` per generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .opmatrix import OperatorMatrix, json_entries, json_finite, json_integer
 from .radical import Radical, radical_terms
-from .repcheck import DEFAULT_TOL, SparseMatrix
+from .repcheck import DEFAULT_TOL, SparseMatrix, positive_leads
 
 _ZERO_CLASS = (1, 0, 1)  # the square class of an absent or zero exact block
 
@@ -57,9 +57,6 @@ class SBlock:
     # |partner| |S(low)| / |block|; an S of rounding noise lies far below it
     scale: float = 0.0
 
-    def to_dense(self) -> np.ndarray:
-        return np.asarray(self.matrix, dtype=float)
-
 
 @dataclass
 class GammaRep:
@@ -70,7 +67,6 @@ class GammaRep:
     blocks: dict[str, dict[tuple[tuple, tuple], object]]
     adjoints: dict[str, str]
     exact: bool = False
-    _classes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for gen, adj in self.adjoints.items():
@@ -91,20 +87,15 @@ class GammaRep:
         """An exact block ``[[q sqrt(core)]]`` as the integers ``(core, num, den)`` with ``q = num/den``.
 
         ``core`` is square-free; an absent or zero block is ``(1, 0, 1)``.
-        Each value is classified once.  The cache is keyed by the value
-        object, which is immutable, so a block replaced or changed in place
-        is classified anew.
+        The block is read anew on every call, so a block changed in place is
+        never stale; the factoring is memoized by ``squarefree_decompose``.
         """
         if block is None:
             return _ZERO_CLASS
-        value = block[0][0]
-        hit = self._classes.get(id(value))
-        if hit is None:  # the cache holds the value, so its id is not reused
-            terms = radical_terms(value)
-            if len(terms) > 1:
-                raise KMatrixError(f"{value!r} spans more than one square class")
-            hit = self._classes[id(value)] = (value, terms[0] if terms else _ZERO_CLASS)
-        return hit[1]
+        terms = radical_terms(block[0][0])
+        if len(terms) > 1:
+            raise KMatrixError(f"{block[0][0]!r} spans more than one square class")
+        return terms[0] if terms else _ZERO_CLASS
 
     def raw_dimension(self) -> int:
         return sum(self.sectors.values())
@@ -283,7 +274,7 @@ def _ortho_exact(sec, sb) -> OrthoSector:
 
 
 def _ortho_float(sec, sb) -> OrthoSector:
-    s = sb.to_dense()
+    s = np.asarray(sb.matrix, dtype=float)
     s = (s + s.T) / 2
     if s.shape[0] == 1 or np.count_nonzero(s - np.diag(np.diag(s))) == 0:
         diag = np.diag(s).copy()
@@ -292,11 +283,7 @@ def _ortho_float(sec, sb) -> OrthoSector:
         ev = diag[order]
     else:
         ev, u = np.linalg.eigh(s)
-        ev, u = ev[::-1], u[:, ::-1]
-        for col in range(u.shape[1]):
-            lead = np.argmax(np.abs(u[:, col]))
-            if u[lead, col] < 0:
-                u[:, col] = -u[:, col]
+        ev, u = ev[::-1], positive_leads(u[:, ::-1])
     top = max(ev.max(initial=0.0), 0.0, sb.scale)
     if ev.min(initial=0.0) < -DEFAULT_TOL * max(top, 1.0):
         raise KMatrixError(f"negative S eigenvalue {ev.min():.2e} at {sec}")

@@ -56,6 +56,15 @@ Bracket = tuple[tuple[object, str], ...]
 Casimir = tuple[tuple[object, str, str], ...]
 
 
+def positive_leads(u: np.ndarray) -> np.ndarray:
+    """``u``, each column negated in place where its largest-magnitude entry is negative (the eigenvector sign)."""
+    for col in range(u.shape[1]):
+        lead = int(np.argmax(np.abs(u[:, col])))
+        if u[lead, col] < 0:
+            u[:, col] = -u[:, col]
+    return u
+
+
 @dataclass(frozen=True)
 class AlgebraSpec:
     """Named generators, the full antisymmetric bracket table and the Casimir."""

@@ -53,7 +53,7 @@ import numpy as np
 # ``clebsch_gordan`` stays a module attribute: bench/spans.py wraps it by name.
 from .angmom import clebsch_gordan, rank2_cg_parts  # noqa: F401
 from .radical import squarefree_decompose
-from .repcheck import DEFAULT_TOL, SparseMatrix
+from .repcheck import DEFAULT_TOL, SparseMatrix, positive_leads
 
 DEGENERACY_TOL = 1e-9
 _EDGE_TOL = 1e-8
@@ -213,18 +213,13 @@ def _construction(lm: Su3Label) -> _Construction:
                 raise So3ConsistencyError(f"sqrt(2L+1) M[{L},{L}] is not symmetric at ({min(i, j)},{max(i, j)})")
         block = dense[(L, L)]
         if n == 1:
-            u = np.eye(1)
-            ev = block.diagonal().copy()
+            u, ev = np.eye(1), block.diagonal().copy()
         else:
-            evs, u = np.linalg.eigh((block + block.T) / 2)
-            scale = max(1.0, float(np.abs(evs).max()))
-            if np.diff(evs).min() < DEGENERACY_TOL * scale:
+            ev, u = np.linalg.eigh((block + block.T) / 2)
+            scale = max(1.0, float(np.abs(ev).max()))
+            if np.diff(ev).min() < DEGENERACY_TOL * scale:
                 raise So3ConsistencyError(f"degenerate invariant eigenvalues at L={L}")
-            for col in range(n):
-                lead = int(np.argmax(np.abs(u[:, col])))
-                if u[lead, col] < 0:
-                    u[:, col] = -u[:, col]
-            ev = evs
+            positive_leads(u)
         unitaries[L] = u
         # curlyM carries a 1/sqrt(2L+1) relative to the raw quadrupole block;
         # with that normalization the reduced-ME and norm-ratio formulas close

@@ -641,8 +641,7 @@ def test_a_norm_too_large_for_a_float_is_a_one_line_error(tmp_path, capsys, chec
 
 
 def test_gen_that_fails_part_way_leaves_no_file(tmp_path, capsys):
-    # 1e400 overflows a float only when the first float generator is written,
-    # after the file is open and its header is out
+    # 1e400 overflows a float when S0 is converted, before the file is opened
     path = tmp_path / "f.json"
     code, out, err = run(capsys, "gen", "su11", "--lambda", "1e400", "--nmax", "3", "--mode", "float", "--out", str(path))
     assert code == 2 and out == ""
@@ -659,3 +658,38 @@ def test_gen_that_fails_part_way_removes_no_device(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert removed == []
+
+
+def test_gen_whose_write_fails_part_way_removes_its_file(tmp_path, capsys, monkeypatch):
+    # the header is out when the first generator fails to write
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_generator_json", fail)
+    path = tmp_path / "f.json"
+    code, out, err = run(capsys, "gen", "su11", "--lambda", "7/2", "--nmax", "2", "--out", str(path))
+    assert code == 2 and out == "" and err == "error: disk full\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_that_overflows_a_float_writes_nothing_and_names_the_generator(tmp_path, capsys):
+    # S0 = 1e400/2 + n is converted before anything is written, to stdout or to a file
+    path = tmp_path / "f.json"
+    for out_flag in ((), ("--out", str(path))):
+        code, out, err = run(capsys, "gen", "su11", "--lambda", "1e400", "--nmax", "2", "--mode", "float", *out_flag)
+        assert code == 2 and out == ""
+        assert err == "error: an entry of S0 overflows a float\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_mixed_replay_with_an_entry_too_large_for_a_float_names_the_generator(tmp_path, capsys):
+    path = tmp_path / "su11.json"
+    assert run(capsys, "gen", "su11", "--lambda", "7/2", "--nmax", "2", "--out", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    entries = doc["generators"]["S0"]["entries"]
+    entries[0][2] = repr(float(Radical.from_json(entries[0][2])))  # one float entry makes S0 a float generator
+    entries[1][2] = {"sign": 1, "radicand": str(10**800)}  # exactly 1e400
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", "--replay", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: an entry of S0 overflows a float\n"
