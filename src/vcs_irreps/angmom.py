@@ -237,8 +237,13 @@ def _sixj_twice(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> Radical
     for tri in ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc)):
         if not _triangle_ok(*tri):
             return Radical.zero()
-    t1, t2, t3, t4 = ta + tb + tc, ta + te + tf, td + tb + tf, td + te + tc
-    t5, t6, t7 = ta + tb + td + te, tb + tc + te + tf, ta + tc + td + tf
+    t1 = ta + tb + tc
+    t2 = ta + te + tf
+    t3 = td + tb + tf
+    t4 = td + te + tc
+    t5 = ta + tb + td + te
+    t6 = tb + tc + te + tf
+    t7 = ta + tc + td + tf
     zmin = max(t1, t2, t3, t4)
     zmax = min(t5, t6, t7)
     total = Fraction(0)

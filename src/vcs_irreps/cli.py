@@ -24,16 +24,16 @@ the live and replayed checks are one :func:`repcheck.standard_checks` call,
 and both pick the exact or the float kernel from the matrix types alone.  An
 entry's indices must be integers inside the matrix, its value finite, and no
 ``(row, col)`` may repeat; the weight's integer fields (su(1,1) ``nmax``,
-su(3) ``lam`` and ``mu``) must be JSON integers.  ``gen --mode float``
-converts every exact generator before it writes anything, so a value too
-large for a float, refused with its generator's name, leaves stdout empty.
-The JSON document is written one generator at a time, in the
-``json.dump(..., indent=1)`` layout: a float generator's entries straight from
-its coordinate arrays, every other field by ``json.dumps``; ``--format csv``
-writes the reduced table alone.  A ``gen --out`` whose write fails removes the
-file it opened.  The su(1,1) matrices are truncations of an
-infinite-dimensional irrep, so its commutator and Casimir checks run on the
-interior block (every row and column but the last).
+su(3) ``lam`` and ``mu``) must be JSON integers.  ``gen`` writes the JSON
+document one generator at a time, in the ``json.dump(..., indent=1)``
+layout: a float generator's entries straight from its coordinate arrays,
+every other field by ``json.dumps``.  In float mode every generator is
+converted first, so a value too large for a float, refused with its
+generator's name, writes nothing.  ``--format csv`` writes the reduced table
+alone.  A ``gen --out`` that fails removes the file it opened.  The su(1,1)
+matrices are truncations of an infinite-dimensional irrep, so its commutator
+and Casimir checks run on the interior block (every row and column but the
+last).
 
 Exit codes: 0 success, 1 verification failure, which includes an su(3)
 construction that fails its own consistency checks (``So3ConsistencyError``,
@@ -132,15 +132,15 @@ def _indented(value, depth: int) -> str:
 _FLOAT_ENTRY = '[\n     {},\n     {},\n     "{!r}"\n    ]'.format
 
 
-def _generator_json(mat: OperatorMatrix | repcheck.SparseMatrix, mode: str) -> str:
+def _generator_json(mat: OperatorMatrix | repcheck.SparseMatrix) -> str:
     """One generator's ``{"dim", "entries"}`` object, two levels down; entries in row, then column order.
 
-    A ``SparseMatrix``'s entries are formatted straight from its arrays, never
-    held as ``[row, col, value]`` lists; an ``OperatorMatrix``'s each by
-    :func:`_value_to_json` in ``mode``.
+    An exact generator's entries are written exact; a ``SparseMatrix``'s are
+    formatted straight from its arrays, never held as ``[row, col, value]``
+    lists.
     """
     if isinstance(mat, OperatorMatrix):
-        entries = [[r, c, _value_to_json(v, mode)] for (r, c), v in sorted(mat.entries.items())]
+        entries = [[r, c, _value_to_json(v, "exact")] for (r, c), v in sorted(mat.entries.items())]
         return _indented({"dim": mat.dim, "entries": entries}, 2)
     if not mat.vals.size:
         return _indented({"dim": mat.dim, "entries": []}, 2)
@@ -305,17 +305,16 @@ def _document(algebra: Algebra, label, mode: str) -> dict:
     gens = algebra.build(label)
     if not all(isinstance(m, OperatorMatrix) or not m.vals.size for m in gens.values()):  # an entry is a float
         mode = "float"
-    written = {g: _name_overflow(g, repcheck.SparseMatrix.of, m) for g, m in gens.items()} if mode == "float" else gens
     doc = {
         "schema": SCHEMA_VERSION,
         "algebra": algebra.name,
         "weight": algebra.weight(label),
         "mode": mode,
         "basis": [str(b) for b in algebra.basis(label)],
-        "generators": written,  # in written form before the first write; _write_json formats one at a time
+        "generators": gens,  # the matrices; _write_json formats them one at a time
         "reduced_matrix_elements": [
             {"bra": bra, "ket": ket, "value": _value_to_json(value, mode)}
-            for bra, ket, value in algebra.reduced(label, gens)  # the exact generators
+            for bra, ket, value in algebra.reduced(label, gens)
         ],
     }
     metadata = algebra.metadata(label)
@@ -331,6 +330,9 @@ def _write_json(doc: dict, fh) -> None:
     :func:`_generator_json`; every other field is one ``json.dumps`` call.
     The document is never one string.
     """
+    gens = doc["generators"]
+    if doc["mode"] == "float":  # every generator converted before the first write
+        gens = {g: _name_overflow(g, repcheck.SparseMatrix.of, m) for g, m in gens.items()}
     sep = "{"
     for key, value in doc.items():
         fh.write(f"{sep}\n {json.dumps(key)}: ")
@@ -339,10 +341,10 @@ def _write_json(doc: dict, fh) -> None:
             fh.write(_indented(value, 1))
             continue
         inner = "{"
-        for name, mat in value.items():
-            fh.write(f"{inner}\n  {json.dumps(name)}: {_generator_json(mat, doc['mode'])}")
+        for name, mat in gens.items():
+            fh.write(f"{inner}\n  {json.dumps(name)}: {_generator_json(mat)}")
             inner = ","
-        fh.write("\n }" if value else "{}")
+        fh.write("\n }" if gens else "{}")
     fh.write("\n}")
 
 

@@ -213,13 +213,15 @@ def _construction(lm: Su3Label) -> _Construction:
                 raise So3ConsistencyError(f"sqrt(2L+1) M[{L},{L}] is not symmetric at ({min(i, j)},{max(i, j)})")
         block = dense[(L, L)]
         if n == 1:
-            u, ev = np.eye(1), block.diagonal().copy()
+            u = np.eye(1)
+            ev = block.diagonal().copy()
         else:
-            ev, u = np.linalg.eigh((block + block.T) / 2)
-            scale = max(1.0, float(np.abs(ev).max()))
-            if np.diff(ev).min() < DEGENERACY_TOL * scale:
+            evs, u = np.linalg.eigh((block + block.T) / 2)
+            scale = max(1.0, float(np.abs(evs).max()))
+            if np.diff(evs).min() < DEGENERACY_TOL * scale:
                 raise So3ConsistencyError(f"degenerate invariant eigenvalues at L={L}")
             positive_leads(u)
+            ev = evs
         unitaries[L] = u
         # curlyM carries a 1/sqrt(2L+1) relative to the raw quadrupole block;
         # with that normalization the reduced-ME and norm-ratio formulas close

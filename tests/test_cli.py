@@ -641,7 +641,8 @@ def test_a_norm_too_large_for_a_float_is_a_one_line_error(tmp_path, capsys, chec
 
 
 def test_gen_that_fails_part_way_leaves_no_file(tmp_path, capsys):
-    # 1e400 overflows a float when S0 is converted, before the file is opened
+    # 1e400 overflows a float when S0 is converted, after the file is open
+    # and before the first write to it
     path = tmp_path / "f.json"
     code, out, err = run(capsys, "gen", "su11", "--lambda", "1e400", "--nmax", "3", "--mode", "float", "--out", str(path))
     assert code == 2 and out == ""
@@ -680,6 +681,17 @@ def test_gen_that_overflows_a_float_writes_nothing_and_names_the_generator(tmp_p
         assert code == 2 and out == ""
         assert err == "error: an entry of S0 overflows a float\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_csv_of_a_float_document_converts_no_generator(capsys):
+    # S0 overflows a float, but the table reads only S+ (about 1e200), which fits
+    code, out, err = run(capsys, "gen", "su11", "--lambda", "1e400", "--nmax", "2", "--mode", "float", "--format", "csv")
+    assert code == 0 and err == ""
+    assert [row[1:] for row in csv.reader(io.StringIO(out)) if row] == [
+        ["bra", "ket", "value"],
+        ["1", "0", "1e+200"],
+        ["2", "1", "1.414213562373095e+200"],
+    ]
 
 
 def test_a_mixed_replay_with_an_entry_too_large_for_a_float_names_the_generator(tmp_path, capsys):
