@@ -19,10 +19,13 @@ returns ``(sign, num, den)``, which the exact caller wraps in a cached
 as int64 arrays ``(sign, num, den)`` over a whole M range from their closed
 forms (Edmonds, Table 2): ``sign * np.sqrt(num / den)`` has the bits of
 ``float()`` of the exact value, and ``Radical(sign, Fraction(num, den))`` is
-the exact value.  Everything here is a pure function of its arguments.  The
-one memo is the Clebsch-Gordan kernel's ``functools.lru_cache``, safe for
-concurrent callers; 6j symbols are not cached, as ``u3.reduced_elements``
-already caches the elements they feed.
+the exact value.  The u(3) builder needs only coefficients with a spin 1/2 in
+them, and :func:`spin_half_cg_parts` and :func:`spin_half_u_parts` give those
+as integers ``(sign, num, den)`` from their closed forms (Edmonds, Tables 2
+and 5); ``racah_u`` and ``wigner_6j`` are on no build path and stay as the
+general coefficients and the tests' reference.  Everything here is a pure
+function of its arguments.  The one memo is the Clebsch-Gordan kernel's
+``functools.lru_cache``, safe for concurrent callers.
 """
 
 from __future__ import annotations
@@ -169,6 +172,31 @@ def clebsch_gordan_twice(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: in
     if not _in_range(tj1, tm1, tj2, tm2, tJ, tM):
         return Radical.zero()
     return _cg_twice(tj1, tm1, tj2, tm2, tJ, tM)
+
+
+def spin_half_cg_parts(tj: int, tm: int, t_nu: int, tJ: int) -> tuple[int, int, int]:
+    """``(sign, num, den)`` with ``(j m, 1/2 nu | J m+nu) = sign * sqrt(num / den)``, ``2J = 2j +- 1``, ``|m| <= j``.
+
+    Doubled arguments; the closed forms of Edmonds, Table 2; ``(0, 0, 1)`` for zero.
+    """
+    num, sign = (tj + t_nu * tm + 2, 1) if tJ > tj else (tj - t_nu * tm, -t_nu)
+    return (sign, num, 2 * (tj + 1)) if num else (0, 0, 1)
+
+
+def spin_half_u_parts(ts: int, tj: int, tS: int, tSp: int) -> tuple[int, int, int]:
+    """``(sign, num, den)`` with ``U(s j S' 1/2; S j+1/2) = sign * sqrt(num / den)``, ``2S' = 2S +- 1``.
+
+    Doubled arguments, ``(s, j, S)`` a triangle.  ``U`` is ``sqrt((2S+1)(2j+2))
+    (-1)**(s+j+S'+1/2)`` times the 6j symbol ``{s j S; 1/2 S' j+1/2}``, whose
+    closed form (Edmonds, Table 5) has ``sigma = s + j + S``; ``(0, 0, 1)`` for zero.
+    """
+    sigma = (ts + tj + tS) // 2
+    if tSp < tS:
+        num, phase = (sigma - tj) * (sigma - tS + 1), sigma
+    else:
+        num, phase = (sigma + 2) * (sigma + 1 - ts), sigma + 1
+    sign = -1 if (phase + (ts + tj + tSp + 1) // 2) % 2 else 1
+    return (sign, num, (tj + 1) * (tSp + 1)) if num else (0, 0, 1)
 
 
 # (L M, 2 nu | L+d M+nu) = f * sqrt(g / q) for nu >= 0, from the closed forms: q

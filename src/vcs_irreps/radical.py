@@ -94,12 +94,13 @@ class Radical:
     __slots__ = ("sign", "radicand")
 
     def __init__(self, sign: int, radicand: Rational):
-        radicand = Fraction(radicand)
-        if radicand < 0:
+        if not isinstance(radicand, Fraction):
+            radicand = Fraction(radicand)
+        if radicand.numerator < 0:
             raise ValueError("radicand must be non-negative")
         if sign not in (-1, 0, 1):
             raise ValueError("sign must be -1, 0 or +1")
-        if (sign == 0) != (radicand == 0):
+        if (sign == 0) != (radicand.numerator == 0):
             raise ValueError("sign is zero exactly when the radicand is zero")
         object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "radicand", radicand)

@@ -46,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from .opmatrix import OperatorMatrix
-from .radical import Radical, RadicalSum, radical_terms
+from .radical import Radical, radical_terms
 
 # The package's one default tolerance: for residual checks, for the K-matrix
 # engine's float solves and for su3_so3's zero test on reduced elements.
@@ -97,12 +97,10 @@ class AlgebraSpec:
                 if self.brackets[(x, y)]:
                     raise ValueError(f"[{x},{x}] must vanish")
             if (y, x) in self.brackets and (x, y) != (y, x):
-                fwd = _coeff_map(self.brackets[(x, y)])
-                bwd = _coeff_map(self.brackets[(y, x)])
-                names = set(fwd) | set(bwd)
-                for n in names:
-                    if not (fwd.get(n, RadicalSum()) + bwd.get(n, RadicalSum())).is_zero():
-                        raise ValueError(f"brackets for ({x},{y}) are not antisymmetric")
+                pair = (self.brackets[(x, y)], self.brackets[(y, x)])
+                total = _coeff_map((c, z, 1) for terms in pair for c, z in terms)
+                if any(any(sums.values()) for sums in total.values()):
+                    raise ValueError(f"brackets for ({x},{y}) are not antisymmetric")
 
     def _validate_jacobi(self):
         gens = self.generators
@@ -110,23 +108,29 @@ class AlgebraSpec:
             for j in range(i + 1, len(gens)):
                 for k in range(j + 1, len(gens)):
                     y, z = gens[j], gens[k]
-                    total: dict[str, RadicalSum] = {}
-                    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-                        for coeff, w in self.bracket(b, c):
-                            for coeff2, v in self.bracket(a, w):
-                                cur = total.get(v, RadicalSum())
-                                total[v] = cur + RadicalSum.from_value(coeff) * RadicalSum.from_value(coeff2)
-                    for v, acc in total.items():
-                        if not acc.is_zero():
+                    total = _coeff_map(
+                        (coeff, v, coeff2)
+                        for a, b, c in ((x, y, z), (y, z, x), (z, x, y))
+                        for coeff, w in self.bracket(b, c)
+                        for coeff2, v in self.bracket(a, w)
+                    )
+                    for v, sums in total.items():
+                        if any(sums.values()):
                             raise ValueError(
                                 f"Jacobi identity fails for ({x},{y},{z}) at {v}"
                             )
 
 
-def _coeff_map(terms: Bracket) -> dict[str, RadicalSum]:
-    out: dict[str, RadicalSum] = {}
-    for c, z in terms:
-        out[z] = out.get(z, RadicalSum()) + RadicalSum.from_value(c)
+def _coeff_map(terms) -> dict[str, dict[int, Fraction]]:
+    """The sum of ``(a, z, b)`` terms ``a b z`` per generator ``z``, as ``{core: coefficient}`` from :func:`radical_terms`."""
+    out: dict[str, dict[int, Fraction]] = {}
+    for a, z, b in terms:
+        sums = out.setdefault(z, {})
+        for core_a, num_a, den_a in radical_terms(a):
+            for core_b, num_b, den_b in radical_terms(b):
+                g = math.gcd(core_a, core_b)
+                core = (core_a // g) * (core_b // g)
+                sums[core] = sums.get(core, 0) + Fraction(num_a * num_b * g, den_a * den_b)
     return out
 
 

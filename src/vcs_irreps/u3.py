@@ -12,10 +12,13 @@ Matrix elements of the nine generators ``C(i,k)`` follow from closed forms:
 the Cartan and U(2) actions are the standard diagonal/ladder expressions, and
 the grade-changing spin-1/2 tensors have reduced matrix elements built from a
 unitary Racah U coefficient and the square root of a norm-ratio that telescopes
-the eigenvalues of the U(2)-scalar lowering operator.  Each reduced element
-is evaluated once per weight (:func:`reduced_elements` caches them), and both
-the generator matrices and a ``gen`` document's table read that evaluation.
-All values are exact radicals.
+the eigenvalues of the U(2)-scalar lowering operator.  U and the Wigner-Eckart
+Clebsch-Gordan coefficients each hold a spin 1/2, so they come from closed
+forms in ``angmom`` (``spin_half_u_parts``, ``spin_half_cg_parts``), not from
+the Racah series of ``racah_u``, and each entry is one ``Radical`` of integers.  Each
+reduced element is evaluated once per weight (:func:`reduced_elements` caches
+them), and both the generator matrices and a ``gen`` document's table read
+that evaluation.  All values are exact radicals.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 # ``clebsch_gordan`` stays a module attribute: bench/spans.py wraps it by name.
-from .angmom import clebsch_gordan, clebsch_gordan_twice, racah_u  # noqa: F401
+from .angmom import clebsch_gordan, clebsch_gordan_twice, spin_half_cg_parts, spin_half_u_parts  # noqa: F401
 from .kmatrix import GammaRep
 from .opmatrix import OperatorMatrix
 from .radical import Radical, radical_terms, squarefree_decompose
@@ -126,41 +129,38 @@ def basis_enumeration(hw: U3HighestWeight) -> list[CanonicalLabel]:
     return labels
 
 
-def omega(hw: U3HighestWeight, tj: int, tS: int) -> Fraction:
-    """Eigenvalue of the U(2)-scalar lowering operator on the ``(j, S)`` multiplet."""
-    j = Fraction(tj, 2)
-    S = Fraction(tS, 2)
-    s = Fraction(hw.twice_s, 2)
-    return (2 * hw.w1 - hw.w2 - hw.w3) * j - S * (S + 1) + s * (s + 1) - j * (j - 2)
-
-
 def k_ratio_sq(hw: U3HighestWeight, tj: int, tS: int, tSp: int) -> Fraction:
     """``|K(j+1/2, S') / K(j, S)|**2``: the rise of ``omega`` from ``(j, S)`` to ``(j+1/2, S')``.
 
-    The K factors telescope the eigenvalues of the U(2)-scalar lowering
-    operator, so each ratio is one difference of :func:`omega` values.  It is
-    non-positive for steps leaving the irrep; a non-positive value on an
-    admissible pair would mean the basis enumeration is wrong and raises.
+    The K factors telescope the eigenvalues
+    ``omega(j, S) = a j - S(S+1) + s(s+1) - j(j-2)``, ``a = 2 w1 - w2 - w3``, of
+    the U(2)-scalar lowering operator, so each ratio is one difference of them:
+    ``(a - 2j - 2S)/2`` for ``S' = S+1/2`` and ``(a - 2j + 2S + 2)/2`` for
+    ``S' = S-1/2``.  It is non-positive for steps leaving the irrep; a
+    non-positive value on an admissible pair would mean the basis enumeration
+    is wrong and raises.
     """
     if abs(tS - tSp) != 1:
         raise ValueError("S' must differ from S by 1/2")
-    value = omega(hw, tj + 1, tSp) - omega(hw, tj, tS)
-    if value <= 0 and is_admissible(hw, tj, tS) and is_admissible(hw, tj + 1, tSp):
+    rise = 2 * hw.su3_lam + hw.su3_mu - tj + (-tS if tSp > tS else tS + 2)
+    if rise <= 0 and is_admissible(hw, tj, tS) and is_admissible(hw, tj + 1, tSp):
         raise AdmissibilityError(
-            f"norm ratio {value} <= 0 for admissible pair (2j={tj}, 2S={tS}) -> "
+            f"norm ratio {Fraction(rise, 2)} <= 0 for admissible pair (2j={tj}, 2S={tS}) -> "
             f"(2j={tj + 1}, 2S'={tSp})"
         )
-    return value
+    return Fraction(rise, 2)
 
 
 def reduced_me(hw: U3HighestWeight, tj: int, tS: int, tSp: int, which: str) -> Radical:
     """Reduced matrix element of the grade-changing spin-1/2 tensors.
 
     ``which='f'`` gives ``<(j+1/2) S' || f || j S>`` (grade-raising tensor,
-    ``f(1/2) = C21``, ``f(-1/2) = C31``); ``which='e'`` gives the partner
-    ``<j S || e || (j+1/2) S'>`` with ``e(1/2) = C13``, ``e(-1/2) = -C12``,
-    equal to ``(-1)**(S'-S+1/2)`` times the f value.  Inadmissible labels give
-    zero.
+    ``f(1/2) = C21``, ``f(-1/2) = C31``), equal to
+    ``sqrt((2j+1)(2S'+1)) U(s j S' 1/2; S j+1/2) sqrt(k_ratio_sq)`` with ``U``
+    from the closed form :func:`~vcs_irreps.angmom.spin_half_u_parts`;
+    ``which='e'`` gives the partner ``<j S || e || (j+1/2) S'>`` with
+    ``e(1/2) = C13``, ``e(-1/2) = -C12``, equal to ``(-1)**(S'-S+1/2)`` times
+    the f value.  Inadmissible labels give zero.
     """
     if which not in ("e", "f"):
         raise ValueError("which must be 'e' or 'f'")
@@ -169,13 +169,10 @@ def reduced_me(hw: U3HighestWeight, tj: int, tS: int, tSp: int, which: str) -> R
     if not (is_admissible(hw, tj, tS) and is_admissible(hw, tj + 1, tSp)):
         return Radical.zero()
     ratio = k_ratio_sq(hw, tj, tS, tSp)  # raises if <= 0 on admissible labels
-    s = Fraction(hw.twice_s, 2)
-    j, S, Sp = Fraction(tj, 2), Fraction(tS, 2), Fraction(tSp, 2)
-    u = racah_u(s, j, Sp, Fraction(1, 2), S, j + Fraction(1, 2))
-    value = Radical.sqrt_of(Fraction((tj + 1) * (tSp + 1))) * u * Radical.sqrt_of(ratio)
-    if which == "e" and (tSp - tS + 1) // 2 % 2:
-        value = -value
-    return value
+    sign, num, den = spin_half_u_parts(hw.twice_s, tj, tS, tSp)
+    if which == "e" and tSp > tS:
+        sign = -sign
+    return Radical(sign, Fraction(num * (tj + 1) * (tSp + 1) * ratio.numerator, den * ratio.denominator))
 
 
 @lru_cache(maxsize=None)
@@ -194,34 +191,35 @@ def reduced_elements(hw: U3HighestWeight) -> tuple[tuple[int, int, int, Radical]
 
 
 def assemble_generators(hw: U3HighestWeight) -> dict[str, OperatorMatrix]:
-    """All nine generator matrices ``C11 .. C33`` on the canonical basis, exact."""
+    """All nine generator matrices ``C11 .. C33`` on the canonical basis, exact, from the integer labels."""
     basis = basis_enumeration(hw)
     index = {lbl: i for i, lbl in enumerate(basis)}
-    mats = {name: OperatorMatrix(name, basis) for name in GENERATOR_NAMES}
+    entries: dict[str, dict] = {name: {} for name in GENERATOR_NAMES}
+    u2_sum = hw.w2 + hw.w3  # C22 + C33 is w2 + w3 + 2j
 
-    for lbl, i in index.items():
-        u2_sum = Fraction(hw.w2 + hw.w3 + lbl.tj)  # eigenvalue of C22 + C33
-        mats["C11"][i, i] = hw.w1 - lbl.tj
-        mats["C22"][i, i] = Fraction(u2_sum, 2) + lbl.M
-        mats["C33"][i, i] = Fraction(u2_sum, 2) - lbl.M
-        # Spin ladders inside the (j, S) multiplet.
-        if lbl.tM + 2 <= lbl.tS:
-            up = CanonicalLabel(lbl.tj, lbl.tS, lbl.tM + 2)
-            amp = Radical.sqrt_of((lbl.S - lbl.M) * (lbl.S + lbl.M + 1))
-            mats["C23"][index[up], i] = amp
-            mats["C32"][i, index[up]] = amp
+    for i, (tj, tS, tM) in enumerate((lbl.tj, lbl.tS, lbl.tM) for lbl in basis):
+        entries["C11"][i, i] = hw.w1 - tj
+        entries["C22"][i, i] = (u2_sum + tj + tM) / 2
+        entries["C33"][i, i] = (u2_sum + tj - tM) / 2
+        # Spin ladder sqrt((S-M)(S+M+1)); the basis order puts (j, S, M+1) right after (j, S, M).
+        if tM + 2 <= tS:
+            amp = Radical(1, Fraction((tS - tM) * (tS + tM + 2), 4))
+            entries["C23"][i + 1, i] = entries["C32"][i, i + 1] = amp
 
     # Grade-changing tensors: C21 = f(1/2) and C31 = f(-1/2) from the f-tensor
-    # reduced matrix elements via Wigner-Eckart; C12 and C13 are their adjoints.
+    # reduced elements via Wigner-Eckart, (S M, 1/2 nu | S' M+nu) f / sqrt(2S'+1).
     for tj, tS, tSp, f_red in reduced_elements(hw):
-        norm = Radical.sqrt_of(Fraction(tSp + 1))
-        for tM in range(-tS, tS + 1, 2):
+        ket = index[CanonicalLabel(tj, tS, -tS)]
+        bra = index[CanonicalLabel(tj + 1, tSp, -tSp)]
+        f_num, f_den = f_red.radicand.numerator, f_red.radicand.denominator * (tSp + 1)
+        for k, tM in enumerate(range(-tS, tS + 1, 2)):
             for t_nu, name in ((1, "C21"), (-1, "C31")):
-                cgc = clebsch_gordan_twice(tS, tM, 1, t_nu, tSp, tM + t_nu)
-                if not cgc.is_zero():
-                    target = index[CanonicalLabel(tj + 1, tSp, tM + t_nu)]
-                    mats[name][target, index[CanonicalLabel(tj, tS, tM)]] = cgc * f_red / norm
+                sign, num, den = spin_half_cg_parts(tS, tM, t_nu, tSp)
+                if sign:
+                    row = bra + (tSp + tM + t_nu) // 2
+                    entries[name][row, ket + k] = Radical(sign * f_red.sign, Fraction(num * f_num, den * f_den))
 
+    mats = {name: OperatorMatrix(name, basis, entries[name]) for name in GENERATOR_NAMES}
     mats["C12"] = mats["C21"].dagger("C12")
     mats["C13"] = mats["C31"].dagger("C13")
     return mats

@@ -118,3 +118,69 @@ def quadrupole_dense(generators: dict[str, OperatorMatrix]) -> dict[int, np.ndar
         2: root32 * (h2 + 1j * (c["C23"] + c["C32"])),
         -2: root32 * (h2 - 1j * (c["C23"] + c["C32"])),
     }
+
+
+def u3_omega(hw: u3.U3HighestWeight, tj: int, tS: int) -> Fraction:
+    """Eigenvalue of the u(3) U(2)-scalar lowering operator on the ``(j, S)`` multiplet, whose rises are ``u3.k_ratio_sq``."""
+    j, S, s = Fraction(tj, 2), Fraction(tS, 2), Fraction(hw.twice_s, 2)
+    return (2 * hw.w1 - hw.w2 - hw.w3) * j - S * (S + 1) + s * (s + 1) - j * (j - 2)
+
+
+def u3_reduced_me_reference(hw: u3.U3HighestWeight, tj: int, tS: int, tSp: int) -> Radical:
+    """``u3.reduced_me(hw, tj, tS, tSp, "f")`` from the general Racah series, in ``Radical`` products.
+
+    ``sqrt((2j+1)(2S'+1)) U(s j S' 1/2; S j+1/2) sqrt(k_ratio_sq)``, with
+    ``U`` from ``angmom.racah_u`` and the ratio a difference of
+    :func:`u3_omega` values; zero off the irrep.
+    """
+    if abs(tS - tSp) != 1 or not (u3.is_admissible(hw, tj, tS) and u3.is_admissible(hw, tj + 1, tSp)):
+        return Radical.zero()
+    ratio = u3_omega(hw, tj + 1, tSp) - u3_omega(hw, tj, tS)
+    s = Fraction(hw.twice_s, 2)
+    j, S, Sp = Fraction(tj, 2), Fraction(tS, 2), Fraction(tSp, 2)
+    u = angmom.racah_u(s, j, Sp, Fraction(1, 2), S, j + Fraction(1, 2))
+    return Radical.sqrt_of(Fraction((tj + 1) * (tSp + 1))) * u * Radical.sqrt_of(ratio)
+
+
+def u3_reduced_elements_reference(hw: u3.U3HighestWeight) -> tuple[tuple[int, int, int, Radical], ...]:
+    """``u3.reduced_elements(hw)`` from :func:`u3_reduced_me_reference`."""
+    elements = []
+    for tj, tS in sorted({(lbl.tj, lbl.tS) for lbl in u3.basis_enumeration(hw)}):
+        for tSp in (tS - 1, tS + 1):
+            value = u3_reduced_me_reference(hw, tj, tS, tSp)
+            if not value.is_zero():
+                elements.append((tj, tS, tSp, value))
+    return tuple(elements)
+
+
+def u3_generators_reference(hw: u3.U3HighestWeight) -> dict[str, OperatorMatrix]:
+    """``u3.assemble_generators(hw)`` in ``Radical`` products, from Racah's series.
+
+    The Cartan and U(2) entries come from the spins as ``Fraction``s, and each
+    grade-changing entry is ``angmom.clebsch_gordan_twice`` times the
+    reference reduced element over ``sqrt(2S'+1)`` (Wigner-Eckart).
+    """
+    basis = u3.basis_enumeration(hw)
+    index = {lbl: i for i, lbl in enumerate(basis)}
+    mats = {name: OperatorMatrix(name, basis) for name in u3.GENERATOR_NAMES}
+    for lbl, i in index.items():
+        u2_sum = Fraction(hw.w2 + hw.w3 + lbl.tj)  # eigenvalue of C22 + C33
+        mats["C11"][i, i] = hw.w1 - lbl.tj
+        mats["C22"][i, i] = Fraction(u2_sum, 2) + lbl.M
+        mats["C33"][i, i] = Fraction(u2_sum, 2) - lbl.M
+        if lbl.tM + 2 <= lbl.tS:
+            up = index[u3.CanonicalLabel(lbl.tj, lbl.tS, lbl.tM + 2)]
+            amp = Radical.sqrt_of((lbl.S - lbl.M) * (lbl.S + lbl.M + 1))
+            mats["C23"][up, i] = amp
+            mats["C32"][i, up] = amp
+    for tj, tS, tSp, f_red in u3_reduced_elements_reference(hw):
+        norm = Radical.sqrt_of(Fraction(tSp + 1))
+        for tM in range(-tS, tS + 1, 2):
+            for t_nu, name in ((1, "C21"), (-1, "C31")):
+                cgc = angmom.clebsch_gordan_twice(tS, tM, 1, t_nu, tSp, tM + t_nu)
+                if not cgc.is_zero():
+                    target = index[u3.CanonicalLabel(tj + 1, tSp, tM + t_nu)]
+                    mats[name][target, index[u3.CanonicalLabel(tj, tS, tM)]] = cgc * f_red / norm
+    mats["C12"] = mats["C21"].dagger("C12")
+    mats["C13"] = mats["C31"].dagger("C13")
+    return mats

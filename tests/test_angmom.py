@@ -20,6 +20,8 @@ from vcs_irreps.angmom import (
     clebsch_gordan_twice,
     racah_u,
     rank2_cg_parts,
+    spin_half_cg_parts,
+    spin_half_u_parts,
     wigner_6j,
 )
 from vcs_irreps.radical import Radical, RadicalSum
@@ -440,3 +442,32 @@ def test_rank2_kernel_refuses_l_where_num_or_den_could_reach_2_to_the_53():
     _assert_rank2_kernel_is_the_series(L, L + 1, np.array([-L, 0, 7, L - 1]), np.array([2, -1, 0, 1]))
     with pytest.raises(OverflowError, match="L=3111"):
         rank2_cg_parts(L + 1, L + 1, 0, 0)
+
+
+def _parts_value(parts) -> Radical:
+    sign, num, den = parts
+    return Radical(sign, Fraction(num, den))
+
+
+def test_spin_half_cg_closed_form_is_the_racah_series_exactly():
+    # every (j m, 1/2 nu | j +- 1/2 m+nu) up to doubled spin 24, zeros included
+    for tj in range(25):
+        for tm in range(-tj, tj + 1, 2):
+            for t_nu in (1, -1):
+                for tJ in (tj - 1, tj + 1):
+                    if tJ < 0:
+                        continue
+                    expected = clebsch_gordan_twice(tj, tm, 1, t_nu, tJ, tm + t_nu)
+                    assert _parts_value(spin_half_cg_parts(tj, tm, t_nu, tJ)) == expected, (tj, tm, t_nu, tJ)
+
+
+def test_spin_half_u_closed_form_is_racah_u_exactly():
+    # every U(s j S' 1/2; S j+1/2) with (s, j, S) a triangle, up to doubled spin 24
+    for ts, tj, tS in itertools.product(range(25), repeat=3):
+        if abs(ts - tj) > tS or tS > ts + tj or (ts + tj + tS) % 2:
+            continue
+        for tSp in (tS - 1, tS + 1):
+            if tSp < 0:
+                continue
+            expected = racah_u(Fraction(ts, 2), Fraction(tj, 2), Fraction(tSp, 2), HALF, Fraction(tS, 2), Fraction(tj + 1, 2))
+            assert _parts_value(spin_half_u_parts(ts, tj, tS, tSp)) == expected, (ts, tj, tS, tSp)

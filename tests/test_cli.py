@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -143,6 +144,27 @@ def test_check_su11_passes(capsys):
 def test_check_u3_passes(capsys):
     code, out, _ = run(capsys, "check", "u3", "--weight", "4,2,0")
     assert code == 0
+
+
+# SHA-256 of the standard output of u(3) commands, as computed at commit fafbfca,
+# where the generators were built from Racah's series: the closed-form builder
+# writes every document, table, CSV row and check line byte for byte the same.
+U3_OUTPUT_SHA256 = {
+    ("gen", "u3", "--weight", "10,5,0"): "ad26f74ca2f541ae3df143104f7f6b1918309de1df1f78af6c5c0ab25ae8af2b",
+    ("gen", "u3", "--weight", "10,5,0", "--mode", "float"):
+        "cd01aef924fe0547dceb2efab65c245ba8e076767cf2463fec668e2503b706b7",
+    ("gen", "u3", "--weight", "7/3,4/3,1/3"): "30a37ef791de4d9de8603ccd99bc9cee93760785a739808fd543bf406032814c",
+    ("gen", "u3", "--weight", "2,1,0", "--format", "csv"):
+        "af1521532600d43bbb8213f35aa4756a86017e8d462d7f1921a8e30bcbce5a3b",
+    ("check", "u3", "--weight", "12,6,0"): "b07717fd2f83180046254daece61a86661a676e0aae27e31ca397760dc4f3c72",
+}
+
+
+@pytest.mark.parametrize("argv", list(U3_OUTPUT_SHA256), ids=" ".join)
+def test_u3_outputs_are_byte_identical_to_the_pinned_hashes(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == U3_OUTPUT_SHA256[argv]
 
 
 def test_check_su3_so3_passes(capsys):

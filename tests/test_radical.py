@@ -102,6 +102,27 @@ def test_value_and_square():
     assert Radical.from_rational(5) == Radical(1, 25)
 
 
+def test_constructor_refusals():
+    # the same errors for a Fraction radicand and for any other rational form
+    for radicand in (-1, Fraction(-1, 2), -0.5):
+        with pytest.raises(ValueError, match="radicand must be non-negative"):
+            Radical(1, radicand)
+    with pytest.raises(ValueError, match="radicand must be non-negative"):
+        Radical(5, -1)
+    with pytest.raises(ValueError, match="sign must be -1, 0 or \\+1"):
+        Radical(2, 1)
+    for sign, radicand in ((0, 1), (1, 0), (-1, Fraction(0))):
+        with pytest.raises(ValueError, match="sign is zero exactly when the radicand is zero"):
+            Radical(sign, radicand)
+    with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+        Radical(1, "x")
+    with pytest.raises(TypeError):
+        Radical(1, None)
+    for radicand in ("1/2", 0.5, Fraction(1, 2)):
+        value = Radical(1, radicand)
+        assert type(value.radicand) is Fraction and value.radicand == Fraction(1, 2)
+
+
 def test_products_and_quotients_closed():
     a = Radical.sqrt_of(2)
     b = Radical.sqrt_of(3)

@@ -52,6 +52,23 @@ def test_jacobi_rejects_corrupt_table():
         )
 
 
+def test_antisymmetry_rejects_a_reversed_bracket_of_the_wrong_sign():
+    # su(3)'s [Q-1, Q0] = (3/2) sqrt(6) L-, listed again as [Q0, Q-1] with the
+    # same sign: a radical coefficient that the exact sum must not cancel.
+    spec = repcheck.su3_so3_spec()
+    c32 = Radical.sqrt_of(6) * Fraction(3, 2)
+    fields = dict(name="mutated", generators=spec.generators, hermiticity_pairs=spec.hermiticity_pairs)
+    assert repcheck.AlgebraSpec(brackets={**spec.brackets, ("Q0", "Q-1"): ((-c32, "L-"),)}, **fields)
+    with pytest.raises(ValueError, match=r"brackets for \((Q-1,Q0|Q0,Q-1)\) are not antisymmetric"):
+        repcheck.AlgebraSpec(brackets={**spec.brackets, ("Q0", "Q-1"): ((c32, "L-"),)}, **fields)
+    # nor does one in another square class: equal to it in floats, or with the same rational factor
+    near = -Radical.sqrt_of(Fraction(27, 2) + Fraction(1, 10**20))
+    assert float(near) == float(-c32)
+    for other in (near, -Radical.sqrt_of(5) * Fraction(3, 2)):
+        with pytest.raises(ValueError, match="not antisymmetric"):
+            repcheck.AlgebraSpec(brackets={**spec.brackets, ("Q0", "Q-1"): ((other, "L-"),)}, **fields)
+
+
 def test_antisymmetry_rejects_self_bracket():
     with pytest.raises(ValueError):
         repcheck.AlgebraSpec(

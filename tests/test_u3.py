@@ -69,9 +69,9 @@ def test_ordering_lexicographic():
 def test_omega_values():
     hw = u3.U3HighestWeight(4, 2, 0)
     # (j=0, S=s) makes every term vanish
-    assert u3.omega(hw, 0, hw.twice_s) == 0
-    assert u3.omega(u3.U3HighestWeight(2, 0, 0), 1, 1) == 2
-    assert u3.omega(hw, 2, 4) == 3
+    assert oracles.u3_omega(hw, 0, hw.twice_s) == 0
+    assert oracles.u3_omega(u3.U3HighestWeight(2, 0, 0), 1, 1) == 2
+    assert oracles.u3_omega(hw, 2, 4) == 3
 
 
 def test_k_ratio_sq_examples():
@@ -86,6 +86,7 @@ def test_k_ratio_sq_examples():
                     (2 * hw2.w1 - hw2.w2 - hw2.w3) / 2 + lbl.S * (lbl.S + 1) - Sp * (Sp + 1) - lbl.j + Fraction(3, 4)
                 )
                 assert u3.k_ratio_sq(hw2, lbl.tj, lbl.tS, tSp) == closed
+                assert closed == oracles.u3_omega(hw2, lbl.tj + 1, tSp) - oracles.u3_omega(hw2, lbl.tj, lbl.tS)
     with pytest.raises(ValueError):
         u3.k_ratio_sq(hw, 0, 0, 2)
 
@@ -226,6 +227,29 @@ def test_casimir_is_scalar(weight):
         w[i] - w[j] for i in range(3) for j in range(i + 1, 3)
     )
     assert mean == pytest.approx(float(expected))
+
+
+def _exact_form(value):
+    """An entry as its type, sign and radicand, so that equal values of different types differ."""
+    return type(value), (value.sign, value.radicand) if isinstance(value, Radical) else value
+
+
+@pytest.mark.parametrize("shift", [Fraction(0), Fraction(1, 3)])
+def test_closed_form_builder_is_the_racah_series_builder(shift):
+    # Every weight with w1 - w3 <= 8: the same reduced elements and the same
+    # generator entries, of the same types and in the same order, as the
+    # builder that takes its coefficients from Racah's series.
+    for w1, w2 in ((a, b) for a in range(9) for b in range(a + 1)):
+        hw = u3.U3HighestWeight(w1 + shift, w2 + shift, shift)
+        got, want = u3.reduced_elements(hw), oracles.u3_reduced_elements_reference(hw)
+        assert [(*e[:3], _exact_form(e[3])) for e in got] == [(*e[:3], _exact_form(e[3])) for e in want], hw
+        gens, ref = u3.assemble_generators(hw), oracles.u3_generators_reference(hw)
+        assert list(gens) == list(ref)
+        for name, mat in gens.items():
+            assert list(mat.entries) == list(ref[name].entries), (hw, name)
+            assert [_exact_form(v) for v in mat.entries.values()] == [
+                _exact_form(v) for v in ref[name].entries.values()
+            ], (hw, name)
 
 
 def test_fundamental_matches_defining_matrices():
