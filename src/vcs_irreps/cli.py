@@ -291,11 +291,15 @@ ALGEBRAS: dict[str, Algebra] = {a.name: a for a in (SU11, U3, SU3_SO3)}
 
 
 def _label(algebra: Algebra, args):
-    """The irrep label given on the command line; an invalid one is a usage error."""
+    """The command line's irrep label; a usage error if invalid or if its flat index ``row*d + col`` overflows int64."""
     try:
-        return algebra.from_args(args)
+        label = algebra.from_args(args)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    d = algebra.dimension(label)
+    if d * d >= 2**63:
+        raise UsageError(f"the irrep has d = {d} states; the flat index row*d + col needs d*d < 2**63")
+    return label
 
 
 # -- documents ---------------------------------------------------------------

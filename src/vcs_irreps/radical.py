@@ -63,9 +63,9 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             root *= p ** (e // 2)
             if e % 2:
                 core *= p
-    # Leftover cofactor: either 1, a prime, a perfect square of a prime, or a
-    # product of distinct large primes.  Peeling perfect squares covers every
-    # case that can arise from inputs with prime factors below the bound.
+    # Leftover cofactor: 1, or a product of primes above the bound.  A prime, a
+    # product of distinct primes or a perfect square (peeled here) comes out right,
+    # but a square times more, such as p**2*q (>= 10**12), stays whole in the core.
     if n > 1:
         s = math.isqrt(n)
         if s * s == n:

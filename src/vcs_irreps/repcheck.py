@@ -12,11 +12,12 @@ tolerances need no retuning with irrep size.
 Each check is written once, as a list of ``(c, A, B)`` terms summed by the
 kernel that the matrices choose.  When every generator is exact (an
 ``OperatorMatrix``, which holds exact values only), each becomes an
-:class:`ExactMatrix` once: integer numerators over one denominator, times
-square roots of square-free cores.  The sums are then formed in plain
-integers, so a holding identity (or an exactly constant Casimir) reports
-exactly 0.0, and a non-zero defect is evaluated to float precision however
-much its square classes cancel.  Otherwise the float kernel runs, on weight
+:class:`ExactMatrix` once: coordinate arrays of integer numerators over one
+denominator, times square roots of square-free cores.  The sums are formed
+in integers by whole-array row joins and one sorted reduction, so a holding
+identity (or an exactly constant Casimir) reports exactly 0.0, and a
+non-zero defect is evaluated to float precision however much its square
+classes cancel.  Otherwise the float kernel runs, on weight
 tiles.  The spec's weight generators are those whose bracket with every
 generator ``X`` is a multiple of ``X`` (``L0``, ``C11``/``C22``/``C33``,
 ``S0``).  States are grouped into classes by those generators' diagonal
@@ -436,90 +437,115 @@ class TileSum:
 
 
 class ExactMatrix:
-    """An exact matrix as integer numerators over one denominator, as the exact checks use it.
+    """An exact matrix as integer numerators over one denominator, in row-sorted coordinate arrays.
 
-    ``rows[r]`` lists ``(col, core, num)`` triples with ``core`` square-free;
-    entry ``(r, col)`` is the sum of ``num * sqrt(core) / den`` over its
-    triples.  The form of a value is unique, so sums cancel exactly when their
-    integers do.  ``norm`` is the Frobenius norm.
+    Triple ``i`` is ``nums[i] sqrt(cores[i]) / den`` at ``(rows[i], cols[i])``, ``cores[i]``
+    square-free, one per square class of an entry.  Row ``r``'s triples are ``start[r]``
+    to ``start[r] + count[r]``, at most ``longest``.  ``cores`` and ``nums`` are int64
+    when all fit, else Python ints; ``bits`` holds the bit lengths of the largest
+    ``|num|`` and core.  The form of a value is unique, so sums cancel exactly when
+    their integers do.  ``norm`` is the Frobenius norm.
     """
 
-    __slots__ = ("dim", "den", "rows", "norm")
+    __slots__ = ("dim", "den", "rows", "cols", "cores", "nums", "bits", "start", "count", "longest", "norm")
 
-    def __init__(self, dim: int, den: int, rows: list[list[tuple[int, int, int]]], norm: float):
-        self.dim, self.den, self.rows, self.norm = dim, den, rows, norm
+    def __init__(self, dim: int, den: int, rows, cols, cores, nums, bits: tuple[int, int], norm: float):
+        order = np.argsort(rows, kind="stable")
+        self.dim, self.den, self.bits, self.norm = dim, den, bits, norm
+        self.rows, self.cols, self.cores, self.nums = rows[order], cols[order], cores[order], nums[order]
+        self.count = np.bincount(self.rows, minlength=dim)
+        self.start, self.longest = np.cumsum(self.count) - self.count, int(self.count.max(initial=0))
 
     @classmethod
     def of(cls, m) -> "ExactMatrix":
         """The exact form of an exact OperatorMatrix."""
         if isinstance(m, cls):
             return m
-        terms = [(r, c, t) for (r, c), v in m.entries.items() for t in radical_terms(v)]
-        den = math.lcm(*(d for _, _, (_, _, d) in terms))
-        rows: list[list[tuple[int, int, int]]] = [[] for _ in range(m.dim)]
-        for r, c, (core, num, d) in terms:
-            rows[r].append((c, core, num * (den // d)))
+        terms = [(r, c, *t) for (r, c), v in m.entries.items() for t in radical_terms(v)]
+        rows, cols, cores, nums, dens = zip(*terms) if terms else ((),) * 5
+        den = math.lcm(*dens)
+        nums = [num * (den // d) for num, d in zip(nums, dens)]
+        bits = (max(map(abs, nums), default=0).bit_length(), max(cores, default=0).bit_length())
+        dtype = np.int64 if max(bits) < 64 else object
         try:
             norm = m.frobenius()
         except OverflowError:  # an entry or its square is too large for a float
             norm = math.inf
-        return cls(m.dim, den, rows, norm)
+        return cls(m.dim, den, np.array(rows, np.int64), np.array(cols, np.int64),
+                   np.array(cores, dtype), np.array(nums, dtype), bits, norm)
 
     def adjoint(self) -> "ExactMatrix":
         """The transpose: exact entries are real."""
-        rows: list[list[tuple[int, int, int]]] = [[] for _ in range(self.dim)]
-        for r, row in enumerate(self.rows):
-            for c, core, num in row:
-                rows[c].append((r, core, num))
-        return ExactMatrix(self.dim, self.den, rows, self.norm)
+        return ExactMatrix(self.dim, self.den, self.cols, self.rows, self.cores, self.nums, self.bits, self.norm)
 
     @staticmethod
     def sum(dim: int, terms) -> "ExactSum":
-        """The sum of the terms in plain integers, over one common denominator."""
-        parts = [
-            (a, b, core, num, den * a.den * (1 if b is None else b.den))
-            for c, a, b in terms
-            for core, num, den in radical_terms(c)
-        ]
-        common = math.lcm(*(den for *_, den in parts))
-        acc: dict[tuple[int, int], int] = {}
-        gcd = math.gcd
-        for a, b, core, num, den in parts:
-            scale = num * (common // den)
-            for r, row in enumerate(a.rows):
-                base = r * dim
-                for k, ca, na in row:
-                    g = gcd(ca, core)  # sqrt(ca) sqrt(core) = g sqrt(ca/g core/g)
-                    ca, na = (ca // g) * (core // g), na * g * scale
-                    if b is None:
-                        acc[base + k, ca] = acc.get((base + k, ca), 0) + na
-                        continue
-                    for c, cb, nb in b.rows[k]:
-                        g = gcd(ca, cb)
-                        key = (base + c, (ca // g) * (cb // g))
-                        acc[key] = acc.get(key, 0) + na * nb * g
-        return ExactSum(dim, common, acc)
+        """The sum of the terms in integers over one common denominator, as whole-array work.
+
+        ``c A B`` is a row join (Gustavson): each triple of ``A`` meets row
+        ``col`` of ``B``, and square classes combine as ``sqrt(a) sqrt(b) =
+        g sqrt(a/g b/g)``, ``g = gcd(a, b)``.  One sort by ``(row dim + col,
+        core)`` and one ``reduceat`` add every term.  The arrays are int64 only
+        when bit lengths bound every product, core, total and key below
+        ``2**63``; otherwise the same code runs on Python ints.
+        """
+        parts = [((a,) if b is None else (a, b), t) for c, a, b in terms for t in radical_terms(c)]
+        common = math.lcm(*(den * math.prod(m.den for m in ms) for ms, (_, _, den) in parts))
+        parts = [(ms, core, num * common // (den * math.prod(m.den for m in ms))) for ms, (core, num, den) in parts]
+        num_bits = core_bits = keys = 0
+        for ms, core, scale in parts:
+            bits = sum(m.bits[1] for m in ms) + core.bit_length()  # the cores met multiply to below 2**bits
+            core_bits = max(core_bits, bits)  # and their gcds to at most its root
+            num_bits = max(num_bits, sum(m.bits[0] for m in ms) + (bits + 1) // 2 + abs(scale).bit_length())
+            keys += math.prod(m.longest for m in ms)  # the most terms one key takes
+        dtype = np.int64 if max(num_bits + keys.bit_length(), core_bits) < 64 else object
+        out = []
+        for (a, *bs), core, scale in parts:
+            ca, na, rows, cols = a.cores.astype(dtype, copy=False), a.nums.astype(dtype, copy=False), a.rows, a.cols
+            for b in bs:
+                n = b.count[cols]
+                ia = np.repeat(np.arange(n.size), n)
+                ib = np.arange(ia.size) - np.repeat(np.cumsum(n) - n - b.start[cols], n)
+                ca, cb, na = ca[ia], b.cores.astype(dtype, copy=False)[ib], na[ia] * b.nums.astype(dtype, copy=False)[ib]
+                g = np.gcd(ca, cb)
+                ca, na, rows, cols = (ca // g) * (cb // g), na * g, rows[ia], b.cols[ib]
+            if core != 1:
+                g = np.gcd(ca, core)
+                ca, na = (ca // g) * (core // g), na * g
+            out.append((rows * dim + cols, ca, na * scale))
+        flat, core, num = map(np.concatenate, zip(*out))
+        span = int(core.max(initial=0)) + 1  # one sort key per (flat, core)
+        key = flat.astype(np.int64 if dim * dim * span < 2**63 else object) * span + core
+        order = np.argsort(key)
+        key = key[order]
+        new = np.ones(key.size, bool)
+        new[1:] = key[1:] != key[:-1]
+        first = order[new]
+        total = np.add.reduceat(num[order], np.flatnonzero(new))
+        kept = total != 0
+        return ExactSum(dim, common, flat[first][kept], core[first][kept], total[kept])
 
 
 class ExactSum:
-    """An exact sum of matrices: integer numerators over ``den``, keyed ``(flat index, core)``.
+    """An exact sum of matrices: its non-zero ``(flat index, core, num)`` triples over ``den``.
 
-    Both measures see the leading ``interior`` block, are exactly 0.0 when its
-    integers say so, and otherwise evaluate each entry with :func:`_value`.
+    ``flat`` is ``row dim + col``, and an entry sums ``num sqrt(core) / den``
+    over its triples.  Both measures see the leading ``interior`` block, are
+    exactly 0.0 when it holds no triple, and otherwise evaluate each entry
+    with :func:`_value`.
     """
 
-    def __init__(self, dim: int, den: int, acc: dict[tuple[int, int], int]):
-        self.dim, self.den, self.acc = dim, den, acc
+    def __init__(self, dim: int, den: int, flat: np.ndarray, cores: np.ndarray, nums: np.ndarray):
+        self.dim, self.den, self.flat, self.cores, self.nums = dim, den, flat, cores, nums
 
     def _block(self, interior: int | None) -> tuple[int, dict[tuple[int, int], dict[int, int]]]:
         """The block's size and its non-zero entries as ``{(r, c): {core: num}}``."""
         n = self.dim if interior is None else min(interior, self.dim)
+        rows, cols = np.divmod(self.flat, self.dim)
+        inside = (rows < n) & (cols < n)
         entries: dict[tuple[int, int], dict[int, int]] = {}
-        for (flat, core), num in self.acc.items():
-            if num:
-                r, c = divmod(flat, self.dim)
-                if r < n and c < n:
-                    entries.setdefault((r, c), {})[core] = num
+        for r, c, core, num in zip(*(x[inside].tolist() for x in (rows, cols, self.cores, self.nums))):
+            entries.setdefault((r, c), {})[core] = num
         return n, entries
 
     def norm(self, interior: int | None = None) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 
 from vcs_irreps import angmom, repcheck, su3_so3, u3
 from vcs_irreps.opmatrix import OperatorMatrix
-from vcs_irreps.radical import Radical, RadicalSum
+from vcs_irreps.radical import Radical, RadicalSum, radical_terms
 from vcs_irreps.su11 import Su11Irrep, generator_matrices
 
 
@@ -42,6 +42,45 @@ def tile_sum_dense(total: repcheck.TileSum) -> np.ndarray:
     for (i, j), block in total.blocks.items():
         out[np.ix_(total.index[i], total.index[j])] = block
     return out
+
+
+def exact_sum_reference(dim: int, terms) -> tuple[int, dict[tuple[int, int], int]]:
+    """``repcheck.ExactMatrix.sum`` as a loop over each row's ``(col, core, num)`` triples, in Python ints.
+
+    The exact kernel before it became whole-array work; the reference the
+    array kernel is compared with.  Returns the common denominator and the
+    numerators keyed ``(flat index, core)``, zero totals included.
+    """
+
+    def by_row(m: repcheck.ExactMatrix) -> list[list[tuple[int, int, int]]]:
+        rows: list[list[tuple[int, int, int]]] = [[] for _ in range(m.dim)]
+        for r, c, core, num in zip(m.rows.tolist(), m.cols.tolist(), m.cores.tolist(), m.nums.tolist()):
+            rows[r].append((c, core, num))
+        return rows
+
+    parts = [
+        (by_row(a), None if b is None else by_row(b), core, num, den * a.den * (1 if b is None else b.den))
+        for c, a, b in terms
+        for core, num, den in radical_terms(c)
+    ]
+    common = math.lcm(*(den for *_, den in parts))
+    acc: dict[tuple[int, int], int] = {}
+    gcd = math.gcd
+    for a_rows, b_rows, core, num, den in parts:
+        scale = num * (common // den)
+        for r, row in enumerate(a_rows):
+            base = r * dim
+            for k, ca, na in row:
+                g = gcd(ca, core)  # sqrt(ca) sqrt(core) = g sqrt(ca/g core/g)
+                ca, na = (ca // g) * (core // g), na * g * scale
+                if b_rows is None:
+                    acc[base + k, ca] = acc.get((base + k, ca), 0) + na
+                    continue
+                for c, cb, nb in b_rows[k]:
+                    g = gcd(ca, cb)
+                    key = (base + c, (ca // g) * (cb // g))
+                    acc[key] = acc.get(key, 0) + na * nb * g
+    return common, acc
 
 
 def clebsch_gordan_twice_float(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from vcs_irreps import cli, kmatrix, repcheck, su3_so3, u3
+from vcs_irreps import cli, kmatrix, repcheck, su3_so3, su11, u3
 from vcs_irreps.cli import ALGEBRAS, main
 from vcs_irreps.opmatrix import OperatorMatrix
 from vcs_irreps.radical import Radical
@@ -71,6 +71,50 @@ def test_gen_invalid_weight_is_usage_error(capsys):
 def test_gen_missing_flags(capsys):
     code, _, err = run(capsys, "gen", "su11", "--nmax", "5")
     assert code == 2
+
+
+def _never_build(monkeypatch):
+    """Make every builder and enumeration a label could reach raise, so a test proves nothing was built."""
+
+    def built(*args, **kwargs):
+        raise AssertionError("an irrep was built")
+
+    for module, name in [
+        (su11, "generator_matrices"),
+        (u3, "assemble_generators"),
+        (u3, "basis_enumeration"),
+        (su3_so3, "_construction"),
+        (su3_so3, "assemble_so3_generators"),
+        (su3_so3, "rotor_multiplicities"),
+        (su3_so3, "weight_multiplicities"),
+    ]:
+        monkeypatch.setattr(module, name, built)
+
+
+@pytest.mark.parametrize(
+    "argv,dim",
+    [
+        (["check", "u3", "--weight", "10000000000000000000000,0,0"], u3.U3HighestWeight(10**22, 0, 0).dimension()),
+        (["check", "u3", "--weight", "1e400,0,0"], u3.U3HighestWeight(10**400, 0, 0).dimension()),
+        (["gen", "u3", "--weight", "1e400,0,0"], u3.U3HighestWeight(10**400, 0, 0).dimension()),
+        (["check", "su3-so3", "--lm", "2000,2000"], su3_so3.Su3Label(2000, 2000).dimension()),
+        (["check", "su11", "--lambda", "1/2", "--nmax", "3037000499"], 3037000500),
+        (["branch", "--lm", "2000,2000"], su3_so3.Su3Label(2000, 2000).dimension()),
+    ],
+    ids=["u3-1e22", "u3-1e400", "gen-u3-1e400", "su3-so3", "su11", "branch"],
+)
+def test_an_irrep_whose_flat_index_overflows_int64_is_refused_unbuilt(capsys, monkeypatch, argv, dim):
+    _never_build(monkeypatch)
+    assert dim * dim >= 2**63
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: the irrep has d = {dim} states; the flat index row*d + col needs d*d < 2**63\n"
+
+
+def test_the_largest_irrep_whose_flat_index_fits_int64_is_accepted(monkeypatch):
+    _never_build(monkeypatch)
+    args = cli.build_parser().parse_args(["check", "su11", "--lambda", "1/2", "--nmax", "3037000498"])
+    assert cli._label(cli.SU11, args).dim == 3037000499  # 3037000499**2 < 2**63 <= 3037000500**2
 
 
 def test_gen_csv_columns(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -529,11 +530,11 @@ def _sympy_classes(expr) -> dict[int, Fraction]:
     return out
 
 
-def _kernel_classes(acc, den, dim) -> dict[tuple[int, int], dict[int, Fraction]]:
+def _kernel_classes(total, dim) -> dict[tuple[int, int], dict[int, Fraction]]:
     out: dict = {}
-    for (flat, core), num in acc.items():
+    for flat, core, num in zip(total.flat.tolist(), total.cores.tolist(), total.nums.tolist()):
         if num:
-            out.setdefault(divmod(flat, dim), {})[core] = Fraction(num, den)
+            out.setdefault(divmod(flat, dim), {})[core] = Fraction(num, total.den)
     return out
 
 
@@ -549,7 +550,7 @@ def test_exact_kernel_defect_matches_sympy(spec, dim, seed):
             for c, z in spec.bracket(x, y):
                 want -= _sympy_value(c) * sym[z]
             defect = repcheck.ExactMatrix.sum(dim, repcheck._commutator_terms(spec, forms, x, y))
-            got = _kernel_classes(defect.acc, defect.den, dim)
+            got = _kernel_classes(defect, dim)
             for r in range(dim):
                 for col in range(dim):
                     assert got.get((r, col), {}) == _sympy_classes(want[r, col]), (x, y, r, col)
@@ -628,6 +629,71 @@ def test_exact_checks_report_a_defect_that_cancels_across_square_classes():
     defect = sympy.sqrt(sympy.Rational(10, 3)) * (sympy.sqrt(1 + sympy.Rational(1, 10**30)) - 1)
     want = float(defect.evalf(40)) / (1.0 + gens["C12"].frobenius())
     assert checks[1][1] == pytest.approx(want, rel=1e-12)
+
+
+# -- the array kernel against the loop kernel it replaced -----------------------
+
+# Square-free cores: products of distinct primes, small, or from 14 to 20 of
+# these (about 1.3e16 to 5.6e26, so on both sides of 2**63).
+_CORE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+_BIG_CORE = math.prod(_CORE_PRIMES)
+_core = st.one_of(
+    st.sampled_from((1, 2, 3, 5, 6, 10, 15, 30)),
+    st.lists(st.sampled_from(_CORE_PRIMES), min_size=14, unique=True).map(math.prod),
+)
+_num = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70)).filter(bool)
+_KERNEL_DIM = 4
+_triples = st.lists(
+    st.tuples(*(st.integers(0, _KERNEL_DIM - 1),) * 2, _core, _num, st.sampled_from((1, 2, 3, 7))), max_size=12
+)
+# The coefficients of su(3)'s bracket and Casimir tables, radicals among them.
+_SU3_COEFFS = tuple(
+    [c for terms in repcheck.su3_so3_spec().brackets.values() for c, _ in terms]
+    + [c for c, _, _ in repcheck.su3_so3_spec().casimir]
+)
+# Inputs that fit int64 but whose product does not: 2**40 * 2**41 * gcd(6, 10).
+_OVERFLOWING = ([(0, 1, 6, 2**40, 1)], [(1, 2, 10, 2**41, 1), (1, 0, 3, -(2**41), 1)])
+
+
+def _exact_from(triples) -> repcheck.ExactMatrix:
+    """The exact form of ``sum num/den sqrt(core)`` at each ``(row, col)`` of the ``(row, col, core, num, den)`` triples."""
+    entries: dict = {}
+    for r, c, core, num, den in triples:
+        classes = entries.setdefault((r, c), {})
+        classes[core] = classes.get(core, 0) + Fraction(num, den)
+    values = {key: RadicalSum(classes) for key, classes in entries.items()}
+    return repcheck.ExactMatrix.of(OperatorMatrix("m", range(_KERNEL_DIM), values))
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(a=_triples, b=_triples, coeffs=st.lists(st.sampled_from(_SU3_COEFFS), min_size=4, max_size=4))
+@example(a=[(0, 1, 2, 3, 1), (1, 1, 6, -1, 2)], b=[(1, 0, 3, 1, 1), (0, 0, 1, 5, 7)], coeffs=[1, -1, 3, 2])
+@example(a=_OVERFLOWING[0], b=_OVERFLOWING[1], coeffs=[1, -1, Fraction(3, 2), 1])
+@example(a=[(0, 0, _BIG_CORE, 2**70, 3)], b=[(0, 0, _BIG_CORE // 2, -(2**64), 1)], coeffs=[1, -1, 1, -1])
+def test_array_kernel_matches_the_loop_kernel(a, b, coeffs):
+    a, b = _exact_from(a), _exact_from(b)
+    terms = [(coeffs[0], a, b), (coeffs[1], b, a), (coeffs[2], a, None), (coeffs[3], b.adjoint(), None)]
+    total = repcheck.ExactMatrix.sum(_KERNEL_DIM, terms)
+    den, acc = oracles.exact_sum_reference(_KERNEL_DIM, terms)
+    got = {
+        (flat, core): Fraction(num, total.den)
+        for flat, core, num in zip(total.flat.tolist(), total.cores.tolist(), total.nums.tolist())
+    }
+    assert len(got) == total.flat.size and all(got.values())  # each (entry, core) once, never a zero
+    assert got == {key: Fraction(num, den) for key, num in acc.items() if num}
+
+
+def test_array_kernel_leaves_int64_where_the_bound_says_so():
+    small = _exact_from([(0, 1, 6, 3, 1)])
+    assert repcheck.ExactMatrix.sum(_KERNEL_DIM, [(1, small, small.adjoint())]).nums.dtype == np.int64
+    a, b = (_exact_from(t) for t in _OVERFLOWING)
+    assert a.nums.dtype == b.nums.dtype == np.int64
+    total = repcheck.ExactMatrix.sum(_KERNEL_DIM, [(1, a, b)])
+    assert total.nums.dtype == object
+    assert sorted(zip(total.flat.tolist(), total.cores.tolist(), total.nums.tolist())) == [
+        (0, 2, -(2**81) * 3),  # sqrt(6) sqrt(3) = 3 sqrt(2)
+        (2, 15, 2**81 * 2),  # sqrt(6) sqrt(10) = 2 sqrt(15)
+    ]
 
 
 def test_exact_entry_with_a_core_not_square_free_evaluates_to_zero():
