@@ -24,24 +24,27 @@ the live and replayed checks are one :func:`repcheck.standard_checks` call,
 and both pick the exact or the float kernel from the matrix types alone.  An
 entry's indices must be integers inside the matrix, its value finite, and no
 ``(row, col)`` may repeat; the weight's integer fields (su(1,1) ``nmax``,
-su(3) ``lam`` and ``mu``) must be JSON integers.  ``gen`` writes the JSON
-document one generator at a time, in the ``json.dump(..., indent=1)``
-layout: a float generator's entries straight from its coordinate arrays,
-every other field by ``json.dumps``.  In float mode every generator is
-converted first, so a value too large for a float, refused with its
-generator's name, writes nothing.  ``--format csv`` writes the reduced table
-alone.  A ``gen --out`` that fails removes the file it opened.  The su(1,1)
-matrices are truncations of an infinite-dimensional irrep, so its commutator
-and Casimir checks run on the interior block (every row and column but the
-last).
+su(3) ``lam`` and ``mu``) must be JSON integers, and its rational fields
+(su(1,1) ``lambda``, each of a u(3) ``w``'s three) JSON integers or strings
+such as ``"7/2"``, as the ``--lambda`` and ``--weight`` flags are read.
+``gen`` writes the JSON document one generator at a time, in the
+``json.dump(..., indent=1)`` layout: a float generator's entries straight
+from its coordinate arrays, every other field by ``json.dumps``.  In float
+mode every generator is converted first, so a value too large for a float,
+refused with its generator's name, writes nothing.  ``--format csv`` writes
+the reduced table alone.  A ``gen --out`` that fails removes the file it
+opened.  The su(1,1) matrices are truncations of an infinite-dimensional
+irrep, so its commutator and Casimir checks run on the interior block (every
+row and column but the last).
 
 Exit codes: 0 success, 1 verification failure, which includes an su(3)
 construction that fails its own consistency checks (``So3ConsistencyError``,
 with a one-line ``error:`` message), 2 usage error (also with a one-line
-``error:`` message), which includes a value, generator norm or residual scale
-too large for a float (``OverflowError``).  The default tolerance is 1e-10,
-overridable per-call with ``--tol`` or globally with the ``VCS_IRREPS_TOL``
-environment variable; either must be a finite number >= 0.
+``error:`` message, argparse's own included), which includes a value,
+generator norm or residual scale too large for a float (``OverflowError``).
+The default tolerance is 1e-10, overridable per-call with ``--tol`` or
+globally with the ``VCS_IRREPS_TOL`` environment variable; either must be a
+finite number >= 0.
 """
 
 from __future__ import annotations
@@ -70,6 +73,13 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose usage errors are one ``error:`` line, exit 2; ``--help`` is unchanged."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _tolerance(flag: str | None) -> float:
     """``--tol``, else ``VCS_IRREPS_TOL``, else the default: a finite number >= 0."""
     text = os.environ.get("VCS_IRREPS_TOL") if flag is None else flag
@@ -84,18 +94,21 @@ def _tolerance(flag: str | None) -> float:
     return tol
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _rational(value) -> Fraction:
+    """A weight from a flag or a document: a JSON integer or a rational string such as ``"7/2"``, no bool or float."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"not a rational number: {text!r}") from exc
+        if type(value) is int or isinstance(value, str):
+            return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"not a rational number: {value!r}")
 
 
-def _parse_triple(text: str) -> tuple[Fraction, Fraction, Fraction]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"expected three comma-separated values, got {text!r}")
-    return tuple(_parse_fraction(p) for p in parts)  # type: ignore[return-value]
+def _triple(values: list) -> tuple[Fraction, Fraction, Fraction]:
+    """A u(3) weight from a list of three :func:`_rational` values."""
+    if not isinstance(values, list) or len(values) != 3:
+        raise ValueError(f"expected three weights w1,w2,w3, got {values!r}")
+    return tuple(map(_rational, values))  # type: ignore[return-value]
 
 
 def _parse_lm(text: str) -> tuple[int, int]:
@@ -211,12 +224,12 @@ class Algebra:
 
 def _su11_from_args(args) -> su11.Su11Irrep:
     _require(args, "su11 requires --lambda and --nmax", "lam", "nmax")
-    return su11.Su11Irrep(_parse_fraction(args.lam), args.nmax)
+    return su11.Su11Irrep(_rational(args.lam), args.nmax)
 
 
 def _u3_from_args(args) -> u3.U3HighestWeight:
     _require(args, "u3 requires --weight w1,w2,w3", "weight")
-    return u3.U3HighestWeight(*_parse_triple(args.weight))
+    return u3.U3HighestWeight(*_triple(args.weight.split(",")))
 
 
 def _su3_so3_from_args(args) -> su3_so3.Su3Label:
@@ -242,7 +255,7 @@ def _su3_so3_branching(lm: su3_so3.Su3Label) -> list[tuple[str, float, bool]]:
 SU11 = Algebra(
     name="su11",
     from_args=_su11_from_args,
-    from_weight=lambda w: su11.Su11Irrep(Fraction(w["lambda"]), json_integer(w, "nmax", "weight")),
+    from_weight=lambda w: su11.Su11Irrep(_rational(w["lambda"]), json_integer(w, "nmax", "weight")),
     spec=lambda: repcheck.su11_spec(),
     build=lambda irrep: su11.generator_matrices(irrep),
     basis=lambda irrep: range(irrep.dim),
@@ -261,7 +274,7 @@ SU11 = Algebra(
 U3 = Algebra(
     name="u3",
     from_args=_u3_from_args,
-    from_weight=lambda w: u3.U3HighestWeight(*(Fraction(x) for x in w["w"])),
+    from_weight=lambda w: u3.U3HighestWeight(*_triple(w["w"])),
     spec=lambda: repcheck.u3_spec(),
     build=lambda hw: u3.assemble_generators(hw),
     basis=lambda hw: u3.basis_enumeration(hw),
@@ -462,7 +475,7 @@ def cmd_branch(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vcs-irreps",
         description="Unitary irrep matrices of su(1,1), u(3) and su(3) with built-in verification.",
     )

@@ -14,15 +14,16 @@ amplitudes.  Both the blocks and the float generator matrices take these
 coefficients from :func:`~vcs_irreps.angmom.rank2_cg_parts`, one call per
 block pair, and never sum Racah's series.  Diagonalizing the symmetric
 ``sqrt(2L+1) M[L, L]`` defines the multiplicity label ``alpha`` (the
-eigenbasis of the scalar L.Q.L invariant).  One best-first walk over the
-quadrupole couplings between eigenstates, from the lowest-L state and along
-the strongest edge first, finds the in-irrep states and fixes each one's norm
-factor ``k`` from the ratio across the edge that reached it.  The squared norm
-ratio ``(-1)**(L-L') curlyM[L,L'][alpha,beta] / curlyM[L',L][beta,alpha]``
-must be positive on every in-irrep edge: the walk checks its sign on every
-edge it weighs, and reduced Hermiticity of the elements below covers the
-weaker ones.  The norm factors unitarize the representation, and each reduced
-quadrupole matrix element comes from them once,
+eigenbasis of the scalar L.Q.L invariant), one ``eigh`` call per L.  One
+best-first walk over the quadrupole couplings between eigenstates, from the
+lowest-L state and along the strongest edge first, finds the in-irrep states
+and fixes each one's norm factor ``k`` from the ratio across the edge that
+reached it.  The squared norm ratio ``(-1)**(L-L') curlyM[L,L'][alpha,beta] /
+curlyM[L',L][beta,alpha]`` must be positive on every in-irrep edge: the walk
+checks its sign on every edge it weighs, and reduced Hermiticity of the
+elements below covers the weaker ones.  Edge weights and listed elements are
+computed once per block pair.  The norm factors unitarize the representation,
+and each reduced quadrupole matrix element comes from them once,
 
     <beta L'||Q||alpha L> = (2L'+1) curlyM[L',L][beta,alpha] k_alpha / k_beta,
 
@@ -191,8 +192,8 @@ class _Construction:
     k_norm: dict[tuple[int, int], float]  # (L, raw index) -> norm factor
     # (Lp, L) -> sqrt(2Lp+1) curlyM[Lp,L][beta,alpha] k_alpha / k_beta over in-irrep indices
     factors: dict[tuple[int, int], np.ndarray]
-    # (Lp, L) -> which of those elements a reduced table lists (see _listed)
-    listed: dict[tuple[int, int], np.ndarray]
+    # (Lp, L) -> sqrt(2Lp+1) factors where a reduced table lists the element (see _listed), else 0
+    reduced: dict[tuple[int, int], np.ndarray]
 
 
 @lru_cache(maxsize=None)
@@ -204,29 +205,20 @@ def _construction(lm: Su3Label) -> _Construction:
     dense = {pair: _float_block(*block) for pair, block in blocks.items() if block[0] and block[1]}
     unitaries, eigenvalues = {}, {}
     for L in levels:
-        # sqrt(2L+1) M[L, L] is symmetric exactly when M[L, L] is: equal cores and equal fractions.
-        rows, _, entries = blocks[(L, L)]
-        n = len(rows)
+        # Equal cores and fractions make sqrt(2L+1) M[L, L] exactly, and so bitwise, symmetric.
+        entries = blocks[(L, L)][2]
         for (i, j), (core, num, den) in entries.items():
             core2, num2, den2 = entries.get((j, i), (core, 0, 1))
             if core2 != core or num * den2 != num2 * den:
                 raise So3ConsistencyError(f"sqrt(2L+1) M[{L},{L}] is not symmetric at ({min(i, j)},{max(i, j)})")
-        block = dense[(L, L)]
-        if n == 1:
-            u = np.eye(1)
-            ev = block.diagonal().copy()
-        else:
-            evs, u = np.linalg.eigh((block + block.T) / 2)
-            scale = max(1.0, float(np.abs(evs).max()))
-            if np.diff(evs).min() < DEGENERACY_TOL * scale:
-                raise So3ConsistencyError(f"degenerate invariant eigenvalues at L={L}")
-            positive_leads(u)
-            ev = evs
-        unitaries[L] = u
+        evs, u = np.linalg.eigh(dense[(L, L)])  # a 1x1 block comes back unchanged, with u = [[1.0]]
+        if (np.diff(evs) < DEGENERACY_TOL * max(1.0, float(np.abs(evs).max()))).any():
+            raise So3ConsistencyError(f"degenerate invariant eigenvalues at L={L}")
+        unitaries[L] = positive_leads(u)
         # curlyM carries a 1/sqrt(2L+1) relative to the raw quadrupole block;
         # with that normalization the reduced-ME and norm-ratio formulas close
         # the algebra (checked against the canonical-basis construction).
-        eigenvalues[L] = ev / np.sqrt(2 * L + 1)
+        eigenvalues[L] = evs / np.sqrt(2 * L + 1)
 
     curly = {
         (Lp, L): unitaries[Lp].T @ block @ unitaries[L] / np.sqrt(2 * Lp + 1)
@@ -235,12 +227,15 @@ def _construction(lm: Su3Label) -> _Construction:
 
     positive, k_norm = _best_first_walk(levels, candidates, raw_candidates, curly)
     factors = _factors(curly, positive, k_norm)
-    listed = {
-        (Lp, L): (_listed(block) | _listed(curly[(L, Lp)]).T)[np.ix_(positive[Lp], positive[L])]
-        for (Lp, L), block in curly.items()
+    listed = {pair: _listed(block) for pair, block in curly.items()}
+    reduced = {
+        (Lp, L): np.where(
+            (listed[(Lp, L)] | listed[(L, Lp)].T)[np.ix_(positive[Lp], positive[L])], np.sqrt(2 * Lp + 1) * t, 0.0
+        )
+        for (Lp, L), t in factors.items()
     }
     return _Construction(
-        lm, levels, candidates, raw_candidates, unitaries, eigenvalues, curly, positive, k_norm, factors, listed
+        lm, levels, candidates, raw_candidates, unitaries, eigenvalues, curly, positive, k_norm, factors, reduced
     )
 
 
@@ -268,7 +263,7 @@ def _factors(curly, positive, k_norm):
 def _listed(block: np.ndarray) -> np.ndarray:
     """Entries of a curlyM block above ``DEFAULT_TOL`` of its own scale.
 
-    A table lists an element when its entry or its mirror's passes; :func:`_construction` keeps that mask per pair.
+    A table lists an element when its entry or its mirror's passes; :func:`_construction` reads it once per block.
     """
     return np.abs(block) > DEFAULT_TOL * max(1.0, float(np.abs(block).max()))
 
@@ -294,17 +289,19 @@ def _best_first_walk(levels, candidates, raw_candidates, curly):
     positive on every in-irrep pair the walk weighs above ``_EDGE_TOL``, not
     only on the edges the walk took.  A weaker pair's partner entry can be
     rounding noise of either sign, so its ratio is left to the reduced
-    Hermiticity identity that :func:`_factors` checks.
+    Hermiticity identity that :func:`_factors` checks.  The walk and the
+    sign check read one edge-weight table per block pair.
     """
+    weights = {(Lp, L): _edge_weights(fwd, curly[(L, Lp)]) for (Lp, L), fwd in curly.items()}
     root = (levels[0], 0)
     k_norm = {root: 1.0}
     heap = []
 
     def push(L, a):
         for Lp in range(L - 2, L + 3):
-            if (Lp, L) not in curly:
+            if (Lp, L) not in weights:
                 continue
-            for b, weight in enumerate(_edge_weights(curly[(Lp, L)], curly[(L, Lp)])[:, a]):
+            for b, weight in enumerate(weights[(Lp, L)][:, a].tolist()):
                 if weight > _EDGE_TOL and (Lp, b) not in k_norm:
                     heapq.heappush(heap, (-weight, Lp, b, L, a))
 
@@ -325,16 +322,14 @@ def _best_first_walk(levels, candidates, raw_candidates, curly):
                 f"found {len(positive[L])} positive-norm states at L={L}, "
                 f"expected {len(candidates[L])} (raw candidates {raw_candidates[L]})"
             )
-    for (Lp, L), fwd in curly.items():
-        bwd = curly[(L, Lp)]
-        checked = _edge_weights(fwd, bwd) > _EDGE_TOL
-        for b in positive[Lp]:
-            for a in positive[L]:
-                ratio = (-1.0) ** (L - Lp) * bwd[a, b] / fwd[b, a] if checked[b, a] else 1.0
-                if ratio <= 0:
-                    raise So3ConsistencyError(
-                        f"non-positive norm ratio {ratio:.3e} between (L={L},a={a}) and (L={Lp},a={b})"
-                    )
+    for (Lp, L), weight in weights.items():
+        ratio = np.ones(weight.shape)  # [b, a]; 1 on pairs weighed at or below _EDGE_TOL
+        np.divide((-1.0) ** (L - Lp) * curly[(L, Lp)].T, curly[(Lp, L)], out=ratio, where=weight > _EDGE_TOL)
+        for i, j in np.argwhere(ratio[np.ix_(positive[Lp], positive[L])] <= 0)[:1]:  # the first, b before a
+            b, a = positive[Lp][i], positive[L][j]
+            raise So3ConsistencyError(
+                f"non-positive norm ratio {ratio[b, a]:.3e} between (L={L},a={a}) and (L={Lp},a={b})"
+            )
     return positive, k_norm
 
 
@@ -344,24 +339,22 @@ def reduced_q(lm: Su3Label, beta: int, Lp: int, alpha: int, L: int) -> float:
     ``alpha`` and ``beta`` index the in-irrep states at their L in ascending
     invariant-eigenvalue order.  The value is ``sqrt(2Lp+1)`` times the factor
     that :func:`assemble_so3_generators` expands, so a table and the matrices
-    agree.  Queries outside the irrep return 0, and so do elements whose
-    curlyM entry and whose mirror's both lie within ``DEFAULT_TOL`` of their
-    own block's scale: the two blocks have different scales, and an element
-    is listed exactly when its mirror is.
+    agree.  Queries outside the irrep, negative indices included, return 0,
+    and so do elements whose curlyM entry and whose mirror's both lie within
+    ``DEFAULT_TOL`` of their own block's scale: the two blocks have different
+    scales, and an element is listed exactly when its mirror is.
     """
     con = _construction(lm)
-    if (Lp, L) not in con.factors or beta >= len(con.positive[Lp]) or alpha >= len(con.positive[L]):
+    if (Lp, L) not in con.reduced or not (0 <= beta < len(con.positive[Lp]) and 0 <= alpha < len(con.positive[L])):
         return 0.0
-    if not con.listed[(Lp, L)][beta, alpha]:
-        return 0.0
-    return float(np.sqrt(2 * Lp + 1) * con.factors[(Lp, L)][beta, alpha])
+    return float(con.reduced[(Lp, L)][beta, alpha])
 
 
 def reduced_elements(lm: Su3Label):
     """Every non-zero :func:`reduced_q` as ``(Lp, beta, L, alpha, value)``, in the order L, Lp, alpha, beta."""
     con = _construction(lm)
-    for Lp, L in sorted(con.factors, key=lambda pair: pair[::-1]):
-        values = np.where(con.listed[(Lp, L)], np.sqrt(2 * Lp + 1) * con.factors[(Lp, L)], 0.0)
+    for Lp, L in sorted(con.reduced, key=lambda pair: pair[::-1]):
+        values = con.reduced[(Lp, L)]
         for alpha, beta in np.argwhere(values.T).tolist():
             yield Lp, beta, L, alpha, float(values[beta, alpha])
 

@@ -211,6 +211,27 @@ def test_u3_outputs_are_byte_identical_to_the_pinned_hashes(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == U3_OUTPUT_SHA256[argv]
 
 
+# SHA-256 of the standard output of su(3) commands, as computed at commit
+# 4e955d9, before the construction read its edge weights and reduced elements
+# from one table per block pair.  (24,22) has multiplicities up to 12, where the
+# walk's heap order decides which edge fixes each norm.  A change that moves
+# the float bits of the su(3) factors must update these and say why.
+SU3_OUTPUT_SHA256 = {
+    ("gen", "su3-so3", "--lm", "8,6"): "107e7f65cab26f29bc1c32112bab895a585f150aee1c12c3a2eae0ab2ca3d006",
+    ("gen", "su3-so3", "--lm", "24,22", "--format", "csv"):
+        "3d6e260d6250835ad7bde76116dd6084cb106c1e15f546e2039d4daf84e0af5b",
+    ("check", "su3-so3", "--lm", "10,8"): "7b32638fe811a14667a50c78b0b413f2b3f0f9ef710bf067a2d51352669256d8",
+    ("branch", "--lm", "10,8"): "8a765439ae67022048d11487da725d6c20dd22035b0284b5190e25c903829b78",
+}
+
+
+@pytest.mark.parametrize("argv", list(SU3_OUTPUT_SHA256), ids=" ".join)
+def test_su3_outputs_are_byte_identical_to_the_pinned_hashes(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SU3_OUTPUT_SHA256[argv]
+
+
 def test_check_su3_so3_passes(capsys):
     code, out, _ = run(capsys, "check", "su3-so3", "--lm", "2,2")
     assert code == 0
@@ -443,6 +464,25 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [["check", "su3-so3", "--lm", "-1,2"], ["gen", "nosuch"], ["branch"], ["frobnicate"], []], ids=repr
+)
+def test_argparse_errors_are_one_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--help"])
+    out = capsys.readouterr()
+    assert exc.value.code == 0 and out.err == ""
+    assert out.out.startswith("usage: vcs-irreps gen [-h]") and "--lm LM" in out.out
+
+
 def test_float_mode_document(capsys):
     code, out, _ = run(capsys, "gen", "su11", "--lambda", "5/2", "--nmax", "4", "--mode", "float")
     assert code == 0
@@ -538,6 +578,27 @@ _NON_INTEGER_LABELS = [
     (["su3-so3", "--lm", "1,1"], "mu", 1.0, "su3-mu-1.0"),
 ]
 
+# A rational weight field edited to a value outside the one rule that the
+# --lambda and --weight flags share: a JSON integer, or a string with a
+# non-zero denominator; a u(3) "w" is a list of three such values.
+_NON_RATIONAL_WEIGHTS = [
+    (["su11", "--lambda", "3/2", "--nmax", "2"], "lambda", True, "su11-lambda-true"),
+    (["su11", "--lambda", "3/2", "--nmax", "2"], "lambda", "1/0", "su11-lambda-zero-denominator"),
+    (["su11", "--lambda", "3/2", "--nmax", "2"], "lambda", 1.5, "su11-lambda-float"),
+    (["u3", "--weight", "1,0,0"], "w", "100", "u3-w-string"),
+    (["u3", "--weight", "1,0,0"], "w", [True, False, False], "u3-w-bools"),
+    (["u3", "--weight", "1,0,0"], "w", ["1/0", "0", "0"], "u3-w-zero-denominator"),
+    (["u3", "--weight", "1,0,0"], "w", [1.0, 0, 0], "u3-w-float"),
+    (["u3", "--weight", "1,0,0"], "w", ["1", "0"], "u3-w-two-values"),
+]
+
+
+def _set_weight(key, value):
+    def edit(doc):
+        doc["weight"][key] = value
+
+    return edit
+
 
 def _weight_field(key, value):
     def edit(doc):
@@ -604,6 +665,18 @@ def _weight_field(key, value):
             )
             for gen, key, value, _ in _NON_INTEGER_LABELS
         ),
+        *(
+            (
+                ["check", "--replay"],
+                lambda tmp_path, capsys, gen=gen, key=key, value=value: _edit_document(
+                    tmp_path, capsys, gen, _set_weight(key, value)
+                ),
+                {},
+            )
+            for gen, key, value, _ in _NON_RATIONAL_WEIGHTS
+        ),
+        (["check", "su11", "--lambda", "1/0", "--nmax", "2"], None, {}),
+        (["check", "u3", "--weight", "1,0"], None, {}),
         (["check", "u3", "--weight", "2,1,0"], None, {"VCS_IRREPS_TOL": "abc"}),
         (["check", "u3", "--weight", "2,1,0"], None, {"VCS_IRREPS_TOL": "inf"}),
         (["check", "u3", "--weight", "2,1,0", "--tol", "nan"], None, {}),
@@ -617,6 +690,7 @@ def _weight_field(key, value):
         "float-doc-nan-value", "float-doc-inf-value", "float-doc-bool-value", "float-doc-duplicate-entry",
         "mismatched-dims", "zero-dims",
         "su11-nmax-relabelled", "su3-relabelled", "basis-length", *(case[-1] for case in _NON_INTEGER_LABELS),
+        *(case[-1] for case in _NON_RATIONAL_WEIGHTS), "lambda-flag-zero-denominator", "weight-flag-two-values",
         "env-tol-not-a-number", "env-tol-infinite",
         "tol-nan", "tol-negative", "tol-not-a-number",
     ],

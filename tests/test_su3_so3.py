@@ -184,6 +184,10 @@ def test_reduced_q_out_of_irrep_queries_return_zero():
     assert su3_so3.reduced_q(lm, 0, 1, 0, 0) == 0.0
     assert su3_so3.reduced_q(lm, 5, 2, 0, 0) == 0.0
     assert su3_so3.reduced_q(lm, 0, 8, 0, 6) == 0.0
+    # a negative index is outside too, not the last state's element counted from the end
+    lm = su3_so3.Su3Label(4, 2)
+    assert su3_so3.reduced_q(lm, 0, 2, 0, 2) != 0.0
+    assert su3_so3.reduced_q(lm, -2, 2, 0, 2) == su3_so3.reduced_q(lm, 0, 2, -2, 2) == 0.0
 
 
 def test_reduced_table_lists_every_element_with_its_mirror():
@@ -350,6 +354,41 @@ def test_construction_builds_each_quadrupole_block_once(monkeypatch):
     assert len(calls) == 82 and set(calls.values()) == {1}
 
 
+def test_construction_weighs_and_lists_each_block_once(monkeypatch):
+    calls = Counter()
+    for name in ("_edge_weights", "_listed"):
+        real = getattr(su3_so3, name)
+        monkeypatch.setattr(su3_so3, name, lambda *blocks, name=name, real=real: calls.update([name]) or real(*blocks))
+    con = su3_so3._construction.__wrapped__(su3_so3.Su3Label(10, 8))
+    assert calls == {"_edge_weights": len(con.curly), "_listed": len(con.curly)} and len(con.curly) == 82
+
+
+def test_every_level_is_diagonalized_by_one_eigh_call(monkeypatch):
+    sizes = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda block: sizes.append(len(block)) or real(block))
+    lm = su3_so3.Su3Label(4, 2)
+    con = su3_so3._construction.__wrapped__(lm)
+    assert sizes == [len(con.raw_candidates[L]) for L in con.levels] and sizes.count(1) == 3
+    for L, n in zip(con.levels, sizes):
+        if n == 1:  # returned unchanged by LAPACK
+            rows, cols, entries = su3_so3.m_matrix(lm, L, L)
+            assert con.unitaries[L].tolist() == [[1.0]]
+            assert con.eigenvalues[L].tolist() == [su3_so3._float_block(rows, cols, entries)[0, 0] / np.sqrt(2 * L + 1)]
+
+
+def test_reduced_table_lists_exactly_the_elements_reduced_q_returns():
+    lm = su3_so3.Su3Label(8, 6)
+    con = su3_so3._construction(lm)
+    for (Lp, L), table in con.reduced.items():
+        mask = (su3_so3._listed(con.curly[(Lp, L)]) | su3_so3._listed(con.curly[(L, Lp)]).T)[
+            np.ix_(con.positive[Lp], con.positive[L])
+        ]
+        expected = np.where(mask, np.sqrt(2 * Lp + 1) * con.factors[(Lp, L)], 0.0)
+        assert table.tobytes() == expected.tobytes()
+        assert [su3_so3.reduced_q(lm, b, Lp, a, L) for b, a in np.ndindex(table.shape)] == table.ravel().tolist()
+
+
 def test_bulk_fill_drops_zeros_and_rejects_entries_outside():
     mat = repcheck.SparseMatrix(3, [2, 1, 0], [0, 1, 2], np.array([-2.0, 0.0, 1.5]))
     assert (mat.rows.tolist(), mat.cols.tolist(), mat.vals.tolist()) == ([0, 2], [2, 0], [1.5, -2.0])
@@ -430,6 +469,40 @@ def test_walk_rejects_each_flipped_in_irrep_edge():
 
         with pytest.raises(su3_so3.So3ConsistencyError, match="non-positive norm ratio"):
             _walk(flip, lm)
+
+
+def _first_non_positive_ratio(con, curly):
+    """The sign check as a loop over pairs, then b, then a: the message of its first offending in-irrep pair."""
+    for (Lp, L), fwd in curly.items():
+        bwd = curly[(L, Lp)]
+        scale = max(1.0, np.abs(fwd).max(), np.abs(bwd).max())
+        for b in con.positive[Lp]:
+            for a in con.positive[L]:
+                if min(abs(fwd[b, a]), abs(bwd[a, b])) / scale > su3_so3._EDGE_TOL:
+                    ratio = (-1.0) ** (L - Lp) * bwd[a, b] / fwd[b, a]
+                    if ratio <= 0:
+                        return f"non-positive norm ratio {ratio:.3e} between (L={L},a={a}) and (L={Lp},a={b})"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_walk_reports_the_first_flipped_pair_in_loop_order(seed):
+    lm = su3_so3.Su3Label(8, 6)
+    con = su3_so3._construction(lm)
+    rng = np.random.default_rng(seed)
+    flips = {pair: rng.random(con.curly[pair].shape) < 0.3 for pair in [(6, 8), (8, 6), (7, 7)]}
+
+    def flip_some(con, curly):
+        # negating entries leaves every edge weight and so the walk as it was
+        for pair, mask in flips.items():
+            curly[pair][mask] *= -1
+
+    curly = {key: block.copy() for key, block in con.curly.items()}
+    flip_some(con, curly)
+    expected = _first_non_positive_ratio(con, curly)
+    assert expected is not None
+    with pytest.raises(su3_so3.So3ConsistencyError) as exc:
+        _walk(flip_some, lm)
+    assert str(exc.value) == expected
 
 
 def test_walk_rejects_a_flipped_pair_that_only_the_table_lists():
