@@ -19,12 +19,14 @@ returns ``(sign, num, den)``, which the exact caller wraps in a cached
 as int64 arrays ``(sign, num, den)`` over a whole M range from their closed
 forms (Edmonds, Table 2): ``sign * np.sqrt(num / den)`` has the bits of
 ``float()`` of the exact value, and ``Radical(sign, Fraction(num, den))`` is
-the exact value.  The u(3) builder needs only coefficients with a spin 1/2 in
-them, and :func:`spin_half_cg_parts` and :func:`spin_half_u_parts` give those
-as integers ``(sign, num, den)`` from their closed forms (Edmonds, Tables 2
-and 5); ``racah_u`` and ``wigner_6j`` are on no build path and stay as the
-general coefficients and the tests' reference.  Everything here is a pure
-function of its arguments.  The one memo is the Clebsch-Gordan kernel's
+the exact value.  The u(3) builders, of the irrep and of its holomorphic
+realization, need only coefficients with a spin 1/2 in them, and
+:func:`spin_half_cg_parts` and :func:`spin_half_u_parts` give those as
+integers ``(sign, num, den)`` from their closed forms (Edmonds, Tables 2 and
+5).  So ``clebsch_gordan``, ``clebsch_gordan_twice``, ``racah_u`` and
+``wigner_6j`` are on no build path; they stay as the general coefficients
+and the tests' reference.  Everything here is a pure function of its
+arguments.  The one memo is the Clebsch-Gordan kernel's
 ``functools.lru_cache``, safe for concurrent callers.
 """
 

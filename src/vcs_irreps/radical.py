@@ -22,7 +22,8 @@ Rational = Union[int, Fraction]
 
 # Trial-division bound for square-free extraction.  Every radicand produced by
 # the coupling-coefficient formulas is a product of integers bounded by a few
-# times the largest spin involved, so all prime factors are tiny.
+# times the largest spin involved, so all prime factors are tiny; only a
+# user's rational (an su(1,1) lambda, a weight, a replayed value) brings larger ones.
 _FACTOR_BOUND = 10_000
 
 
@@ -45,6 +46,14 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     A perfect square returns ``(isqrt(n), 1)`` at once: every rational value
     reaches here as ``q**2`` (see :meth:`Radical.from_rational`).  Otherwise
     trial division by the primes up to ``_FACTOR_BOUND`` while ``p * p <= n``.
+    The cofactor left has only primes above the bound.  Below
+    ``_FACTOR_BOUND**3`` it holds at most two of them, so it is square-free
+    unless it is a square.  Below ``_RHO_LIMIT`` a composite one is split by
+    :func:`_rho_divisor` and the classes of the two parts are joined; one
+    that rho cannot split has, but for rho's small chance of a miss, no prime
+    up to about 10**7, so at most two primes, and is square-free too.  From
+    ``_RHO_LIMIT`` on, the cofactor is kept whole: square-free unless it
+    holds the square of a prime above the bound.
     """
     if n <= 0:
         raise ValueError(f"positive integer required, got {n}")
@@ -63,16 +72,59 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             root *= p ** (e // 2)
             if e % 2:
                 core *= p
-    # Leftover cofactor: 1, or a product of primes above the bound.  A prime, a
-    # product of distinct primes or a perfect square (peeled here) comes out right,
-    # but a square times more, such as p**2*q (>= 10**12), stays whole in the core.
     if n > 1:
         s = math.isqrt(n)
         if s * s == n:
             root *= s
-        else:
+        elif not _FACTOR_BOUND**3 <= n < _RHO_LIMIT or (d := _rho_divisor(n)) == 1:
             core *= n
+        else:  # join the square classes of the two parts
+            (r1, c1), (r2, c2) = map(squarefree_decompose, (d, n // d))
+            g = math.gcd(c1, c2)
+            root, core = root * r1 * r2 * g, core * (c1 // g) * (c2 // g)
     return root, core
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on an odd ``n`` above ``_FACTOR_BOUND``; these 13 witnesses make it exact below 3.3e24."""
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**r with d odd
+    for a in _PRIMES[:13]:
+        x = pow(a, (n - 1) >> r, n)
+        if x != 1 and x != n - 1 and all((x := x * x % n) != n - 1 for _ in range(r - 1)):
+            return False
+    return True
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of an odd ``n`` below ``_RHO_LIMIT`` that is not a square; 1 if ``n`` is prime or none shows.
+
+    Pollard's rho with Brent's cycle search: the walk ``y -> y*y + c (mod n)``
+    starts at 2, so the result is a pure function of ``n``, and step
+    differences are multiplied ``_RHO_BATCH`` at a time before one gcd.  The
+    walk's window stops doubling past ``_RHO_STEPS``, where a prime up to
+    about 10**7 has shown, within a few milliseconds.
+    """
+    if _is_prime(n):
+        return 1
+    for c in (1, 2, 3):  # a batch that meets every prime at once (g == n, about 1 walk in 100) tries the next c
+        y, r, g = 2, 1, 1
+        while g == 1 and r <= _RHO_STEPS:
+            x, q = y, 1
+            for k in range(0, r, _RHO_BATCH):
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                if (g := math.gcd(q, n)) != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
+    return 1
+
+
+_RHO_BATCH = 128
+_RHO_STEPS = 2**12
+_RHO_LIMIT = 10**21  # (10**7)**3: a cofactor below it that rho cannot split has at most two primes
 
 
 def _float_sqrt(q: Fraction) -> float:

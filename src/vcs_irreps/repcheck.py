@@ -572,8 +572,9 @@ def _value(entry: dict[int, int], den: int) -> float:
     Flooring each ``|num| sqrt(core) 2**k`` errs by less than one, so ``k`` grows
     until the sum dwarfs the number of terms; it is non-zero for a non-zero num,
     as square roots of distinct square-free cores are linearly independent.  A
-    core with a squared prime factor above ``radical._FACTOR_BOUND`` can make it
-    zero, so ``k`` stops where the error is far below the smallest float.
+    core that is not square-free (one built by hand, not by
+    ``squarefree_decompose``) can make it zero, so ``k`` stops where the error
+    is far below the smallest float.
     """
     terms = [(num, core) for core, num in entry.items() if num]
     k = 64

@@ -19,20 +19,24 @@ the Racah series of ``racah_u``, and each entry is one ``Radical`` of integers. 
 reduced element is evaluated once per weight (:func:`reduced_elements` caches
 them), and both the generator matrices and a ``gen`` document's table read
 that evaluation.  All values are exact radicals.
+
+The paper's induction starts from the non-unitary holomorphic realization
+:func:`holomorphic_gamma_rep`, which ``kmatrix`` unitarizes; its blocks are
+the same spin-1/2 couplings, with the norm ratio :func:`k_ratio_sq` itself in
+place of its square root.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 # ``clebsch_gordan`` stays a module attribute: bench/spans.py wraps it by name.
-from .angmom import clebsch_gordan, clebsch_gordan_twice, spin_half_cg_parts, spin_half_u_parts  # noqa: F401
+from .angmom import clebsch_gordan, spin_half_cg_parts, spin_half_u_parts  # noqa: F401
 from .kmatrix import GammaRep
 from .opmatrix import OperatorMatrix
-from .radical import Radical, radical_terms, squarefree_decompose
+from .radical import Radical
 
 GENERATOR_NAMES = tuple(f"C{i}{k}" for i in (1, 2, 3) for k in (1, 2, 3))
 
@@ -238,132 +242,64 @@ def angular_momentum_dense(generators: dict[str, OperatorMatrix]):
 
 
 def holomorphic_gamma_rep(hw: U3HighestWeight, extra_grades: int = 1) -> GammaRep:
-    """Non-unitary differential-operator realization on coupled monomials.
+    """Non-unitary differential-operator realization on coupled monomials, in closed form.
 
-    The raw space is spanned, grade by grade ``2j = 0, 1, ...``, by the
-    U(2)-coupled products of the normalized monomials in the two lowering
-    variables with the intrinsic spin-``s`` states; each ``(2j, 2S, 2M)``
-    label is a one-dimensional sector.  Generator blocks are computed in the
-    uncoupled monomial basis, where every action is elementary, and then
-    conjugated by the exact Clebsch-Gordan transform.  The raw grading extends
-    ``extra_grades`` steps past the irrep boundary so zero-norm states appear.
-
-    Every Clebsch-Gordan coefficient and every uncoupled amplitude is split
-    once into an integer numerator over a denominator shared by its grade (or
-    by all amplitudes), times the square root of a square-free core; each
-    block entry is then summed per core in plain integers.
+    The raw space is spanned, grade by grade ``2j = N = 0, 1, ...``, by the
+    U(2)-coupled products of the degree-``N`` monomials in ``z = (z2, z3)``
+    with the intrinsic spin-``s`` states, up to ``extra_grades >= 0`` grades
+    past the irrep, so zero-norm states appear; each ``(2j, 2S, 2M)`` is a
+    one-dimensional sector.  ``C11``, ``C22``, ``C33``, ``C23`` and ``C32`` act
+    as in :func:`assemble_generators`.  The lowering tensor ``e = d/dz``
+    (``C12``, ``C13`` for ``nu = +-1/2``) has the block ``W = (S M, 1/2 nu |
+    S' M+nu) sqrt(2j+1) U(s j S' 1/2; S j+1/2)`` from ``(j+1/2, S', M+nu)`` to
+    ``(j, S, M)``.  The raising tensor (``C21``, ``C31``) is
+    ``f = z (c - N) - 2 [L.s, z]``, ``c = w1 - (w2+w3)/2``, ``L`` the
+    monomials' spin; ``L.s`` is diagonal on coupled states, so ``f``'s block
+    back is ``W`` times the rise of ``omega`` that :func:`k_ratio_sq` gives,
+    and absent where that is 0.  ``W`` comes from the closed forms
+    ``spin_half_cg_parts`` and ``spin_half_u_parts``: one ``Radical`` of
+    integers per block, with no coupling transform summed.
     """
+    if not isinstance(extra_grades, int) or extra_grades < 0:
+        raise ValueError(f"extra_grades must be a non-negative integer, got {extra_grades!r}")
     ts = hw.twice_s
     tj_cap = int(hw.w1 - hw.w3) + extra_grades
-
-    # Amplitudes are ``num / den * sqrt(core)`` over one denominator ``den``:
-    # twice the weights' common denominator, so every coefficient below is an
-    # integer multiple of ``1 / den``.
-    den = 2 * math.lcm(hw.w1.denominator, hw.w2.denominator, hw.w3.denominator)
-    half = den // 2
-    w1 = int(hw.w1 * den)
-    half_sum = int((hw.w2 + hw.w3) * half)  # (w2 + w3) / 2, over den
-
-    # Uncoupled single-particle actions.  States are |j m> (x) |s nu> with
-    # phi(j, m) = z2**(j+m) z3**(j-m) / sqrt((j+m)! (j-m)!); every radicand
-    # below is an integer, written with doubled labels (j + m = (tj + tm)/2).
-    def act_uncoupled(gen, tj, tm, tn):
-        """Return a list of ``((tm', tn'), num, core)``, the amplitude over ``den``."""
-        out = []
-
-        def add(target, coeff, radicand=1):
-            if coeff and radicand:
-                root, core = squarefree_decompose(radicand)
-                out.append((target, coeff * root, core))
-
-        s_up = (ts - tn) // 2 * ((ts + tn + 2) // 2)  # (s - nu)(s + nu + 1)
-        s_down = (ts + tn) // 2 * ((ts - tn + 2) // 2)  # (s + nu)(s - nu + 1)
-        if gen == "C11":
-            add((tm, tn), w1 - tj * den)
-        elif gen == "C22":
-            add((tm, tn), half_sum + (tn + tj + tm) * half)
-        elif gen == "C33":
-            add((tm, tn), half_sum + (-tn + tj - tm) * half)
-        elif gen == "C23":  # s+ + z2 d3
-            add((tm, tn + 2), den, s_up)
-            add((tm + 2, tn), den, (tj - tm) // 2 * ((tj + tm + 2) // 2))
-        elif gen == "C32":  # s- + z3 d2
-            add((tm, tn - 2), den, s_down)
-            add((tm - 2, tn), den, (tj + tm) // 2 * ((tj - tm + 2) // 2))
-        elif gen == "C12":  # d2
-            add((tm - 1, tn), den, (tj + tm) // 2)
-        elif gen == "C13":  # d3
-            add((tm + 1, tn), den, (tj - tm) // 2)
-        elif gen == "C21":
-            add((tm + 1, tn), w1 - half_sum - tn * half - tj * den, (tj + tm) // 2 + 1)
-            add((tm - 1, tn + 2), -den, s_up * ((tj - tm) // 2 + 1))
-        elif gen == "C31":
-            add((tm - 1, tn), w1 - half_sum + tn * half - tj * den, (tj - tm) // 2 + 1)
-            add((tm + 1, tn - 2), -den, s_down * ((tj + tm) // 2 + 1))
-        else:
-            raise ValueError(gen)
-        return out
-
+    u2_sum = hw.w2 + hw.w3
     sectors, grades = {}, {}
-    # Exact coupling transform per grade, indexed by uncoupled row (tm, tn):
-    # a list of (tS, tM, core, num), the coefficient over cg_den[tj].
-    transforms, cg_den = {}, {}
+    blocks: dict[str, dict] = {name: {} for name in GENERATOR_NAMES}
     for tj in range(tj_cap + 1):
+        c11 = Radical.from_rational(hw.w1 - tj)
+        # C22 on (j, S, M) is half[M] and C33 is half[-M]: (w2 + w3 + 2j +- 2M) / 2
+        half = {tM: Radical.from_rational((u2_sum + tj + tM) / 2) for tM in range(-tj - ts, tj + ts + 1, 2)}
         for tS in range(abs(tj - ts), tj + ts + 1, 2):
             for tM in range(-tS, tS + 1, 2):
-                sectors[(tj, tS, tM)] = 1
-                grades[(tj, tS, tM)] = tj
-        rows = {}
-        for tm in range(-tj, tj + 1, 2):
-            for tn in range(-ts, ts + 1, 2):
-                tM = tm + tn
-                rows[(tm, tn)] = [
-                    (tS, tM, core, num, d)
-                    for tS in range(max(abs(tj - ts), abs(tM)), tj + ts + 1, 2)
-                    for core, num, d in radical_terms(clebsch_gordan_twice(ts, tn, tj, tm, tS, tM))
-                ]
-        common = math.lcm(*(d for row in rows.values() for *_, d in row))
-        transforms[tj] = {
-            key: [(tS, tM, core, num * (common // d)) for tS, tM, core, num, d in row]
-            for key, row in rows.items()
-        }
-        cg_den[tj] = common
-
-    grade_shift = {"C11": 0, "C22": 0, "C33": 0, "C23": 0, "C32": 0,
-                   "C12": -1, "C13": -1, "C21": 1, "C31": 1}
-    gcd = math.gcd
-    blocks: dict[str, dict] = {name: {} for name in GENERATOR_NAMES}
-    for gen in GENERATOR_NAMES:
-        for tj in range(tj_cap + 1):
-            tjp = tj + grade_shift[gen]
-            if not 0 <= tjp <= tj_cap:
+                a = (tj, tS, tM)
+                sectors[a], grades[a] = 1, tj
+                for name, value in (("C11", c11), ("C22", half[tM]), ("C33", half[-tM])):
+                    if value.sign:
+                        blocks[name][a, a] = [[value]]
+                if tM + 2 <= tS:
+                    amp = Radical(1, Fraction((tS - tM) * (tS + tM + 2), 4))
+                    blocks["C23"][(tj, tS, tM + 2), a] = [[amp]]
+                    blocks["C32"][a, (tj, tS, tM + 2)] = [[amp]]
+            if tj == tj_cap:
                 continue
-            t_out = transforms[tjp]
-            # gamma_coupled[(S'M'), (SM)] = sum T_out . Gamma_unc . T_in, per core
-            acc: dict[tuple, int] = {}
-            for (tm, tn), cg_in in transforms[tj].items():
-                for target, a_num, a_core in act_uncoupled(gen, tj, tm, tn):
-                    cg_out = t_out.get(target)
-                    if not cg_out:
-                        continue
-                    for tS, tM, c_in, n_in in cg_in:
-                        g = gcd(c_in, a_core)
-                        c1, n1 = (c_in // g) * (a_core // g), n_in * a_num * g
-                        for tSp, tMp, c_out, n_out in cg_out:
-                            g = gcd(c1, c_out)
-                            key = (tSp, tMp, tS, tM, (c1 // g) * (c_out // g))
-                            acc[key] = acc.get(key, 0) + n1 * n_out * g
-            scale = (cg_den[tjp] * den * cg_den[tj]) ** 2
-            gen_blocks = blocks[gen]
-            for (tSp, tMp, tS, tM, core), num in acc.items():
-                if not num:
+            for tSp in (tS - 1, tS + 1):
+                u_sign, u_num, u_den = spin_half_u_parts(ts, tj, tS, tSp)
+                if not u_sign:
                     continue
-                key = ((tjp, tSp, tMp), (tj, tS, tM))
-                if key in gen_blocks:
-                    raise ValueError(f"{gen} block {key} spans more than one square class")
-                gen_blocks[key] = [[Radical(1 if num > 0 else -1, Fraction(num * num * core, scale))]]
+                ratio = k_ratio_sq(hw, tj, tS, tSp)
+                p, q = ratio.numerator, ratio.denominator
+                for tM in range(-tS, tS + 1, 2):
+                    for t_nu, lower, upper in ((1, "C12", "C21"), (-1, "C13", "C31")):
+                        c_sign, c_num, c_den = spin_half_cg_parts(tS, tM, t_nu, tSp)
+                        if not c_sign:
+                            continue
+                        a, b = (tj, tS, tM), (tj + 1, tSp, tM + t_nu)
+                        sign, num, den = u_sign * c_sign, u_num * c_num * (tj + 1), u_den * c_den
+                        blocks[lower][a, b] = [[Radical(sign, Fraction(num, den))]]
+                        if p:
+                            blocks[upper][b, a] = [[Radical(sign if p > 0 else -sign, Fraction(num * p * p, den * q * q))]]
 
-    adjoints = {"C11": "C11", "C22": "C22", "C33": "C33",
-                "C12": "C21", "C21": "C12", "C13": "C31", "C31": "C13",
-                "C23": "C32", "C32": "C23"}
+    adjoints = {f"C{i}{k}": f"C{k}{i}" for i in (1, 2, 3) for k in (1, 2, 3)}
     return GammaRep(sectors=sectors, grades=grades, blocks=blocks, adjoints=adjoints, exact=True)

@@ -12,8 +12,9 @@ from fractions import Fraction
 import numpy as np
 
 from vcs_irreps import angmom, repcheck, su3_so3, u3
+from vcs_irreps.kmatrix import GammaRep
 from vcs_irreps.opmatrix import OperatorMatrix
-from vcs_irreps.radical import Radical, RadicalSum, radical_terms
+from vcs_irreps.radical import Radical, RadicalSum, radical_terms, squarefree_decompose
 from vcs_irreps.su11 import Su11Irrep, generator_matrices
 
 
@@ -223,3 +224,130 @@ def u3_generators_reference(hw: u3.U3HighestWeight) -> dict[str, OperatorMatrix]
     mats["C12"] = mats["C21"].dagger("C12")
     mats["C13"] = mats["C31"].dagger("C13")
     return mats
+
+
+def holomorphic_gamma_rep_by_transforms(hw: u3.U3HighestWeight, extra_grades: int = 1) -> GammaRep:
+    """``u3.holomorphic_gamma_rep`` by conjugating the uncoupled actions with exact Clebsch-Gordan transforms.
+
+    The raw space is spanned, grade by grade, by the U(2)-coupled products of
+    the normalized monomials in the two lowering variables with the intrinsic
+    spin-``s`` states.  Each block is computed in the uncoupled monomial basis,
+    where every action is elementary, then conjugated by the coupling
+    transforms of its two grades, summed per square-free core in plain
+    integers.  Independent of the closed-form spin-1/2 couplings that the
+    library uses; the reference its blocks are compared with.
+    """
+    ts = hw.twice_s
+    tj_cap = int(hw.w1 - hw.w3) + extra_grades
+
+    # Amplitudes are ``num / den * sqrt(core)`` over one denominator ``den``:
+    # twice the weights' common denominator, so every coefficient below is an
+    # integer multiple of ``1 / den``.
+    den = 2 * math.lcm(hw.w1.denominator, hw.w2.denominator, hw.w3.denominator)
+    half = den // 2
+    w1 = int(hw.w1 * den)
+    half_sum = int((hw.w2 + hw.w3) * half)  # (w2 + w3) / 2, over den
+
+    # Uncoupled single-particle actions.  States are |j m> (x) |s nu> with
+    # phi(j, m) = z2**(j+m) z3**(j-m) / sqrt((j+m)! (j-m)!); every radicand
+    # below is an integer, written with doubled labels (j + m = (tj + tm)/2).
+    def act_uncoupled(gen, tj, tm, tn):
+        """Return a list of ``((tm', tn'), num, core)``, the amplitude over ``den``."""
+        out = []
+
+        def add(target, coeff, radicand=1):
+            if coeff and radicand:
+                root, core = squarefree_decompose(radicand)
+                out.append((target, coeff * root, core))
+
+        s_up = (ts - tn) // 2 * ((ts + tn + 2) // 2)  # (s - nu)(s + nu + 1)
+        s_down = (ts + tn) // 2 * ((ts - tn + 2) // 2)  # (s + nu)(s - nu + 1)
+        if gen == "C11":
+            add((tm, tn), w1 - tj * den)
+        elif gen == "C22":
+            add((tm, tn), half_sum + (tn + tj + tm) * half)
+        elif gen == "C33":
+            add((tm, tn), half_sum + (-tn + tj - tm) * half)
+        elif gen == "C23":  # s+ + z2 d3
+            add((tm, tn + 2), den, s_up)
+            add((tm + 2, tn), den, (tj - tm) // 2 * ((tj + tm + 2) // 2))
+        elif gen == "C32":  # s- + z3 d2
+            add((tm, tn - 2), den, s_down)
+            add((tm - 2, tn), den, (tj + tm) // 2 * ((tj - tm + 2) // 2))
+        elif gen == "C12":  # d2
+            add((tm - 1, tn), den, (tj + tm) // 2)
+        elif gen == "C13":  # d3
+            add((tm + 1, tn), den, (tj - tm) // 2)
+        elif gen == "C21":
+            add((tm + 1, tn), w1 - half_sum - tn * half - tj * den, (tj + tm) // 2 + 1)
+            add((tm - 1, tn + 2), -den, s_up * ((tj - tm) // 2 + 1))
+        elif gen == "C31":
+            add((tm - 1, tn), w1 - half_sum + tn * half - tj * den, (tj - tm) // 2 + 1)
+            add((tm + 1, tn - 2), -den, s_down * ((tj + tm) // 2 + 1))
+        else:
+            raise ValueError(gen)
+        return out
+
+    sectors, grades = {}, {}
+    # Exact coupling transform per grade, indexed by uncoupled row (tm, tn):
+    # a list of (tS, tM, core, num), the coefficient over cg_den[tj].
+    transforms, cg_den = {}, {}
+    for tj in range(tj_cap + 1):
+        for tS in range(abs(tj - ts), tj + ts + 1, 2):
+            for tM in range(-tS, tS + 1, 2):
+                sectors[(tj, tS, tM)] = 1
+                grades[(tj, tS, tM)] = tj
+        rows = {}
+        for tm in range(-tj, tj + 1, 2):
+            for tn in range(-ts, ts + 1, 2):
+                tM = tm + tn
+                rows[(tm, tn)] = [
+                    (tS, tM, core, num, d)
+                    for tS in range(max(abs(tj - ts), abs(tM)), tj + ts + 1, 2)
+                    for core, num, d in radical_terms(angmom.clebsch_gordan_twice(ts, tn, tj, tm, tS, tM))
+                ]
+        common = math.lcm(*(d for row in rows.values() for *_, d in row))
+        transforms[tj] = {
+            key: [(tS, tM, core, num * (common // d)) for tS, tM, core, num, d in row]
+            for key, row in rows.items()
+        }
+        cg_den[tj] = common
+
+    grade_shift = {"C11": 0, "C22": 0, "C33": 0, "C23": 0, "C32": 0,
+                   "C12": -1, "C13": -1, "C21": 1, "C31": 1}
+    gcd = math.gcd
+    blocks: dict[str, dict] = {name: {} for name in u3.GENERATOR_NAMES}
+    for gen in u3.GENERATOR_NAMES:
+        for tj in range(tj_cap + 1):
+            tjp = tj + grade_shift[gen]
+            if not 0 <= tjp <= tj_cap:
+                continue
+            t_out = transforms[tjp]
+            # gamma_coupled[(S'M'), (SM)] = sum T_out . Gamma_unc . T_in, per core
+            acc: dict[tuple, int] = {}
+            for (tm, tn), cg_in in transforms[tj].items():
+                for target, a_num, a_core in act_uncoupled(gen, tj, tm, tn):
+                    cg_out = t_out.get(target)
+                    if not cg_out:
+                        continue
+                    for tS, tM, c_in, n_in in cg_in:
+                        g = gcd(c_in, a_core)
+                        c1, n1 = (c_in // g) * (a_core // g), n_in * a_num * g
+                        for tSp, tMp, c_out, n_out in cg_out:
+                            g = gcd(c1, c_out)
+                            key = (tSp, tMp, tS, tM, (c1 // g) * (c_out // g))
+                            acc[key] = acc.get(key, 0) + n1 * n_out * g
+            scale = (cg_den[tjp] * den * cg_den[tj]) ** 2
+            gen_blocks = blocks[gen]
+            for (tSp, tMp, tS, tM, core), num in acc.items():
+                if not num:
+                    continue
+                key = ((tjp, tSp, tMp), (tj, tS, tM))
+                if key in gen_blocks:
+                    raise ValueError(f"{gen} block {key} spans more than one square class")
+                gen_blocks[key] = [[Radical(1 if num > 0 else -1, Fraction(num * num * core, scale))]]
+
+    adjoints = {"C11": "C11", "C22": "C22", "C33": "C33",
+                "C12": "C21", "C21": "C12", "C13": "C31", "C31": "C13",
+                "C23": "C32", "C32": "C23"}
+    return GammaRep(sectors=sectors, grades=grades, blocks=blocks, adjoints=adjoints, exact=True)

@@ -66,6 +66,30 @@ def test_squarefree_decompose_leaves_a_square_free_core(n, square):
     assert all(e == 1 for e in sympy.factorint(core).values())
 
 
+@pytest.mark.parametrize(
+    "n",
+    [10007**2 * 10009, 10007**2 * 10009**2, 10007**2 * 10009**2 * 10037, 10007**3 * 10009,
+     2**5 * 3 * 10007**2 * 10009, 1000003**2 * 100003, 1000003**2 * 10009 * 10037, 10007**4 * 10009],
+    ids=["p2q", "p2q2", "p2q2r", "p3q", "small-times-p2q", "P2Q", "P2qr", "p4q"],
+)
+def test_squarefree_decompose_splits_a_cofactor_of_primes_above_the_bound(n):
+    # a square of a prime above the bound must leave the core, whatever it is multiplied by
+    assert n < radical._RHO_LIMIT
+    assert squarefree_decompose.__wrapped__(n) == _factorint_split(n)
+
+
+_LARGE_PRIMES = [int(p) for p in sympy.primerange(radical._FACTOR_BOUND, radical._FACTOR_BOUND + 300)]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_LARGE_PRIMES), min_size=2, max_size=4), st.integers(1, radical._FACTOR_BOUND))
+def test_squarefree_decompose_matches_factorint_above_the_bound(primes, small):
+    # up to four primes just above the bound, often repeated, times a small part: below the rho limit
+    n = small * math.prod(primes)
+    assert n < radical._RHO_LIMIT
+    assert squarefree_decompose.__wrapped__(n) == _factorint_split(n)
+
+
 def test_squarefree_decompose_matches_factorint_on_su11_radicands(monkeypatch):
     seen = set()
 

@@ -697,8 +697,9 @@ def test_array_kernel_leaves_int64_where_the_bound_says_so():
 
 
 def test_exact_entry_with_a_core_not_square_free_evaluates_to_zero():
-    # 10007 is a prime above the trial-division bound, so the square-free
-    # decomposition keeps 10007**2 * 10009 as a core, and this entry is
+    # 10007 and 10009 are primes above the trial-division bound.
+    # squarefree_decompose splits 10007**2 * 10009, but an entry built by hand
+    # can still hold it as a core: this one is
     # 10007 sqrt(10009) - 10007 sqrt(10009) = 0 in two "classes".
     assert repcheck._value({10009: -10007, 10007**2 * 10009: 1}, 3) == 0.0
 

@@ -384,3 +384,27 @@ def test_holomorphic_rep_matches_radical_sum_reference(weight, extra_grades):
             value = block[0][0]
             assert isinstance(value, Radical) and len(block) == len(block[0]) == 1
             assert (value.sign, value.radicand) == (want[gen][key].sign, want[gen][key].radicand)
+
+
+@pytest.mark.parametrize("extra_grades", [0, 1, 2])
+@pytest.mark.parametrize(
+    "weight",
+    [(8, 4, 0), (12, 6, 0), (Fraction(7, 3), Fraction(4, 3), Fraction(1, 3)), (Fraction(5, 2), Fraction(1, 2), Fraction(-1, 2))],
+    ids=["8,4,0", "12,6,0", "7/3,4/3,1/3", "5/2,1/2,-1/2"],
+)
+def test_holomorphic_rep_is_the_clebsch_gordan_transform_of_the_uncoupled_actions(weight, extra_grades):
+    # the closed-form spin-1/2 blocks, against the uncoupled actions conjugated by exact CG transforms
+    hw = u3.U3HighestWeight(*weight)
+    rep = u3.holomorphic_gamma_rep(hw, extra_grades)
+    want = oracles.holomorphic_gamma_rep_by_transforms(hw, extra_grades)
+    assert (rep.sectors, rep.grades, rep.adjoints, rep.exact) == (want.sectors, want.grades, want.adjoints, want.exact)
+    for gen in u3.GENERATOR_NAMES:
+        got = {key: [[(v.sign, v.radicand) for v in row] for row in block] for key, block in rep.blocks[gen].items()}
+        assert got == {key: [[(v.sign, v.radicand) for v in row] for row in block] for key, block in want.blocks[gen].items()}, gen
+
+
+@pytest.mark.parametrize("extra_grades", [-1, -3, 0.5])
+def test_holomorphic_rep_refuses_a_negative_or_fractional_boundary(extra_grades):
+    # -1 would induce 6 of the 8 states of {2,1,0}; -3 would leave no raw grade at all
+    with pytest.raises(ValueError, match="extra_grades"):
+        u3.holomorphic_gamma_rep(u3.U3HighestWeight(2, 1, 0), extra_grades=extra_grades)
