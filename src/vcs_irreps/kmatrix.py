@@ -19,10 +19,12 @@ the :class:`GammaRep` checks when it is built: every block is ``[[g]]`` with
 one exact scalar ``g = q sqrt(core)`` (a ``Radical``, ``Fraction`` or
 ``int``), and every S-block is ``[[s]]`` with one rational ``s``, kept a
 ``Fraction`` throughout.  Each block's square class is read as the plain
-integers ``(core, num, den)`` with ``q = num/den`` wherever a check needs
-it, and every check runs on these: an S equation
-``S(col) q_g == q_p S(row)`` is cross-multiplied in integers and the cores of
-``g`` and ``p`` are compared.  The unitary entry is then
+integers ``(core, num, den)`` with ``q = num/den``, once per stage:
+``solve_s_recursion`` and ``unitarize`` each build one table of them per
+call, and every check runs on it.  An S equation ``S(col) q_g == q_p S(row)``
+is cross-multiplied in integers and the cores of ``g`` and ``p`` are
+compared, once per adjoint pair, since the equation of ``X[row, col]`` is
+that of its partner ``Xdag[col, row]``.  The unitary entry is then
 ``sign(q_g) sqrt(q_g q_p core)``, from the short ``q`` alone, and the closing
 adjoint check compares entries exactly.  Float mode (numpy) takes sectors of
 any dimension, solves by least squares, checks to a tolerance relative to
@@ -86,9 +88,9 @@ class GammaRep:
     def square_class(self, block) -> tuple[int, int, int]:
         """An exact block ``[[q sqrt(core)]]`` as the integers ``(core, num, den)`` with ``q = num/den``.
 
-        ``core`` is square-free; an absent or zero block is ``(1, 0, 1)``.
-        The block is read anew on every call, so a block changed in place is
-        never stale; the factoring is memoized by ``squarefree_decompose``.
+        ``core`` is square-free; an absent or zero block is ``(1, 0, 1)``.  A
+        ``Fraction`` or ``int`` block is ``(1, num, den)`` with no factoring;
+        a ``Radical`` is factored by the memoized ``squarefree_decompose``.
         """
         if block is None:
             return _ZERO_CLASS
@@ -96,6 +98,22 @@ class GammaRep:
         if len(terms) > 1:
             raise KMatrixError(f"{block[0][0]!r} spans more than one square class")
         return terms[0] if terms else _ZERO_CLASS
+
+    def square_classes(self, sectors=None) -> dict[str, dict[tuple[tuple, tuple], tuple[int, int, int]]]:
+        """One stage's table: the square class of each block, by generator and ``(row, col)`` as in ``blocks``.
+
+        With ``sectors`` given, only the blocks between two of them.  Built
+        anew on every call and never kept, so a block changed in place
+        between two stages is seen.
+        """
+        return {
+            gen: {
+                key: self.square_class(block)
+                for key, block in blocks.items()
+                if sectors is None or (key[0] in sectors and key[1] in sectors)
+            }
+            for gen, blocks in self.blocks.items()
+        }
 
     def raw_dimension(self) -> int:
         return sum(self.sectors.values())
@@ -112,27 +130,30 @@ def solve_s_recursion(rep: GammaRep) -> dict[tuple, SBlock]:
         for sec, dim in rep.sectors.items()
         if rep.grades[sec] == g0
     }
-    incoming: dict[tuple, list] = {}  # col -> [(gen, row, block)], rows of lower grade only
+    classes = rep.square_classes() if rep.exact else None
+    # exact mode reads each block's square class from the stage's table, float mode the block itself
+    read = (lambda gen, row, col: classes.get(gen, {}).get((row, col), _ZERO_CLASS)) if rep.exact else rep.block
+    incoming: dict[tuple, list] = {}  # col -> [(gen, row)], rows of lower grade only
     for gen, blocks in rep.blocks.items():
-        for (row, col), block in blocks.items():
+        for row, col in blocks:
             if rep.grades[row] < rep.grades[col]:
-                incoming.setdefault(col, []).append((gen, row, block))
+                incoming.setdefault(col, []).append((gen, row))
     for sec in sorted(rep.sectors, key=lambda s: (rep.grades[s], s)):
         if sec in solved:
             continue
         # S(sec) A = B for each block Gamma(X)[row, sec]: A is its adjoint,
         # B = Gamma(Xdag)[sec, row] S(row); lower grades are solved already.
         constraints = [
-            (block, rep.block(rep.adjoints[gen], sec, row), solved[row].matrix)
-            for gen, row, block in incoming.get(sec, ())
+            (read(gen, row, sec), read(rep.adjoints[gen], sec, row), solved[row].matrix)
+            for gen, row in incoming.get(sec, ())
         ]
         if not constraints:
             raise KMatrixError(f"sector {sec} is not reachable from the lowest grade")
         if rep.exact:
-            solved[sec] = SBlock(sec, [[_solve_exact(rep, sec, constraints)]])
+            solved[sec] = SBlock(sec, [[_solve_exact(sec, constraints)]])
         else:
             solved[sec] = _solve_float(sec, constraints)
-    _check_consistency(rep, solved)
+    _check_consistency(rep, solved, classes)
     return solved
 
 
@@ -148,19 +169,20 @@ def _balanced(s_col, g, p, s_row) -> bool:
     return lhs == s_row.numerator * num_p * den_g * s_col.denominator and (not lhs or core_g == core_p)
 
 
-def _solve_exact(rep, sec, constraints) -> Fraction:
+def _solve_exact(sec, constraints) -> Fraction:
     """The rational S value of a one-dimensional sector.
 
-    A block ``g = q_g sqrt(c_g)`` and its partner ``p = q_p sqrt(c_p)`` give
-    ``S g = p S(low)``, so ``S = S(low) q_p / q_g``, rational only when
-    ``c_p == c_g``.  The first constraint with ``q_g != 0`` sets the value,
-    and every other one is checked against it in integers.  The (possibly
-    very long) S values are only multiplied by the short coefficients ``q``,
-    never squared or factored.
+    Each constraint holds a block's square class, its partner's and the
+    lower S-block.  A block ``g = q_g sqrt(c_g)`` and its partner
+    ``p = q_p sqrt(c_p)`` give ``S g = p S(low)``, so
+    ``S = S(low) q_p / q_g``, rational only when ``c_p == c_g``.  The first
+    constraint with ``q_g != 0`` sets the value, and every other one is
+    checked against it in integers.  The (possibly very long) S values are
+    only multiplied by the short coefficients ``q``, never squared or
+    factored.
     """
     value = None
-    for block, partner, s_low in constraints:
-        g, p = rep.square_class(block), rep.square_class(partner)
+    for g, p, s_low in constraints:
         (core_g, num_g, den_g), (core_p, num_p, den_p) = g, p
         s_low = s_low[0][0]
         if num_g and num_p and s_low and core_g != core_p:
@@ -209,24 +231,46 @@ def _solve_float(sec, constraints) -> SBlock:
     return SBlock(sec, s, size)
 
 
-def _check_consistency(rep, solved):
+def _check_pairs(adjoints, classes, norms, message):
+    """Check ``S(col) q_g == q_p S(row)`` and the square classes once per adjoint pair.
+
+    ``classes`` is one stage's square-class table and ``norms`` maps each
+    sector to its rational S value.  The equation of a block and that of its
+    partner ``Xdag[col, row]`` are the same, so the partner's side is
+    skipped once the pair is checked.  A self-adjoint diagonal block is its
+    own pair, and a block whose partner is absent is checked against zero.
+    """
+    checked = {gen: set() for gen in adjoints}  # per generator, the (row, col) of each partner already checked
+    for gen, table in classes.items():
+        adj = adjoints[gen]
+        partners = classes.get(adj, {})
+        for (row, col), g in table.items():
+            if (row, col) in checked[gen]:
+                continue
+            checked[adj].add((col, row))
+            if not _balanced(norms[col], g, partners.get((col, row), _ZERO_CLASS), norms[row]):
+                raise KMatrixError(f"{message} at {gen} {(row, col)}")
+
+
+def _check_consistency(rep, solved, classes):
     """Verify S(col).Gamma(X)[row,col]^dag = Gamma(Xdag)[col,row].S(row) for all blocks.
 
     Exact mode compares ``S(col) q_g == q_p S(row)`` in integers and the
-    square classes of ``g`` and ``p`` exactly; float mode to ``DEFAULT_TOL``,
-    relative to ``1 + |lhs| + |rhs|`` plus the sizes the sectors' scales give
-    the two sides, ``scale(col) |block|`` and ``|partner| scale(row)``.
+    square classes of ``g`` and ``p`` exactly, once per adjoint pair, from
+    the stage's table ``classes``; float mode to ``DEFAULT_TOL``, relative
+    to ``1 + |lhs| + |rhs|`` plus the sizes the sectors' scales give the two
+    sides, ``scale(col) |block|`` and ``|partner| scale(row)``.
     """
+    if rep.exact:
+        norms = {sec: sb.matrix[0][0] for sec, sb in solved.items()}
+        _check_pairs(rep.adjoints, classes, norms, "S-matrix equations violated exactly")
+        return
     worst = 0.0
     for gen, blocks in rep.blocks.items():
         adj = rep.adjoints[gen]
         for (row, col), block in blocks.items():
             partner = rep.block(adj, col, row)
             s_col, s_row = solved[col].matrix, solved[row].matrix
-            if rep.exact:
-                if not _balanced(s_col[0][0], rep.square_class(block), rep.square_class(partner), s_row[0][0]):
-                    raise KMatrixError(f"S-matrix equations violated exactly at {gen} {(row, col)}")
-                continue
             block = np.asarray(block, dtype=float)
             partner = np.zeros(block.T.shape) if partner is None else np.asarray(partner, dtype=float)
             lhs, rhs = s_col @ block.T, partner @ s_row
@@ -305,11 +349,12 @@ def unitarize(
     Returns the ordered basis (sector, multiplicity-index) and per generator
     ``gamma[b,a] = (1/k_b) [U' Gamma U]_{ba} k_a``: an OperatorMatrix in exact
     mode, in float mode a SparseMatrix of each block's arrays.  In exact mode
-    a block ``g`` and its partner ``p`` first pass
-    ``k_col**2 q_g == q_p k_row**2`` (the S equation on the given norms), so
-    ``k_col / k_row`` is ``sqrt(q_p / q_g)`` and ``gamma = sign(q_g) sqrt(q_g
-    q_p core)``; the adjoint pairs are then compared exactly, in float mode as
-    the largest entry of ``|gamma(X)' - gamma(Xdag)|`` over ``1 + |gamma(X)|``.
+    each block ``g`` and its partner ``p`` first pass
+    ``k_col**2 q_g == q_p k_row**2`` (the S equation on the given norms, once
+    per pair), so ``k_col / k_row`` is ``sqrt(q_p / q_g)`` and ``gamma =
+    sign(q_g) sqrt(q_g q_p core)``; the adjoint pairs are then compared
+    exactly, in float mode as the largest entry of
+    ``|gamma(X)' - gamma(Xdag)|`` over ``1 + |gamma(X)|``.
     """
     basis = []
     for sec in sorted(ortho, key=lambda s: (rep.grades[s], s)):
@@ -317,31 +362,34 @@ def unitarize(
             basis.append((sec, alpha))
     index = {lbl: i for i, lbl in enumerate(basis)}
 
-    gammas = {}
-    for gen, blocks in rep.blocks.items():
-        mat = OperatorMatrix(gen, basis) if rep.exact else None
-        parts = [(np.empty(0, int), np.empty(0, int), np.empty(0))]  # float mode: each block's rows, columns, values
-        for (row, col), block in blocks.items():
-            o_r, o_c = ortho[row], ortho[col]
-            if o_r.n_positive == 0 or o_c.n_positive == 0:
-                continue
-            if rep.exact:  # one-dimensional sectors: both unitaries are [[1]]
-                g = rep.square_class(block)
-                p = rep.square_class(rep.block(rep.adjoints[gen], col, row))
-                if not _balanced(o_c.k_values[0].squared, g, p, o_r.k_values[0].squared):
-                    raise KMatrixError(f"norm factors do not solve the S equation at {gen} {(row, col)}")
-                (core, num_g, den_g), (_, num_p, den_p) = g, p
+    if rep.exact:  # one-dimensional sectors: both unitaries are [[1]]
+        kept = {sec for sec, o in ortho.items() if o.n_positive}
+        classes = rep.square_classes(kept)
+        norms = {sec: ortho[sec].k_values[0].squared for sec in kept}
+        _check_pairs(rep.adjoints, classes, norms, "norm factors do not solve the S equation")
+        gammas = {gen: OperatorMatrix(gen, basis) for gen in rep.blocks}
+        for gen, table in classes.items():  # each entry from its own block's class
+            partners = classes.get(rep.adjoints[gen], {})
+            for (row, col), (core, num_g, den_g) in table.items():
                 if num_g:
-                    mat[index[(row, 0)], index[(col, 0)]] = Radical(
+                    _, num_p, den_p = partners.get((col, row), _ZERO_CLASS)
+                    gammas[gen][index[(row, 0)], index[(col, 0)]] = Radical(
                         1 if num_g > 0 else -1, Fraction(num_g * num_p * core, den_g * den_p)
                     )
-                continue
-            u_r, u_c = np.asarray(o_r.unitary, dtype=float), np.asarray(o_c.unitary, dtype=float)
-            k_r, k_c = np.asarray(o_r.k_values[:o_r.n_positive]), o_c.k_values[:o_c.n_positive]
-            core = (u_r.T @ np.asarray(block, dtype=float) @ u_c)[:len(k_r), :len(k_c)] * k_c / k_r[:, None]
-            rows, cols = np.indices(core.shape)
-            parts.append(((rows + index[(row, 0)]).ravel(), (cols + index[(col, 0)]).ravel(), core.ravel()))
-        gammas[gen] = mat if rep.exact else SparseMatrix(len(basis), *map(np.concatenate, zip(*parts)))
+    else:
+        gammas = {}
+        for gen, blocks in rep.blocks.items():
+            parts = [(np.empty(0, int), np.empty(0, int), np.empty(0))]  # each block's rows, columns, values
+            for (row, col), block in blocks.items():
+                o_r, o_c = ortho[row], ortho[col]
+                if o_r.n_positive == 0 or o_c.n_positive == 0:
+                    continue
+                u_r, u_c = np.asarray(o_r.unitary, dtype=float), np.asarray(o_c.unitary, dtype=float)
+                k_r, k_c = np.asarray(o_r.k_values[:o_r.n_positive]), o_c.k_values[:o_c.n_positive]
+                core = (u_r.T @ np.asarray(block, dtype=float) @ u_c)[:len(k_r), :len(k_c)] * k_c / k_r[:, None]
+                rows, cols = np.indices(core.shape)
+                parts.append(((rows + index[(row, 0)]).ravel(), (cols + index[(col, 0)]).ravel(), core.ravel()))
+            gammas[gen] = SparseMatrix(len(basis), *map(np.concatenate, zip(*parts)))
 
     for gen, adj in rep.adjoints.items():
         if gen in gammas and adj in gammas:

@@ -98,15 +98,18 @@ def holomorphic_gamma_rep(irrep: Su11Irrep) -> GammaRep:
     ``S- = d/dz``, ``S0 = lam/2 + z d/dz``, ``S+ = z (lam + z d/dz)``.  Each
     monomial degree is its own one-dimensional sector; with this basis the
     solved S-matrix diagonal reproduces the kernel Taylor coefficients.
+    Every block is rational, ``lam/2 + n``, ``lam + n`` or ``n + 1``, so it is
+    kept a ``Fraction``: the K-matrix engine reads its square class as
+    ``(1, num, den)`` with nothing to factor.
     """
     sectors = {(n,): 1 for n in range(irrep.dim)}
     grades = {(n,): n for n in range(irrep.dim)}
     blocks = {"S0": {}, "S+": {}, "S-": {}}
     for n in range(irrep.dim):
-        blocks["S0"][(n,), (n,)] = [[Radical.from_rational(Fraction(irrep.lam, 2) + n)]]
+        blocks["S0"][(n,), (n,)] = [[Fraction(irrep.lam, 2) + n]]
     for n in range(irrep.dim - 1):
-        blocks["S+"][(n + 1,), (n,)] = [[Radical.from_rational(irrep.lam + n)]]
-        blocks["S-"][(n,), (n + 1,)] = [[Radical.from_rational(n + 1)]]
+        blocks["S+"][(n + 1,), (n,)] = [[irrep.lam + n]]
+        blocks["S-"][(n,), (n + 1,)] = [[Fraction(n + 1)]]
     return GammaRep(
         sectors=sectors,
         grades=grades,

@@ -295,6 +295,127 @@ def test_exact_adjoint_check_compares_the_unitary_entries_exactly(monkeypatch):
         kmatrix.unitarize(rep, ortho)
 
 
+def _same_grade_pair(rep, gen):
+    """The first ``gen`` block between two sectors of one grade, and its partner's key."""
+    row, col = next(key for key in rep.blocks[gen] if rep.grades[key[0]] == rep.grades[key[1]] and key[0] != key[1])
+    return (gen, row, col), (rep.adjoints[gen], col, row)
+
+
+def _adjoint_pair(algebra):
+    """A fresh exact rep and the two block keys of one adjoint pair between positive-norm sectors.
+
+    su(1,1)'s ``S+[3,2]``/``S-[2,3]`` sets S(3) in the recursion; u(3)'s
+    ``C23``/``C32`` joins two sectors of one grade, so only the consistency
+    check reads it.
+    """
+    if algebra == "su11":
+        return su11.holomorphic_gamma_rep(su11.Su11Irrep(Fraction(7, 2), 8)), ("S+", (3,), (2,)), ("S-", (2,), (3,))
+    rep = u3.holomorphic_gamma_rep(u3.U3HighestWeight(2, 1, 0), extra_grades=0)
+    return (rep, *_same_grade_pair(rep, "C23"))
+
+
+def _move(rep, key):
+    gen, row, col = key
+    rep.blocks[gen][row, col] = [[_other_class(rep.blocks[gen][row, col][0][0])]]
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["block", "partner"])
+@pytest.mark.parametrize("algebra", ["su11", "u3"])
+def test_either_side_of_a_pair_moved_to_another_class_is_caught_in_the_recursion(algebra, side):
+    rep, *pair = _adjoint_pair(algebra)
+    _move(rep, pair[side])
+    with pytest.raises(KMatrixError, match="irrational S value|exactly"):
+        kmatrix.solve_s_recursion(rep)
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["block", "partner"])
+@pytest.mark.parametrize("algebra", ["su11", "u3"])
+def test_either_side_of_a_pair_moved_to_another_class_is_caught_in_unitarize(algebra, side):
+    rep, *pair = _adjoint_pair(algebra)
+    ortho = kmatrix.orthonormalize(kmatrix.solve_s_recursion(rep), exact=True)
+    _, row, col = pair[0]
+    assert ortho[row].n_positive and ortho[col].n_positive
+    _move(rep, pair[side])
+    with pytest.raises(KMatrixError, match="norm factors do not solve the S equation"):
+        kmatrix.unitarize(rep, ortho)
+
+
+def test_a_self_adjoint_diagonal_block_is_checked_once_in_each_stage(monkeypatch):
+    # S0[4,4] is its own partner, so its equation S q == q S holds whatever
+    # its value: moved to another class it must still reach the pair check,
+    # once in the recursion and once in unitarize, with its new class
+    irrep, rep, sblocks, ortho = su11_pipeline(Fraction(7, 2), 8)
+    _move(rep, ("S0", (4,), (4,)))
+    moved = rep.square_class(rep.blocks["S0"][(4,), (4,)])
+    assert moved[0] != 1
+    seen = []
+    balanced = kmatrix._balanced
+
+    def spy(s_col, g, p, s_row):
+        seen.append((g, p))
+        return balanced(s_col, g, p, s_row)
+
+    monkeypatch.setattr(kmatrix, "_balanced", spy)
+    kmatrix.solve_s_recursion(rep)
+    assert seen.count((moved, moved)) == 1
+    assert len(seen) == len(rep.blocks["S0"]) + len(rep.blocks["S+"])  # one check per pair
+    seen.clear()
+    kmatrix.unitarize(rep, ortho)
+    assert seen.count((moved, moved)) == 1
+    assert len(seen) == len(rep.blocks["S0"]) + len(rep.blocks["S+"])
+    monkeypatch.setattr(kmatrix, "_balanced", lambda s_col, g, p, s_row: g != moved and balanced(s_col, g, p, s_row))
+    with pytest.raises(KMatrixError, match=r"exactly at S0 \(\(4,\), \(4,\)\)"):
+        kmatrix.solve_s_recursion(rep)
+    with pytest.raises(KMatrixError, match=r"norm factors do not solve the S equation at S0 \(\(4,\), \(4,\)\)"):
+        kmatrix.unitarize(rep, ortho)
+
+
+@pytest.mark.parametrize("stage", ["recursion", "unitarize"])
+def test_a_block_whose_partner_is_absent_is_checked_against_zero(stage):
+    # with C32[col, row] gone, C23[row, col] must be zero: S(col) q_g == 0 S(row)
+    rep = u3.holomorphic_gamma_rep(u3.U3HighestWeight(2, 1, 0), extra_grades=0)
+    (gen, row, col), (adj, *partner) = _same_grade_pair(rep, "C23")
+    if stage == "recursion":
+        del rep.blocks[adj][tuple(partner)]
+        with pytest.raises(KMatrixError, match=rf"violated exactly at {gen}"):
+            kmatrix.solve_s_recursion(rep)
+    else:
+        ortho = kmatrix.orthonormalize(kmatrix.solve_s_recursion(rep), exact=True)
+        del rep.blocks[adj][tuple(partner)]
+        with pytest.raises(KMatrixError, match=rf"norm factors do not solve the S equation at {gen}"):
+            kmatrix.unitarize(rep, ortho)
+
+
+def _with_blocks(rep, convert):
+    blocks = {gen: {key: [[convert(b[0][0])]] for key, b in bs.items()} for gen, bs in rep.blocks.items()}
+    return kmatrix.GammaRep(rep.sectors, rep.grades, blocks, rep.adjoints, exact=True)
+
+
+@pytest.mark.parametrize("lam, nmax", [(Fraction(7, 2), 40), (Fraction(1, 3), 40)])
+def test_exact_induction_is_the_same_for_fraction_int_and_radical_blocks(lam, nmax):
+    rep = su11.holomorphic_gamma_rep(su11.Su11Irrep(lam, nmax))
+    assert all(type(b[0][0]) is Fraction for bs in rep.blocks.values() for b in bs.values())
+    forms = [
+        rep,
+        _with_blocks(rep, lambda v: v.numerator if v.denominator == 1 else v),
+        _with_blocks(rep, Radical.from_rational),
+    ]
+    assert any(type(b[0][0]) is int for bs in forms[1].blocks.values() for b in bs.values())
+    results = []
+    for form in forms:
+        sblocks = kmatrix.solve_s_recursion(form)
+        ortho = kmatrix.orthonormalize(sblocks, exact=True)
+        basis, gammas = kmatrix.unitarize(form, ortho)
+        results.append((
+            {sec: sb.matrix for sec, sb in sblocks.items()},
+            {sec: o.k_values for sec, o in ortho.items()},
+            basis,
+            {gen: m.entries for gen, m in gammas.items()},
+        ))
+    assert results[1] == results[0]
+    assert results[2] == results[0]
+
+
 def test_orthonormalize_rank_deficient_block():
     sb = {("x",): kmatrix.SBlock(("x",), np.array([[1.0, 1.0], [1.0, 1.0]]))}
     ortho = kmatrix.orthonormalize(sb)

@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcs_irreps import kmatrix, radical, su11
+from vcs_irreps import radical, su11
 from vcs_irreps.radical import Radical, RadicalSum, squarefree_decompose
 
 
@@ -90,16 +90,15 @@ def test_squarefree_decompose_matches_factorint_above_the_bound(primes, small):
     assert squarefree_decompose.__wrapped__(n) == _factorint_split(n)
 
 
-def test_squarefree_decompose_matches_factorint_on_su11_radicands(monkeypatch):
-    seen = set()
-
-    def recorded(n):
-        seen.add(n)
-        return squarefree_decompose(n)
-
-    monkeypatch.setattr(radical, "squarefree_decompose", recorded)
-    rep = su11.holomorphic_gamma_rep(su11.Su11Irrep(Fraction(7, 2), 1000))  # as in induce-su11
-    kmatrix.unitarize(rep, kmatrix.orthonormalize(kmatrix.solve_s_recursion(rep), exact=rep.exact))
+def test_squarefree_decompose_matches_factorint_on_su11_radicands():
+    # the su(1,1) integers at the size of induce-su11: p * d of each
+    # holomorphic block's radicand as a Radical, and of each closed-form
+    # (lam + n)(n + 1) radicand
+    irrep = su11.Su11Irrep(Fraction(7, 2), 1000)
+    rep = su11.holomorphic_gamma_rep(irrep)
+    radicands = [Radical.from_rational(b[0][0]).radicand for blocks in rep.blocks.values() for b in blocks.values()]
+    radicands += [v.radicand for v in su11.generator_matrices(irrep)["S+"].entries.values()]
+    seen = {q.numerator * q.denominator for q in radicands}
     assert len(seen) > 2000
     for n in seen:
         assert squarefree_decompose.__wrapped__(n) == _factorint_split(n), n
