@@ -14,6 +14,11 @@ roots of its eigenvalues produces the matrices ``gamma(X)`` of the unitary
 irrep on the positive-norm states; zero eigenvalues mark raw states outside
 the irreducible space.
 
+Each stage solves first and checks afterwards.  The recursion derives each
+sector's S from one equation, and then one walk over the adjoint pairs,
+:func:`_pairs`, checks every S equation once, since the equation of
+``X[row, col]`` is that of its partner ``Xdag[col, row]``.
+
 Two arithmetic modes.  Exact mode takes one-dimensional sectors only, which
 the :class:`GammaRep` checks when it is built: every block is ``[[g]]`` with
 one exact scalar ``g = q sqrt(core)`` (a ``Radical``, ``Fraction`` or
@@ -23,12 +28,11 @@ integers ``(core, num, den)`` with ``q = num/den``, once per stage:
 ``solve_s_recursion`` and ``unitarize`` each build one table of them per
 call, and every check runs on it.  An S equation ``S(col) q_g == q_p S(row)``
 is cross-multiplied in integers and the cores of ``g`` and ``p`` are
-compared, once per adjoint pair, since the equation of ``X[row, col]`` is
-that of its partner ``Xdag[col, row]``.  The unitary entry is then
-``sign(q_g) sqrt(q_g q_p core)``, from the short ``q`` alone, and the closing
-adjoint check compares entries exactly.  Float mode (numpy) takes sectors of
-any dimension, solves by least squares, checks to a tolerance relative to
-each sector's scale and returns one ``SparseMatrix`` per generator.
+compared.  The unitary entry is then ``sign(q_g) sqrt(q_g q_p core)``, from
+the short ``q`` alone, and the closing adjoint check compares entries
+exactly.  Float mode (numpy) takes sectors of any dimension, solves by least
+squares, checks to a tolerance relative to each sector's scale and returns
+one ``SparseMatrix`` per generator.
 """
 
 from __future__ import annotations
@@ -51,9 +55,8 @@ class KMatrixError(Exception):
 
 @dataclass
 class SBlock:
-    """Hermitian positive semi-definite S-block attached to one sector."""
+    """Hermitian positive semi-definite S-block of one sector."""
 
-    sector: tuple
     matrix: object  # [[Fraction]] in exact mode, np.ndarray in float mode
     # float mode: the size the sector's constraints give S, the largest
     # |partner| |S(low)| / |block|; an S of rounding noise lies far below it
@@ -82,78 +85,68 @@ class GammaRep:
                 if dim != 1:
                     raise ValueError(f"exact mode needs one-dimensional sectors; {sec} has dimension {dim}")
 
-    def block(self, gen: str, row: tuple, col: tuple):
-        return self.blocks.get(gen, {}).get((row, col))
-
-    def square_class(self, block) -> tuple[int, int, int]:
-        """An exact block ``[[q sqrt(core)]]`` as the integers ``(core, num, den)`` with ``q = num/den``.
-
-        ``core`` is square-free; an absent or zero block is ``(1, 0, 1)``.  A
-        ``Fraction`` or ``int`` block is ``(1, num, den)`` with no factoring;
-        a ``Radical`` is factored by the memoized ``squarefree_decompose``.
-        """
-        if block is None:
-            return _ZERO_CLASS
-        terms = radical_terms(block[0][0])
-        if len(terms) > 1:
-            raise KMatrixError(f"{block[0][0]!r} spans more than one square class")
-        return terms[0] if terms else _ZERO_CLASS
-
     def square_classes(self, sectors=None) -> dict[str, dict[tuple[tuple, tuple], tuple[int, int, int]]]:
-        """One stage's table: the square class of each block, by generator and ``(row, col)`` as in ``blocks``.
+        """One stage's table: each exact block ``[[q sqrt(core)]]`` as the integers ``(core, num, den)``, ``q = num/den``.
 
-        With ``sectors`` given, only the blocks between two of them.  Built
-        anew on every call and never kept, so a block changed in place
-        between two stages is seen.
+        Keyed by generator and ``(row, col)`` as in ``blocks``; with
+        ``sectors`` given, only the blocks between two of them.  ``core`` is
+        square-free and a zero block is ``(1, 0, 1)``.  A ``Fraction`` or
+        ``int`` block is ``(1, num, den)`` with no factoring; a ``Radical`` is
+        factored by the memoized ``squarefree_decompose``.  Built anew on
+        every call and never kept, so a block changed in place between two
+        stages is seen.
         """
-        return {
-            gen: {
-                key: self.square_class(block)
-                for key, block in blocks.items()
-                if sectors is None or (key[0] in sectors and key[1] in sectors)
-            }
-            for gen, blocks in self.blocks.items()
-        }
+        table = {}
+        for gen, blocks in self.blocks.items():
+            table[gen] = classes = {}
+            for key, block in blocks.items():
+                if sectors is None or (key[0] in sectors and key[1] in sectors):
+                    terms = radical_terms(block[0][0])
+                    if len(terms) > 1:
+                        raise KMatrixError(f"{block[0][0]!r} spans more than one square class")
+                    classes[key] = terms[0] if terms else _ZERO_CLASS
+        return table
 
     def raw_dimension(self) -> int:
         return sum(self.sectors.values())
 
 
 def solve_s_recursion(rep: GammaRep) -> dict[tuple, SBlock]:
-    """Solve ``S(a) Gamma(X)[b,a]^dag = Gamma(Xdag)[a,b] S(b)`` in grade order.
+    """Solve ``S(a) Gamma(X)[b,a]^dag = Gamma(Xdag)[a,b] S(b)`` in grade order, then check every equation.
 
     The lowest-grade (intrinsic) sectors are seeded with the identity.
     """
     g0 = min(rep.grades.values())
-    solved = {
-        sec: SBlock(sec, [[Fraction(1)]] if rep.exact else np.eye(dim))
-        for sec, dim in rep.sectors.items()
-        if rep.grades[sec] == g0
-    }
-    classes = rep.square_classes() if rep.exact else None
+    lowest = [(sec, dim) for sec, dim in rep.sectors.items() if rep.grades[sec] == g0]
+    solved = {sec: SBlock([[Fraction(1)]] if rep.exact else np.eye(dim)) for sec, dim in lowest}
     # exact mode reads each block's square class from the stage's table, float mode the block itself
-    read = (lambda gen, row, col: classes.get(gen, {}).get((row, col), _ZERO_CLASS)) if rep.exact else rep.block
+    tables, absent = (rep.square_classes(), _ZERO_CLASS) if rep.exact else (rep.blocks, None)
     incoming: dict[tuple, list] = {}  # col -> [(gen, row)], rows of lower grade only
     for gen, blocks in rep.blocks.items():
         for row, col in blocks:
             if rep.grades[row] < rep.grades[col]:
                 incoming.setdefault(col, []).append((gen, row))
-    for sec in sorted(rep.sectors, key=lambda s: (rep.grades[s], s)):
+    order = sorted(rep.sectors, key=lambda s: (rep.grades[s], s))
+    for sec in order:
         if sec in solved:
             continue
         # S(sec) A = B for each block Gamma(X)[row, sec]: A is its adjoint,
         # B = Gamma(Xdag)[sec, row] S(row); lower grades are solved already.
         constraints = [
-            (read(gen, row, sec), read(rep.adjoints[gen], sec, row), solved[row].matrix)
+            (tables[gen][row, sec], tables.get(rep.adjoints[gen], {}).get((sec, row), absent), solved[row].matrix)
             for gen, row in incoming.get(sec, ())
         ]
         if not constraints:
             raise KMatrixError(f"sector {sec} is not reachable from the lowest grade")
-        if rep.exact:
-            solved[sec] = SBlock(sec, [[_solve_exact(sec, constraints)]])
-        else:
-            solved[sec] = _solve_float(sec, constraints)
-    _check_consistency(rep, solved, classes)
+        solved[sec] = SBlock([[_solve_exact(sec, constraints)]]) if rep.exact else _solve_float(sec, constraints)
+    if rep.exact:
+        norms = {sec: sb.matrix[0][0] for sec, sb in solved.items()}
+        _check_pairs(rep.adjoints, tables, norms, "S-matrix equations violated exactly")
+        for sec in order:
+            if norms[sec] < 0:
+                raise KMatrixError(f"negative norm at sector {sec} (not positive semi-definite)")
+    else:
+        _check_consistency(rep, solved)
     return solved
 
 
@@ -170,32 +163,21 @@ def _balanced(s_col, g, p, s_row) -> bool:
 
 
 def _solve_exact(sec, constraints) -> Fraction:
-    """The rational S value of a one-dimensional sector.
+    """The rational S value of a one-dimensional sector, from its first constraint with a non-zero block.
 
     Each constraint holds a block's square class, its partner's and the
     lower S-block.  A block ``g = q_g sqrt(c_g)`` and its partner
     ``p = q_p sqrt(c_p)`` give ``S g = p S(low)``, so
-    ``S = S(low) q_p / q_g``, rational only when ``c_p == c_g``.  The first
-    constraint with ``q_g != 0`` sets the value, and every other one is
-    checked against it in integers.  The (possibly very long) S values are
-    only multiplied by the short coefficients ``q``, never squared or
-    factored.
+    ``S = S(low) q_p / q_g``.  Nothing is checked here: the pair check that
+    follows the recursion checks every constraint, this one included, and
+    so refuses a partner in another square class (an irrational S), and the
+    sign is checked after it.  The (possibly very long) S values are only
+    multiplied by the short coefficients ``q``, never squared or factored.
     """
-    value = None
-    for g, p, s_low in constraints:
-        (core_g, num_g, den_g), (core_p, num_p, den_p) = g, p
-        s_low = s_low[0][0]
-        if num_g and num_p and s_low and core_g != core_p:
-            raise KMatrixError(f"irrational S value at sector {sec}")
-        if value is None and num_g:
-            value = s_low * Fraction(num_p * den_g, den_p * num_g)
-        elif not _balanced(value or 0, g, p, s_low):  # with no value yet, g is 0 and so must p S(low) be
-            raise KMatrixError(f"inconsistent constraints at sector {sec}")
-    if value is None:
-        raise KMatrixError(f"sector {sec} is undetermined by the recursion")
-    if value < 0:
-        raise KMatrixError(f"negative norm at sector {sec} (not positive semi-definite)")
-    return value
+    for (_, num_g, den_g), (_, num_p, den_p), s_low in constraints:
+        if num_g:
+            return s_low[0][0] * Fraction(num_p * den_g, den_p * num_g)
+    raise KMatrixError(f"sector {sec} is undetermined by the recursion")
 
 
 def _solve_float(sec, constraints) -> SBlock:
@@ -228,54 +210,56 @@ def _solve_float(sec, constraints) -> SBlock:
     ev = np.linalg.eigvalsh(s)
     if ev.min() < -DEFAULT_TOL * max(1.0, ev.max(), size):
         raise KMatrixError(f"S-block at {sec} is not positive semi-definite")
-    return SBlock(sec, s, size)
+    return SBlock(s, size)
+
+
+def _pairs(adjoints, tables):
+    """Each adjoint pair once, as ``(gen, row, col, block, partner)`` from one stage's ``tables``.
+
+    ``tables`` maps each generator to its blocks (or their square classes)
+    by ``(row, col)``.  The equation of a block and that of its partner
+    ``Xdag[col, row]`` are the same, so the partner's side is skipped once
+    the pair is yielded.  A self-adjoint diagonal block is its own pair, and
+    a block whose partner is absent comes with ``partner`` None.
+    """
+    done = {gen: set() for gen in adjoints}  # per generator, the (row, col) of each partner already yielded
+    for gen, table in tables.items():
+        adj = adjoints[gen]
+        partners = tables.get(adj, {})
+        for (row, col), block in table.items():
+            if (row, col) not in done[gen]:
+                done[adj].add((col, row))
+                yield gen, row, col, block, partners.get((col, row))
 
 
 def _check_pairs(adjoints, classes, norms, message):
     """Check ``S(col) q_g == q_p S(row)`` and the square classes once per adjoint pair.
 
     ``classes`` is one stage's square-class table and ``norms`` maps each
-    sector to its rational S value.  The equation of a block and that of its
-    partner ``Xdag[col, row]`` are the same, so the partner's side is
-    skipped once the pair is checked.  A self-adjoint diagonal block is its
-    own pair, and a block whose partner is absent is checked against zero.
+    sector to its rational S value; an absent partner is checked as zero.
     """
-    checked = {gen: set() for gen in adjoints}  # per generator, the (row, col) of each partner already checked
-    for gen, table in classes.items():
-        adj = adjoints[gen]
-        partners = classes.get(adj, {})
-        for (row, col), g in table.items():
-            if (row, col) in checked[gen]:
-                continue
-            checked[adj].add((col, row))
-            if not _balanced(norms[col], g, partners.get((col, row), _ZERO_CLASS), norms[row]):
-                raise KMatrixError(f"{message} at {gen} {(row, col)}")
+    for gen, row, col, g, p in _pairs(adjoints, classes):
+        if not _balanced(norms[col], g, p or _ZERO_CLASS, norms[row]):
+            raise KMatrixError(f"{message} at {gen} {(row, col)}")
 
 
-def _check_consistency(rep, solved, classes):
-    """Verify S(col).Gamma(X)[row,col]^dag = Gamma(Xdag)[col,row].S(row) for all blocks.
+def _check_consistency(rep, solved):
+    """Verify S(col).Gamma(X)[row,col]^dag = Gamma(Xdag)[col,row].S(row) in float mode, once per adjoint pair.
 
-    Exact mode compares ``S(col) q_g == q_p S(row)`` in integers and the
-    square classes of ``g`` and ``p`` exactly, once per adjoint pair, from
-    the stage's table ``classes``; float mode to ``DEFAULT_TOL``, relative
-    to ``1 + |lhs| + |rhs|`` plus the sizes the sectors' scales give the two
-    sides, ``scale(col) |block|`` and ``|partner| scale(row)``.
+    The residual is taken to ``DEFAULT_TOL``, relative to ``1 + |lhs| + |rhs|``
+    plus the sizes the sectors' scales give the two sides,
+    ``scale(col) |block|`` and ``|partner| scale(row)``.  The partner's side
+    of a pair has the transposed ``lhs`` and ``rhs`` and the same terms, so
+    the worst residual does not depend on which side comes first.
     """
-    if rep.exact:
-        norms = {sec: sb.matrix[0][0] for sec, sb in solved.items()}
-        _check_pairs(rep.adjoints, classes, norms, "S-matrix equations violated exactly")
-        return
     worst = 0.0
-    for gen, blocks in rep.blocks.items():
-        adj = rep.adjoints[gen]
-        for (row, col), block in blocks.items():
-            partner = rep.block(adj, col, row)
-            s_col, s_row = solved[col].matrix, solved[row].matrix
-            block = np.asarray(block, dtype=float)
-            partner = np.zeros(block.T.shape) if partner is None else np.asarray(partner, dtype=float)
-            lhs, rhs = s_col @ block.T, partner @ s_row
-            size = solved[col].scale * np.abs(block).max() + np.abs(partner).max() * solved[row].scale
-            worst = max(worst, float(np.abs(lhs - rhs).max() / (1.0 + np.abs(lhs).max() + np.abs(rhs).max() + size)))
+    for _, row, col, block, partner in _pairs(rep.adjoints, rep.blocks):
+        s_col, s_row = solved[col], solved[row]
+        block = np.asarray(block, dtype=float)
+        partner = np.zeros(block.T.shape) if partner is None else np.asarray(partner, dtype=float)
+        lhs, rhs = (block @ s_col.matrix).T, partner @ s_row.matrix  # S(col) is symmetric
+        size = s_col.scale * np.abs(block).max() + np.abs(partner).max() * s_row.scale
+        worst = max(worst, float(np.abs(lhs - rhs).max() / (1.0 + (np.abs(lhs).max() + np.abs(rhs).max()) + size)))
     if worst > DEFAULT_TOL:
         raise KMatrixError(f"S-matrix equations violated, residual {worst:.2e}")
 
@@ -284,7 +268,6 @@ def _check_consistency(rep, solved, classes):
 class OrthoSector:
     """Diagonalized S-block: unitary, norm factors k (descending), zero-norm count."""
 
-    sector: tuple
     unitary: object
     k_values: list
     n_positive: int
@@ -314,7 +297,7 @@ def _ortho_exact(sec, sb) -> OrthoSector:
     if s < 0:
         raise KMatrixError(f"negative S eigenvalue at {sec}")
     k = Radical.sqrt_of(s)
-    return OrthoSector(sec, [[Fraction(1)]], [k], 0 if k.is_zero() else 1)
+    return OrthoSector([[Fraction(1)]], [k], 0 if k.is_zero() else 1)
 
 
 def _ortho_float(sec, sb) -> OrthoSector:
@@ -334,7 +317,7 @@ def _ortho_float(sec, sb) -> OrthoSector:
     cut = DEFAULT_TOL * top if top > 0 else DEFAULT_TOL
     ks = [float(np.sqrt(e)) if e > cut else 0.0 for e in ev]
     n_pos = sum(1 for k in ks if k > 0)
-    return OrthoSector(sec, u, ks, n_pos)
+    return OrthoSector(u, ks, n_pos)
 
 
 def zero_norm_count(ortho: dict[tuple, OrthoSector]) -> int:
@@ -356,10 +339,8 @@ def unitarize(
     exactly, in float mode as the largest entry of
     ``|gamma(X)' - gamma(Xdag)|`` over ``1 + |gamma(X)|``.
     """
-    basis = []
-    for sec in sorted(ortho, key=lambda s: (rep.grades[s], s)):
-        for alpha in range(ortho[sec].n_positive):
-            basis.append((sec, alpha))
+    order = sorted(ortho, key=lambda s: (rep.grades[s], s))
+    basis = [(sec, alpha) for sec in order for alpha in range(ortho[sec].n_positive)]
     index = {lbl: i for i, lbl in enumerate(basis)}
 
     if rep.exact:  # one-dimensional sectors: both unitaries are [[1]]
@@ -402,9 +383,7 @@ def unitarize(
                 gap = np.abs(np.bincount(at, np.concatenate([a.vals, -b.vals]), len(keys))).max(initial=0.0)
                 adjoint = gap / (1.0 + a.norm) <= DEFAULT_TOL
             if not adjoint:
-                raise KMatrixError(
-                    f"unitarized gamma({gen}) is not the adjoint of gamma({adj})"
-                )
+                raise KMatrixError(f"unitarized gamma({gen}) is not the adjoint of gamma({adj})")
     return basis, gammas
 
 

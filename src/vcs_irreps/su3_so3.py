@@ -58,6 +58,7 @@ from .repcheck import DEFAULT_TOL, SparseMatrix, positive_leads
 
 DEGENERACY_TOL = 1e-9
 _EDGE_TOL = 1e-8
+_K_RANGE = (np.finfo(float).tiny, np.finfo(float).max)  # the finite, normal floats a norm factor may take
 
 
 class So3ConsistencyError(RuntimeError):
@@ -253,7 +254,7 @@ def _factors(curly, positive, k_norm):
     bound = DEFAULT_TOL * max(float(np.abs(t).max()) for t in factors.values())
     for (Lp, L), t in factors.items():
         defect = float(np.abs(t - (-1.0) ** (L - Lp) * np.sqrt((2 * L + 1) / (2 * Lp + 1)) * factors[(L, Lp)].T).max())
-        if defect > bound:
+        if not defect <= bound:  # a NaN defect fails too
             raise So3ConsistencyError(
                 f"factors T[{Lp},{L}] and T[{L},{Lp}] break reduced Hermiticity by {defect:.3e} (bound {bound:.3e})"
             )
@@ -290,7 +291,9 @@ def _best_first_walk(levels, candidates, raw_candidates, curly):
     only on the edges the walk took.  A weaker pair's partner entry can be
     rounding noise of either sign, so its ratio is left to the reduced
     Hermiticity identity that :func:`_factors` checks.  The walk and the
-    sign check read one edge-weight table per block pair.
+    sign check read one edge-weight table per block pair.  A norm factor that
+    is not a finite, normal float (the product of ratios along a long chain
+    can underflow) is refused as it is found, before any factor divides by it.
     """
     weights = {(Lp, L): _edge_weights(fwd, curly[(L, Lp)]) for (Lp, L), fwd in curly.items()}
     root = (levels[0], 0)
@@ -312,7 +315,13 @@ def _best_first_walk(levels, candidates, raw_candidates, curly):
             continue
         fwd, bwd = curly[(Lp, L)][beta, alpha], curly[(L, Lp)][alpha, beta]
         ratio_sq = abs((2 * L + 1) / (2 * Lp + 1) * bwd / fwd)  # its sign is checked below
-        k_norm[(Lp, beta)] = k_norm[(L, alpha)] / np.sqrt(ratio_sq)
+        k = k_norm[(L, alpha)] / np.sqrt(ratio_sq)
+        if not _K_RANGE[0] <= k <= _K_RANGE[1]:  # so no factor divides by 0, a subnormal or a NaN
+            raise So3ConsistencyError(
+                f"norm factor k = {k:.3e} at (L={Lp},a={beta}) is outside the normal float range "
+                f"[{_K_RANGE[0]:.3e}, {_K_RANGE[1]:.3e}]"
+            )
+        k_norm[(Lp, beta)] = k
         push(Lp, beta)
 
     positive = {L: sorted(b for (l, b) in k_norm if l == L) for L in levels}

@@ -249,7 +249,8 @@ def holomorphic_gamma_rep(hw: U3HighestWeight, extra_grades: int = 1) -> GammaRe
     with the intrinsic spin-``s`` states, up to ``extra_grades >= 0`` grades
     past the irrep, so zero-norm states appear; each ``(2j, 2S, 2M)`` is a
     one-dimensional sector.  ``C11``, ``C22``, ``C33``, ``C23`` and ``C32`` act
-    as in :func:`assemble_generators`.  The lowering tensor ``e = d/dz``
+    as in :func:`assemble_generators`; the diagonal ``C11``, ``C22`` and ``C33``
+    blocks are ``Fraction``s, so no stage factors them.  The lowering tensor ``e = d/dz``
     (``C12``, ``C13`` for ``nu = +-1/2``) has the block ``W = (S M, 1/2 nu |
     S' M+nu) sqrt(2j+1) U(s j S' 1/2; S j+1/2)`` from ``(j+1/2, S', M+nu)`` to
     ``(j, S, M)``.  The raising tensor (``C21``, ``C31``) is
@@ -268,15 +269,15 @@ def holomorphic_gamma_rep(hw: U3HighestWeight, extra_grades: int = 1) -> GammaRe
     sectors, grades = {}, {}
     blocks: dict[str, dict] = {name: {} for name in GENERATOR_NAMES}
     for tj in range(tj_cap + 1):
-        c11 = Radical.from_rational(hw.w1 - tj)
+        c11 = hw.w1 - tj
         # C22 on (j, S, M) is half[M] and C33 is half[-M]: (w2 + w3 + 2j +- 2M) / 2
-        half = {tM: Radical.from_rational((u2_sum + tj + tM) / 2) for tM in range(-tj - ts, tj + ts + 1, 2)}
+        half = {tM: (u2_sum + tj + tM) / 2 for tM in range(-tj - ts, tj + ts + 1, 2)}
         for tS in range(abs(tj - ts), tj + ts + 1, 2):
             for tM in range(-tS, tS + 1, 2):
                 a = (tj, tS, tM)
                 sectors[a], grades[a] = 1, tj
                 for name, value in (("C11", c11), ("C22", half[tM]), ("C33", half[-tM])):
-                    if value.sign:
+                    if value:
                         blocks[name][a, a] = [[value]]
                 if tM + 2 <= tS:
                     amp = Radical(1, Fraction((tS - tM) * (tS + tM + 2), 4))

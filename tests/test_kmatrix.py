@@ -202,10 +202,11 @@ def test_exact_rep_needs_one_dimensional_sectors():
 
 
 def test_partner_in_another_square_class_is_irrational():
-    # S(3) = S(2) q_p / q_g needs the partner S-(2,3) in the class of S+(3,2)
+    # S(3) = S(2) q_p / q_g needs the partner S-(2,3) in the class of S+(3,2):
+    # the recursion derives S(3) from the pair, and the pair check refuses it
     rep = su11.holomorphic_gamma_rep(su11.Su11Irrep(2, 6))
     rep.blocks["S-"][(2,), (3,)] = [[_other_class(rep.blocks["S-"][(2,), (3,)][0][0])]]
-    with pytest.raises(KMatrixError, match="irrational S value at sector"):
+    with pytest.raises(KMatrixError, match=r"S-matrix equations violated exactly at S\+ \(\(3,\), \(2,\)\)"):
         kmatrix.solve_s_recursion(rep)
 
 
@@ -324,7 +325,7 @@ def _move(rep, key):
 def test_either_side_of_a_pair_moved_to_another_class_is_caught_in_the_recursion(algebra, side):
     rep, *pair = _adjoint_pair(algebra)
     _move(rep, pair[side])
-    with pytest.raises(KMatrixError, match="irrational S value|exactly"):
+    with pytest.raises(KMatrixError, match="S-matrix equations violated exactly"):
         kmatrix.solve_s_recursion(rep)
 
 
@@ -346,7 +347,7 @@ def test_a_self_adjoint_diagonal_block_is_checked_once_in_each_stage(monkeypatch
     # once in the recursion and once in unitarize, with its new class
     irrep, rep, sblocks, ortho = su11_pipeline(Fraction(7, 2), 8)
     _move(rep, ("S0", (4,), (4,)))
-    moved = rep.square_class(rep.blocks["S0"][(4,), (4,)])
+    moved = rep.square_classes()["S0"][(4,), (4,)]
     assert moved[0] != 1
     seen = []
     balanced = kmatrix._balanced
@@ -386,6 +387,60 @@ def test_a_block_whose_partner_is_absent_is_checked_against_zero(stage):
             kmatrix.unitarize(rep, ortho)
 
 
+@pytest.mark.parametrize(
+    "build, in_recursion, in_unitarize",
+    [
+        (lambda: u3.holomorphic_gamma_rep(u3.U3HighestWeight(8, 4, 0)), 1805, 820),
+        (lambda: su11.holomorphic_gamma_rep(su11.Su11Irrep(Fraction(7, 2), 1000)), 2001, 2001),
+    ],
+    ids=["u3-8,4,0", "su11-7/2-1000"],
+)
+def test_each_s_equation_is_checked_once_per_stage(monkeypatch, build, in_recursion, in_unitarize):
+    # the recursion derives each S value unchecked, so each stage makes one
+    # check per adjoint pair: pairs between every sector, then between the kept ones
+    rep = build()
+    calls = []
+    balanced = kmatrix._balanced
+    monkeypatch.setattr(kmatrix, "_balanced", lambda *args: calls.append(args) or balanced(*args))
+    ortho = kmatrix.orthonormalize(kmatrix.solve_s_recursion(rep), exact=True)
+    assert len(calls) == len(list(kmatrix._pairs(rep.adjoints, rep.blocks))) == in_recursion
+    calls.clear()
+    kmatrix.unitarize(rep, ortho)
+    kept = {sec for sec, o in ortho.items() if o.n_positive}
+    assert len(calls) == len(list(kmatrix._pairs(rep.adjoints, rep.square_classes(kept)))) == in_unitarize
+
+
+def _float_same_grade_pair():
+    """The grade-coarsened float {2,1,0} and its non-zero same-grade ``C23`` block, which only the closing check reads."""
+    rep, _ = _by_grade(u3.holomorphic_gamma_rep(u3.U3HighestWeight(2, 1, 0), extra_grades=0))
+    row, col = next(key for key, block in rep.blocks["C23"].items() if np.abs(block).max() > 0)
+    assert row == col
+    return rep, row
+
+
+@pytest.mark.parametrize("change", ["block", "partner", "absent-partner"])
+def test_float_pair_check_catches_either_side_whichever_comes_first(change):
+    # C23[g, g] and its partner C32[g, g] are one equation, checked once: a
+    # change to either side, or a missing partner, is caught, with the same
+    # worst residual whether C23 or C32 comes first in blocks
+    rep, _ = _float_same_grade_pair()
+    assert set(kmatrix.solve_s_recursion(rep)) == set(rep.sectors)  # unchanged, it passes
+    messages = []
+    for first in ("C23", "C32"):
+        rep, sec = _float_same_grade_pair()
+        if change == "absent-partner":
+            del rep.blocks["C32"][sec, sec]
+        else:
+            gen = "C23" if change == "block" else "C32"
+            rep.blocks[gen][sec, sec] = rep.blocks[gen][sec, sec] * (1 + 1e-6)
+        rep = kmatrix.GammaRep(rep.sectors, rep.grades, {first: rep.blocks[first], **rep.blocks}, rep.adjoints)
+        assert next(iter(rep.blocks)) == first
+        with pytest.raises(KMatrixError, match="S-matrix equations violated, residual") as err:
+            kmatrix.solve_s_recursion(rep)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
 def _with_blocks(rep, convert):
     blocks = {gen: {key: [[convert(b[0][0])]] for key, b in bs.items()} for gen, bs in rep.blocks.items()}
     return kmatrix.GammaRep(rep.sectors, rep.grades, blocks, rep.adjoints, exact=True)
@@ -417,7 +472,7 @@ def test_exact_induction_is_the_same_for_fraction_int_and_radical_blocks(lam, nm
 
 
 def test_orthonormalize_rank_deficient_block():
-    sb = {("x",): kmatrix.SBlock(("x",), np.array([[1.0, 1.0], [1.0, 1.0]]))}
+    sb = {("x",): kmatrix.SBlock(np.array([[1.0, 1.0], [1.0, 1.0]]))}
     ortho = kmatrix.orthonormalize(sb)
     sec = ortho[("x",)]
     assert sec.k_values[0] == pytest.approx(np.sqrt(2.0))
@@ -426,7 +481,7 @@ def test_orthonormalize_rank_deficient_block():
 
 
 def test_orthonormalize_diagonal_input_is_identity():
-    sb = {("d",): kmatrix.SBlock(("d",), np.diag([4.0, 1.0]))}
+    sb = {("d",): kmatrix.SBlock(np.diag([4.0, 1.0]))}
     sec = kmatrix.orthonormalize(sb)[("d",)]
     # descending eigenvalues, unitary a permutation of the identity
     assert sec.k_values == [2.0, 1.0]
@@ -434,7 +489,7 @@ def test_orthonormalize_diagonal_input_is_identity():
 
 
 def test_orthonormalize_rejects_negative_eigenvalue():
-    sb = {("n",): kmatrix.SBlock(("n",), np.array([[-1.0]]))}
+    sb = {("n",): kmatrix.SBlock(np.array([[-1.0]]))}
     with pytest.raises(KMatrixError):
         kmatrix.orthonormalize(sb)
 
@@ -502,7 +557,7 @@ def test_negative_norm_detected():
     irrep = su11.Su11Irrep(2, 6)
     rep = su11.holomorphic_gamma_rep(irrep)
     rep.blocks["S+"][(3,), (2,)] = [[Radical.from_rational(-1)]]
-    with pytest.raises(KMatrixError):
+    with pytest.raises(KMatrixError, match=r"negative norm at sector \(3,\)"):
         kmatrix.solve_s_recursion(rep)
 
 

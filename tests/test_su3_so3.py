@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -543,6 +544,32 @@ def test_large_irreps_build_and_a_scaled_norm_is_refused(lam, mu):
     L = con.levels[len(con.levels) // 2]
     k_norm[(L, con.positive[L][0])] *= 1 + 1e-6
     with pytest.raises(su3_so3.So3ConsistencyError, match="break reduced Hermiticity"):
+        su3_so3._factors(con.curly, con.positive, k_norm)
+
+
+def test_norm_factors_past_the_float_floor_are_refused_before_any_division():
+    # at mu = 0 the walk multiplies k along one chain of L: the smallest k of
+    # (2060,0) is 3.5e-308 and builds; (2100,0) reaches subnormal factors and
+    # (2500,0) exact zeros, which gave inf and NaN reduced elements that the
+    # Hermiticity guard passed.  The construction alone, with no M-expanded build.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in (2100, 2500):
+            with pytest.raises(
+                su3_so3.So3ConsistencyError, match=r"norm factor k = .* at \(L=\d+,a=0\) is outside the normal float range"
+            ):
+                su3_so3._construction(su3_so3.Su3Label(lam, 0))
+        lm = su3_so3.Su3Label(2060, 0)
+        values = [row[4] for row in su3_so3.reduced_elements(lm)]
+    assert len(values) == 3090 and np.isfinite(values).all()
+    assert 0 < min(su3_so3._construction(lm).k_norm.values()) < 1e-307
+
+
+def test_a_nan_norm_factor_fails_the_hermiticity_guard():
+    con = su3_so3._construction(su3_so3.Su3Label(4, 2))
+    k_norm = dict(con.k_norm)
+    k_norm[(con.levels[1], con.positive[con.levels[1]][0])] = float("nan")
+    with np.errstate(invalid="ignore"), pytest.raises(su3_so3.So3ConsistencyError, match="break reduced Hermiticity by nan"):
         su3_so3._factors(con.curly, con.positive, k_norm)
 
 
