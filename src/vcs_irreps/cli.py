@@ -41,7 +41,8 @@ Exit codes: 0 success, 1 verification failure, which includes an su(3)
 construction that fails its own consistency checks (``So3ConsistencyError``,
 with a one-line ``error:`` message), 2 usage error (also with a one-line
 ``error:`` message, argparse's own included), which includes a value,
-generator norm or residual scale too large for a float (``OverflowError``).
+generator norm or residual scale too large for a float (``OverflowError``),
+and an irrep too large to hold in memory (``MemoryError``).
 The default tolerance is 1e-10, overridable per-call with ``--tol`` or
 globally with the ``VCS_IRREPS_TOL`` environment variable; either must be a
 finite number >= 0.
@@ -515,6 +516,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (UsageError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # numpy's allocation failures included
+        print("error: the irrep is too large to hold in memory", file=sys.stderr)
         return 2
     except su3_so3.So3ConsistencyError as exc:  # the su(3) construction failed its own checks
         print(f"error: {exc}", file=sys.stderr)

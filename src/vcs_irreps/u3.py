@@ -8,22 +8,19 @@ admissible ``(j, S)`` pairs are exactly the images of the Gelfand betweenness
 conditions ``w2 <= m12 <= w1``, ``w3 <= m22 <= w2`` under ``2S = m12 - m22``,
 ``2j = m12 + m22 - w2 - w3``.
 
-Matrix elements of the nine generators ``C(i,k)`` follow from closed forms:
-the Cartan and U(2) actions are the standard diagonal/ladder expressions, and
-the grade-changing spin-1/2 tensors have reduced matrix elements built from a
-unitary Racah U coefficient and the square root of a norm-ratio that telescopes
-the eigenvalues of the U(2)-scalar lowering operator.  U and the Wigner-Eckart
-Clebsch-Gordan coefficients each hold a spin 1/2, so they come from closed
-forms in ``angmom`` (``spin_half_u_parts``, ``spin_half_cg_parts``), not from
-the Racah series of ``racah_u``, and each entry is one ``Radical`` of integers.  Each
-reduced element is evaluated once per weight (:func:`reduced_elements` caches
-them), and both the generator matrices and a ``gen`` document's table read
-that evaluation.  All values are exact radicals.
-
-The paper's induction starts from the non-unitary holomorphic realization
-:func:`holomorphic_gamma_rep`, which ``kmatrix`` unitarizes; its blocks are
-the same spin-1/2 couplings, with the norm ratio :func:`k_ratio_sq` itself in
-place of its square root.
+The Cartan and U(2) generators act by the standard diagonal and ladder
+expressions.  The grade-changing ones are one table of spin-1/2 steps
+``(j, S, M) -> (j+1/2, S', M+nu)``: each carries one coupling ``W = (S M, 1/2
+nu | S' M+nu) sqrt(2j+1) U(s j S' 1/2; S j+1/2)`` and one norm ratio ``r =``
+:func:`k_ratio_sq`, which telescopes the eigenvalues of the U(2)-scalar
+lowering operator.  The paper's non-unitary holomorphic realization
+:func:`holomorphic_gamma_rep`, which ``kmatrix`` unitarizes, puts ``(W, W r)``
+on the lowering/raising pair; the unitary irrep, ``K^-1 Gamma K``, puts
+``(W sqrt(r), W sqrt(r))`` on each in-irrep step.  U and the Clebsch-Gordan
+coefficient each hold a spin 1/2, so they come from closed forms in ``angmom``
+(``spin_half_u_parts``, ``spin_half_cg_parts``), and each entry is one exact
+``Radical`` of integers.  The irrep's steps are evaluated once per weight
+(:func:`reduced_elements` caches them), for the matrices and a ``gen`` table.
 """
 
 from __future__ import annotations
@@ -155,78 +152,85 @@ def k_ratio_sq(hw: U3HighestWeight, tj: int, tS: int, tSp: int) -> Fraction:
     return Fraction(rise, 2)
 
 
-def reduced_me(hw: U3HighestWeight, tj: int, tS: int, tSp: int, which: str) -> Radical:
-    """Reduced matrix element of the grade-changing spin-1/2 tensors.
-
-    ``which='f'`` gives ``<(j+1/2) S' || f || j S>`` (grade-raising tensor,
-    ``f(1/2) = C21``, ``f(-1/2) = C31``), equal to
-    ``sqrt((2j+1)(2S'+1)) U(s j S' 1/2; S j+1/2) sqrt(k_ratio_sq)`` with ``U``
-    from the closed form :func:`~vcs_irreps.angmom.spin_half_u_parts`;
-    ``which='e'`` gives the partner ``<j S || e || (j+1/2) S'>`` with
-    ``e(1/2) = C13``, ``e(-1/2) = -C12``, equal to ``(-1)**(S'-S+1/2)`` times
-    the f value.  Inadmissible labels give zero.
-    """
-    if which not in ("e", "f"):
-        raise ValueError("which must be 'e' or 'f'")
-    if abs(tS - tSp) != 1:
-        return Radical.zero()
-    if not (is_admissible(hw, tj, tS) and is_admissible(hw, tj + 1, tSp)):
-        return Radical.zero()
-    ratio = k_ratio_sq(hw, tj, tS, tSp)  # raises if <= 0 on admissible labels
-    sign, num, den = spin_half_u_parts(hw.twice_s, tj, tS, tSp)
-    if which == "e" and tSp > tS:
-        sign = -sign
-    return Radical(sign, Fraction(num * (tj + 1) * (tSp + 1) * ratio.numerator, den * ratio.denominator))
-
-
 @lru_cache(maxsize=None)
 def reduced_elements(hw: U3HighestWeight) -> tuple[tuple[int, int, int, Radical], ...]:
-    """Each non-zero f-tensor element ``(2j, 2S, 2S', <(j+1/2) S' || f || j S>)`` in basis order.
+    """Each non-zero ``(2j, 2S, 2S', <(j+1/2) S' || f || j S>)``, ``f(+-1/2) = C21, C31``, in basis order.
 
-    Cached per weight, so the generator matrices and a ``gen`` table read one evaluation.
+    ``sqrt(2S'+1)`` times each in-irrep step's ``sqrt(2j+1) U sqrt(r)``; cached per weight.
     """
-    elements = []
-    for tj, tS in sorted({(lbl.tj, lbl.tS) for lbl in basis_enumeration(hw)}):
-        for tSp in (tS - 1, tS + 1):
-            value = reduced_me(hw, tj, tS, tSp, "f")
-            if not value.is_zero():
-                elements.append((tj, tS, tSp, value))
-    return tuple(elements)
+    return tuple(
+        (tj, tS, tSp, Radical(sign, Fraction(num * (tSp + 1) * ratio.numerator, den * ratio.denominator)))
+        for tj, tS, tSp, sign, num, den, ratio in _steps(hw, int(hw.w1 - hw.w3), irrep=True)
+    )
+
+
+def _steps(hw: U3HighestWeight, tj_cap: int, irrep: bool):
+    """Each step ``(j, S) -> (j+1/2, S')``, ``2j < tj_cap``, as ``(2j, 2S, 2S', sign, num, den, k_ratio_sq)``.
+
+    ``sign * sqrt(num / den) = sqrt(2j+1) U(s j S' 1/2; S j+1/2)`` is non-zero;
+    with ``irrep``, only the steps between two admissible multiplets.
+    """
+    ts = hw.twice_s
+    for tj in range(tj_cap):
+        for tS in range(abs(tj - ts), tj + ts + 1, 2):
+            for tSp in (tS - 1, tS + 1):
+                if irrep and not (is_admissible(hw, tj, tS) and is_admissible(hw, tj + 1, tSp)):
+                    continue
+                sign, num, den = spin_half_u_parts(ts, tj, tS, tSp)
+                if sign:
+                    yield tj, tS, tSp, sign, num * (tj + 1), den, k_ratio_sq(hw, tj, tS, tSp)
+
+
+def _u2_entries(entries: dict[str, dict], hw: U3HighestWeight, keys: dict) -> None:
+    """Write the non-zero ``C11``, ``C22``, ``C33``, ``C23`` and ``C32`` entries.
+
+    ``keys[2j, 2S]`` holds the keys of the multiplet's states in ``M`` order.
+    """
+    ts, tj_max = hw.twice_s, max(tj for tj, _ in keys)
+    # C22 on (j, S, M) is half[2j + 2M] and C33 is half[2j - 2M]: (w2 + w3 + 2j +- 2M) / 2
+    half = {n: (hw.w2 + hw.w3 + n) / 2 for n in range(-ts, 2 * tj_max + ts + 1)}
+    for (tj, tS), at in keys.items():
+        c11 = hw.w1 - tj
+        for k, tM in enumerate(range(-tS, tS + 1, 2)):
+            for name, value in (("C11", c11), ("C22", half[tj + tM]), ("C33", half[tj - tM])):
+                if value:
+                    entries[name][at[k], at[k]] = value
+            if tM + 2 <= tS:  # spin ladder sqrt((S-M)(S+M+1))
+                amp = Radical(1, Fraction((tS - tM) * (tS + tM + 2), 4))
+                entries["C23"][at[k + 1], at[k]] = entries["C32"][at[k], at[k + 1]] = amp
+
+
+def _expand(entries: dict[str, dict], kets, bras, tS: int, tSp: int, lower: tuple, upper: tuple | None) -> None:
+    """Write one step's ``C12``/``C13`` at ``(ket, bra)`` and ``C21``/``C31`` at ``(bra, ket)``, by Wigner-Eckart.
+
+    Each is ``(S M, 1/2 nu | S' M+nu)`` times its factor ``(sign, num, den)``,
+    ``sign * sqrt(num / den)``: ``lower`` or ``upper``.  ``upper`` None writes
+    no raising entry; ``upper is lower`` writes one value to both.
+    """
+    l_sign, l_num, l_den = lower
+    for k, tM in enumerate(range(-tS, tS + 1, 2)):
+        for t_nu, down, up in ((1, "C12", "C21"), (-1, "C13", "C31")):
+            c_sign, c_num, c_den = spin_half_cg_parts(tS, tM, t_nu, tSp)
+            if c_sign:
+                a, b = kets[k], bras[(tSp + tM + t_nu) // 2]
+                entries[down][a, b] = value = Radical(c_sign * l_sign, Fraction(c_num * l_num, c_den * l_den))
+                if upper is lower:
+                    entries[up][b, a] = value
+                elif upper:
+                    entries[up][b, a] = Radical(c_sign * upper[0], Fraction(c_num * upper[1], c_den * upper[2]))
 
 
 def assemble_generators(hw: U3HighestWeight) -> dict[str, OperatorMatrix]:
-    """All nine generator matrices ``C11 .. C33`` on the canonical basis, exact, from the integer labels."""
+    """All nine generator matrices ``C11 .. C33`` on the canonical basis, exact: ``W sqrt(r)`` both ways per step."""
     basis = basis_enumeration(hw)
-    index = {lbl: i for i, lbl in enumerate(basis)}
+    # each (j, S) multiplet is a run of basis positions, M ascending
+    keys = {(lbl.tj, lbl.tS): range(i, i + lbl.tS + 1) for i, lbl in enumerate(basis) if lbl.tM == -lbl.tS}
     entries: dict[str, dict] = {name: {} for name in GENERATOR_NAMES}
-    u2_sum = hw.w2 + hw.w3  # C22 + C33 is w2 + w3 + 2j
-
-    for i, (tj, tS, tM) in enumerate((lbl.tj, lbl.tS, lbl.tM) for lbl in basis):
-        entries["C11"][i, i] = hw.w1 - tj
-        entries["C22"][i, i] = (u2_sum + tj + tM) / 2
-        entries["C33"][i, i] = (u2_sum + tj - tM) / 2
-        # Spin ladder sqrt((S-M)(S+M+1)); the basis order puts (j, S, M+1) right after (j, S, M).
-        if tM + 2 <= tS:
-            amp = Radical(1, Fraction((tS - tM) * (tS + tM + 2), 4))
-            entries["C23"][i + 1, i] = entries["C32"][i, i + 1] = amp
-
-    # Grade-changing tensors: C21 = f(1/2) and C31 = f(-1/2) from the f-tensor
-    # reduced elements via Wigner-Eckart, (S M, 1/2 nu | S' M+nu) f / sqrt(2S'+1).
+    _u2_entries(entries, hw, keys)
     for tj, tS, tSp, f_red in reduced_elements(hw):
-        ket = index[CanonicalLabel(tj, tS, -tS)]
-        bra = index[CanonicalLabel(tj + 1, tSp, -tSp)]
-        f_num, f_den = f_red.radicand.numerator, f_red.radicand.denominator * (tSp + 1)
-        for k, tM in enumerate(range(-tS, tS + 1, 2)):
-            for t_nu, name in ((1, "C21"), (-1, "C31")):
-                sign, num, den = spin_half_cg_parts(tS, tM, t_nu, tSp)
-                if sign:
-                    row = bra + (tSp + tM + t_nu) // 2
-                    entries[name][row, ket + k] = Radical(sign * f_red.sign, Fraction(num * f_num, den * f_den))
-
-    mats = {name: OperatorMatrix(name, basis, entries[name]) for name in GENERATOR_NAMES}
-    mats["C12"] = mats["C21"].dagger("C12")
-    mats["C13"] = mats["C31"].dagger("C13")
-    return mats
+        factor = (f_red.sign, f_red.radicand.numerator, f_red.radicand.denominator * (tSp + 1))
+        _expand(entries, keys[tj, tS], keys[tj + 1, tSp], tS, tSp, factor, factor)
+    return {name: OperatorMatrix(name, basis, entries[name]) for name in GENERATOR_NAMES}
 
 
 def angular_momentum_dense(generators: dict[str, OperatorMatrix]):
@@ -242,65 +246,31 @@ def angular_momentum_dense(generators: dict[str, OperatorMatrix]):
 
 
 def holomorphic_gamma_rep(hw: U3HighestWeight, extra_grades: int = 1) -> GammaRep:
-    """Non-unitary differential-operator realization on coupled monomials, in closed form.
+    """Non-unitary differential-operator realization on coupled monomials: ``(W, W r)`` on each step.
 
     The raw space is spanned, grade by grade ``2j = N = 0, 1, ...``, by the
     U(2)-coupled products of the degree-``N`` monomials in ``z = (z2, z3)``
     with the intrinsic spin-``s`` states, up to ``extra_grades >= 0`` grades
     past the irrep, so zero-norm states appear; each ``(2j, 2S, 2M)`` is a
-    one-dimensional sector.  ``C11``, ``C22``, ``C33``, ``C23`` and ``C32`` act
-    as in :func:`assemble_generators`; the diagonal ``C11``, ``C22`` and ``C33``
-    blocks are ``Fraction``s, so no stage factors them.  The lowering tensor ``e = d/dz``
-    (``C12``, ``C13`` for ``nu = +-1/2``) has the block ``W = (S M, 1/2 nu |
-    S' M+nu) sqrt(2j+1) U(s j S' 1/2; S j+1/2)`` from ``(j+1/2, S', M+nu)`` to
-    ``(j, S, M)``.  The raising tensor (``C21``, ``C31``) is
+    one-dimensional sector.  The lowering tensor ``e = d/dz`` (``C12``,
+    ``C13``) has the blocks ``W``.  The raising tensor (``C21``, ``C31``) is
     ``f = z (c - N) - 2 [L.s, z]``, ``c = w1 - (w2+w3)/2``, ``L`` the
     monomials' spin; ``L.s`` is diagonal on coupled states, so ``f``'s block
-    back is ``W`` times the rise of ``omega`` that :func:`k_ratio_sq` gives,
-    and absent where that is 0.  ``W`` comes from the closed forms
-    ``spin_half_cg_parts`` and ``spin_half_u_parts``: one ``Radical`` of
-    integers per block, with no coupling transform summed.
+    back is ``W r``, absent where ``r = 0``.  The rational ``C11``, ``C22``
+    and ``C33`` blocks are ``Fraction``s, so no K-matrix stage factors them.
     """
-    if not isinstance(extra_grades, int) or extra_grades < 0:
+    if type(extra_grades) is not int or extra_grades < 0:
         raise ValueError(f"extra_grades must be a non-negative integer, got {extra_grades!r}")
-    ts = hw.twice_s
-    tj_cap = int(hw.w1 - hw.w3) + extra_grades
-    u2_sum = hw.w2 + hw.w3
-    sectors, grades = {}, {}
-    blocks: dict[str, dict] = {name: {} for name in GENERATOR_NAMES}
-    for tj in range(tj_cap + 1):
-        c11 = hw.w1 - tj
-        # C22 on (j, S, M) is half[M] and C33 is half[-M]: (w2 + w3 + 2j +- 2M) / 2
-        half = {tM: (u2_sum + tj + tM) / 2 for tM in range(-tj - ts, tj + ts + 1, 2)}
-        for tS in range(abs(tj - ts), tj + ts + 1, 2):
-            for tM in range(-tS, tS + 1, 2):
-                a = (tj, tS, tM)
-                sectors[a], grades[a] = 1, tj
-                for name, value in (("C11", c11), ("C22", half[tM]), ("C33", half[-tM])):
-                    if value:
-                        blocks[name][a, a] = [[value]]
-                if tM + 2 <= tS:
-                    amp = Radical(1, Fraction((tS - tM) * (tS + tM + 2), 4))
-                    blocks["C23"][(tj, tS, tM + 2), a] = [[amp]]
-                    blocks["C32"][a, (tj, tS, tM + 2)] = [[amp]]
-            if tj == tj_cap:
-                continue
-            for tSp in (tS - 1, tS + 1):
-                u_sign, u_num, u_den = spin_half_u_parts(ts, tj, tS, tSp)
-                if not u_sign:
-                    continue
-                ratio = k_ratio_sq(hw, tj, tS, tSp)
-                p, q = ratio.numerator, ratio.denominator
-                for tM in range(-tS, tS + 1, 2):
-                    for t_nu, lower, upper in ((1, "C12", "C21"), (-1, "C13", "C31")):
-                        c_sign, c_num, c_den = spin_half_cg_parts(tS, tM, t_nu, tSp)
-                        if not c_sign:
-                            continue
-                        a, b = (tj, tS, tM), (tj + 1, tSp, tM + t_nu)
-                        sign, num, den = u_sign * c_sign, u_num * c_num * (tj + 1), u_den * c_den
-                        blocks[lower][a, b] = [[Radical(sign, Fraction(num, den))]]
-                        if p:
-                            blocks[upper][b, a] = [[Radical(sign if p > 0 else -sign, Fraction(num * p * p, den * q * q))]]
-
+    ts, tj_cap = hw.twice_s, int(hw.w1 - hw.w3) + extra_grades
+    multiplets = [(tj, tS) for tj in range(tj_cap + 1) for tS in range(abs(tj - ts), tj + ts + 1, 2)]
+    keys = {(tj, tS): [(tj, tS, tM) for tM in range(-tS, tS + 1, 2)] for tj, tS in multiplets}
+    entries: dict[str, dict] = {name: {} for name in GENERATOR_NAMES}
+    _u2_entries(entries, hw, keys)
+    for tj, tS, tSp, sign, num, den, ratio in _steps(hw, tj_cap, irrep=False):
+        p, q = ratio.numerator, ratio.denominator
+        upper = (sign if p > 0 else -sign, num * p * p, den * q * q) if p else None
+        _expand(entries, keys[tj, tS], keys[tj + 1, tSp], tS, tSp, (sign, num, den), upper)
+    sectors = {a: 1 for at in keys.values() for a in at}
+    blocks = {name: {key: [[value]] for key, value in entries[name].items()} for name in GENERATOR_NAMES}
     adjoints = {f"C{i}{k}": f"C{k}{i}" for i in (1, 2, 3) for k in (1, 2, 3)}
-    return GammaRep(sectors=sectors, grades=grades, blocks=blocks, adjoints=adjoints, exact=True)
+    return GammaRep(sectors=sectors, grades={a: a[0] for a in sectors}, blocks=blocks, adjoints=adjoints, exact=True)

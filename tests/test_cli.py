@@ -274,6 +274,26 @@ def test_a_failed_su3_construction_is_one_error_line_and_exit_1(tmp_path, capsys
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["check", "su3-so3", "--lm", "4,2"], (repcheck.TiledMatrix, "_of")),
+        (["gen", "su3-so3", "--lm", "4,2", "--out", "OUT"], (cli, "_generator_json")),
+        (["gen", "u3", "--weight", "2,1,0", "--out", "OUT"], (cli, "_generator_json")),
+    ],
+)
+def test_an_irrep_too_large_for_memory_is_one_error_line_and_exit_2(tmp_path, capsys, monkeypatch, argv, where):
+    # numpy's allocation failure (_ArrayMemoryError) is a MemoryError; a gen --out removes its file
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 10.9 GiB for an array with shape (1459, 1459) and data type float64")
+
+    monkeypatch.setattr(*where, fail)
+    out_path = tmp_path / "d.json"
+    code, out, err = run(capsys, *(str(out_path) if a == "OUT" else a for a in argv))
+    assert (code, err) == (2, "error: the irrep is too large to hold in memory\n")
+    assert out == "" and not out_path.exists()
+
+
 def test_tolerance_env_override(capsys, monkeypatch):
     monkeypatch.setenv("VCS_IRREPS_TOL", "1e-20")
     code, out, _ = run(capsys, "check", "su3-so3", "--lm", "2,0")

@@ -105,56 +105,75 @@ def test_k_ratio_positivity_boundary_scan():
 def test_reduced_me_zero_spin_intrinsic():
     # s = 0 forces S = j and the Racah factor is 1
     hw = u3.U3HighestWeight(2, 0, 0)
-    val = u3.reduced_me(hw, 0, 0, 1, "f")
+    elements = {e[:3]: e[3] for e in u3.reduced_elements(hw)}
+    assert list(elements) == [(0, 0, 1), (1, 1, 2)]
+    val = elements[0, 0, 1]
     assert val == Radical.sqrt_of(2) * Radical.sqrt_of(2)
     assert val == Radical.from_rational(2)
     ratio = u3.k_ratio_sq(hw, 1, 1, 2)
     expect = Radical.sqrt_of(Fraction(2 * 3)) * Radical.sqrt_of(ratio)
-    assert u3.reduced_me(hw, 1, 1, 2, "f") == expect
+    assert elements[1, 1, 2] == expect
 
 
 def test_reduced_me_one_dimensional_irrep_vanishes():
     hw = u3.U3HighestWeight(3, 3, 3)
-    for which in ("e", "f"):
-        assert u3.reduced_me(hw, 0, 0, 1, which).is_zero()
+    assert u3.reduced_elements(hw) == ()
+    assert all(u3.assemble_generators(hw)[name].is_zero() for name in ("C12", "C13", "C21", "C31"))
+
+
+def _e_tensor(hw):
+    """Each ``(bra, ket, nu, entry)`` of ``e(1/2) = C13`` and ``e(-1/2) = -C12`` in the assembled matrices.
+
+    Every bra at grade ``j`` with every ket at grade ``j+1/2`` and ``M' + nu = M``, zero entries included.
+    """
+    gens = u3.assemble_generators(hw)
+    labels = u3.basis_enumeration(hw)
+    for (b, bra), (k, ket) in itertools.product(enumerate(labels), repeat=2):
+        for t_nu, name in ((1, "C13"), (-1, "C12")):
+            if ket.tj == bra.tj + 1 and ket.tM + t_nu == bra.tM:
+                entry = gens[name][b, k]
+                yield bra, ket, t_nu, entry if t_nu > 0 else -entry
+
+
+def _e_phase(tS, tSp):
+    """``(-1)**(S'-S+1/2)``, the phase of ``<j S || e || (j+1/2) S'>`` against ``<(j+1/2) S' || f || j S>``."""
+    return -1 if ((tSp - tS + 1) // 2) % 2 else 1
 
 
 def test_reduced_me_hermiticity_pairing():
+    # Wigner-Eckart inversion of every non-zero C12, C13 entry gives one e-tensor
+    # reduced element per (j, S, S'), the phase times the f-tensor element.
     hw = u3.U3HighestWeight(4, 2, 0)
-    for lbl in u3.basis_enumeration(hw):
-        for tSp in (lbl.tS - 1, lbl.tS + 1):
-            f = u3.reduced_me(hw, lbl.tj, lbl.tS, tSp, "f")
-            e = u3.reduced_me(hw, lbl.tj, lbl.tS, tSp, "e")
-            sign = -1 if ((tSp - lbl.tS + 1) // 2) % 2 else 1
-            assert f == e * sign
+    e_red = {}
+    for bra, ket, t_nu, entry in _e_tensor(hw):
+        if entry != 0:
+            cgc = clebsch_gordan(Fraction(ket.tS, 2), Fraction(ket.tM, 2), HALF, Fraction(t_nu, 2), bra.S, bra.M)
+            red = entry * Radical.sqrt_of(bra.tS + 1) / cgc
+            assert e_red.setdefault((bra.tj, bra.tS, ket.tS), red) == red, (bra, ket)
+    f_red = {e[:3]: e[3] for e in u3.reduced_elements(hw)}
+    assert sorted(e_red) == list(f_red)
+    for (tj, tS, tSp), f in f_red.items():
+        assert e_red[tj, tS, tSp] == f * _e_phase(tS, tSp)
 
 
 def test_reduced_me_against_assembled_matrix():
-    # Wigner-Eckart inversion of the assembled C13 reproduces the e-tensor
-    # reduced matrix elements (C13 = e(+1/2))
+    # Every C13 = e(1/2) and C12 = -e(-1/2) entry, zero or not, is the
+    # Wigner-Eckart value (S' M', 1/2 nu | S M) <j S || e || (j+1/2) S'> / sqrt(2S+1).
     hw = u3.U3HighestWeight(2, 1, 0)
-    gens = u3.assemble_generators(hw)
-    labels = u3.basis_enumeration(hw)
-    index = {lbl: i for i, lbl in enumerate(labels)}
-    for bra in labels:
-        for ket in labels:
-            if ket.tj != bra.tj + 1 or ket.tM != bra.tM + 1:
-                continue
-            entry = gens["C13"][index[bra], index[ket]]
-            cgc = clebsch_gordan(
-                Fraction(ket.tS, 2), Fraction(ket.tM, 2), HALF, HALF,
-                Fraction(bra.tS, 2), Fraction(bra.tM, 2),
-            )
-            red = u3.reduced_me(hw, bra.tj, bra.tS, ket.tS, "e")
-            expected = cgc * red / Radical.sqrt_of(bra.tS + 1)
-            got = entry if isinstance(entry, Radical) else Radical.from_rational(Fraction(entry))
-            assert got == expected
+    f_red = {e[:3]: e[3] for e in u3.reduced_elements(hw)}
+    seen = 0
+    for bra, ket, t_nu, entry in _e_tensor(hw):
+        cgc = clebsch_gordan(Fraction(ket.tS, 2), Fraction(ket.tM, 2), HALF, Fraction(t_nu, 2), bra.S, bra.M)
+        red = f_red.get((bra.tj, bra.tS, ket.tS), Radical.zero()) * _e_phase(bra.tS, ket.tS)
+        assert entry == cgc * red / Radical.sqrt_of(bra.tS + 1), (bra, ket, t_nu)
+        seen += entry != 0
+    assert seen == sum(len(u3.assemble_generators(hw)[name].entries) for name in ("C12", "C13")) > 0
 
 
 def test_reduced_elements_are_each_evaluated_once(monkeypatch):
     calls = []
-    reduced_me = u3.reduced_me
-    monkeypatch.setattr(u3, "reduced_me", lambda *args: calls.append(args) or reduced_me(*args))
+    u_parts = u3.spin_half_u_parts
+    monkeypatch.setattr(u3, "spin_half_u_parts", lambda *args: calls.append(args) or u_parts(*args))
     hw = u3.U3HighestWeight(18, 8, 0)
     u3.reduced_elements.cache_clear()
     u3.assemble_generators(hw)
@@ -403,8 +422,9 @@ def test_holomorphic_rep_is_the_clebsch_gordan_transform_of_the_uncoupled_action
         assert rep.blocks[gen] == want.blocks[gen], gen
 
 
-@pytest.mark.parametrize("extra_grades", [-1, -3, 0.5])
+@pytest.mark.parametrize("extra_grades", [-1, -3, 0.5, True, False])
 def test_holomorphic_rep_refuses_a_negative_or_fractional_boundary(extra_grades):
-    # -1 would induce 6 of the 8 states of {2,1,0}; -3 would leave no raw grade at all
+    # -1 would induce 6 of the 8 states of {2,1,0}; -3 would leave no raw grade at all;
+    # a bool is refused, as the JSON readers refuse it, though it is an int
     with pytest.raises(ValueError, match="extra_grades"):
         u3.holomorphic_gamma_rep(u3.U3HighestWeight(2, 1, 0), extra_grades=extra_grades)
