@@ -16,24 +16,27 @@ Each algebra is described once, by an :class:`Algebra` entry in
 document, how to build its generators, what its document holds and how its
 checks run.  ``gen``, ``check`` and ``check --replay`` are one path through
 that table; adding an algebra means adding one entry.  A replay reads a
-generator whose entries are all exact ``{"sign", "radicand"}`` objects into
-an ``OperatorMatrix`` of ``Radical``s, as the su(1,1) and u(3) builders
-return it, and any other into a :class:`repcheck.SparseMatrix` of each
-entry's ``float()``, the one float form, as the su(3) builder returns it.  So
-the live and replayed checks are one :func:`repcheck.standard_checks` call,
-and both pick the exact or the float kernel from the matrix types alone.  An
-entry's indices must be integers inside the matrix, its value finite, and no
+generator whose entries are all exact ``{"sign", "radicand"}`` objects
+straight into the integer arrays of a :class:`repcheck.ExactMatrix`, the
+form the exact checks make of the su(1,1) and u(3) builders' matrices, with
+no ``Radical`` built, and any other into a :class:`repcheck.SparseMatrix` of
+each entry's ``float()``, the one float form, as the su(3) builder returns
+it; a document that mixes the two reads as its all-float twin.  So the live
+and replayed checks are one :func:`repcheck.standard_checks` call, and both
+pick the exact or the float kernel from the matrix types alone.  An entry's
+indices must be integers inside the matrix, its value finite, and no
 ``(row, col)`` may repeat; the weight's integer fields (su(1,1) ``nmax``,
 su(3) ``lam`` and ``mu``) must be JSON integers, and its rational fields
 (su(1,1) ``lambda``, each of a u(3) ``w``'s three) JSON integers or strings
 such as ``"7/2"``, as the ``--lambda`` and ``--weight`` flags are read.
-``gen`` writes the JSON document one generator at a time, in the
-``json.dump(..., indent=1)`` layout: a float generator's entries straight
-from its coordinate arrays, every other field by ``json.dumps``.  In float
-mode every generator is converted first, so a value too large for a float,
-refused with its generator's name, writes nothing.  ``--format csv`` writes
-the reduced table alone.  A ``gen --out`` that fails removes the file it
-opened.  The su(1,1) matrices are truncations of an infinite-dimensional
+``gen`` writes the JSON document in the ``json.dump(..., indent=1)`` layout:
+each entry by one string template, every other field by ``json.dumps``.  An
+exact document's generators are all formatted before the first write, so a
+failure writes nothing; a float document's are all converted first (a value
+too large for a float, refused with its generator's name, writes nothing),
+then formatted and written one at a time, so its text is never held whole.
+``--format csv`` writes the reduced table alone.  A ``gen --out`` that fails
+removes the file it opened.  The su(1,1) matrices are truncations of an infinite-dimensional
 irrep, so its commutator and Casimir checks run on the interior block (every
 row and column but the last).
 
@@ -51,6 +54,7 @@ finite number >= 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -63,9 +67,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
+import numpy as np
+
 from . import repcheck, su3_so3, su11, u3
 from .opmatrix import OperatorMatrix, json_entries, json_finite, json_integer
-from .radical import Radical
+from .radical import Radical, float_sqrt, json_radical, squarefree_decompose
 
 SCHEMA_VERSION = 1
 
@@ -137,13 +143,10 @@ def _value_to_json(value, mode: str):
     return repr(float(value))
 
 
-def _indented(value, depth: int) -> str:
-    """``json.dumps(value, indent=1)`` as it reads ``depth`` levels into an ``indent=1`` document."""
-    return json.dumps(value, indent=1).replace("\n", "\n" + " " * depth)  # strings hold no raw newline
-
-
-# One float ``[row, col, "repr(value)"]`` entry, as ``indent=1`` lays it out four levels down.
+# One ``[row, col, value]`` entry, as ``indent=1`` lays it out four levels down: a
+# float's value is ``"repr(value)"``, an exact one's ``{"sign", "radicand"}``.
 _FLOAT_ENTRY = '[\n     {},\n     {},\n     "{!r}"\n    ]'.format
+_EXACT_ENTRY = '[\n     {},\n     {},\n     {{\n      "sign": {sign},\n      "radicand": "{radicand}"\n     }}\n    ]'.format
 
 
 def _generator_json(mat: OperatorMatrix | repcheck.SparseMatrix) -> str:
@@ -154,19 +157,20 @@ def _generator_json(mat: OperatorMatrix | repcheck.SparseMatrix) -> str:
     lists.
     """
     if isinstance(mat, OperatorMatrix):
-        entries = [[r, c, _value_to_json(v, "exact")] for (r, c), v in sorted(mat.entries.items())]
-        return _indented({"dim": mat.dim, "entries": entries}, 2)
-    if not mat.vals.size:
-        return _indented({"dim": mat.dim, "entries": []}, 2)
-    body = ",\n    ".join(map(_FLOAT_ENTRY, mat.rows.tolist(), mat.cols.tolist(), mat.vals.tolist()))
+        items = sorted(mat.entries.items())
+        body = ",\n    ".join(_EXACT_ENTRY(r, c, **_value_to_json(v, "exact")) for (r, c), v in items)
+    else:
+        body = ",\n    ".join(map(_FLOAT_ENTRY, mat.rows.tolist(), mat.cols.tolist(), mat.vals.tolist()))
+    if not body:
+        return f'{{\n   "dim": {mat.dim},\n   "entries": []\n  }}'
     return f'{{\n   "dim": {mat.dim},\n   "entries": [\n    {body}\n   ]\n  }}'
 
 
-def _matrix_from_json(name: str, info: dict, dim: int) -> OperatorMatrix | repcheck.SparseMatrix:
-    """A generator as its builder returned it.
+def _matrix_from_json(name: str, info: dict, dim: int, exact=True) -> repcheck.ExactMatrix | repcheck.SparseMatrix:
+    """A generator in the form its checks read.
 
     A generator whose entries are all exact ``{"sign", "radicand"}`` objects
-    becomes an ``OperatorMatrix`` of ``Radical``s; any other, a
+    becomes an ``ExactMatrix`` (unless ``exact`` is false); any other, a
     ``SparseMatrix`` of the ``float()`` of every entry, exact ones included.
     An index must be an ``int`` inside the matrix (``IndexError`` outside), a
     value finite, and a ``(row, col)`` given once.
@@ -177,13 +181,40 @@ def _matrix_from_json(name: str, info: dict, dim: int) -> OperatorMatrix | repch
     indices = rows + cols
     if indices and not 0 <= min(indices) <= max(indices) < dim:
         raise IndexError(f"{name} has an entry outside its {dim}x{dim} matrix")
-    if all(isinstance(v, dict) for v in values):
-        matrix = dict(zip(zip(rows, cols), map(Radical.from_json, values)))
-        if len(matrix) != len(values):
-            raise ValueError(f"{name} repeats an entry")
-        return OperatorMatrix(name, range(dim), matrix)
-    floats = (float(Radical.from_json(v)) if isinstance(v, dict) else json_finite(name, v) for v in values)
-    return repcheck.SparseMatrix(dim, rows, cols, _name_overflow(name, list, floats))  # ValueError for a repeat
+    if exact and all(isinstance(v, dict) for v in values):
+        return _exact_matrix(name, dim, rows, cols, values)
+    return repcheck.SparseMatrix(dim, rows, cols, _floats(name, values))  # ValueError for a repeat
+
+
+def _exact_matrix(name: str, dim: int, rows: list, cols: list, values: list) -> repcheck.ExactMatrix:
+    """Exact entries read by :func:`json_radical`, as ``ExactMatrix.of`` makes them of ``Radical``s; zeros dropped.
+
+    ``sqrt(num/den) = root sqrt(core) / den`` with ``num den = root**2 core``;
+    the norm sums the squares in entry order, as ``OperatorMatrix.frobenius``.
+    """
+    radicals = [(r, c, *json_radical(v)) for r, c, v in zip(rows, cols, values)]
+    if len(set(zip(rows, cols))) != len(radicals):
+        raise ValueError(f"{name} repeats an entry")
+    radicals = [e for e in radicals if e[2]]
+    terms = [(r, c, core, s * root, d) for r, c, s, n, d in radicals for root, core in [squarefree_decompose(n * d)]]
+    return repcheck.ExactMatrix.of_terms(
+        dim, terms, lambda: math.sqrt(sum((s * float_sqrt(n, d)) ** 2 for _, _, s, n, d in radicals))
+    )
+
+
+def _floats(name: str, values: list) -> np.ndarray | list[float]:
+    """Each value's float: a number or numeric string's by :func:`json_finite`, a dict's by ``Radical.from_json``.
+
+    One ``float()`` per value and one finiteness test over the array; a list
+    that fails them is read value by value, so the first bad value is refused.
+    """
+    if bool not in set(map(type, values)):  # float() would read a bool
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            floats = np.fromiter(map(float, values), float, len(values))
+            if np.isfinite(floats).all():
+                return floats
+    each = (float(Radical.from_json(v)) if isinstance(v, dict) else json_finite(name, v) for v in values)
+    return _name_overflow(name, list, each)
 
 
 def _name_overflow(name: str, convert: Callable, *args):
@@ -342,25 +373,28 @@ def _document(algebra: Algebra, label, mode: str) -> dict:
 
 
 def _write_json(doc: dict, fh) -> None:
-    """Write ``doc`` as ``json.dump(..., indent=1)`` wrote it with entry lists, one generator at a time.
+    """Write ``doc`` as ``json.dump(..., indent=1)`` wrote it with entry lists.
 
-    ``doc["generators"]`` holds the matrices themselves, each written by
-    :func:`_generator_json`; every other field is one ``json.dumps`` call.
-    The document is never one string.
+    ``doc["generators"]`` holds the matrices, each formatted by
+    :func:`_generator_json`; every other field is one ``json.dumps`` call.  An
+    exact document's generators are all formatted before the first write; a
+    float document's are all converted first, then formatted one at a time.
     """
     gens = doc["generators"]
-    if doc["mode"] == "float":  # every generator converted before the first write
-        gens = {g: _name_overflow(g, repcheck.SparseMatrix.of, m) for g, m in gens.items()}
+    if doc["mode"] == "float":
+        texts = map(_generator_json, [_name_overflow(g, repcheck.SparseMatrix.of, m) for g, m in gens.items()])
+    else:
+        texts = [_generator_json(m) for m in gens.values()]
     sep = "{"
     for key, value in doc.items():
         fh.write(f"{sep}\n {json.dumps(key)}: ")
         sep = ","
         if key != "generators":
-            fh.write(_indented(value, 1))
+            fh.write(json.dumps(value, indent=1).replace("\n", "\n "))  # one level down; no string holds a newline
             continue
         inner = "{"
-        for name, mat in gens.items():
-            fh.write(f"{inner}\n  {json.dumps(name)}: {_generator_json(mat)}")
+        for name, text in zip(gens, texts):
+            fh.write(f"{inner}\n  {json.dumps(name)}: {text}")
             inner = ","
         fh.write("\n }" if gens else "{}")
     fh.write("\n}")
@@ -394,7 +428,10 @@ def _load_document(path: str):
             if len(doc["basis"]) != dim:
                 raise ValueError(f"basis has {len(doc['basis'])} labels, but the weight gives {dim}")
             matrices = {g: _matrix_from_json(g, generators[g], dim) for g in algebra.spec().generators}
-        except (ValueError, KeyError, TypeError, IndexError) as exc:
+            if not all(isinstance(m, repcheck.ExactMatrix) for m in matrices.values()):  # read as its all-float twin
+                exact = [g for g, m in matrices.items() if isinstance(m, repcheck.ExactMatrix)]
+                matrices.update({g: _matrix_from_json(g, generators[g], dim, exact=False) for g in exact})
+        except (ValueError, KeyError, TypeError, IndexError, ZeroDivisionError) as exc:  # a radicand "1/0"
             reason = f"missing key {exc}" if isinstance(exc, KeyError) else f"{type(exc).__name__}: {exc}"
             raise UsageError(f"{path} is not a valid document: {reason}") from exc
     return algebra, label, matrices

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -147,12 +148,15 @@ def json_integer(record: dict, key: str, where: str) -> int:
     return record[key]
 
 
-def json_entries(name: str, entries) -> tuple[tuple, tuple, tuple]:
-    """The rows, columns and values of ``[row, col, value]`` entries, whose indices must be JSON integers."""
-    if not all(isinstance(e, list) and len(e) == 3 for e in entries):
+def json_entries(name: str, entries) -> tuple[list, list, list]:
+    """The rows, columns and values of ``[row, col, value]`` entries, whose indices must be JSON integers.
+
+    Each check is one ``map`` and each column one list: no tuple or iterator is made per entry.
+    """
+    if not (all(map(isinstance, entries, repeat(list))) and {3}.issuperset(map(len, entries))):
         raise ValueError(f"{name} has an entry that is not [row, col, value]")
-    rows, cols, values = zip(*entries) if entries else ((), (), ())
-    if not all(type(i) is int for i in rows + cols):
+    rows, cols, values = [e[0] for e in entries], [e[1] for e in entries], [e[2] for e in entries]
+    if not ({int}.issuperset(map(type, rows)) and {int}.issuperset(map(type, cols))):
         raise ValueError(f"{name} has an entry index that is not an integer")
     return rows, cols, values
 

@@ -127,11 +127,10 @@ _RHO_STEPS = 2**12
 _RHO_LIMIT = 10**21  # (10**7)**3: a cofactor below it that rho cannot split has at most two primes
 
 
-def _float_sqrt(q: Fraction) -> float:
-    """Correctly-rounded-enough float sqrt of a non-negative rational."""
-    if q == 0:
+def float_sqrt(num: int, den: int) -> float:
+    """Correctly-rounded-enough float sqrt of the non-negative rational ``num / den``."""
+    if num == 0:
         return 0.0
-    num, den = q.numerator, q.denominator
     if max(num.bit_length(), den.bit_length()) < 512:
         return math.sqrt(num / den)
     # Very large operands: scale into range with an even power of two.
@@ -284,7 +283,7 @@ class Radical:
     # -- conversions -------------------------------------------------------
 
     def __float__(self) -> float:
-        return self.sign * _float_sqrt(self.radicand)
+        return self.sign * float_sqrt(self.radicand.numerator, self.radicand.denominator)
 
     # -- ordering / identity -----------------------------------------------
 
@@ -331,7 +330,26 @@ class Radical:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Radical":
-        return cls(int(obj["sign"]), Fraction(obj["radicand"]))
+        sign, num, den = json_radical(obj)
+        return cls(sign, Fraction(num, den))
+
+
+def json_radical(obj: dict) -> tuple[int, int, int]:
+    """A ``{"sign", "radicand"}`` value as ``(sign, num, den)``, radicand ``num / den`` in lowest terms.
+
+    No object is built.  The sign is read by ``int``, the radicand as ``Fraction`` reads it (``str(Fraction)``'s
+    form, ASCII digits and at most one ``/``, by ``int``), and a pair that ``Radical`` refuses raises its error.
+    """
+    sign, text = int(obj["sign"]), obj["radicand"]
+    num, slash, den = text.partition("/") if type(text) is str and text.isascii() else ("", "", "")
+    n, d = (int(num), int(den or 1)) if num.isdigit() and (den.isdigit() or not slash) else (0, 0)
+    if not d:  # any other form, or a zero denominator, as Fraction reads or refuses it
+        q = Fraction(text)
+        n, d = q.numerator, q.denominator
+    if sign not in (-1, 0, 1) or (sign == 0) != (n == 0) or n < 0:
+        Radical(sign, n)  # raises the ValueError of Radical
+    g = math.gcd(n, d)
+    return sign, n // g, d // g
 
 
 _ZERO = Radical.__new__(Radical)

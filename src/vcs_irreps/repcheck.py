@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -462,16 +463,21 @@ class ExactMatrix:
         if isinstance(m, cls):
             return m
         terms = [(r, c, *t) for (r, c), v in m.entries.items() for t in radical_terms(v)]
+        return cls.of_terms(m.dim, terms, m.frobenius)
+
+    @classmethod
+    def of_terms(cls, dim: int, terms: list, frobenius: Callable[[], float]) -> "ExactMatrix":
+        """From ``(row, col, core, num, den)`` terms ``num sqrt(core) / den``; norm ``frobenius()``, or inf."""
         rows, cols, cores, nums, dens = zip(*terms) if terms else ((),) * 5
         den = math.lcm(*dens)
         nums = [num * (den // d) for num, d in zip(nums, dens)]
         bits = (max(map(abs, nums), default=0).bit_length(), max(cores, default=0).bit_length())
         dtype = np.int64 if max(bits) < 64 else object
         try:
-            norm = m.frobenius()
+            norm = frobenius()
         except OverflowError:  # an entry or its square is too large for a float
             norm = math.inf
-        return cls(m.dim, den, np.array(rows, np.int64), np.array(cols, np.int64),
+        return cls(dim, den, np.array(rows, np.int64), np.array(cols, np.int64),
                    np.array(cores, dtype), np.array(nums, dtype), bits, norm)
 
     def adjoint(self) -> "ExactMatrix":

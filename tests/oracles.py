@@ -13,7 +13,7 @@ import numpy as np
 
 from vcs_irreps import angmom, repcheck, su3_so3, u3
 from vcs_irreps.kmatrix import GammaRep
-from vcs_irreps.opmatrix import OperatorMatrix
+from vcs_irreps.opmatrix import OperatorMatrix, json_finite
 from vcs_irreps.radical import Radical, RadicalSum, radical_terms, squarefree_decompose
 from vcs_irreps.su11 import Su11Irrep, generator_matrices
 
@@ -351,3 +351,39 @@ def holomorphic_gamma_rep_by_transforms(hw: u3.U3HighestWeight, extra_grades: in
                 "C12": "C21", "C21": "C12", "C13": "C31", "C31": "C13",
                 "C23": "C32", "C32": "C23"}
     return GammaRep(sectors=sectors, grades=grades, blocks=blocks, adjoints=adjoints, exact=True)
+
+
+def matrix_from_json_reference(name: str, info: dict, dim: int):
+    """A document's generator read through one ``Radical`` per exact entry, then put in its check form.
+
+    The replay's reader before it parsed into arrays: ``zip(*entries)`` for the
+    columns, an ``OperatorMatrix`` of ``Radical`` values converted by
+    ``ExactMatrix.of`` when every value is a dict, else a ``SparseMatrix`` of
+    each value's float, checked one value at a time.  The reference that
+    ``cli._matrix_from_json`` is compared with.
+    """
+    if info["dim"] != dim:
+        raise ValueError(f"{name} has dim {info['dim']!r}, but the weight gives {dim}")
+    entries = info["entries"]
+    if not all(isinstance(e, list) and len(e) == 3 for e in entries):
+        raise ValueError(f"{name} has an entry that is not [row, col, value]")
+    rows, cols, values = zip(*entries) if entries else ((), (), ())
+    if not all(type(i) is int for i in rows + cols):
+        raise ValueError(f"{name} has an entry index that is not an integer")
+    indices = rows + cols
+    if indices and not 0 <= min(indices) <= max(indices) < dim:
+        raise IndexError(f"{name} has an entry outside its {dim}x{dim} matrix")
+    def radical(obj: dict) -> Radical:  # Radical.from_json as it read a value before json_radical
+        return Radical(int(obj["sign"]), Fraction(obj["radicand"]))
+
+    if all(isinstance(v, dict) for v in values):
+        matrix = dict(zip(zip(rows, cols), map(radical, values)))
+        if len(matrix) != len(values):
+            raise ValueError(f"{name} repeats an entry")
+        return repcheck.ExactMatrix.of(OperatorMatrix(name, range(dim), matrix))
+    floats = (float(radical(v)) if isinstance(v, dict) else json_finite(name, v) for v in values)
+    try:
+        floats = list(floats)
+    except OverflowError as exc:
+        raise OverflowError(f"an entry of {name} overflows a float") from exc
+    return repcheck.SparseMatrix(dim, rows, cols, floats)

@@ -162,6 +162,24 @@ def test_gen_writes_json_dumps_of_the_entry_lists_to_stdout_and_file(tmp_path, c
     assert out == json.dumps(_entry_lists(doc), indent=1) + "\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["su11", "--lambda", "7/2", "--nmax", "50"], ["u3", "--weight", "7/3,4/3,1/3"], None],
+    ids=["su11-nmax-50", "u3-rational", "no-entries"],
+)
+def test_exact_entry_template_writes_json_dumps_of_the_entry_lists(argv):
+    if argv is None:  # one exact generator with no entries
+        doc = {"schema": 1, "mode": "exact", "generators": {"E": OperatorMatrix("E", range(3))}}
+    else:
+        algebra = ALGEBRAS[argv[0]]
+        args = cli.build_parser().parse_args(["gen", *argv])
+        doc = cli._document(algebra, cli._label(algebra, args), args.mode)
+    assert doc["mode"] == "exact" and all(isinstance(m, OperatorMatrix) for m in doc["generators"].values())
+    out = io.StringIO()
+    cli._write_json(doc, out)
+    assert out.getvalue() == json.dumps(_entry_lists(doc), indent=1)
+
+
 def test_gen_csv_formats_no_generator_entries(tmp_path, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("a generator was formatted")
@@ -292,6 +310,22 @@ def test_an_irrep_too_large_for_memory_is_one_error_line_and_exit_2(tmp_path, ca
     code, out, err = run(capsys, *(str(out_path) if a == "OUT" else a for a in argv))
     assert (code, err) == (2, "error: the irrep is too large to hold in memory\n")
     assert out == "" and not out_path.exists()
+
+
+def test_an_exact_gen_to_stdout_that_fails_part_way_writes_nothing(capsys, monkeypatch):
+    # every exact generator is formatted before the first write to stdout
+    format_generator, calls = cli._generator_json, []
+
+    def third_fails(mat):
+        calls.append(mat)
+        if len(calls) == 3:
+            raise MemoryError
+        return format_generator(mat)
+
+    monkeypatch.setattr(cli, "_generator_json", third_fails)
+    code, out, err = run(capsys, "gen", "u3", "--weight", "2,1,0")
+    assert (code, out, err) == (2, "", "error: the irrep is too large to hold in memory\n")
+    assert len(calls) == 3
 
 
 def test_tolerance_env_override(capsys, monkeypatch):
@@ -641,6 +675,11 @@ def _weight_field(key, value):
         (["check", "--replay"], lambda tmp_path, capsys: _edit_entries(tmp_path, capsys, _duplicate_first), {}),
         (["check", "--replay"], lambda tmp_path, capsys: _edit_entries(tmp_path, capsys, _first_entry(0, 1.5)), {}),
         (["check", "--replay"], lambda tmp_path, capsys: _edit_entries(tmp_path, capsys, _first_entry(2, "nan")), {}),
+        (
+            ["check", "--replay"],
+            lambda tmp_path, capsys: _edit_entries(tmp_path, capsys, _first_entry(2, {"sign": 1, "radicand": "1/0"})),
+            {},
+        ),
         *(
             (["check", "--replay"], lambda tmp_path, capsys, edit=edit: _edit_float_entries(tmp_path, capsys, edit), {})
             for edit in (
@@ -706,6 +745,7 @@ def _weight_field(key, value):
     ids=[
         "negative-lambda", "zero-lambda", "zero-nmax", "non-json", "no-generators", "no-weight",
         "negative-entry-index", "duplicate-entry", "fractional-entry-index", "nan-among-exact-values",
+        "zero-denominator-radicand",
         "float-doc-fractional-index", "float-doc-bool-index", "float-doc-string-index", "float-doc-index-outside",
         "float-doc-nan-value", "float-doc-inf-value", "float-doc-bool-value", "float-doc-duplicate-entry",
         "mismatched-dims", "zero-dims",
@@ -822,7 +862,7 @@ def test_gen_that_fails_part_way_removes_no_device(capsys, monkeypatch):
 
 
 def test_gen_whose_write_fails_part_way_removes_its_file(tmp_path, capsys, monkeypatch):
-    # the header is out when the first generator fails to write
+    # the file is open when the first generator fails to format
     def fail(*args):
         raise OSError("disk full")
 
@@ -865,3 +905,15 @@ def test_a_mixed_replay_with_an_entry_too_large_for_a_float_names_the_generator(
     code, out, err = run(capsys, "check", "--replay", str(path))
     assert code == 2 and out == ""
     assert err == "error: an entry of S0 overflows a float\n"
+
+
+def test_an_all_exact_generator_of_a_mixed_replay_that_overflows_a_float_is_named(tmp_path, capsys):
+    # S+ holds a float entry, so the document reads as its all-float twin, S0 included
+    path = tmp_path / "su11.json"
+    assert run(capsys, "gen", "su11", "--lambda", "7/2", "--nmax", "2", "--out", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    doc["generators"]["S+"]["entries"][0][2] = "1.5"
+    doc["generators"]["S0"]["entries"][1][2] = {"sign": 1, "radicand": str(10**800)}  # exactly 1e400
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", "--replay", str(path))
+    assert (code, out, err) == (2, "", "error: an entry of S0 overflows a float\n")

@@ -1,6 +1,7 @@
 """Property tests: the exact and float kernels agree, exact values are accurate,
-``Radical`` arithmetic obeys the field laws, a replay prints the live check, and
-the ``gen`` writer writes what ``json.dumps(indent=1)`` of the entry lists did.
+``Radical`` arithmetic obeys the field laws, a replay prints the live check, the
+``gen`` writer writes what ``json.dumps(indent=1)`` of the entry lists did, and
+the replay's reader reads what the ``Radical`` reader did.
 
 Hypothesis runs derandomized with no example database, so the examples are
 the same on every run.
@@ -20,6 +21,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from vcs_irreps import cli, repcheck
 from vcs_irreps.opmatrix import OperatorMatrix
 from vcs_irreps.radical import Radical, RadicalSum
@@ -186,3 +188,78 @@ def test_gen_writer_writes_the_entry_lists_as_json_dumps_did(docs):
     out = io.StringIO()
     cli._write_json(doc, out)
     assert out.getvalue() == json.dumps(listed, indent=1)
+
+
+# Document entry lists for the replay's reader: well-formed exact, float and
+# mixed lists, then up to two flaws that it must refuse or read as before.
+def _radical(sign, radicand) -> dict:
+    return {"sign": sign, "radicand": radicand}
+
+
+_good_exact = st.builds(
+    _radical,
+    st.sampled_from((1, -1, 1, -1, "1", True, 1.5)),
+    st.sampled_from(("2", "3/4", "12", "50/3", "1", "2/4", "1.5", "1e3", " 5 ", "007", 7, 0.5, "1" + "0" * 800)),
+) | st.just(_radical(0, "0"))
+_good_float = st.sampled_from(("1.5", "-2", "0", "0.0", "7e-3", "1e300", 3, 2.5, 0))
+_near_int_text = st.sampled_from(  # radicands near str(Fraction)'s digits and one "/", which int() reads
+    ("5/", "/5", "1/2/3", "+3", "3 / 4", "\u0663", "\u00b2", "1_000", "6/04", "0/5", "4/0", "", "9" * 4301)
+)
+_bad_values = (
+    st.builds(_radical, st.sampled_from((2, 0, -2, "x", None, 1)), st.sampled_from(("-2", "1/0", "x", None, "2", "0", "nan")))
+    | st.builds(_radical, st.just(1), _near_int_text)
+    | st.sampled_from(({"sign": 1}, {}, "nan", "inf", "1e400", "abc", True, False, None, [], 10**400))
+)
+_FLAWS = ("value", "index type", "index range", "repeat", "not an entry", "entries", "dim")
+_DRAWN_FLAWS = st.lists(st.sampled_from(_FLAWS[:1] * 4 + _FLAWS), max_size=2)  # mostly bad values
+
+
+@st.composite
+def json_generators(draw):
+    """A generator's ``{"dim", "entries"}`` object and its dimension, as ``json.load`` gives them."""
+    dim = draw(st.sampled_from((1, 2, 3, 4) * 2 + (0,)))
+    cell = st.integers(0, max(dim - 1, 0))
+    value = draw(st.sampled_from((_good_exact, _good_float, _good_exact | _good_float)))
+    entry = st.builds(lambda r, c, v: [r, c, v], cell, cell, value)
+    entries = draw(st.lists(entry, min_size=min(dim, 1), max_size=2 * dim, unique_by=lambda e: tuple(e[:2])))
+    info = {"dim": dim, "entries": entries}
+    for flaw in sorted(draw(_DRAWN_FLAWS), key=_FLAWS.index):  # entries edited first
+        at = draw(st.integers(0, len(entries)))
+        if flaw == "value" and entries[at:]:
+            entries[at][2] = draw(_bad_values)
+        elif flaw == "index type" and entries[at:]:
+            entries[at][draw(st.sampled_from((0, 1)))] = draw(st.sampled_from((True, False, 1.0, "1")))
+        elif flaw == "index range" and entries[at:]:
+            entries[at][draw(st.sampled_from((0, 1)))] = draw(st.sampled_from((-1, dim)))
+        elif flaw == "repeat" and entries[at:]:
+            entries.append([*entries[at][:2], draw(value)])
+        elif flaw == "not an entry":
+            entries.insert(at, draw(st.sampled_from(({}, "x", [0, 0], [0, 0, "1", 4], 5, (0, 0, "1")))))
+        elif flaw == "entries":
+            info["entries"] = draw(st.sampled_from((None, "", {}, 5)))
+        elif flaw == "dim":
+            info["dim"] = draw(st.sampled_from((dim + 1, float(dim), str(dim))))
+    return info, dim
+
+
+def _read(reader, info: dict, dim: int):
+    """What ``reader`` returns, as comparable plain values, or the type and message of what it raises."""
+    try:
+        m = reader("G", info, dim)
+    except Exception as exc:  # noqa: BLE001 - every refusal is compared
+        return type(exc), str(exc)
+    arrays = ("rows", "cols", "cores", "nums", "start", "count") if isinstance(m, repcheck.ExactMatrix) else ("rows", "cols")
+    fields = {a: (getattr(m, a).dtype, getattr(m, a).tolist()) for a in arrays}
+    if isinstance(m, repcheck.ExactMatrix):
+        fields.update(den=m.den, bits=m.bits, longest=m.longest)
+    else:
+        fields.update(vals=m.vals.tobytes())
+    return type(m), m.dim, np.float64(m.norm).tobytes(), fields
+
+
+@fixed(800)
+@given(json_generators())
+def test_replay_reader_reads_entry_lists_as_the_radical_reader_did(case):
+    info, dim = case
+    with np.errstate(over="ignore"):
+        assert _read(cli._matrix_from_json, info, dim) == _read(oracles.matrix_from_json_reference, info, dim)
