@@ -413,7 +413,7 @@ def _doc_to_csv(doc: dict, weight: str) -> str:
 
 
 def _load_document(path: str):
-    """Algebra, label and generator matrices of a ``gen`` JSON document, at its weight's dimension."""
+    """Algebra, label, spec and generator matrices of a ``gen`` JSON document, at its weight's dimension."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -427,14 +427,15 @@ def _load_document(path: str):
             generators, dim = doc["generators"], algebra.dimension(label)
             if len(doc["basis"]) != dim:
                 raise ValueError(f"basis has {len(doc['basis'])} labels, but the weight gives {dim}")
-            matrices = {g: _matrix_from_json(g, generators[g], dim) for g in algebra.spec().generators}
+            spec = algebra.spec()
+            matrices = {g: _matrix_from_json(g, generators[g], dim) for g in spec.generators}
             if not all(isinstance(m, repcheck.ExactMatrix) for m in matrices.values()):  # read as its all-float twin
                 exact = [g for g, m in matrices.items() if isinstance(m, repcheck.ExactMatrix)]
                 matrices.update({g: _matrix_from_json(g, generators[g], dim, exact=False) for g in exact})
         except (ValueError, KeyError, TypeError, IndexError, ZeroDivisionError) as exc:  # a radicand "1/0"
             reason = f"missing key {exc}" if isinstance(exc, KeyError) else f"{type(exc).__name__}: {exc}"
             raise UsageError(f"{path} is not a valid document: {reason}") from exc
-    return algebra, label, matrices
+    return algebra, label, spec, matrices
 
 
 # -- verification ------------------------------------------------------------
@@ -482,7 +483,7 @@ def cmd_gen(args) -> int:
 def cmd_check(args) -> int:
     tol = _tolerance(args.tol)
     if args.replay:
-        algebra, label, matrices = _load_document(args.replay)
+        algebra, label, spec, matrices = _load_document(args.replay)
         title = f"replay {args.replay} ({algebra.name})"
     elif args.algebra is None:
         raise UsageError("check requires an algebra or --replay FILE")
@@ -491,7 +492,8 @@ def cmd_check(args) -> int:
         label = _label(algebra, args)
         matrices = algebra.build(label)
         title = algebra.title(label)
-    checks = repcheck.standard_checks(algebra.spec(), matrices, tol, algebra.interior(label))
+        spec = algebra.spec()
+    checks = repcheck.standard_checks(spec, matrices, tol, algebra.interior(label))
     ok = _print_report(title, checks + algebra.extra_checks(label))
     return 0 if ok else 1
 

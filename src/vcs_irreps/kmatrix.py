@@ -27,9 +27,12 @@ one exact scalar ``g = q sqrt(core)`` (a ``Radical``, ``Fraction`` or
 integers ``(core, num, den)`` with ``q = num/den``, once per stage:
 ``solve_s_recursion`` and ``unitarize`` each build one table of them per
 call, and every check runs on it.  An S equation ``S(col) q_g == q_p S(row)``
-is cross-multiplied in integers and the cores of ``g`` and ``p`` are
-compared.  The unitary entry is then ``sign(q_g) sqrt(q_g q_p core)``, from
-the short ``q`` alone, and the closing adjoint check compares entries
+is checked by scaling ``S(row)`` by the short ratio ``q_p / q_g`` with
+long-by-short gcds only, so no two long S values are ever multiplied, and
+the cores of ``g`` and ``p`` are compared.  The unitary entry is then
+``sign(q_g) sqrt(q_g q_p core)``, from the short ``q`` alone; each
+generator's entries are collected in one dict and handed to
+``OperatorMatrix`` whole, and the closing adjoint check compares entries
 exactly.  Float mode (numpy) takes sectors of any dimension, solves by least
 squares, checks to a tolerance relative to each sector's scale and returns
 one ``SparseMatrix`` per generator.
@@ -37,6 +40,7 @@ one ``SparseMatrix`` per generator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -150,16 +154,41 @@ def solve_s_recursion(rep: GammaRep) -> dict[tuple, SBlock]:
     return solved
 
 
-def _balanced(s_col, g, p, s_row) -> bool:
-    """Whether ``S(col) g == p S(row)``, for exact blocks given as square classes ``g`` and ``p``.
+def _short_ratio(g, p) -> tuple[int, int]:
+    """``q_p / q_g`` in lowest terms as ``(num, den)``, ``den > 0``, for square classes ``g`` (``q_g != 0``) and ``p``.
 
-    The rational coefficients are cross-multiplied in integers; the cores
-    must agree unless both sides are zero.
+    Both coefficients are short, so this is one short gcd.
     """
-    core_g, num_g, den_g = g
-    core_p, num_p, den_p = p
-    lhs = s_col.numerator * num_g * den_p * s_row.denominator
-    return lhs == s_row.numerator * num_p * den_g * s_col.denominator and (not lhs or core_g == core_p)
+    _, num_g, den_g = g
+    _, num_p, den_p = p
+    num, den = num_p * den_g, den_p * num_g
+    k = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    return num // k, den // k
+
+
+def _balanced(s_col, g, p, s_row) -> bool:
+    """Whether ``S(col) q_g == q_p S(row)`` and, unless both sides are zero, the cores of ``g`` and ``p`` agree.
+
+    ``g`` and ``p`` are square classes and the S values are rationals in
+    lowest terms.  A self-adjoint diagonal block, one class and one S value
+    on both sides, holds identically.  Otherwise ``S(row)`` is scaled by the
+    short ratio ``q_p / q_g`` as ``Fraction._mul`` does: each long part of
+    ``S(row)`` shares a gcd only with the opposite short part of the ratio, so
+    the result is in lowest terms, and its numerator and denominator are
+    compared with those of ``S(col)``.  No two long values are multiplied.
+    """
+    if g is p and s_col is s_row:
+        return True
+    if not g[1]:  # S(col) q_g is 0
+        return not (p[1] and s_row)
+    num, den = _short_ratio(g, p)
+    s_num, s_den = s_row.numerator, s_row.denominator
+    g1, g2 = math.gcd(s_num, den), math.gcd(num, s_den)
+    return (
+        (s_num // g1) * (num // g2) == s_col.numerator
+        and (s_den // g2) * (den // g1) == s_col.denominator
+        and (not s_col or g[0] == p[0])
+    )
 
 
 def _solve_exact(sec, constraints) -> Fraction:
@@ -172,11 +201,12 @@ def _solve_exact(sec, constraints) -> Fraction:
     follows the recursion checks every constraint, this one included, and
     so refuses a partner in another square class (an irrational S), and the
     sign is checked after it.  The (possibly very long) S values are only
-    multiplied by the short coefficients ``q``, never squared or factored.
+    multiplied by the short ratio of :func:`_short_ratio`, never squared or
+    factored.
     """
-    for (_, num_g, den_g), (_, num_p, den_p), s_low in constraints:
-        if num_g:
-            return s_low[0][0] * Fraction(num_p * den_g, den_p * num_g)
+    for g, p, s_low in constraints:
+        if g[1]:
+            return s_low[0][0] * Fraction(*_short_ratio(g, p))
     raise KMatrixError(f"sector {sec} is undetermined by the recursion")
 
 
@@ -334,9 +364,11 @@ def unitarize(
     mode, in float mode a SparseMatrix of each block's arrays.  In exact mode
     each block ``g`` and its partner ``p`` first pass
     ``k_col**2 q_g == q_p k_row**2`` (the S equation on the given norms, once
-    per pair), so ``k_col / k_row`` is ``sqrt(q_p / q_g)`` and ``gamma =
-    sign(q_g) sqrt(q_g q_p core)``; the adjoint pairs are then compared
-    exactly, in float mode as the largest entry of
+    per pair, by :func:`_balanced`), so ``k_col / k_row`` is
+    ``sqrt(q_p / q_g)`` and ``gamma = sign(q_g) sqrt(q_g q_p core)``, built
+    from the short integers alone into one entry dict per generator; the
+    adjoint pairs are then compared exactly, in float mode as the largest
+    entry of
     ``|gamma(X)' - gamma(Xdag)|`` over ``1 + |gamma(X)|``.
     """
     order = sorted(ortho, key=lambda s: (rep.grades[s], s))
@@ -348,15 +380,17 @@ def unitarize(
         classes = rep.square_classes(kept)
         norms = {sec: ortho[sec].k_values[0].squared for sec in kept}
         _check_pairs(rep.adjoints, classes, norms, "norm factors do not solve the S equation")
-        gammas = {gen: OperatorMatrix(gen, basis) for gen in rep.blocks}
+        gammas = {}
         for gen, table in classes.items():  # each entry from its own block's class
             partners = classes.get(rep.adjoints[gen], {})
+            entries = {}
             for (row, col), (core, num_g, den_g) in table.items():
                 if num_g:
                     _, num_p, den_p = partners.get((col, row), _ZERO_CLASS)
-                    gammas[gen][index[(row, 0)], index[(col, 0)]] = Radical(
+                    entries[index[row, 0], index[col, 0]] = Radical(
                         1 if num_g > 0 else -1, Fraction(num_g * num_p * core, den_g * den_p)
                     )
+            gammas[gen] = OperatorMatrix(gen, basis, entries)
     else:
         gammas = {}
         for gen, blocks in rep.blocks.items():

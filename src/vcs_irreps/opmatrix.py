@@ -18,6 +18,7 @@ import numpy as np
 from .radical import Radical, RadicalSum
 
 _EXACT_TYPES = (int, Fraction, Radical, RadicalSum)
+_EXACT_SET = frozenset(_EXACT_TYPES)
 
 
 class OperatorMatrix:
@@ -26,9 +27,7 @@ class OperatorMatrix:
     def __init__(self, name: str, basis, entries: dict | None = None):
         self.name = name
         self.basis = tuple(basis)
-        self.entries: dict[tuple[int, int], object] = {}
-        for (r, c), v in (entries or {}).items():
-            self[r, c] = v
+        self.entries: dict[tuple[int, int], object] = _nonzero_entries(name, self.dim, entries) if entries else {}
 
     @property
     def dim(self) -> int:
@@ -38,18 +37,14 @@ class OperatorMatrix:
         return self.entries.get(key, 0)
 
     def __setitem__(self, key, value):
-        r, c = key
-        if not (0 <= r < self.dim and 0 <= c < self.dim):
-            raise IndexError(f"entry {key} outside {self.dim}x{self.dim} matrix")
-        if not isinstance(value, _EXACT_TYPES):
-            raise TypeError(f"{self.name} entry {key} is a {type(value).__name__}, not an exact value")
+        _check_entry(self.name, self.dim, key, value)
         if _value_is_zero(value):
             self.entries.pop(key, None)
         else:
             self.entries[key] = value
 
     def copy(self, name: str | None = None) -> "OperatorMatrix":
-        return OperatorMatrix(name or self.name, self.basis, dict(self.entries))
+        return OperatorMatrix(name or self.name, self.basis, self.entries)
 
     # -- linear algebra ------------------------------------------------------
 
@@ -118,6 +113,29 @@ class OperatorMatrix:
 
     def __repr__(self):
         return f"OperatorMatrix({self.name!r}, dim={self.dim}, nnz={len(self.entries)})"
+
+
+def _check_entry(name: str, dim: int, key, value) -> None:
+    """Refuse an entry outside the ``dim`` x ``dim`` matrix (``IndexError``) or not exact (``TypeError``)."""
+    r, c = key
+    if not (0 <= r < dim and 0 <= c < dim):
+        raise IndexError(f"entry {key} outside {dim}x{dim} matrix")
+    if not isinstance(value, _EXACT_TYPES):
+        raise TypeError(f"{name} entry {key} is a {type(value).__name__}, not an exact value")
+
+
+def _nonzero_entries(name: str, dim: int, entries: dict) -> dict:
+    """A new dict of the non-zero ``entries``, each refused as ``__setitem__`` refuses it.
+
+    One test over the whole dict passes when every value has an exact type
+    and every index is in range; only a dict that fails it is walked entry by
+    entry, so the first bad entry raises its own error.
+    """
+    exact = _EXACT_SET.issuperset(map(type, entries.values()))
+    if not (exact and all(0 <= r < dim and 0 <= c < dim for r, c in entries)):
+        for key, value in entries.items():
+            _check_entry(name, dim, key, value)
+    return {key: value for key, value in entries.items() if not _value_is_zero(value)}
 
 
 def _value_is_zero(value) -> bool:

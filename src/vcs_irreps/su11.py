@@ -73,18 +73,19 @@ def s_kernel_coefficients(irrep: Su11Irrep, order: int) -> list[Fraction]:
 
 
 def generator_matrices(irrep: Su11Irrep) -> dict[str, OperatorMatrix]:
-    """Truncated matrices of ``S0``, ``S+``, ``S-`` in the orthonormal basis."""
+    """Truncated matrices of ``S0``, ``S+``, ``S-`` in the orthonormal basis.
+
+    With ``lam = p/q``, ``S0[n, n] = (p + 2nq)/(2q)`` and the amplitude
+    ``sqrt((p + nq)(n + 1)/q)``, one ``Radical`` that ``S+`` and ``S-`` share.
+    """
     basis = tuple(range(irrep.dim))
-    s0 = OperatorMatrix("S0", basis)
-    sp = OperatorMatrix("S+", basis)
-    sm = OperatorMatrix("S-", basis)
-    for n in range(irrep.dim):
-        s0[n, n] = Fraction(irrep.lam, 2) + n
-    for n in range(irrep.dim - 1):
-        amp = Radical.sqrt_of((irrep.lam + n) * (n + 1))
-        sp[n + 1, n] = amp
-        sm[n, n + 1] = amp
-    return {"S0": s0, "S+": sp, "S-": sm}
+    p, q = irrep.lam.numerator, irrep.lam.denominator
+    amps = [Radical(1, Fraction((p + n * q) * (n + 1), q)) for n in range(irrep.n_max)]
+    return {
+        "S0": OperatorMatrix("S0", basis, {(n, n): Fraction(p + 2 * n * q, 2 * q) for n in range(irrep.dim)}),
+        "S+": OperatorMatrix("S+", basis, {(n + 1, n): amp for n, amp in enumerate(amps)}),
+        "S-": OperatorMatrix("S-", basis, {(n, n + 1): amp for n, amp in enumerate(amps)}),
+    }
 
 
 def casimir_eigenvalue(irrep: Su11Irrep) -> Fraction:

@@ -387,3 +387,17 @@ def matrix_from_json_reference(name: str, info: dict, dim: int):
     except OverflowError as exc:
         raise OverflowError(f"an entry of {name} overflows a float") from exc
     return repcheck.SparseMatrix(dim, rows, cols, floats)
+
+
+def balanced_reference(s_col, g, p, s_row) -> bool:
+    """Whether ``S(col) q_g == q_p S(row)`` for square classes ``g``, ``p``, by cross-multiplying in integers.
+
+    The K-matrix pair check before it scaled ``S(row)`` by the short ratio
+    ``q_p / q_g``: both sides are brought to one denominator, so two long S
+    values meet in one product.  The cores must agree unless both sides are
+    zero.  The reference that ``kmatrix._balanced`` is compared with.
+    """
+    core_g, num_g, den_g = g
+    core_p, num_p, den_p = p
+    lhs = s_col.numerator * num_g * den_p * s_row.denominator
+    return lhs == s_row.numerator * num_p * den_g * s_col.denominator and (not lhs or core_g == core_p)

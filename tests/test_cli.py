@@ -456,6 +456,18 @@ def test_replay_of_radicand_perturbed_at_1e_30_fails_at_zero_tolerance(tmp_path,
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("algebra, builder", [("u3", "u3_spec"), ("su3-so3", "su3_so3_spec"), ("su11", "su11_spec")])
+def test_replay_builds_its_algebra_spec_once(tmp_path, capsys, monkeypatch, algebra, builder):
+    out_file = tmp_path / "doc.json"
+    assert run(capsys, "gen", algebra, *SMALL_IRREPS[algebra], "--out", str(out_file))[0] == 0
+    calls = []
+    build = getattr(repcheck, builder)
+    monkeypatch.setattr(repcheck, builder, lambda: calls.append(1) or build())
+    code, out, _ = run(capsys, "check", "--replay", str(out_file))
+    assert code == 0 and "FAIL" not in out
+    assert len(calls) == 1
+
+
 def test_replay_missing_file(capsys):
     code, _, err = run(capsys, "check", "--replay", "/nonexistent/file.json")
     assert code == 2

@@ -231,6 +231,16 @@ def test_su11_induction_is_exactly_the_closed_form():
         assert gammas[name].entries == matrix.entries
 
 
+def test_su11_induction_at_a_long_lambda_is_exactly_the_closed_form():
+    # lam = (10**21 + 1)/7 is a 21-digit integer: each pair's ratio q_p / q_g = (n + 1)/(lam + n) is long
+    irrep, rep, sblocks, ortho = su11_pipeline(Fraction(10**21 + 1, 7), 300)
+    assert [sblocks[(n,)].matrix[0][0] for n in range(irrep.dim)] == su11.s_kernel_coefficients(irrep, 300)
+    basis, gammas = kmatrix.unitarize(rep, ortho)
+    assert basis == [((n,), 0) for n in range(irrep.dim)]
+    for name, matrix in su11.generator_matrices(irrep).items():
+        assert gammas[name].entries == matrix.entries
+
+
 def _u3_k_squared(hw, tj, tS):
     """``K(j, S)**2`` from the telescoped norm ratios; 0 outside the irrep."""
     if not u3.is_admissible(hw, tj, tS):

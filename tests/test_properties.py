@@ -1,7 +1,9 @@
 """Property tests: the exact and float kernels agree, exact values are accurate,
 ``Radical`` arithmetic obeys the field laws, a replay prints the live check, the
-``gen`` writer writes what ``json.dumps(indent=1)`` of the entry lists did, and
-the replay's reader reads what the ``Radical`` reader did.
+``gen`` writer writes what ``json.dumps(indent=1)`` of the entry lists did, the
+replay's reader reads what the ``Radical`` reader did, the K-matrix pair check
+decides as cross-multiplication did, and ``OperatorMatrix`` takes an entry
+dict as one ``__setitem__`` per entry does.
 
 Hypothesis runs derandomized with no example database, so the examples are
 the same on every run.
@@ -22,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from vcs_irreps import cli, repcheck
+from vcs_irreps import cli, kmatrix, repcheck
 from vcs_irreps.opmatrix import OperatorMatrix
 from vcs_irreps.radical import Radical, RadicalSum
 
@@ -263,3 +265,66 @@ def test_replay_reader_reads_entry_lists_as_the_radical_reader_did(case):
     info, dim = case
     with np.errstate(over="ignore"):
         assert _read(cli._matrix_from_json, info, dim) == _read(oracles.matrix_from_json_reference, info, dim)
+
+
+# The K-matrix pair check against the cross-multiplication it replaced: S
+# values of 0, 1 and up to about 2,000 bits, square classes with num 0,
+# negative num, unreduced num/den and differing cores, and S(col) drawn, set
+# to balance the pair, or balanced but off by one in its numerator.
+_long = st.integers(-(2**2000), 2**2000)
+_s_values = st.one_of(
+    st.sampled_from((Fraction(0), Fraction(1), Fraction(-1))),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50)),
+    st.builds(Fraction, _long, st.integers(1, 2**2000)),
+)
+_square_classes = st.tuples(st.sampled_from((1, 2, 3, 5, 6)), st.integers(-60, 60), st.integers(1, 60))
+
+
+@fixed(800)
+@given(
+    _s_values, _square_classes, _square_classes, _s_values,
+    st.sampled_from(("drawn", "balanced", "off by one", "same core", "one object", "one class")),
+)
+def test_pair_check_by_the_short_ratio_agrees_with_cross_multiplication(s_row, g, p, s_drawn, case):
+    s_col = s_drawn
+    if case in ("balanced", "off by one", "same core") and g[1]:
+        s_col = s_row * Fraction(p[1] * g[2], p[2] * g[1])
+        s_col += Fraction(1, s_col.denominator) if case == "off by one" else 0
+    if case == "same core":
+        p = (g[0], *p[1:])
+    if case == "one object":  # a self-adjoint diagonal block: one class and one S value on both sides
+        s_col, p = s_row, g
+    if case == "one class":
+        p = g
+    assert kmatrix._balanced(s_col, g, p, s_row) == oracles.balanced_reference(s_col, g, p, s_row)
+
+
+# OperatorMatrix(name, basis, entries) against one __setitem__ per entry: the
+# same kept entries, or the same error type and message (a key that is not a
+# pair fails to unpack in both).
+_keys = st.tuples(st.integers(-1, 4), st.integers(-1, 4)) | st.just((0, 0, 0))
+_entry_values = st.one_of(
+    exact_values,
+    st.sampled_from((0, Fraction(0), Radical.zero(), RadicalSum(), 0.0, 0.5, True, "1", None)),
+)
+
+
+def _by_setitem(entries: dict):
+    matrix = OperatorMatrix("X", range(4))
+    try:
+        for key, value in entries.items():
+            matrix[key] = value
+    except (IndexError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return matrix.entries
+
+
+@fixed(400)
+@given(st.dictionaries(_keys, _entry_values, max_size=8))
+def test_operator_matrix_takes_an_entry_dict_as_setitem_does(entries):
+    try:
+        got = OperatorMatrix("X", range(4), entries).entries
+    except (IndexError, TypeError, ValueError) as exc:
+        got = type(exc), str(exc)
+    assert got == _by_setitem(entries)
+    assert type(got) is not dict or got is not entries

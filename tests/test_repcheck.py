@@ -302,6 +302,21 @@ def test_operator_matrix_refuses_a_float(value):
     assert mat.entries == {(0, 1): Radical.sqrt_of(2)}
 
 
+def test_operator_matrix_refuses_an_entry_dict_as_setitem_does():
+    # the whole dict is checked at once, and the first bad entry names itself
+    entries = {(0, 1): Fraction(1, 2), (2, 0): Radical.sqrt_of(3), (0, 5): 1, (7, 7): 1}
+    with pytest.raises(IndexError, match=r"^entry \(2, 0\) outside 2x2 matrix$"):
+        OperatorMatrix("X", range(2), entries)
+    entries = {(0, 1): 1, (1, 0): 0.25, (1, 1): "1"}
+    with pytest.raises(TypeError, match=r"^X entry \(1, 0\) is a float, not an exact value$"):
+        OperatorMatrix("X", range(2), entries)
+    zeros = {(0, 0): 0, (0, 1): Fraction(0), (1, 0): Radical.zero(), (1, 1): Radical.sqrt_of(2)}
+    mat = OperatorMatrix("X", range(2), zeros)
+    assert mat.entries == {(1, 1): Radical.sqrt_of(2)}
+    assert len(zeros) == 4  # the caller's dict is left as it was
+    assert OperatorMatrix("X", range(2), {(0, 1): True}).entries == {(0, 1): True}  # an int subclass, as __setitem__ takes it
+
+
 # -- the Hermiticity measure on sorted coordinates against the dense reference ----
 
 

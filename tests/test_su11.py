@@ -113,3 +113,15 @@ def test_casimir_schur_on_interior():
         assert cas[i, i] == expected
     offdiag = [(r, c) for (r, c) in cas.entries if r != c]
     assert offdiag == []
+
+
+@pytest.mark.parametrize("lam", [1, 2, Fraction(7, 2), Fraction(1, 3), Fraction(10**21 + 1, 7), Fraction(10**22 + 1, 7)])
+def test_generator_matrices_are_the_closed_forms_in_lam(lam):
+    irrep = su11.Su11Irrep(lam, 12)
+    gens = su11.generator_matrices(irrep)
+    assert gens["S0"].entries == {(n, n): Fraction(irrep.lam, 2) + n for n in range(13)}
+    assert all(type(v) is Fraction for v in gens["S0"].entries.values())
+    amps = {n: Radical.sqrt_of((irrep.lam + n) * (n + 1)) for n in range(12)}
+    assert gens["S+"].entries == {(n + 1, n): amp for n, amp in amps.items()}
+    assert gens["S-"].entries == {(n, n + 1): amp for n, amp in amps.items()}
+    assert all(gens["S+"][n + 1, n] is gens["S-"][n, n + 1] for n in range(12))  # one Radical per amplitude
