@@ -18,7 +18,7 @@ checks run.  ``gen``, ``check`` and ``check --replay`` are one path through
 that table; adding an algebra means adding one entry.  A replay reads a
 generator whose entries are all exact ``{"sign", "radicand"}`` objects
 straight into the integer arrays of a :class:`repcheck.ExactMatrix`, the
-form the exact checks make of the su(1,1) and u(3) builders' matrices, with
+form the u(3) builder returns and the exact checks make of su(1,1)'s, with
 no ``Radical`` built, and any other into a :class:`repcheck.SparseMatrix` of
 each entry's ``float()``, the one float form, as the su(3) builder returns
 it; a document that mixes the two reads as its all-float twin.  So the live
@@ -71,7 +71,7 @@ import numpy as np
 
 from . import repcheck, su3_so3, su11, u3
 from .opmatrix import OperatorMatrix, json_entries, json_finite, json_integer
-from .radical import Radical, float_sqrt, json_radical, squarefree_decompose
+from .radical import Radical, json_radical
 
 SCHEMA_VERSION = 1
 
@@ -149,21 +149,38 @@ _FLOAT_ENTRY = '[\n     {},\n     {},\n     "{!r}"\n    ]'.format
 _EXACT_ENTRY = '[\n     {},\n     {},\n     {{\n      "sign": {sign},\n      "radicand": "{radicand}"\n     }}\n    ]'.format
 
 
-def _generator_json(mat: OperatorMatrix | repcheck.SparseMatrix) -> str:
+def _generator_json(mat: OperatorMatrix | repcheck.ExactMatrix | repcheck.SparseMatrix) -> str:
     """One generator's ``{"dim", "entries"}`` object, two levels down; entries in row, then column order.
 
-    An exact generator's entries are written exact; a ``SparseMatrix``'s are
-    formatted straight from its arrays, never held as ``[row, col, value]``
-    lists.
+    An exact generator's entries are written exact; an ``ExactMatrix``'s and
+    a ``SparseMatrix``'s are formatted straight from their arrays, never held
+    as ``[row, col, value]`` lists.
     """
     if isinstance(mat, OperatorMatrix):
         items = sorted(mat.entries.items())
         body = ",\n    ".join(_EXACT_ENTRY(r, c, **_value_to_json(v, "exact")) for (r, c), v in items)
+    elif isinstance(mat, repcheck.ExactMatrix):
+        body = ",\n    ".join(_exact_entries(mat))
     else:
         body = ",\n    ".join(map(_FLOAT_ENTRY, mat.rows.tolist(), mat.cols.tolist(), mat.vals.tolist()))
     if not body:
         return f'{{\n   "dim": {mat.dim},\n   "entries": []\n  }}'
     return f'{{\n   "dim": {mat.dim},\n   "entries": [\n    {body}\n   ]\n  }}'
+
+
+def _exact_entries(mat: repcheck.ExactMatrix):
+    """Each entry's text, one triple each, as ``Radical.to_json`` writes it.
+
+    ``num sqrt(core) / den`` is ``sign sqrt(radicand)``, the radicand
+    ``num**2 core / den**2`` put in lowest terms by two integer gcds.
+    """
+    order = np.lexsort((mat.cols, mat.rows))
+    for r, c, core, num in zip(*(a[order].tolist() for a in (mat.rows, mat.cols, mat.cores, mat.nums))):
+        g = math.gcd(num, mat.den)
+        root, den = abs(num) // g, mat.den // g
+        g = math.gcd(core, den)
+        n, d = root * root * (core // g), den * den // g
+        yield _EXACT_ENTRY(r, c, sign=1 if num > 0 else -1, radicand=n if d == 1 else f"{n}/{d}")
 
 
 def _matrix_from_json(name: str, info: dict, dim: int, exact=True) -> repcheck.ExactMatrix | repcheck.SparseMatrix:
@@ -187,19 +204,11 @@ def _matrix_from_json(name: str, info: dict, dim: int, exact=True) -> repcheck.E
 
 
 def _exact_matrix(name: str, dim: int, rows: list, cols: list, values: list) -> repcheck.ExactMatrix:
-    """Exact entries read by :func:`json_radical`, as ``ExactMatrix.of`` makes them of ``Radical``s; zeros dropped.
-
-    ``sqrt(num/den) = root sqrt(core) / den`` with ``num den = root**2 core``;
-    the norm sums the squares in entry order, as ``OperatorMatrix.frobenius``.
-    """
+    """Exact entries read by :func:`json_radical`, as ``ExactMatrix.of`` makes them of ``Radical``s; zeros dropped."""
     radicals = [(r, c, *json_radical(v)) for r, c, v in zip(rows, cols, values)]
     if len(set(zip(rows, cols))) != len(radicals):
         raise ValueError(f"{name} repeats an entry")
-    radicals = [e for e in radicals if e[2]]
-    terms = [(r, c, core, s * root, d) for r, c, s, n, d in radicals for root, core in [squarefree_decompose(n * d)]]
-    return repcheck.ExactMatrix.of_terms(
-        dim, terms, lambda: math.sqrt(sum((s * float_sqrt(n, d)) ** 2 for _, _, s, n, d in radicals))
-    )
+    return repcheck.ExactMatrix.of_radicals(dim, [e for e in radicals if e[2]])
 
 
 def _floats(name: str, values: list) -> np.ndarray | list[float]:
@@ -352,7 +361,7 @@ def _label(algebra: Algebra, args):
 
 def _document(algebra: Algebra, label, mode: str) -> dict:
     gens = algebra.build(label)
-    if not all(isinstance(m, OperatorMatrix) or not m.vals.size for m in gens.values()):  # an entry is a float
+    if not all(isinstance(m, (OperatorMatrix, repcheck.ExactMatrix)) or not m.vals.size for m in gens.values()):
         mode = "float"
     doc = {
         "schema": SCHEMA_VERSION,

@@ -10,15 +10,15 @@ whether the Casimir is a multiple of the identity (Schur test);
 tolerances need no retuning with irrep size.
 
 Each check is written once, as a list of ``(c, A, B)`` terms summed by the
-kernel that the matrices choose.  When every generator is exact (an
-``OperatorMatrix``, which holds exact values only), each becomes an
-:class:`ExactMatrix` once: coordinate arrays of integer numerators over one
-denominator, times square roots of square-free cores.  The sums are formed
-in integers by whole-array row joins and one sorted reduction, so a holding
-identity (or an exactly constant Casimir) reports exactly 0.0, and a
-non-zero defect is evaluated to float precision however much its square
-classes cancel.  Otherwise the float kernel runs, on weight
-tiles.  The spec's weight generators are those whose bracket with every
+kernel that the matrices choose.  When every generator is exact, each is
+an :class:`ExactMatrix`: coordinate arrays of integer numerators over one
+denominator, times square roots of square-free cores.  The u(3) builder and
+an exact replay make one straight from integers; an ``OperatorMatrix`` is
+converted once.  The sums are formed in integers by whole-array row joins
+and one sorted reduction, so a holding identity (or an exactly constant
+Casimir) reports exactly 0.0, and a non-zero defect is evaluated to float
+precision however much its square classes cancel.  Otherwise the float
+kernel runs, on weight tiles.  The spec's weight generators are those whose bracket with every
 generator ``X`` is a multiple of ``X`` (``L0``, ``C11``/``C22``/``C33``,
 ``S0``).  States are grouped into classes by those generators' diagonal
 entries, and each generator becomes a :class:`TiledMatrix`: dense blocks
@@ -48,7 +48,7 @@ from fractions import Fraction
 import numpy as np
 
 from .opmatrix import OperatorMatrix
-from .radical import Radical, radical_terms
+from .radical import Radical, float_sqrt, radical_terms, squarefree_decompose
 
 # The package's one default tolerance: for residual checks, for the K-matrix
 # engine's float solves and for su3_so3's zero test on reduced elements.
@@ -272,9 +272,19 @@ class SparseMatrix:
 
     @classmethod
     def of(cls, m) -> "SparseMatrix":
-        """The sparse form of an exact OperatorMatrix or an ndarray, in floats; a SparseMatrix as it is."""
+        """The sparse form of an exact matrix or an ndarray, in floats; a SparseMatrix as it is.
+
+        An entry of an exact matrix is its value's ``float()``: an
+        ``ExactMatrix``'s are in ``vals``, and one that overflows raises
+        ``OverflowError``.
+        """
         if isinstance(m, cls):
             return m
+        if isinstance(m, ExactMatrix):
+            if m.vals is None:
+                raise OverflowError("an entry overflows a float")
+            kept = m.vals != 0  # an entry's float is on its first triple
+            return cls(m.dim, m.rows[kept], m.cols[kept], m.vals[kept])
         if isinstance(m, OperatorMatrix):
             keys = np.array(list(m.entries), dtype=np.int64).reshape(-1, 2)
             vals = np.fromiter(m.entries.values(), float, len(m.entries))  # float() of each
@@ -445,15 +455,19 @@ class ExactMatrix:
     to ``start[r] + count[r]``, at most ``longest``.  ``cores`` and ``nums`` are int64
     when all fit, else Python ints; ``bits`` holds the bit lengths of the largest
     ``|num|`` and core.  The form of a value is unique, so sums cancel exactly when
-    their integers do.  ``norm`` is the Frobenius norm.
+    their integers do.  ``vals[i]`` is the ``float()`` of the value that triple ``i``
+    came from on its first triple, 0.0 on any further one (``None`` if one overflows),
+    and ``norm`` the root of the builtin ``sum`` of their squares in entry order, as
+    ``OperatorMatrix.frobenius`` forms it.
     """
 
-    __slots__ = ("dim", "den", "rows", "cols", "cores", "nums", "bits", "start", "count", "longest", "norm")
+    __slots__ = ("dim", "den", "rows", "cols", "cores", "nums", "vals", "bits", "start", "count", "longest", "norm")
 
-    def __init__(self, dim: int, den: int, rows, cols, cores, nums, bits: tuple[int, int], norm: float):
+    def __init__(self, dim: int, den: int, rows, cols, cores, nums, vals, bits: tuple[int, int], norm: float):
         order = np.argsort(rows, kind="stable")
         self.dim, self.den, self.bits, self.norm = dim, den, bits, norm
         self.rows, self.cols, self.cores, self.nums = rows[order], cols[order], cores[order], nums[order]
+        self.vals = None if vals is None else vals[order]
         self.count = np.bincount(self.rows, minlength=dim)
         self.start, self.longest = np.cumsum(self.count) - self.count, int(self.count.max(initial=0))
 
@@ -463,26 +477,48 @@ class ExactMatrix:
         if isinstance(m, cls):
             return m
         terms = [(r, c, *t) for (r, c), v in m.entries.items() for t in radical_terms(v)]
-        return cls.of_terms(m.dim, terms, m.frobenius)
+        values = m.entries.values()
+        if len(terms) > len(values):  # an entry of several square classes: its float on its first triple
+            values = [x for v in values for x in [v] + [0] * (len(radical_terms(v)) - 1)]
+        return cls.of_terms(m.dim, terms, lambda: list(map(float, values)))
 
     @classmethod
-    def of_terms(cls, dim: int, terms: list, frobenius: Callable[[], float]) -> "ExactMatrix":
-        """From ``(row, col, core, num, den)`` terms ``num sqrt(core) / den``; norm ``frobenius()``, or inf."""
+    def of_radicals(cls, dim: int, entries: list) -> "ExactMatrix":
+        """From ``(row, col, sign, num, den)`` entries ``sign sqrt(num / den)``, ``num / den`` in lowest terms.
+
+        Each is one triple, as ``of`` makes it of the ``Radical``:
+        ``sqrt(num/den) = root sqrt(core) / den`` with ``num den = root**2 core``.
+        """
+        terms = [(r, c, core, s * root, d) for r, c, s, n, d in entries for root, core in [squarefree_decompose(n * d)]]
+        return cls.of_terms(dim, terms, lambda: [s * float_sqrt(n, d) for _, _, s, n, d in entries])
+
+    @classmethod
+    def of_terms(cls, dim: int, terms: list, floats: Callable[[], list]) -> "ExactMatrix":
+        """From ``(row, col, core, num, den)`` terms ``num sqrt(core) / den`` and ``floats()``, their ``vals``.
+
+        ``vals`` is None and the norm inf when a float overflows; the norm is inf, too, when a square does.
+        """
         rows, cols, cores, nums, dens = zip(*terms) if terms else ((),) * 5
         den = math.lcm(*dens)
         nums = [num * (den // d) for num, d in zip(nums, dens)]
         bits = (max(map(abs, nums), default=0).bit_length(), max(cores, default=0).bit_length())
         dtype = np.int64 if max(bits) < 64 else object
+        vals = norm = None
         try:
-            norm = frobenius()
+            vals = floats()
+            norm = math.sqrt(sum(v ** 2 for v in vals))
         except OverflowError:  # an entry or its square is too large for a float
             norm = math.inf
-        return cls(dim, den, np.array(rows, np.int64), np.array(cols, np.int64),
-                   np.array(cores, dtype), np.array(nums, dtype), bits, norm)
+        return cls(dim, den, np.array(rows, np.int64), np.array(cols, np.int64), np.array(cores, dtype),
+                   np.array(nums, dtype), None if vals is None else np.array(vals, float), bits, norm)
+
+    def to_dense(self) -> np.ndarray:
+        """Each entry's ``float()`` in a dense array; ``OverflowError`` if one overflows."""
+        return SparseMatrix.of(self).to_dense()
 
     def adjoint(self) -> "ExactMatrix":
         """The transpose: exact entries are real."""
-        return ExactMatrix(self.dim, self.den, self.cols, self.rows, self.cores, self.nums, self.bits, self.norm)
+        return ExactMatrix(self.dim, self.den, self.cols, self.rows, self.cores, self.nums, self.vals, self.bits, self.norm)
 
     @staticmethod
     def sum(dim: int, terms) -> "ExactSum":
@@ -608,8 +644,8 @@ def _forms(spec: AlgebraSpec, matrices: dict) -> dict:
     """Every generator converted once, all given, at one dimension.
 
     The form is :class:`ExactMatrix` when every matrix is exact, else weight
-    tiles (:meth:`TiledMatrix.tile`); tiles pass through as they are.  A norm
-    that overflows raises ``OverflowError``.
+    tiles (:meth:`TiledMatrix.tile`); an ``ExactMatrix`` and tiles pass
+    through as they are.  A norm that overflows raises ``OverflowError``.
     """
     missing = [g for g in spec.generators if g not in matrices]
     if missing:
@@ -680,7 +716,7 @@ def casimir_residual(spec: AlgebraSpec, matrices: dict, interior: int | None = N
 
 def schur_constancy(matrix) -> tuple[float, float]:
     """Mean diagonal value and max normalized deviation from that multiple of I."""
-    m = matrix.to_dense() if isinstance(matrix, (OperatorMatrix, SparseMatrix)) else np.asarray(matrix)
+    m = matrix.to_dense() if hasattr(matrix, "to_dense") else np.asarray(matrix)
     mean = float(np.trace(m).real) / len(m)
     diagonal = np.diagonal(m)
     off = float(np.abs(m - np.diag(diagonal)).max())

@@ -101,15 +101,17 @@ def holomorphic_gamma_rep(irrep: Su11Irrep) -> GammaRep:
     solved S-matrix diagonal reproduces the kernel Taylor coefficients.
     Every block is rational, ``lam/2 + n``, ``lam + n`` or ``n + 1``, so it is
     kept a ``Fraction``: the K-matrix engine reads its square class as
-    ``(1, num, den)`` with nothing to factor.
+    ``(1, num, den)`` with nothing to factor.  With ``lam = p/q`` they are
+    built from integers, ``(p + 2nq)/(2q)`` and ``(p + nq)/q``.
     """
     sectors = {(n,): 1 for n in range(irrep.dim)}
     grades = {(n,): n for n in range(irrep.dim)}
     blocks = {"S0": {}, "S+": {}, "S-": {}}
+    p, q = irrep.lam.numerator, irrep.lam.denominator
     for n in range(irrep.dim):
-        blocks["S0"][(n,), (n,)] = [[Fraction(irrep.lam, 2) + n]]
+        blocks["S0"][(n,), (n,)] = [[Fraction(p + 2 * n * q, 2 * q)]]
     for n in range(irrep.dim - 1):
-        blocks["S+"][(n + 1,), (n,)] = [[irrep.lam + n]]
+        blocks["S+"][(n + 1,), (n,)] = [[Fraction(p + n * q, q)]]
         blocks["S-"][(n,), (n + 1,)] = [[Fraction(n + 1)]]
     return GammaRep(
         sectors=sectors,

@@ -18,9 +18,12 @@ lowering operator.  The paper's non-unitary holomorphic realization
 on the lowering/raising pair; the unitary irrep, ``K^-1 Gamma K``, puts
 ``(W sqrt(r), W sqrt(r))`` on each in-irrep step.  U and the Clebsch-Gordan
 coefficient each hold a spin 1/2, so they come from closed forms in ``angmom``
-(``spin_half_u_parts``, ``spin_half_cg_parts``), and each entry is one exact
-``Radical`` of integers.  The irrep's steps are evaluated once per weight
-(:func:`reduced_elements` caches them), for the matrices and a ``gen`` table.
+(``spin_half_u_parts``, ``spin_half_cg_parts``), and each entry is ``sign
+sqrt(num/den)`` of integers.  One Wigner-Eckart expansion yields them: the
+irrep's matrices take them straight into ``repcheck.ExactMatrix`` arrays, and
+the holomorphic realization makes each a ``Radical`` block.  The irrep's steps
+are evaluated once per weight (:func:`reduced_elements` caches them), for the
+matrices and a ``gen`` table.
 """
 
 from __future__ import annotations
@@ -28,12 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 # ``clebsch_gordan`` stays a module attribute: bench/spans.py wraps it by name.
 from .angmom import clebsch_gordan, spin_half_cg_parts, spin_half_u_parts  # noqa: F401
 from .kmatrix import GammaRep
-from .opmatrix import OperatorMatrix
 from .radical import Radical
+from .repcheck import ExactMatrix
 
 GENERATOR_NAMES = tuple(f"C{i}{k}" for i in (1, 2, 3) for k in (1, 2, 3))
 
@@ -98,7 +102,12 @@ class CanonicalLabel:
         return Fraction(self.tM, 2)
 
     def __str__(self):
-        return f"(j={self.j}, S={self.S}, M={self.M})"
+        return f"(j={_halves(self.tj)}, S={_halves(self.tS)}, M={_halves(self.tM)})"
+
+
+def _halves(twice: int) -> str:
+    """``str(Fraction(twice, 2))``: ``n`` or ``n/2``."""
+    return f"{twice}/2" if twice % 2 else str(twice // 2)
 
 
 def is_admissible(hw: U3HighestWeight, tj: int, tS: int) -> bool:
@@ -181,8 +190,8 @@ def _steps(hw: U3HighestWeight, tj_cap: int, irrep: bool):
                     yield tj, tS, tSp, sign, num * (tj + 1), den, k_ratio_sq(hw, tj, tS, tSp)
 
 
-def _u2_entries(entries: dict[str, dict], hw: U3HighestWeight, keys: dict) -> None:
-    """Write the non-zero ``C11``, ``C22``, ``C33``, ``C23`` and ``C32`` entries.
+def _cartan(hw: U3HighestWeight, keys: dict):
+    """Each non-zero ``C11``, ``C22`` and ``C33`` entry as ``(name, key, value)``: on the diagonal, a ``Fraction``.
 
     ``keys[2j, 2S]`` holds the keys of the multiplet's states in ``M`` order.
     """
@@ -194,47 +203,64 @@ def _u2_entries(entries: dict[str, dict], hw: U3HighestWeight, keys: dict) -> No
         for k, tM in enumerate(range(-tS, tS + 1, 2)):
             for name, value in (("C11", c11), ("C22", half[tj + tM]), ("C33", half[tj - tM])):
                 if value:
-                    entries[name][at[k], at[k]] = value
-            if tM + 2 <= tS:  # spin ladder sqrt((S-M)(S+M+1))
-                amp = Radical(1, Fraction((tS - tM) * (tS + tM + 2), 4))
-                entries["C23"][at[k + 1], at[k]] = entries["C32"][at[k], at[k + 1]] = amp
+                    yield name, at[k], value
 
 
-def _expand(entries: dict[str, dict], kets, bras, tS: int, tSp: int, lower: tuple, upper: tuple | None) -> None:
-    """Write one step's ``C12``/``C13`` at ``(ket, bra)`` and ``C21``/``C31`` at ``(bra, ket)``, by Wigner-Eckart.
+def _ladder(keys: dict):
+    """Each ``C23`` entry as ``(row, col, num)``: the spin ladder ``sqrt((S-M)(S+M+1)) = sqrt(num / 4)``.
 
-    Each is ``(S M, 1/2 nu | S' M+nu)`` times its factor ``(sign, num, den)``,
-    ``sign * sqrt(num / den)``: ``lower`` or ``upper``.  ``upper`` None writes
-    no raising entry; ``upper is lower`` writes one value to both.
+    ``C32`` is its transpose.
     """
-    l_sign, l_num, l_den = lower
+    for (tj, tS), at in keys.items():
+        for k, tM in enumerate(range(-tS, tS, 2)):
+            yield at[k + 1], at[k], (tS - tM) * (tS + tM + 2)
+
+
+def _expand(kets, bras, tS: int, tSp: int, sign: int, num: int, den: int):
+    """One step's lowering entries by Wigner-Eckart, each ``(down, up, ket, bra, sign, num, den)``.
+
+    ``down`` (``C12`` or ``C13``) at ``(ket, bra)`` is ``sign sqrt(num / den)``:
+    ``(S M, 1/2 nu | S' M+nu)`` times the step's factor ``sign sqrt(num / den)``.
+    ``up`` (``C21`` or ``C31``) names the raising generator at ``(bra, ket)``.
+    """
     for k, tM in enumerate(range(-tS, tS + 1, 2)):
         for t_nu, down, up in ((1, "C12", "C21"), (-1, "C13", "C31")):
             c_sign, c_num, c_den = spin_half_cg_parts(tS, tM, t_nu, tSp)
             if c_sign:
-                a, b = kets[k], bras[(tSp + tM + t_nu) // 2]
-                entries[down][a, b] = value = Radical(c_sign * l_sign, Fraction(c_num * l_num, c_den * l_den))
-                if upper is lower:
-                    entries[up][b, a] = value
-                elif upper:
-                    entries[up][b, a] = Radical(c_sign * upper[0], Fraction(c_num * upper[1], c_den * upper[2]))
+                yield down, up, kets[k], bras[(tSp + tM + t_nu) // 2], c_sign * sign, c_num * num, c_den * den
 
 
-def assemble_generators(hw: U3HighestWeight) -> dict[str, OperatorMatrix]:
-    """All nine generator matrices ``C11 .. C33`` on the canonical basis, exact: ``W sqrt(r)`` both ways per step."""
+def assemble_generators(hw: U3HighestWeight) -> dict[str, ExactMatrix]:
+    """All nine generator matrices ``C11 .. C33`` on the canonical basis, exact: ``W sqrt(r)`` both ways per step.
+
+    Each is built straight from the step table's integers: a ``Fraction``'s
+    numerator and denominator on the diagonal, and elsewhere each ``sign
+    sqrt(num / den)`` reduced by one gcd, with no ``Radical`` per entry.
+    """
     basis = basis_enumeration(hw)
+    dim = len(basis)
     # each (j, S) multiplet is a run of basis positions, M ascending
     keys = {(lbl.tj, lbl.tS): range(i, i + lbl.tS + 1) for i, lbl in enumerate(basis) if lbl.tM == -lbl.tS}
-    entries: dict[str, dict] = {name: {} for name in GENERATOR_NAMES}
-    _u2_entries(entries, hw, keys)
+    diagonal: dict[str, list] = {name: [] for name in ("C11", "C22", "C33")}
+    for name, at, value in _cartan(hw, keys):
+        diagonal[name].append((at, at, 1, value.numerator, value.denominator))
+    lowering: dict[str, list] = {"C12": [], "C13": [], "C23": [(row, col, 1, num, 4) for row, col, num in _ladder(keys)]}
     for tj, tS, tSp, f_red in reduced_elements(hw):
         factor = (f_red.sign, f_red.radicand.numerator, f_red.radicand.denominator * (tSp + 1))
-        _expand(entries, keys[tj, tS], keys[tj + 1, tSp], tS, tSp, factor, factor)
-    return {name: OperatorMatrix(name, basis, entries[name]) for name in GENERATOR_NAMES}
+        for down, _, a, b, sign, num, den in _expand(keys[tj, tS], keys[tj + 1, tSp], tS, tSp, *factor):
+            lowering[down].append((a, b, sign, num, den))
+    gens = {}
+    for down, up in (("C12", "C21"), ("C13", "C31"), ("C23", "C32")):
+        entries = [(r, c, s, n // g, d // g) for r, c, s, n, d in lowering[down] for g in [gcd(n, d)]]
+        gens[down] = ExactMatrix.of_radicals(dim, entries)
+        gens[up] = gens[down].adjoint()  # the same values in the same order, transposed
+    for name, terms in diagonal.items():
+        gens[name] = ExactMatrix.of_terms(dim, terms, lambda terms=terms: [num / den for *_, num, den in terms])
+    return {name: gens[name] for name in GENERATOR_NAMES}
 
 
-def angular_momentum_dense(generators: dict[str, OperatorMatrix]):
-    """Dense complex ``L0, L+, L-`` built from the generator combinations.
+def angular_momentum_dense(generators: dict):
+    """Dense complex ``L0, L+, L-`` built from the generator combinations, each read by its ``to_dense()``.
 
     ``L0 = -i (C23 - C32)``, ``L(+/-) = i (C13 - C31) +/- (C12 - C21)``.
     """
@@ -264,13 +290,18 @@ def holomorphic_gamma_rep(hw: U3HighestWeight, extra_grades: int = 1) -> GammaRe
     ts, tj_cap = hw.twice_s, int(hw.w1 - hw.w3) + extra_grades
     multiplets = [(tj, tS) for tj in range(tj_cap + 1) for tS in range(abs(tj - ts), tj + ts + 1, 2)]
     keys = {(tj, tS): [(tj, tS, tM) for tM in range(-tS, tS + 1, 2)] for tj, tS in multiplets}
-    entries: dict[str, dict] = {name: {} for name in GENERATOR_NAMES}
-    _u2_entries(entries, hw, keys)
+    blocks: dict[str, dict] = {name: {} for name in GENERATOR_NAMES}
+    for name, at, value in _cartan(hw, keys):
+        blocks[name][at, at] = [[value]]
+    for row, col, num in _ladder(keys):
+        amp = Radical(1, Fraction(num, 4))
+        blocks["C23"][row, col], blocks["C32"][col, row] = [[amp]], [[amp]]
     for tj, tS, tSp, sign, num, den, ratio in _steps(hw, tj_cap, irrep=False):
         p, q = ratio.numerator, ratio.denominator
-        upper = (sign if p > 0 else -sign, num * p * p, den * q * q) if p else None
-        _expand(entries, keys[tj, tS], keys[tj + 1, tSp], tS, tSp, (sign, num, den), upper)
+        for down, up, a, b, s, n, d in _expand(keys[tj, tS], keys[tj + 1, tSp], tS, tSp, sign, num, den):
+            blocks[down][a, b] = [[Radical(s, Fraction(n, d))]]
+            if p:  # f's block back is W r, absent where r = 0
+                blocks[up][b, a] = [[Radical(s if p > 0 else -s, Fraction(n * p * p, d * q * q))]]
     sectors = {a: 1 for at in keys.values() for a in at}
-    blocks = {name: {key: [[value]] for key, value in entries[name].items()} for name in GENERATOR_NAMES}
     adjoints = {f"C{i}{k}": f"C{k}{i}" for i in (1, 2, 3) for k in (1, 2, 3)}
     return GammaRep(sectors=sectors, grades={a: a[0] for a in sectors}, blocks=blocks, adjoints=adjoints, exact=True)

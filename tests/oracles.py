@@ -18,9 +18,22 @@ from vcs_irreps.radical import Radical, RadicalSum, radical_terms, squarefree_de
 from vcs_irreps.su11 import Su11Irrep, generator_matrices
 
 
+def exact_entries(m: repcheck.ExactMatrix) -> dict[tuple[int, int], Radical]:
+    """An ``ExactMatrix``'s non-zero entries as ``{(row, col): Radical}``, in triple order.
+
+    Triple ``num sqrt(core) / den`` is the ``Radical`` of ``num``'s sign and the
+    radicand ``num**2 core / den**2``; an entry of several triples is their sum.
+    """
+    out: dict[tuple[int, int], Radical] = {}
+    for r, c, core, num in zip(*(a.tolist() for a in (m.rows, m.cols, m.cores, m.nums))):
+        value = Radical(1 if num > 0 else -1, Fraction(num * num * core, m.den * m.den))
+        out[r, c] = out[r, c] + value if (r, c) in out else value
+    return out
+
+
 def spectrum_multiset(matrix, hermitian_tol: float = 1e-9) -> list[float]:
     """Sorted eigenvalue list (uses the symmetric solver when applicable)."""
-    m = matrix.to_dense() if isinstance(matrix, (OperatorMatrix, repcheck.SparseMatrix)) else np.asarray(matrix)
+    m = matrix.to_dense() if hasattr(matrix, "to_dense") else np.asarray(matrix)
     if np.abs(m - m.conj().T).max() <= hermitian_tol * (1.0 + np.abs(m).max()):
         ev = np.linalg.eigvalsh(m)
     else:
@@ -145,7 +158,7 @@ def m_block_reference(lm: su3_so3.Su3Label, Lp: int, L: int) -> tuple[list[int],
     return rows, cols, out
 
 
-def quadrupole_dense(generators: dict[str, OperatorMatrix]) -> dict[int, np.ndarray]:
+def quadrupole_dense(generators: dict) -> dict[int, np.ndarray]:
     """Dense complex quadrupole components ``Q(-2) .. Q(2)`` from the u(3) generators."""
     c = {name: generators[name].to_dense() for name in u3.GENERATOR_NAMES}
     h1 = c["C11"] - c["C22"]

@@ -18,6 +18,8 @@ from vcs_irreps.cli import ALGEBRAS, main
 from vcs_irreps.opmatrix import OperatorMatrix
 from vcs_irreps.radical import Radical
 
+import oracles
+
 # A small irrep of every registered algebra, as command-line flags.
 SMALL_IRREPS = {
     "su11": ["--lambda", "3/2", "--nmax", "6"],
@@ -130,9 +132,12 @@ def _entry_lists(doc: dict) -> dict:
     """``doc`` as the list writer held it, each generator's entries as ``[row, col, value]`` lists."""
 
     def listed(mat):
+        if isinstance(mat, repcheck.ExactMatrix) and doc["mode"] == "float":
+            mat = repcheck.SparseMatrix.of(mat)  # each entry's float as its builder rounded it
         if isinstance(mat, repcheck.SparseMatrix):
             return [[r, c, repr(v)] for r, c, v in zip(mat.rows.tolist(), mat.cols.tolist(), mat.vals.tolist())]
-        return [[r, c, cli._value_to_json(v, doc["mode"])] for (r, c), v in sorted(mat.entries.items())]
+        entries = oracles.exact_entries(mat) if isinstance(mat, repcheck.ExactMatrix) else mat.entries
+        return [[r, c, cli._value_to_json(v, doc["mode"])] for (r, c), v in sorted(entries.items())]
 
     return dict(doc, generators={k: {"dim": m.dim, "entries": listed(m)} for k, m in doc["generators"].items()})
 
@@ -174,7 +179,8 @@ def test_exact_entry_template_writes_json_dumps_of_the_entry_lists(argv):
         algebra = ALGEBRAS[argv[0]]
         args = cli.build_parser().parse_args(["gen", *argv])
         doc = cli._document(algebra, cli._label(algebra, args), args.mode)
-    assert doc["mode"] == "exact" and all(isinstance(m, OperatorMatrix) for m in doc["generators"].values())
+    exact = (OperatorMatrix, repcheck.ExactMatrix)
+    assert doc["mode"] == "exact" and all(isinstance(m, exact) for m in doc["generators"].values())
     out = io.StringIO()
     cli._write_json(doc, out)
     assert out.getvalue() == json.dumps(_entry_lists(doc), indent=1)
@@ -806,6 +812,19 @@ def test_float_su3_paths_build_no_operator_matrix(tmp_path, capsys, monkeypatch)
     rep = kmatrix.gamma_rep_from_json(json.loads(json.dumps(ingest)))
     basis, gammas = kmatrix.unitarize(rep, kmatrix.orthonormalize(kmatrix.solve_s_recursion(rep)))
     assert len(basis) == hw.dimension() and all(isinstance(m, repcheck.SparseMatrix) for m in gammas.values())
+
+
+def test_u3_paths_build_no_operator_matrix(tmp_path, capsys, monkeypatch):
+    # check u3 takes the builder's ExactMatrix as it is, and gen writes each entry from its arrays
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an OperatorMatrix was built")
+
+    monkeypatch.setattr(OperatorMatrix, "__init__", refuse)
+    path = tmp_path / "doc.json"
+    assert run(capsys, "check", "u3", "--weight", "7/3,4/3,1/3")[0] == 0
+    for mode in ("exact", "float"):
+        assert run(capsys, "gen", "u3", "--weight", "7/3,4/3,1/3", "--mode", mode, "--out", str(path))[0] == 0
+        assert run(capsys, "check", "--replay", str(path))[0] == 0
 
 
 def _check_names(report: str) -> list[str]:

@@ -133,6 +133,15 @@ def test_residual_invariant_under_basis_permutation():
     )
 
 
+def test_schur_constancy_reads_every_matrix_form_through_its_dense_array():
+    gens = u3.assemble_generators(u3.U3HighestWeight(2, 1, 0))
+    c11 = gens["C11"]
+    want = repcheck.schur_constancy(c11.to_dense())
+    as_operator = OperatorMatrix("C11", range(c11.dim), oracles.exact_entries(c11))
+    for form in (c11, as_operator, repcheck.SparseMatrix.of(c11)):
+        assert repcheck.schur_constancy(form) == want
+
+
 def test_schur_constancy_examples():
     mean, dev = repcheck.schur_constancy(np.eye(4))
     assert (mean, dev) == (1.0, 0.0)
@@ -553,6 +562,30 @@ def _kernel_classes(total, dim) -> dict[tuple[int, int], dict[int, Fraction]]:
     return out
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_form_keeps_each_entry_float_and_the_norm_bits(seed):
+    # Entries of one and of two square classes: the dense and sparse floats and
+    # the norm are the OperatorMatrix's, bit for bit.
+    mats, _ = _random_exact(random.Random(seed), repcheck.su11_spec(), 7, zero_generator=False)
+    for m in mats.values():
+        exact = repcheck.ExactMatrix.of(m)
+        assert exact.norm.hex() == m.frobenius().hex()
+        assert exact.to_dense().tobytes() == m.to_dense().tobytes()
+        mine, theirs = repcheck.SparseMatrix.of(exact), repcheck.SparseMatrix.of(m)
+        assert (mine.rows.tolist(), mine.cols.tolist()) == (theirs.rows.tolist(), theirs.cols.tolist())
+        assert mine.vals.tobytes() == theirs.vals.tobytes()
+        assert exact.adjoint().to_dense().tobytes() == m.to_dense().T.tobytes()
+
+
+def test_exact_form_of_an_entry_too_large_for_a_float():
+    m = OperatorMatrix("X", range(2), {(0, 0): Fraction(10**400), (1, 0): Radical.sqrt_of(2)})
+    exact = repcheck.ExactMatrix.of(m)
+    assert exact.vals is None and exact.norm == math.inf
+    for convert in (exact.to_dense, lambda: repcheck.SparseMatrix.of(exact), m.to_dense):
+        with pytest.raises(OverflowError):
+            convert()
+
+
 @pytest.mark.parametrize("spec,dim", [(repcheck.su11_spec(), 6), (repcheck.su3_so3_spec(), 5)], ids=["su11", "su3-so3"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_exact_kernel_defect_matches_sympy(spec, dim, seed):
@@ -620,9 +653,10 @@ def test_exact_checks_see_a_perturbation_floats_cannot():
     spec = repcheck.u3_spec()
     gens = u3.assemble_generators(u3.U3HighestWeight(4, 2, 0))
     assert [r for _, r, _ in repcheck.standard_checks(spec, gens, 1e-10)] == [0.0, 0.0, 0.0]
-    key = min(gens["C21"].entries)
-    bent = dict(gens, C21=gens["C21"].copy())
-    bent["C21"][key] = gens["C21"][key] * (1 + Fraction(1, 10**30))
+    c21 = OperatorMatrix("C21", range(gens["C21"].dim), oracles.exact_entries(gens["C21"]))
+    key = min(c21.entries)
+    bent = dict(gens, C21=c21.copy())
+    bent["C21"][key] = c21[key] * (1 + Fraction(1, 10**30))
     assert bent["C21"].to_dense().tolist() == gens["C21"].to_dense().tolist()
     residual = repcheck.commutator_residual(spec, bent)
     assert 0.0 < residual < 1e-25
@@ -634,15 +668,16 @@ def test_exact_checks_report_a_defect_that_cancels_across_square_classes():
     # summed in floats it reads 0.0 or rounding noise.
     spec = repcheck.u3_spec()
     gens = u3.assemble_generators(u3.U3HighestWeight(4, 2, 0))
-    assert gens["C21"][3, 0] == -Radical.sqrt_of(Fraction(10, 3))
-    bent = dict(gens, C21=gens["C21"].copy())
+    c21 = OperatorMatrix("C21", range(gens["C21"].dim), oracles.exact_entries(gens["C21"]))
+    assert c21[3, 0] == -Radical.sqrt_of(Fraction(10, 3))
+    bent = dict(gens, C21=c21.copy())
     bent["C21"][3, 0] = Radical(-1, Fraction(10, 3) * (1 + Fraction(1, 10**30)))
     checks = repcheck.standard_checks(spec, bent, 0.0)
     assert [name for name, _, _ in checks] == ["commutators", "hermiticity", "casimir constancy"]
     assert all(residual > 0.0 and not passed for _, residual, passed in checks)
     # The worst Hermiticity pair differs in that one entry only.
     defect = sympy.sqrt(sympy.Rational(10, 3)) * (sympy.sqrt(1 + sympy.Rational(1, 10**30)) - 1)
-    want = float(defect.evalf(40)) / (1.0 + gens["C12"].frobenius())
+    want = float(defect.evalf(40)) / (1.0 + gens["C12"].norm)
     assert checks[1][1] == pytest.approx(want, rel=1e-12)
 
 

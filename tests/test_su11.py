@@ -125,3 +125,21 @@ def test_generator_matrices_are_the_closed_forms_in_lam(lam):
     assert gens["S+"].entries == {(n + 1, n): amp for n, amp in amps.items()}
     assert gens["S-"].entries == {(n, n + 1): amp for n, amp in amps.items()}
     assert all(gens["S+"][n + 1, n] is gens["S-"][n, n + 1] for n in range(12))  # one Radical per amplitude
+
+
+@pytest.mark.parametrize("lam", [Fraction(7, 2), Fraction(1, 3), Fraction(2), Fraction(10**21 + 1, 7)])
+def test_holomorphic_blocks_are_the_sums_in_lam(lam):
+    # The blocks built from lam = p/q's integers are lam/2 + n, lam + n and
+    # n + 1, value for value and type for type, in the same order.
+    irrep = su11.Su11Irrep(lam, 40)
+    rep = su11.holomorphic_gamma_rep(irrep)
+    want = {
+        "S0": {((n,), (n,)): Fraction(lam, 2) + n for n in range(irrep.dim)},
+        "S+": {((n + 1,), (n,)): lam + n for n in range(irrep.n_max)},
+        "S-": {((n,), (n + 1,)): Fraction(n + 1) for n in range(irrep.n_max)},
+    }
+    assert list(rep.blocks) == list(want)
+    for name, blocks in rep.blocks.items():
+        assert list(blocks) == list(want[name])
+        for key, block in blocks.items():
+            assert block == [[want[name][key]]] and type(block[0][0]) is type(want[name][key]), (name, key)

@@ -10,6 +10,7 @@ import pytest
 
 from vcs_irreps import cli, repcheck, u3
 from vcs_irreps.angmom import clebsch_gordan
+from vcs_irreps.opmatrix import OperatorMatrix
 from vcs_irreps.radical import Radical, RadicalSum
 
 import oracles
@@ -51,6 +52,14 @@ def test_basis_count_against_betweenness_oracle(weight, dim):
 def test_one_dimensional_determinant_irrep():
     labels = u3.basis_enumeration(u3.U3HighestWeight(3, 3, 3))
     assert labels == [u3.CanonicalLabel(0, 0, 0)]
+
+
+def test_label_text_is_the_fraction_text():
+    # (2j, 2S, 2M) printed from the doubled integers, as str(Fraction) prints the halves
+    r = range(-12, 13)
+    for tj, tS, tM in itertools.product(r, r, r):
+        want = f"(j={Fraction(tj, 2)}, S={Fraction(tS, 2)}, M={Fraction(tM, 2)})"
+        assert str(u3.CanonicalLabel(tj, tS, tM)) == want
 
 
 def test_200_content_by_hand():
@@ -118,7 +127,7 @@ def test_reduced_me_zero_spin_intrinsic():
 def test_reduced_me_one_dimensional_irrep_vanishes():
     hw = u3.U3HighestWeight(3, 3, 3)
     assert u3.reduced_elements(hw) == ()
-    assert all(u3.assemble_generators(hw)[name].is_zero() for name in ("C12", "C13", "C21", "C31"))
+    assert not any(oracles.exact_entries(u3.assemble_generators(hw)[name]) for name in ("C12", "C13", "C21", "C31"))
 
 
 def _e_tensor(hw):
@@ -126,12 +135,12 @@ def _e_tensor(hw):
 
     Every bra at grade ``j`` with every ket at grade ``j+1/2`` and ``M' + nu = M``, zero entries included.
     """
-    gens = u3.assemble_generators(hw)
+    gens = {name: oracles.exact_entries(m) for name, m in u3.assemble_generators(hw).items()}
     labels = u3.basis_enumeration(hw)
     for (b, bra), (k, ket) in itertools.product(enumerate(labels), repeat=2):
         for t_nu, name in ((1, "C13"), (-1, "C12")):
             if ket.tj == bra.tj + 1 and ket.tM + t_nu == bra.tM:
-                entry = gens[name][b, k]
+                entry = gens[name].get((b, k), 0)
                 yield bra, ket, t_nu, entry if t_nu > 0 else -entry
 
 
@@ -167,7 +176,7 @@ def test_reduced_me_against_assembled_matrix():
         red = f_red.get((bra.tj, bra.tS, ket.tS), Radical.zero()) * _e_phase(bra.tS, ket.tS)
         assert entry == cgc * red / Radical.sqrt_of(bra.tS + 1), (bra, ket, t_nu)
         seen += entry != 0
-    assert seen == sum(len(u3.assemble_generators(hw)[name].entries) for name in ("C12", "C13")) > 0
+    assert seen == sum(len(oracles.exact_entries(u3.assemble_generators(hw)[name])) for name in ("C12", "C13")) > 0
 
 
 def test_reduced_elements_are_each_evaluated_once(monkeypatch):
@@ -189,12 +198,12 @@ def test_reduced_elements_are_each_evaluated_once(monkeypatch):
 
 def test_c11_diagonal_example():
     hw = u3.U3HighestWeight(4, 2, 0)
-    gens = u3.assemble_generators(hw)
+    c11 = oracles.exact_entries(u3.assemble_generators(hw)["C11"])
     labels = u3.basis_enumeration(hw)
     for i, lbl in enumerate(labels):
-        assert gens["C11"][i, i] == hw.w1 - lbl.tj
+        assert c11.get((i, i), 0) == hw.w1 - lbl.tj
         if lbl.tj == 2:
-            assert gens["C11"][i, i] == 2
+            assert c11.get((i, i), 0) == 2
 
 
 def test_c11_spectrum():
@@ -206,8 +215,8 @@ def test_c11_spectrum():
 
 
 def test_one_dim_irrep_generators():
-    gens = u3.assemble_generators(u3.U3HighestWeight(2, 2, 2))
-    assert gens["C12"].is_zero()
+    gens = {name: oracles.exact_entries(m) for name, m in u3.assemble_generators(u3.U3HighestWeight(2, 2, 2)).items()}
+    assert not gens["C12"]
     assert gens["C11"][0, 0] == 2
 
 
@@ -225,15 +234,15 @@ def test_all_81_commutators_exact(weight):
 
 @pytest.mark.parametrize("weight", WEIGHTS)
 def test_hermiticity_pairs_exact(weight):
-    gens = u3.assemble_generators(u3.U3HighestWeight(*weight))
+    gens = {name: oracles.exact_entries(m) for name, m in u3.assemble_generators(u3.U3HighestWeight(*weight)).items()}
     for i, k in itertools.product((1, 2, 3), repeat=2):
-        assert gens[f"C{i}{k}"].dagger().entries == gens[f"C{k}{i}"].entries
+        assert {(c, r): v for (r, c), v in gens[f"C{i}{k}"].items()} == gens[f"C{k}{i}"]
 
 
 @pytest.mark.parametrize("weight", WEIGHTS)
 def test_casimir_is_scalar(weight):
     hw = u3.U3HighestWeight(*weight)
-    gens = u3.assemble_generators(hw)
+    gens = {name: OperatorMatrix(name, range(m.dim), oracles.exact_entries(m)) for name, m in u3.assemble_generators(hw).items()}
     cas = None
     for i, k in itertools.product((1, 2, 3), repeat=2):
         term = gens[f"C{i}{k}"] @ gens[f"C{k}{i}"]
@@ -253,11 +262,27 @@ def _exact_form(value):
     return type(value), (value.sign, value.radicand) if isinstance(value, Radical) else value
 
 
-@pytest.mark.parametrize("shift", [Fraction(0), Fraction(1, 3)])
+def _assert_exact_form_of(got: repcheck.ExactMatrix, ref: OperatorMatrix) -> None:
+    """``got`` is ``ExactMatrix.of(ref)``: its arrays, and the bits of its norm, floats and sparse form."""
+    want = repcheck.ExactMatrix.of(ref)
+    assert (got.dim, got.den, got.bits, got.longest) == (want.dim, want.den, want.bits, want.longest)
+    for array in ("rows", "cols", "cores", "nums", "start", "count"):
+        mine, theirs = getattr(got, array), getattr(want, array)
+        assert mine.dtype == theirs.dtype and mine.tolist() == theirs.tolist(), array
+    assert got.norm.hex() == want.norm.hex() == ref.frobenius().hex()
+    assert got.vals.tobytes() == want.vals.tobytes()
+    assert got.to_dense().tobytes() == ref.to_dense().tobytes()
+    mine, theirs = repcheck.SparseMatrix.of(got), repcheck.SparseMatrix.of(ref)
+    assert (mine.rows.tolist(), mine.cols.tolist()) == (theirs.rows.tolist(), theirs.cols.tolist())
+    assert mine.vals.tobytes() == theirs.vals.tobytes() and mine.norm.hex() == theirs.norm.hex()
+
+
+@pytest.mark.parametrize("shift", [Fraction(0), Fraction(1, 3), Fraction(2, 3)])
 def test_closed_form_builder_is_the_racah_series_builder(shift):
-    # Every weight with w1 - w3 <= 8: the same reduced elements and the same
-    # generator entries, of the same types and in the same order, as the
-    # builder that takes its coefficients from Racah's series.
+    # Every weight with w1 - w3 <= 8: the same reduced elements, of the same
+    # types and in the same order, as the builder that takes its coefficients
+    # from Racah's series, and generators that are the exact form of its
+    # matrices, floats rounded from the same types.
     for w1, w2 in ((a, b) for a in range(9) for b in range(a + 1)):
         hw = u3.U3HighestWeight(w1 + shift, w2 + shift, shift)
         got, want = u3.reduced_elements(hw), oracles.u3_reduced_elements_reference(hw)
@@ -265,10 +290,39 @@ def test_closed_form_builder_is_the_racah_series_builder(shift):
         gens, ref = u3.assemble_generators(hw), oracles.u3_generators_reference(hw)
         assert list(gens) == list(ref)
         for name, mat in gens.items():
-            assert list(mat.entries) == list(ref[name].entries), (hw, name)
-            assert [_exact_form(v) for v in mat.entries.values()] == [
-                _exact_form(v) for v in ref[name].entries.values()
-            ], (hw, name)
+            _assert_exact_form_of(mat, ref[name])
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [(0, 0, 0), (3, 3, 3), (10**20 + 2, 10**20 + 1, 10**20), (10**80 + 2, 10**80 + 1, 10**80)],
+    ids=["0,0,0", "3,3,3", "1e20", "1e80"],
+)
+def test_generators_are_the_exact_form_of_the_racah_series_builder_at_edge_weights(weight):
+    # Empty grade-changing matrices; numerators past 2**63 (Python-int arrays);
+    # diagonal values whose squares pass 512 bits.
+    hw = u3.U3HighestWeight(*weight)
+    gens, ref = u3.assemble_generators(hw), oracles.u3_generators_reference(hw)
+    for name, mat in gens.items():
+        _assert_exact_form_of(mat, ref[name])
+    assert (gens["C11"].nums.dtype == object) == (weight[0] > 2**63)
+
+
+def test_generators_are_built_with_no_radical_or_operator_matrix_per_entry(monkeypatch):
+    hw = u3.U3HighestWeight(8, 4, 0)
+    u3.reduced_elements(hw)  # the step table's Radicals, one per step, are made here
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an entry object was built")
+
+    monkeypatch.setattr(Radical, "__init__", refuse)
+    monkeypatch.setattr(OperatorMatrix, "__init__", refuse)
+    # an ExactMatrix is its own exact form; anything else would be converted
+    monkeypatch.setattr(repcheck.ExactMatrix, "of", classmethod(lambda cls, m: m if isinstance(m, cls) else refuse()))
+    gens = u3.assemble_generators(hw)
+    spec = repcheck.u3_spec()
+    assert [r for _, r, _ in repcheck.standard_checks(spec, gens, 0.0)] == [0.0, 0.0, 0.0]
+    assert all(repcheck._forms(spec, gens)[name] is gens[name] for name in u3.GENERATOR_NAMES)
 
 
 def test_fundamental_matches_defining_matrices():
