@@ -16,8 +16,9 @@ that already hold them.  One integer kernel sums Racah's series and
 returns ``(sign, num, den)``, which the exact caller wraps in a cached
 ``Radical``.  The su(3) rotor builder needs only rank-2 coefficients
 ``(L M, 2 nu | L' M+nu)`` at integer L, and :func:`rank2_cg_parts` gives them
-as int64 arrays ``(sign, num, den)`` over a whole M range from their closed
-forms (Edmonds, Table 2): ``sign * np.sqrt(num / den)`` has the bits of
+as int64 arrays ``(sign, num, den)`` from their closed forms (Edmonds, Table
+2), over arrays of all four arguments, so one call covers every block pair
+of a construction: ``sign * np.sqrt(num / den)`` has the bits of
 ``float()`` of the exact value, and ``Radical(sign, Fraction(num, den))`` is
 the exact value.  The u(3) builders, of the irrep and of its holomorphic
 realization, need only coefficients with a spin 1/2 in them, and
@@ -232,35 +233,35 @@ _RANK2_FG = {
 RANK2_MAX_L = 3110
 
 
-def rank2_cg_parts(L: int, Lp: int, M, nu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def rank2_cg_parts(L, Lp, M, nu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Int64 arrays ``(sign, num, den)`` with ``(L M, 2 nu | Lp M+nu) = sign * sqrt(num / den)``.
 
-    ``M`` and ``nu`` are integer arrays (or scalars) broadcast against each
-    other; ``L`` and ``Lp`` are integers.  Zero coefficients, out-of-range
-    projections and a failed triangle included, give ``(0, 0, 1)``.  A
-    negative ``nu`` comes from the mirror ``(L -M, 2 -nu | Lp -M-nu) =
-    (-1)**(L+2-Lp) (L M, 2 nu | Lp M+nu)``.  ``num`` and ``den`` are exact
-    in a float64, so ``sign * np.sqrt(num / den)`` rounds the exact value's
-    square once and its root once, as ``float()`` of the exact ``Radical``
-    does.  Raises ``OverflowError`` above ``L = RANK2_MAX_L``, where they
-    could reach 2**53.
+    ``L``, ``Lp``, ``M`` and ``nu`` are integer arrays (or scalars) broadcast
+    against each other, so one call serves any set of block pairs; each
+    closed form runs once on the entries of its ``(Lp - L, |nu|)``.  Zero
+    coefficients, out-of-range projections and a failed triangle included,
+    give ``(0, 0, 1)``.  A negative ``nu`` comes from the mirror ``(L -M, 2
+    -nu | Lp -M-nu) = (-1)**(L+2-Lp) (L M, 2 nu | Lp M+nu)``.  ``num`` and
+    ``den`` are exact in a float64, so ``sign * np.sqrt(num / den)`` rounds
+    the exact value's square once and its root once, as ``float()`` of the
+    exact ``Radical`` does.  Raises ``OverflowError``, naming the largest
+    ``L``, above ``L = RANK2_MAX_L``, where they could reach 2**53.
     """
-    if L > RANK2_MAX_L:
-        raise OverflowError(f"rank-2 coefficients at L={L} exceed float64 integers (L <= {RANK2_MAX_L})")
-    M, nu = np.broadcast_arrays(np.asarray(M, dtype=np.int64), np.asarray(nu, dtype=np.int64))
-    f, g = np.zeros(M.shape, np.int64), np.zeros(M.shape, np.int64)
+    shape = np.broadcast_shapes(*map(np.shape, (L, Lp, M, nu)))
+    L, Lp, M, nu = (np.broadcast_to(np.asarray(x, dtype=np.int64), shape).ravel() for x in (L, Lp, M, nu))
+    if L.size and L.max() > RANK2_MAX_L:
+        raise OverflowError(f"rank-2 coefficients at L={L.max()} exceed float64 integers (L <= {RANK2_MAX_L})")
     d = Lp - L
-    if abs(d) > 2 or Lp < abs(L - 2):
-        return f, g, np.ones(M.shape, np.int64)
-    valid = (np.abs(M) <= L) & (np.abs(nu) <= 2) & (np.abs(M + nu) <= Lp)
+    valid = (np.abs(d) <= 2) & (Lp >= np.abs(L - 2)) & (np.abs(M) <= L) & (np.abs(nu) <= 2) & (np.abs(M + nu) <= Lp)
     flip = np.where(nu < 0, -1, 1)  # the mirror (M, nu) -> (-M, -nu), and its sign is flip**d
-    m, n = np.where(valid, flip * M, 0), np.where(valid, np.abs(nu), -1)
-    for k in range(3):
-        at = n == k
-        if at.any():
-            fk, gk = _RANK2_FG[(d, k)](L, m)
-            f, g = np.where(at, fk, f), np.where(at, gk, g)
-    return np.sign(f) * np.sign(g) * flip ** abs(d), f * f * g, np.where(valid, _RANK2_Q[d](L), 1)
+    m, group = flip * M, np.where(valid, 3 * (d + 2) + np.abs(nu), 15)  # 3 (d+2) + |nu| of a non-zero coefficient
+    f, g, q = np.zeros(L.size, np.int64), np.zeros(L.size, np.int64), np.ones(L.size, np.int64)
+    for key in np.flatnonzero(np.bincount(group, minlength=16)[:15]).tolist():
+        at = np.flatnonzero(group == key)
+        dk, k = key // 3 - 2, key % 3
+        f[at], g[at] = _RANK2_FG[(dk, k)](L[at], m[at])
+        q[at] = _RANK2_Q[dk](L[at])
+    return tuple(x.reshape(shape) for x in (np.sign(f) * np.sign(g) * flip ** np.abs(d), f * f * g, q))
 
 
 def _sixj_twice(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> Radical:

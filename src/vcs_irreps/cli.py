@@ -144,8 +144,8 @@ def _value_to_json(value, mode: str):
 
 
 # One ``[row, col, value]`` entry, as ``indent=1`` lays it out four levels down: a
-# float's value is ``"repr(value)"``, an exact one's ``{"sign", "radicand"}``.
-_FLOAT_ENTRY = '[\n     {},\n     {},\n     "{!r}"\n    ]'.format
+# float's value is ``"repr(value)"`` (a ``%`` template), an exact one's ``{"sign", "radicand"}``.
+_FLOAT_ENTRY = '[\n     %d,\n     %d,\n     "%r"\n    ]'
 _EXACT_ENTRY = '[\n     {},\n     {},\n     {{\n      "sign": {sign},\n      "radicand": "{radicand}"\n     }}\n    ]'.format
 
 
@@ -161,8 +161,10 @@ def _generator_json(mat: OperatorMatrix | repcheck.ExactMatrix | repcheck.Sparse
         body = ",\n    ".join(_EXACT_ENTRY(r, c, **_value_to_json(v, "exact")) for (r, c), v in items)
     elif isinstance(mat, repcheck.ExactMatrix):
         body = ",\n    ".join(_exact_entries(mat))
-    else:
-        body = ",\n    ".join(map(_FLOAT_ENTRY, mat.rows.tolist(), mat.cols.tolist(), mat.vals.tolist()))
+    else:  # one % over the template joined once per entry, and each entry's row, col and value in turn
+        flat = [None] * (3 * mat.vals.size)
+        flat[::3], flat[1::3], flat[2::3] = mat.rows.tolist(), mat.cols.tolist(), mat.vals.tolist()
+        body = ",\n    ".join([_FLOAT_ENTRY] * mat.vals.size) % tuple(flat)
     if not body:
         return f'{{\n   "dim": {mat.dim},\n   "entries": []\n  }}'
     return f'{{\n   "dim": {mat.dim},\n   "entries": [\n    {body}\n   ]\n  }}'

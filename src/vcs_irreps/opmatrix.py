@@ -96,7 +96,7 @@ class OperatorMatrix:
             out[key] = _simplify(RadicalSum.from_value(factor) * RadicalSum.from_value(v))
         return out
 
-    # -- conversions and norms -------------------------------------------------
+    # -- conversions -------------------------------------------------------------
 
     def to_dense(self) -> np.ndarray:
         m = np.zeros((self.dim, self.dim))
@@ -107,9 +107,6 @@ class OperatorMatrix:
     def is_zero(self) -> bool:
         """Exact zero test (entries are pruned on assignment)."""
         return not self.entries
-
-    def frobenius(self) -> float:
-        return float(np.sqrt(sum(float(v) ** 2 for v in self.entries.values())))
 
     def __repr__(self):
         return f"OperatorMatrix({self.name!r}, dim={self.dim}, nnz={len(self.entries)})"

@@ -457,8 +457,7 @@ class ExactMatrix:
     ``|num|`` and core.  The form of a value is unique, so sums cancel exactly when
     their integers do.  ``vals[i]`` is the ``float()`` of the value that triple ``i``
     came from on its first triple, 0.0 on any further one (``None`` if one overflows),
-    and ``norm`` the root of the builtin ``sum`` of their squares in entry order, as
-    ``OperatorMatrix.frobenius`` forms it.
+    and ``norm`` the root of the builtin ``sum`` of their squares in entry order.
     """
 
     __slots__ = ("dim", "den", "rows", "cols", "cores", "nums", "vals", "bits", "start", "count", "longest", "norm")

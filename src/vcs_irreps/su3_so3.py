@@ -11,8 +11,9 @@ over ``(K', K)``.  Each entry is an exact value ``num/den * sqrt(core)``, held
 as the plain integers ``(core, num, den)`` of one square class, from rank-2
 Clebsch-Gordan coefficients ``(L M, 2 nu | L' M+nu)`` times closed-form
 amplitudes.  Both the blocks and the float generator matrices take these
-coefficients from :func:`~vcs_irreps.angmom.rank2_cg_parts`, one call per
-block pair, and never sum Racah's series.  Diagonalizing the symmetric
+coefficients from :func:`~vcs_irreps.angmom.rank2_cg_parts`, one call for
+all the blocks of a construction and one per ``nu`` for the matrices, and
+never sum Racah's series.  Diagonalizing the symmetric
 ``sqrt(2L+1) M[L, L]`` defines the multiplicity label ``alpha`` (the
 eigenbasis of the scalar L.Q.L invariant), one ``eigh`` call per L.  One
 best-first walk over the quadrupole couplings between eigenstates, from the
@@ -133,40 +134,56 @@ def m_matrix(lm: Su3Label, Lp: int, L: int) -> tuple[list[int], list[int], dict]
     side of a K <-> K+-2 step is at K = 0 (this is what makes ``sqrt(2L+1)
     M[L, L]`` exactly symmetric, and the assembled matrices close the algebra).
     """
-    if abs(Lp - L) > 2:
-        raise ValueError("quadrupole blocks need |Lp - L| <= 2")
-    rows, cols = raw_k_candidates(lm, Lp), raw_k_candidates(lm, L)
-    ridx = {K: i for i, K in enumerate(rows)}
-    bracket = 2 * (2 * lm.lam + lm.mu + 3) - Lp * (Lp + 1) + L * (L + 1)  # twice the diagonal amplitude
-    # (L M, 2 nu | Lp M+nu) = s sqrt(a / b) at every (M, nu) used below, from one kernel call.
-    n = len(cols)
-    M, nu = [*cols, *cols, *cols, -1], [0] * n + [2] * n + [-2] * n + [2]
-    cg = dict(zip(zip(M, nu), zip(*(x.tolist() for x in rank2_cg_parts(L, Lp, M, nu)))))
+    return m_blocks(lm, [(Lp, L)])[(Lp, L)]
 
-    def times_cg(coeff: int, square: int, m: int, v: int) -> tuple[int, int, int]:
-        """``coeff/2 sqrt(square/2) (L m, 2 v | Lp m+v)`` as ``(core, num, den)``; ``num`` is 0 for a zero."""
-        s, a, b = cg[(m, v)]
+
+def m_blocks(lm: Su3Label, pairs: list[tuple[int, int]]) -> dict[tuple[int, int], tuple[list[int], list[int], dict]]:
+    """:func:`m_matrix` of each pair ``(Lp, L)``, all their rank-2 coefficients from one kernel call."""
+    if any(abs(Lp - L) > 2 for Lp, L in pairs):
+        raise ValueError("quadrupole blocks need |Lp - L| <= 2")
+    raw = {L: raw_k_candidates(lm, L) for pair in pairs for L in pair}
+    # (L M, 2 nu | Lp M+nu) = s sqrt(a / b) at the (M, nu) each block reads: its columns' K at nu = 0, 2 and -2,
+    # then (-1, 2); pair p's are at start[p]:start[p+1] of the int64 arrays.
+    Ms, nus, start = [], [], [0]
+    for _, L in pairs:
+        n = len(raw[L])
+        Ms += [*raw[L] * 3, -1]
+        nus += [0] * n + [2] * n + [-2] * n + [2]
+        start.append(len(Ms))
+    Lps, Ls = np.repeat(np.reshape(pairs, (-1, 2)), np.diff(start), axis=0).T
+    table = rank2_cg_parts(Ls, Lps, Ms, nus)
+
+    def times_cg(coeff: int, square: int, at: int) -> tuple[int, int, int]:
+        """``coeff/2 sqrt(square/2)`` times coefficient ``at`` as ``(core, num, den)``; ``num`` is 0 for a zero."""
+        s, a, b = cg[at]
         if not (coeff and square and a):
             return 1, 0, 1
         root, core = squarefree_decompose(2 * square * a * b)  # sqrt(square a / 2b) = root sqrt(core) / 2b
         return core, s * coeff * root, 4 * b
 
-    # Column K meets row K through the diagonal term and rows K +- 2 through one step each.
-    entries = {}
-    for c, K in enumerate(cols):
-        if K in ridx:
-            core, num, den = times_cg(bracket, 2, K, 0)
-            if K == 1:  # a second diagonal term, in the same square class
-                core2, num2, den2 = times_cg(2 * (lm.mu + 1) * (-1) ** (lm.lam + L + 1), 3, -1, 2)
-                if num and num2 and core2 != core:
-                    raise So3ConsistencyError(f"M[{Lp},{L}] at K = 1 adds square classes {core} and {core2}")
-                core, num, den = core if num else core2, num * den2 + num2 * den, den * den2
-            entries[(ridx[K], c)] = core, num, den
-        for step in (+2, -2):
-            if K + step in ridx:
-                amp = (lm.mu - K) * (lm.mu + K + 2) if step > 0 else (lm.mu + K) * (lm.mu - K + 2)
-                entries[(ridx[K + step], c)] = times_cg(2, 3 * amp * (2 if 0 in (K, K + step) else 1), K, step)
-    return rows, cols, {rc: term for rc, term in entries.items() if term[1]}
+    blocks = {}
+    for (Lp, L), lo, hi in zip(pairs, start, start[1:]):
+        rows, cols = raw[Lp], raw[L]
+        ridx, n = {K: i for i, K in enumerate(rows)}, len(cols)
+        cg = list(zip(*(x[lo:hi].tolist() for x in table)))
+        bracket = 2 * (2 * lm.lam + lm.mu + 3) - Lp * (Lp + 1) + L * (L + 1)  # twice the diagonal amplitude
+        # Column K meets row K through the diagonal term and rows K +- 2 through one step each.
+        entries = {}
+        for c, K in enumerate(cols):
+            if K in ridx:
+                core, num, den = times_cg(bracket, 2, c)
+                if K == 1:  # a second diagonal term, in the same square class
+                    core2, num2, den2 = times_cg(2 * (lm.mu + 1) * (-1) ** (lm.lam + L + 1), 3, 3 * n)
+                    if num and num2 and core2 != core:
+                        raise So3ConsistencyError(f"M[{Lp},{L}] at K = 1 adds square classes {core} and {core2}")
+                    core, num, den = core if num else core2, num * den2 + num2 * den, den * den2
+                entries[(ridx[K], c)] = core, num, den
+            for step, at in ((+2, n + c), (-2, 2 * n + c)):
+                if K + step in ridx:
+                    amp = (lm.mu - K) * (lm.mu + K + 2) if step > 0 else (lm.mu + K) * (lm.mu - K + 2)
+                    entries[(ridx[K + step], c)] = times_cg(2, 3 * amp * (2 if 0 in (K, K + step) else 1), at)
+        blocks[(Lp, L)] = rows, cols, {rc: term for rc, term in entries.items() if term[1]}
+    return blocks
 
 
 def _float_block(rows: list[int], cols: list[int], entries: dict) -> np.ndarray:
@@ -202,7 +219,7 @@ def _construction(lm: Su3Label) -> _Construction:
     levels = l_values(lm)
     candidates = {L: k_candidates(lm, L) for L in levels}
     raw_candidates = {L: raw_k_candidates(lm, L) for L in levels}
-    blocks = {(Lp, L): m_matrix(lm, Lp, L) for Lp in levels for L in levels if abs(Lp - L) <= 2}
+    blocks = m_blocks(lm, [(Lp, L) for Lp in levels for L in levels if abs(Lp - L) <= 2])
     dense = {pair: _float_block(*block) for pair, block in blocks.items() if block[0] and block[1]}
     unitaries, eigenvalues = {}, {}
     for L in levels:
@@ -382,46 +399,50 @@ def basis_labels(lm: Su3Label) -> list[RotorLabel]:
 def assemble_so3_generators(lm: Su3Label) -> dict[str, SparseMatrix]:
     """Matrices of ``L0, L+, L-`` and ``Q(-2..2)`` on the orthonormal eigenbasis, as coordinate arrays.
 
-    State ``(L, alpha, M)`` sits at ``off[L] + alpha (2L+1) + (M+L)``, the
-    index of its label in :func:`basis_labels`.  Each block pair ``(L', L)``
-    contributes the outer product of its non-zero factors and its
-    Clebsch-Gordan vector ``(L M, 2 nu | L' M+nu)``, which one
-    :func:`~vcs_irreps.angmom.rank2_cg_parts` call gives over every ``(M,
-    nu)``, as coordinate arrays per ``nu``.  Each generator is one :class:`~vcs_irreps.repcheck.SparseMatrix`
-    of its concatenated arrays, which sorts them and drops exact zeros; no
-    entry ever becomes a Python object.
+    State ``(L, alpha, M)`` sits at ``off(L) + alpha (2L+1) + (M+L)``, the
+    index of its label in :func:`basis_labels`, with ``off(L)`` the number of
+    states below level ``L``.  ``L0``, ``L+`` and ``L-`` come from one pass
+    over all states.  ``Q(nu)`` pairs each non-zero factor of block pair
+    ``(L', L)`` with that pair's Clebsch-Gordan coefficients ``(L M, 2 nu |
+    L' M+nu)``: one :func:`~vcs_irreps.angmom.rank2_cg_parts` call gives them
+    over every pair's ``M`` range, and one join on the pair (as in
+    ``ExactMatrix.sum``) repeats each factor over its pair's range.  Each
+    generator is one :class:`~vcs_irreps.repcheck.SparseMatrix` of its
+    arrays, which sorts them and drops exact zeros; no entry ever becomes a
+    Python object.
     """
     con = _construction(lm)
-    sizes = [len(con.candidates[L]) * (2 * L + 1) for L in con.levels]
-    off = dict(zip(con.levels, np.cumsum([0] + sizes).tolist()))
-    names = ("L0", "L+", "L-", "Q-2", "Q-1", "Q0", "Q1", "Q2")
-    parts: dict[str, list[tuple[np.ndarray, ...]]] = {name: [] for name in names}
+    levels = np.array(con.levels)
+    sizes = np.array([len(con.candidates[L]) for L in con.levels]) * (2 * levels + 1)
+    dim, first = int(sizes.sum()), np.cumsum(sizes) - sizes  # off(levels[k]) = first[k]
+    i, L = np.arange(dim), np.repeat(levels, sizes)
+    M = (i - np.repeat(first, sizes)) % (2 * L + 1) - L
+    up = M < L
+    amp = np.sqrt((L - M)[up] * (L + M + 1)[up])
+    gens = {"L0": SparseMatrix(dim, i, i, M.astype(float))}
+    gens["L+"], gens["L-"] = SparseMatrix(dim, i[up] + 1, i[up], amp), SparseMatrix(dim, i[up], i[up] + 1, amp)
 
-    for L, size in zip(con.levels, sizes):
-        i = off[L] + np.arange(size)
-        M = np.arange(size) % (2 * L + 1) - L
-        up = M < L
-        amp = np.sqrt((L - M[up]) * (L + M[up] + 1))
-        parts["L0"].append((i, i, M.astype(float)))
-        parts["L+"].append((i[up] + 1, i[up], amp))
-        parts["L-"].append((i[up], i[up] + 1, amp))
-
-    for (Lp, L), factors in con.factors.items():
-        # (L M, 2 nu | Lp M+nu) at every (M, nu) pair in order, from one kernel call.
-        M, nu = np.repeat(np.arange(-L, L + 1), 5), np.tile(np.arange(-2, 3), 2 * L + 1)
-        keep = np.abs(M + nu) <= Lp
-        M, nu = M[keep], nu[keep]
-        sign, num, den = rank2_cg_parts(L, Lp, M, nu)
+    # Each pair's L', L, and its non-zero factors with the rows and columns of their M = 0 entries.
+    Lp, L = np.array(list(con.factors)).T
+    nonzero = [np.nonzero(t) for t in con.factors.values()]
+    pair = np.repeat(np.arange(Lp.size), [beta.size for beta, _ in nonzero])
+    beta, alpha = (np.concatenate([ba[k] for ba in nonzero]) for k in (0, 1))
+    value = np.concatenate([t[ba] for t, ba in zip(con.factors.values(), nonzero)])
+    row0 = first[np.searchsorted(levels, Lp)][pair] + beta * (2 * Lp[pair] + 1) + Lp[pair]
+    col0 = first[np.searchsorted(levels, L)][pair] + alpha * (2 * L[pair] + 1) + L[pair]
+    for nu in range(-2, 3):
+        # Pair p's M runs over max(-L, -L'-nu) .. min(L, L'-nu), at start[p]:start[p] + count[p].
+        low = np.maximum(-L, -Lp - nu)
+        count = np.maximum(np.minimum(L, Lp - nu) - low + 1, 0)
+        start = np.cumsum(count) - count
+        M = np.arange(count.sum()) - np.repeat(start - low, count)
+        sign, num, den = rank2_cg_parts(np.repeat(L, count), np.repeat(Lp, count), M, nu)
         cg = sign * np.sqrt(num / den)
-        beta, alpha = np.nonzero(factors)
-        rows = off[Lp] + beta[:, None] * (2 * Lp + 1) + (M + nu + Lp)
-        cols = off[L] + alpha[:, None] * (2 * L + 1) + (M + L)
-        vals = factors[beta, alpha][:, None] * cg
-        for n in range(-2, 3):
-            at = nu == n
-            parts[f"Q{n}"].append((rows[:, at].ravel(), cols[:, at].ravel(), vals[:, at].ravel()))
-
-    return {name: SparseMatrix(sum(sizes), *(np.concatenate(a) for a in zip(*parts[name]))) for name in names}
+        reps = count[pair]
+        at = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps - start[pair], reps)
+        rows, cols = np.repeat(row0, reps) + nu + M[at], np.repeat(col0, reps) + M[at]
+        gens[f"Q{nu}"] = SparseMatrix(dim, rows, cols, np.repeat(value, reps) * cg[at])
+    return gens
 
 
 def rotor_multiplicities(lm: Su3Label) -> dict[int, int]:

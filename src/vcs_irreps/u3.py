@@ -112,14 +112,12 @@ def _halves(twice: int) -> str:
 
 def is_admissible(hw: U3HighestWeight, tj: int, tS: int) -> bool:
     """Whether ``(j, S)`` is in the Gelfand betweenness image for this weight."""
-    ts = hw.twice_s
-    if tj < 0 or tS < 0:
-        return False
-    if (tj + tS + ts) % 2:
-        return False
-    if abs(tj - ts) > tS or tS > tj + ts:
-        return False
-    return tj + tS - ts <= 2 * (hw.w1 - hw.w2)
+    return _admissible(hw.su3_lam, hw.su3_mu, tj, tS)
+
+
+def _admissible(lam: int, mu: int, tj: int, tS: int) -> bool:
+    """:func:`is_admissible` from the integers ``lam = w1 - w2`` and ``mu = 2s``; the triangle makes ``2j, 2S >= 0``."""
+    return (tj + tS + mu) % 2 == 0 and abs(tj - mu) <= tS <= tj + mu and tj + tS - mu <= 2 * lam
 
 
 def basis_enumeration(hw: U3HighestWeight) -> list[CanonicalLabel]:
@@ -150,10 +148,15 @@ def k_ratio_sq(hw: U3HighestWeight, tj: int, tS: int, tSp: int) -> Fraction:
     non-positive value on an admissible pair would mean the basis enumeration
     is wrong and raises.
     """
+    return _k_ratio_sq(hw.su3_lam, hw.su3_mu, tj, tS, tSp)
+
+
+def _k_ratio_sq(lam: int, mu: int, tj: int, tS: int, tSp: int) -> Fraction:
+    """:func:`k_ratio_sq` from the integers ``lam`` and ``mu``, as :func:`_admissible` takes them."""
     if abs(tS - tSp) != 1:
         raise ValueError("S' must differ from S by 1/2")
-    rise = 2 * hw.su3_lam + hw.su3_mu - tj + (-tS if tSp > tS else tS + 2)
-    if rise <= 0 and is_admissible(hw, tj, tS) and is_admissible(hw, tj + 1, tSp):
+    rise = 2 * lam + mu - tj + (-tS if tSp > tS else tS + 2)
+    if rise <= 0 and _admissible(lam, mu, tj, tS) and _admissible(lam, mu, tj + 1, tSp):
         raise AdmissibilityError(
             f"norm ratio {Fraction(rise, 2)} <= 0 for admissible pair (2j={tj}, 2S={tS}) -> "
             f"(2j={tj + 1}, 2S'={tSp})"
@@ -179,15 +182,15 @@ def _steps(hw: U3HighestWeight, tj_cap: int, irrep: bool):
     ``sign * sqrt(num / den) = sqrt(2j+1) U(s j S' 1/2; S j+1/2)`` is non-zero;
     with ``irrep``, only the steps between two admissible multiplets.
     """
-    ts = hw.twice_s
+    lam, ts = hw.su3_lam, hw.su3_mu
     for tj in range(tj_cap):
         for tS in range(abs(tj - ts), tj + ts + 1, 2):
             for tSp in (tS - 1, tS + 1):
-                if irrep and not (is_admissible(hw, tj, tS) and is_admissible(hw, tj + 1, tSp)):
+                if irrep and not (_admissible(lam, ts, tj, tS) and _admissible(lam, ts, tj + 1, tSp)):
                     continue
                 sign, num, den = spin_half_u_parts(ts, tj, tS, tSp)
                 if sign:
-                    yield tj, tS, tSp, sign, num * (tj + 1), den, k_ratio_sq(hw, tj, tS, tSp)
+                    yield tj, tS, tSp, sign, num * (tj + 1), den, _k_ratio_sq(lam, ts, tj, tS, tSp)
 
 
 def _cartan(hw: U3HighestWeight, keys: dict):

@@ -31,6 +31,14 @@ def exact_entries(m: repcheck.ExactMatrix) -> dict[tuple[int, int], Radical]:
     return out
 
 
+def frobenius(m: OperatorMatrix) -> float:
+    """The Frobenius norm of an exact matrix: the root of the builtin ``sum`` of each entry's ``float()`` squared.
+
+    The reference for the bits of ``ExactMatrix.norm``.
+    """
+    return float(np.sqrt(sum(float(v) ** 2 for v in m.entries.values())))
+
+
 def spectrum_multiset(matrix, hermitian_tol: float = 1e-9) -> list[float]:
     """Sorted eigenvalue list (uses the symmetric solver when applicable)."""
     m = matrix.to_dense() if hasattr(matrix, "to_dense") else np.asarray(matrix)
@@ -158,6 +166,73 @@ def m_block_reference(lm: su3_so3.Su3Label, Lp: int, L: int) -> tuple[list[int],
     return rows, cols, out
 
 
+def m_matrix_reference(lm: su3_so3.Su3Label, Lp: int, L: int) -> tuple[list[int], list[int], dict]:
+    """``su3_so3.m_matrix(lm, Lp, L)`` as one block was built alone: one scalar-``L`` kernel call, read by ``(M, nu)``."""
+    rows, cols = su3_so3.raw_k_candidates(lm, Lp), su3_so3.raw_k_candidates(lm, L)
+    ridx = {K: i for i, K in enumerate(rows)}
+    bracket = 2 * (2 * lm.lam + lm.mu + 3) - Lp * (Lp + 1) + L * (L + 1)
+    n = len(cols)
+    M, nu = [*cols, *cols, *cols, -1], [0] * n + [2] * n + [-2] * n + [2]
+    cg = dict(zip(zip(M, nu), zip(*(x.tolist() for x in angmom.rank2_cg_parts(L, Lp, M, nu)))))
+
+    def times_cg(coeff, square, m, v):
+        s, a, b = cg[(m, v)]
+        if not (coeff and square and a):
+            return 1, 0, 1
+        root, core = squarefree_decompose(2 * square * a * b)
+        return core, s * coeff * root, 4 * b
+
+    entries = {}
+    for c, K in enumerate(cols):
+        if K in ridx:
+            core, num, den = times_cg(bracket, 2, K, 0)
+            if K == 1:
+                core2, num2, den2 = times_cg(2 * (lm.mu + 1) * (-1) ** (lm.lam + L + 1), 3, -1, 2)
+                core, num, den = core if num else core2, num * den2 + num2 * den, den * den2
+            entries[(ridx[K], c)] = core, num, den
+        for step in (+2, -2):
+            if K + step in ridx:
+                amp = (lm.mu - K) * (lm.mu + K + 2) if step > 0 else (lm.mu + K) * (lm.mu - K + 2)
+                entries[(ridx[K + step], c)] = times_cg(2, 3 * amp * (2 if 0 in (K, K + step) else 1), K, step)
+    return rows, cols, {rc: term for rc, term in entries.items() if term[1]}
+
+
+def so3_generators_reference(lm: su3_so3.Su3Label) -> dict[str, repcheck.SparseMatrix]:
+    """``su3_so3.assemble_so3_generators(lm)`` built one level and one block pair at a time.
+
+    Each pair's factors times its own kernel call's Clebsch-Gordan vector over
+    every ``(M, nu)``, split by ``nu``; each generator one ``SparseMatrix`` of
+    the concatenated parts.
+    """
+    con = su3_so3._construction(lm)
+    sizes = [len(con.candidates[L]) * (2 * L + 1) for L in con.levels]
+    off = dict(zip(con.levels, np.cumsum([0] + sizes).tolist()))
+    names = ("L0", "L+", "L-", "Q-2", "Q-1", "Q0", "Q1", "Q2")
+    parts: dict[str, list] = {name: [] for name in names}
+    for L, size in zip(con.levels, sizes):
+        i = off[L] + np.arange(size)
+        M = np.arange(size) % (2 * L + 1) - L
+        up = M < L
+        amp = np.sqrt((L - M[up]) * (L + M[up] + 1))
+        parts["L0"].append((i, i, M.astype(float)))
+        parts["L+"].append((i[up] + 1, i[up], amp))
+        parts["L-"].append((i[up], i[up] + 1, amp))
+    for (Lp, L), factors in con.factors.items():
+        M, nu = np.repeat(np.arange(-L, L + 1), 5), np.tile(np.arange(-2, 3), 2 * L + 1)
+        keep = np.abs(M + nu) <= Lp
+        M, nu = M[keep], nu[keep]
+        sign, num, den = angmom.rank2_cg_parts(L, Lp, M, nu)
+        cg = sign * np.sqrt(num / den)
+        beta, alpha = np.nonzero(factors)
+        rows = off[Lp] + beta[:, None] * (2 * Lp + 1) + (M + nu + Lp)
+        cols = off[L] + alpha[:, None] * (2 * L + 1) + (M + L)
+        vals = factors[beta, alpha][:, None] * cg
+        for n in range(-2, 3):
+            at = nu == n
+            parts[f"Q{n}"].append((rows[:, at].ravel(), cols[:, at].ravel(), vals[:, at].ravel()))
+    return {name: repcheck.SparseMatrix(sum(sizes), *(np.concatenate(a) for a in zip(*parts[name]))) for name in names}
+
+
 def quadrupole_dense(generators: dict) -> dict[int, np.ndarray]:
     """Dense complex quadrupole components ``Q(-2) .. Q(2)`` from the u(3) generators."""
     c = {name: generators[name].to_dense() for name in u3.GENERATOR_NAMES}
@@ -204,6 +279,29 @@ def u3_reduced_elements_reference(hw: u3.U3HighestWeight) -> tuple[tuple[int, in
             if not value.is_zero():
                 elements.append((tj, tS, tSp, value))
     return tuple(elements)
+
+
+def u3_steps_reference(hw: u3.U3HighestWeight, tj_cap: int, irrep: bool):
+    """``u3._steps(hw, tj_cap, irrep)``, with admissibility and the K ratio in ``Fraction`` arithmetic on the weight."""
+
+    def admissible(tj, tS):
+        ts = hw.twice_s
+        if tj < 0 or tS < 0 or (tj + tS + ts) % 2 or abs(tj - ts) > tS or tS > tj + ts:
+            return False
+        return tj + tS - ts <= 2 * (hw.w1 - hw.w2)
+
+    ts = hw.twice_s
+    for tj in range(tj_cap):
+        for tS in range(abs(tj - ts), tj + ts + 1, 2):
+            for tSp in (tS - 1, tS + 1):
+                if irrep and not (admissible(tj, tS) and admissible(tj + 1, tSp)):
+                    continue
+                sign, num, den = angmom.spin_half_u_parts(ts, tj, tS, tSp)
+                if sign:
+                    rise = 2 * (hw.w1 - hw.w2) + (hw.w2 - hw.w3) - tj + (-tS if tSp > tS else tS + 2)
+                    if rise <= 0 and admissible(tj, tS) and admissible(tj + 1, tSp):
+                        raise u3.AdmissibilityError(f"norm ratio {rise / 2} <= 0")
+                    yield tj, tS, tSp, sign, num * (tj + 1), den, Fraction(rise, 2)
 
 
 def u3_generators_reference(hw: u3.U3HighestWeight) -> dict[str, OperatorMatrix]:

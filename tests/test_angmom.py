@@ -444,6 +444,20 @@ def test_rank2_kernel_refuses_l_where_num_or_den_could_reach_2_to_the_53():
         rank2_cg_parts(L + 1, L + 1, 0, 0)
 
 
+def test_rank2_kernel_with_array_l_is_its_scalar_calls():
+    # L, Lp, M and nu all arrays, each entry the scalar call's: a grid with
+    # |Lp - L| up to 4, Lp < |L - 2| and |M + nu| > Lp, and a 2-D broadcast
+    grid = np.array(list(itertools.product(range(8), range(12), range(-9, 10), range(-3, 4)))).T
+    got = np.stack(rank2_cg_parts(*grid)).T.tolist()
+    assert got == [[int(x) for x in rank2_cg_parts(*args)] for args in grid.T.tolist()]
+    assert sum(s != 0 for s, _, _ in got) == 1_275  # the non-zero ones, by Racah's series
+    L, M = np.arange(7)[:, None], np.arange(-6, 7)
+    for part, want in zip(rank2_cg_parts(L, L + 1, M, 1), zip(*(rank2_cg_parts(l, l + 1, M, 1) for l in range(7)))):
+        assert part.shape == (7, 13) and part.tolist() == np.stack(want).tolist()
+    with pytest.raises(OverflowError, match=f"L={RANK2_MAX_L + 7}"):
+        rank2_cg_parts([3, RANK2_MAX_L + 7, 5], [3, RANK2_MAX_L + 7, 5], 0, 0)
+
+
 def _parts_value(parts) -> Radical:
     sign, num, den = parts
     return Radical(sign, Fraction(num, den))

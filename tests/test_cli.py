@@ -11,6 +11,7 @@ import re
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from vcs_irreps import cli, kmatrix, repcheck, su3_so3, su11, u3
@@ -32,6 +33,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_float_writer_is_the_format_template_of_each_entry(seed):
+    # one % over the joined template, against one '{!r}'.format per entry:
+    # random values over many decades, the extremes and an empty matrix
+    rng = np.random.default_rng(seed)
+    special = [5e-324, 1e308, -1e308, -1e-300, -5e-324]
+    vals = np.concatenate([special, rng.standard_normal(300) * 10.0 ** rng.integers(-300, 300, 300)])
+    flat = rng.choice(60 * 60, vals.size, replace=False)
+    for mat in (repcheck.SparseMatrix(60, flat // 60, flat % 60, vals), repcheck.SparseMatrix(4, [], [], np.array([]))):
+        entry = '[\n     {},\n     {},\n     "{!r}"\n    ]'.format
+        body = ",\n    ".join(map(entry, mat.rows.tolist(), mat.cols.tolist(), mat.vals.tolist()))
+        entries = f"[\n    {body}\n   ]" if body else "[]"
+        assert cli._generator_json(mat) == f'{{\n   "dim": {mat.dim},\n   "entries": {entries}\n  }}'
+    assert mat.vals.size == 0
 
 
 def test_gen_su11_document_size(capsys):

@@ -115,6 +115,21 @@ def test_m_matrix_is_the_racah_series_reference_exactly():
                 assert su3_so3._float_block(rows, cols, entries).tobytes() == floats.tobytes(), (lam, mu, Lp, L)
 
 
+def test_m_blocks_and_m_matrix_are_the_blocks_built_one_pair_at_a_time():
+    # every pair with |Lp - L| <= 2 and Lp, L <= lam + mu + 2, those outside
+    # l_values included, for lam, mu <= 6: from one kernel call over all pairs
+    # and from m_matrix alone, equal to each block built alone
+    for lam in range(7):
+        for mu in range(7):
+            lm = su3_so3.Su3Label(lam, mu)
+            top = lam + mu + 2
+            pairs = [(Lp, L) for L in range(top + 1) for Lp in range(max(0, L - 2), min(top, L + 2) + 1)]
+            blocks = su3_so3.m_blocks(lm, pairs)
+            assert list(blocks) == pairs
+            for pair in pairs:
+                assert blocks[pair] == su3_so3.m_matrix(lm, *pair) == oracles.m_matrix_reference(lm, *pair), (lm, pair)
+
+
 @pytest.mark.parametrize("lam,mu", WEIGHTS + [(3, 3), (2, 3)])
 def test_sqrt_weighted_diagonal_blocks_symmetric_exactly(lam, mu):
     lm = su3_so3.Su3Label(lam, mu)
@@ -133,17 +148,17 @@ def test_construction_refuses_a_diagonal_block_that_is_not_exactly_symmetric(mon
     # far below a float's resolution of the entry, so only the exact test sees
     # it: 10**-30 sqrt(core) added to the zero entry (0,2) of M[4,4], and to
     # the non-zero entry (0,1)
-    real = su3_so3.m_matrix
+    real = su3_so3.m_blocks
     for j in (2, 1):
 
-        def skewed(lm, Lp, L):
-            rows, cols, entries = real(lm, Lp, L)
-            if Lp == L == 4:
-                core, num, den = entries.get((0, j), (1, 0, 1))
-                entries[(0, j)] = core, num * 10**30 + den, den * 10**30
-            return rows, cols, entries
+        def skewed(lm, pairs):
+            blocks = real(lm, pairs)
+            entries = blocks[(4, 4)][2]
+            core, num, den = entries.get((0, j), (1, 0, 1))
+            entries[(0, j)] = core, num * 10**30 + den, den * 10**30
+            return blocks
 
-        monkeypatch.setattr(su3_so3, "m_matrix", skewed)
+        monkeypatch.setattr(su3_so3, "m_blocks", skewed)
         with pytest.raises(su3_so3.So3ConsistencyError, match=rf"M\[4,4\] is not symmetric at \(0,{j}\)"):
             su3_so3._construction.__wrapped__(su3_so3.Su3Label(4, 4))
 
@@ -327,6 +342,21 @@ def test_array_assembly_matches_the_entry_by_entry_fill(lam, mu):
         assert np.all(mat.vals != 0.0), name
 
 
+@pytest.mark.parametrize(
+    "lam,mu", [(lam, total - lam) for total in range(9) for lam in range(total + 1)] + [(10, 8), (12, 10), (24, 22)]
+)
+def test_assembly_is_the_per_pair_reference_bit_for_bit(lam, mu):
+    lm = su3_so3.Su3Label(lam, mu)
+    got, want = su3_so3.assemble_so3_generators(lm), oracles.so3_generators_reference(lm)
+    assert list(got) == list(want)
+    for name, mat in got.items():
+        assert mat.dim == want[name].dim, name
+        for array in ("rows", "cols", "vals"):
+            mine, theirs = getattr(mat, array), getattr(want[name], array)
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), (name, array)
+        assert mat.norm.hex() == want[name].norm.hex(), name
+
+
 @pytest.mark.parametrize("lam,mu", [(0, 0), (2, 1), (8, 6)])
 def test_gen_writes_the_arrays_as_the_entry_dicts_were_written(tmp_path, lam, mu):
     # The reference is the dict and list writer: each generator filled entry
@@ -348,11 +378,19 @@ def test_gen_writes_the_arrays_as_the_entry_dicts_were_written(tmp_path, lam, mu
 
 
 def test_construction_builds_each_quadrupole_block_once(monkeypatch):
-    calls = Counter()
-    real = su3_so3.m_matrix
-    monkeypatch.setattr(su3_so3, "m_matrix", lambda lm, Lp, L: calls.update([(Lp, L)]) or real(lm, Lp, L))
-    su3_so3._construction.__wrapped__(su3_so3.Su3Label(10, 8))
-    assert len(calls) == 82 and set(calls.values()) == {1}
+    # one m_blocks call over the 82 block pairs, which is one rank-2 kernel call;
+    # assembly makes one more per nu
+    pairs, kernel = [], Counter()
+    real_blocks, real_kernel = su3_so3.m_blocks, su3_so3.rank2_cg_parts
+    monkeypatch.setattr(su3_so3, "m_blocks", lambda lm, todo: pairs.append(todo) or real_blocks(lm, todo))
+    monkeypatch.setattr(su3_so3, "rank2_cg_parts", lambda *args: kernel.update(["calls"]) or real_kernel(*args))
+    lm = su3_so3.Su3Label(10, 8)
+    su3_so3._construction.__wrapped__(lm)
+    assert [len(todo) for todo in pairs] == [82] and len(set(pairs[0])) == 82 and kernel["calls"] == 1
+    su3_so3._construction(lm)
+    kernel.clear()
+    su3_so3.assemble_so3_generators(lm)
+    assert kernel["calls"] == 5
 
 
 def test_construction_weighs_and_lists_each_block_once(monkeypatch):

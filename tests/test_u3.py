@@ -100,6 +100,19 @@ def test_k_ratio_sq_examples():
         u3.k_ratio_sq(hw, 0, 0, 2)
 
 
+def test_step_table_reads_integers_as_the_fraction_reference():
+    # every weight with w1 - w3 <= 8, at shifts 0, 1/3 and 2/3, the irrep's
+    # steps and one grade past it: the same tuples, value and type
+    for shift in (Fraction(0), Fraction(1, 3), Fraction(2, 3)):
+        for w1 in range(9):
+            for w2 in range(w1 + 1):
+                hw = u3.U3HighestWeight(w1 + shift, w2 + shift, shift)
+                for tj_cap, irrep in ((w1, True), (w1 + 1, False)):
+                    got, want = list(u3._steps(hw, tj_cap, irrep)), list(oracles.u3_steps_reference(hw, tj_cap, irrep))
+                    assert got == want, (hw, irrep)
+                    assert [tuple(map(type, step)) for step in got] == [tuple(map(type, step)) for step in want]
+
+
 def test_k_ratio_positivity_boundary_scan():
     # walking the {4,2,0} stretched chain: positive inside, <= 0 at the first
     # step past the boundary
@@ -269,7 +282,7 @@ def _assert_exact_form_of(got: repcheck.ExactMatrix, ref: OperatorMatrix) -> Non
     for array in ("rows", "cols", "cores", "nums", "start", "count"):
         mine, theirs = getattr(got, array), getattr(want, array)
         assert mine.dtype == theirs.dtype and mine.tolist() == theirs.tolist(), array
-    assert got.norm.hex() == want.norm.hex() == ref.frobenius().hex()
+    assert got.norm.hex() == want.norm.hex() == oracles.frobenius(ref).hex()
     assert got.vals.tobytes() == want.vals.tobytes()
     assert got.to_dense().tobytes() == ref.to_dense().tobytes()
     mine, theirs = repcheck.SparseMatrix.of(got), repcheck.SparseMatrix.of(ref)
